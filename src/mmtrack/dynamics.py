@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import chain_frames, rotation_axis, rotation_rpy
+from .kinematics import chain_frames, point_jacobians
 from .model import RobotModel
 
 _CS_STEP = 1e-20  # complex-step size; derivative error is O(step^2)
@@ -43,75 +43,26 @@ class ErrorState:
             raise ValueError("e1 and e2 must have the same length")
 
 
-def _rotation_axis_batch(axis, angles):
-    """Rodrigues rotations for a batch of angles, (B, 3, 3)."""
-    x, y, z = axis
-    K = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-    c = np.cos(angles)[:, None, None]
-    s = np.sin(angles)[:, None, None]
-    return np.eye(3) + s * K + (1.0 - c) * (K @ K)
-
-
-def _arm_frames_batch(model: RobotModel, Q):
-    """Joint rotations/origins for a batch of arm configurations.
-
-    Q has shape (B, n); returns (R, o) with shapes (B, n, 3, 3) and
-    (B, n, 3), complex-safe for complex-step differentiation.
-    """
-    Q = np.asarray(Q)
-    B, n = Q.shape
-    dtype = np.result_type(Q.dtype, float)
-    R = np.broadcast_to(np.eye(3, dtype=dtype), (B, 3, 3)).copy()
-    p = np.zeros((B, 3), dtype=dtype)
-    rotations = np.empty((B, n, 3, 3), dtype=dtype)
-    origins = np.empty((B, n, 3), dtype=dtype)
-    for k, joint in enumerate(model.joints[model.arm_slice]):
-        p = p + R @ np.asarray(joint.origin_xyz, dtype=dtype)
-        R = R @ rotation_rpy(joint.origin_rpy).astype(dtype)
-        if joint.kind == "revolute":
-            R = R @ _rotation_axis_batch(joint.axis, Q[:, k])
-        else:
-            p = p + np.einsum("bij,bj->bi", R,
-                              np.multiply.outer(Q[:, k],
-                                                np.asarray(joint.axis, dtype=dtype)))
-        rotations[:, k] = R
-        origins[:, k] = p
-    return rotations, origins
-
-
-def _com_jacobians_batch(model: RobotModel, Q):
-    """Translational COM Jacobians for a batch, (B, n, 3, n)."""
-    Q = np.asarray(Q)
-    dtype = np.result_type(Q.dtype, float)
-    n = model.arm_joint_count
-    R, o = _arm_frames_batch(model, Q)           # (B,n,3,3), (B,n,3)
-    arm_joints = model.joints[model.arm_slice]
-    axes = np.stack([j.axis for j in arm_joints]).astype(dtype)
-    axes_world = np.einsum("bkxy,ky->bkx", R, axes)
-    coms = np.einsum("bixy,iy->bix", R, model.link_com_offsets.astype(dtype)) + o
-    # cross[b, i, k] = axis_k x (com_i - origin_k), valid for k <= i
-    cross = np.cross(axes_world[:, None, :, :],
-                     coms[:, :, None, :] - o[:, None, :, :])
-    revolute = np.array([j.kind == "revolute" for j in arm_joints])
-    cols = np.where(revolute[None, None, :, None], cross,
-                    np.broadcast_to(axes_world[:, None, :, :], cross.shape))
-    mask = (np.arange(n)[None, :] <= np.arange(n)[:, None])  # k <= i
-    cols = cols * mask[None, :, :, None]
-    return np.ascontiguousarray(cols.transpose(0, 1, 3, 2))  # (B, n, 3, n)
-
-
-def com_positions(model: RobotModel, q_m):
-    """COM of every arm link in the base frame, (n, 3); complex-safe."""
-    q_m = np.asarray(q_m)
-    R, o = _arm_frames_batch(model, q_m[None, :])
-    dtype = R.dtype
-    return (np.einsum("ixy,iy->ix", R[0],
-                      model.link_com_offsets.astype(dtype)) + o[0])
-
-
 def com_jacobians(model: RobotModel, q_m):
-    """Translational COM Jacobians, (n, 3, n); complex-safe."""
-    return _com_jacobians_batch(model, np.asarray(q_m)[None, :])[0]
+    """Translational COM Jacobians in the base frame, (..., n, 3, n).
+
+    ``q_m`` holds arm angles in its last axis with any leading batch
+    shape; complex-safe for complex-step differentiation.
+    """
+    start = model.base_dof_count
+    R, o, _, _ = chain_frames(model, q_m, start)
+    coms = np.einsum("...ixy,iy->...ix", R, model.link_com_offsets) + o
+    columns, _ = point_jacobians(model, R, o, coms, start)
+    # Link i moves only with joints k <= i.
+    n = model.arm_joint_count
+    columns = columns * np.tri(n, dtype=bool)[:, :, None]
+    return np.ascontiguousarray(np.swapaxes(columns, -1, -2))
+
+
+def _mass_weighted(model: RobotModel, Jc, v):
+    """sum_i m_i Jc_i^T v: the joint torque of a uniform force field v
+    (per unit mass) acting on the link COMs."""
+    return np.einsum("m,mak,a->k", model.link_masses, Jc, v)
 
 
 def inertia_matrix(model: RobotModel, q_m):
@@ -131,7 +82,7 @@ def _jacobians_and_gradient(model: RobotModel, q_m):
     q_m = np.asarray(q_m, float)
     n = model.arm_joint_count
     Q = q_m[None, :] + 1j * _CS_STEP * np.eye(n)
-    Jb = _com_jacobians_batch(model, Q)          # (n, n, 3, n) complex
+    Jb = com_jacobians(model, Q)                 # (n, n, 3, n) complex
     Jc = Jb[0].real.copy()
     masses = model.link_masses
     Mb = np.einsum("m,bmak,bmal->bkl", masses.astype(complex), Jb, Jb)
@@ -164,7 +115,7 @@ def dynamics_terms(model: RobotModel, q_m, qdot_m, gravity=None) -> DynamicsTerm
     C = 0.5 * (np.einsum("kij,k->ij", dM, qdot_m)
                + np.einsum("jik,k->ij", dM, qdot_m)
                - np.einsum("ikj,k->ij", dM, qdot_m))
-    G = -np.einsum("m,mak,a->k", model.link_masses, Jc, g)
+    G = _mass_weighted(model, Jc, -g)
     return DynamicsTerms(M=M, C=C, G=G)
 
 
@@ -179,11 +130,7 @@ def base_disturbance_torque(model: RobotModel, q_m, a_b) -> np.ndarray:
     a_b = np.asarray(a_b, float)
     if a_b.shape != (3,):
         raise ValueError("a_b must be a 3-vector")
-    Jc = com_jacobians(model, q_m)
-    tau = np.zeros(model.arm_joint_count)
-    for i in range(model.arm_joint_count):
-        tau += model.link_masses[i] * (Jc[i].T @ a_b)
-    return tau
+    return _mass_weighted(model, com_jacobians(model, q_m), a_b)
 
 
 def forward_dynamics(model: RobotModel, q_m, qdot_m, tau, tau_d=None,

@@ -47,12 +47,23 @@ def rotation_rpy(rpy):
     return rot_z(rpy[2]) @ rot_y(rpy[1]) @ rot_x(rpy[0])
 
 
-def rotation_axis(axis, angle):
-    """Rodrigues rotation about a unit axis; complex-safe."""
+def axis_skew(axis):
+    """Skew matrix K of a unit axis: K @ v = axis x v."""
     x, y, z = axis
-    K = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-    c, s = np.cos(angle), np.sin(angle)
-    return np.eye(3) + s * K + (1.0 - c) * (K @ K)
+    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+
+
+def _rodrigues(K, K2, angle):
+    """I + sin(a) K + (1 - cos(a)) K^2 for any angle shape, (..., 3, 3)."""
+    angle = np.asarray(angle)[..., None, None]
+    return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * K2
+
+
+def rotation_axis(axis, angle):
+    """Rodrigues rotation about a unit axis; complex-safe, and batched
+    over the shape of ``angle``."""
+    K = axis_skew(axis)
+    return _rodrigues(K, K @ K, angle)
 
 
 def euler_zyx(R):
@@ -135,35 +146,63 @@ class ConfigurationState:
             raise ValueError("state vectors must share one length")
 
 
-def chain_frames(model: RobotModel, q):
+def chain_frames(model: RobotModel, q, start: int = 0):
     """Rotation and origin of every joint frame, plus the EE frame.
 
-    Returns (rotations, origins, R_ee, p_ee); complex-safe in q.
+    Walks joints ``start`` .. end of the chain from the frame of joint
+    ``start``'s parent (``start = model.base_dof_count`` gives the arm in
+    the base frame); ``q`` holds their values in its last axis, with any
+    leading batch shape, and may be complex.  Returns (rotations, origins,
+    R_ee, p_ee) of shapes (..., k, 3, 3), (..., k, 3), (..., 3, 3) and
+    (..., 3).
     """
     q = np.asarray(q)
+    joints = model.joints[start:]
+    if q.ndim == 0 or q.shape[-1] != len(joints):
+        raise ValueError(f"expected {len(joints)} joint values, got shape {q.shape}")
     dtype = np.result_type(q.dtype, float)
-    R = np.eye(3, dtype=dtype)
-    p = np.zeros(3, dtype=dtype)
-    rotations, origins = [], []
-    for joint, qi in zip(model.joints, q):
-        p = p + R @ np.asarray(joint.origin_xyz, dtype=dtype)
-        R = R @ rotation_rpy(joint.origin_rpy).astype(dtype)
+    batch = q.shape[:-1]
+    fixed, R_ee0 = model.fixed_transforms
+    R = np.broadcast_to(np.eye(3, dtype=dtype), batch + (3, 3))
+    p = np.zeros(batch + (3,), dtype=dtype)
+    rotations = np.empty(batch + (len(joints), 3, 3), dtype=dtype)
+    origins = np.empty(batch + (len(joints), 3), dtype=dtype)
+    for k, (joint, (R0, K, K2)) in enumerate(zip(joints, fixed[start:])):
+        p = p + R @ joint.origin_xyz
+        R = R @ R0
         if joint.kind == "revolute":
-            R = R @ rotation_axis(joint.axis, qi)
+            R = R @ _rodrigues(K, K2, q[..., k])
         else:
-            p = p + R @ (np.asarray(joint.axis, dtype=dtype) * qi)
-        rotations.append(R)
-        origins.append(p)
-    p_ee = p + R @ np.asarray(model.ee_offset_xyz, dtype=dtype)
-    R_ee = R @ rotation_rpy(model.ee_offset_rpy).astype(dtype)
-    return rotations, origins, R_ee, p_ee
+            p = p + np.einsum("...ij,j,...->...i", R, joint.axis, q[..., k])
+        rotations[..., k, :, :] = R
+        origins[..., k, :] = p
+    return rotations, origins, R @ R_ee0, p + R @ model.ee_offset_xyz
+
+
+def point_jacobians(model: RobotModel, rotations, origins, points,
+                    start: int = 0):
+    """Translational Jacobian columns of world points carried by the
+    chain frames of :func:`chain_frames` (same ``start``).
+
+    ``points`` has shape (..., P, 3); column k of point i is
+    ``axis_k x (point_i - origin_k)`` for a revolute joint and ``axis_k``
+    for a prismatic one, with the axes in the world frame.  Returns
+    (columns, angular) of shapes (..., P, k, 3) and (..., k, 3); angular
+    column k is ``axis_k`` for a revolute joint and zero otherwise.
+    """
+    joints = model.joints[start:]
+    axes = np.einsum("...kxy,ky->...kx", rotations,
+                     np.stack([j.axis for j in joints]))
+    cross = np.cross(axes[..., None, :, :],
+                     points[..., :, None, :] - origins[..., None, :, :])
+    revolute = np.array([j.kind == "revolute" for j in joints])
+    columns = np.where(revolute[:, None], cross, axes[..., None, :, :])
+    return columns, np.where(revolute[:, None], axes, 0.0)
 
 
 def forward_kinematics(model: RobotModel, q) -> Pose:
     """End-effector pose p = F(q) for the full chain (base + arm)."""
     q = np.asarray(q, float)
-    if len(q) != model.total_dof:
-        raise ValueError(f"expected {model.total_dof} joint values, got {len(q)}")
     _, _, R_ee, p_ee = chain_frames(model, q)
     euler = euler_zyx(R_ee)
     singular = abs(np.cos(euler[1])) < 1e-6
@@ -174,27 +213,19 @@ def geometric_jacobian(model: RobotModel, q) -> np.ndarray:
     """Analytic (Euler-rate) Jacobian: pdot = J(q) qdot, 6 x m.
 
     Rows 0-2 are the translational Jacobian; rows 3-5 map joint rates to
-    Euler-angle rates via the inverse angular-rate transform.
+    Euler-angle rates via the inverse angular-rate transform.  That
+    transform has det = -cos(pitch), and the pitch of :func:`euler_zyx`
+    is an arcsin whose cosine never rounds to zero in float64, so the
+    solve below cannot meet an exactly singular matrix.
     """
     q = np.asarray(q, float)
-    if len(q) != model.total_dof:
-        raise ValueError(f"expected {model.total_dof} joint values, got {len(q)}")
     rotations, origins, R_ee, p_ee = chain_frames(model, q)
-    m = model.total_dof
-    Jv = np.zeros((3, m))
-    Jw = np.zeros((3, m))
-    for k, joint in enumerate(model.joints):
-        axis_world = rotations[k] @ joint.axis
-        if joint.kind == "revolute":
-            Jv[:, k] = np.cross(axis_world, p_ee - origins[k])
-            Jw[:, k] = axis_world
-        else:
-            Jv[:, k] = axis_world
+    columns, angular = point_jacobians(model, rotations, origins, p_ee[None])
     yaw, pitch, _ = euler_zyx(R_ee)
     E = euler_rate_matrix(yaw, pitch)
-    J = np.zeros((6, m))
-    J[:3] = Jv
-    J[3:] = np.linalg.solve(E, Jw)
+    J = np.zeros((6, model.total_dof))
+    J[:3] = columns[0].T
+    J[3:] = np.linalg.solve(E, angular.T)
     return J
 
 
@@ -208,35 +239,11 @@ def is_representation_singular(model: RobotModel, q, tol: float = 1e-8):
     if tol <= 0:
         raise ValueError("tol must be positive")
     q = np.asarray(q, float)
-    if model.base_dof_count >= 5:
-        theta_b = q[4]  # base pitch virtual joint
-        if abs(np.cos(theta_b)) < max(tol, 1e-12):
-            J = geometric_jacobian_safe(model, q)
-            Jt = J[list(model.task_rows)]
-            return True, float(np.linalg.det(Jt @ Jt.T))
-    J = geometric_jacobian_safe(model, q)
-    Jt = J[list(model.task_rows)]
+    Jt = geometric_jacobian(model, q)[list(model.task_rows)]
     det = float(np.linalg.det(Jt @ Jt.T))
-    return det < tol, det
-
-
-def geometric_jacobian_safe(model: RobotModel, q) -> np.ndarray:
-    """Jacobian that falls back to the geometric angular part when the
-    Euler-rate transform is not invertible."""
-    try:
-        return geometric_jacobian(model, q)
-    except np.linalg.LinAlgError:
-        rotations, origins, R_ee, p_ee = chain_frames(model, np.asarray(q, float))
-        m = model.total_dof
-        J = np.zeros((6, m))
-        for k, joint in enumerate(model.joints):
-            axis_world = rotations[k] @ joint.axis
-            if joint.kind == "revolute":
-                J[:3, k] = np.cross(axis_world, p_ee - origins[k])
-                J[3:, k] = axis_world
-            else:
-                J[:3, k] = axis_world
-        return J
+    pitch_singular = (model.base_dof_count >= 5
+                      and abs(np.cos(q[4])) < max(tol, 1e-12))
+    return pitch_singular or det < tol, det
 
 
 def prediction_matrix(t: float, N: int, Nu: int) -> np.ndarray:

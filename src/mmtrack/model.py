@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 import yaml
@@ -148,6 +149,18 @@ class RobotModel:
     @property
     def mpc_dof(self) -> int:
         return int(np.count_nonzero(self.actuated_by_mpc))
+
+    @cached_property
+    def fixed_transforms(self):
+        """Constant parts of the chain, derived on first use: one
+        (origin rotation, axis skew K, K @ K) triple per joint, and the
+        EE offset rotation."""
+        from .kinematics import axis_skew, rotation_rpy
+        skews = [axis_skew(joint.axis) for joint in self.joints]
+        per_joint = tuple(
+            (_freeze(rotation_rpy(joint.origin_rpy)), _freeze(K), _freeze(K @ K))
+            for joint, K in zip(self.joints, skews))
+        return per_joint, _freeze(rotation_rpy(self.ee_offset_rpy))
 
 
 def _base_joints():
@@ -329,6 +342,14 @@ def _weight_matrix(value, size, path):
                       f"or {size}x{size} matrix")
 
 
+def _integer(sec, name, key):
+    try:
+        return int(sec[key])
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name}.{key}: expected an integer, "
+                          f"got {sec[key]!r}") from None
+
+
 def _build_robot(sec):
     if "builtin" in sec:
         name = sec["builtin"]
@@ -393,8 +414,8 @@ def load_scenario(config_document: str):
         )
     except ValueError as exc:
         raise ConfigError(f"pomptc: {exc}") from None
-    horizon = int(po["horizon"])
-    control_horizon = int(po["control_horizon"])
+    horizon = _integer(po, "pomptc", "horizon")
+    control_horizon = _integer(po, "pomptc", "control_horizon")
     if not horizon >= control_horizon >= 1:
         raise ConfigError("pomptc.horizon: need horizon >= control_horizon >= 1")
 
@@ -405,7 +426,7 @@ def load_scenario(config_document: str):
             zeta=float(ft["zeta"]), kappa=float(ft["kappa"]),
             ode_step=float(ft["ode_step"]), epsilon_h=float(ft["epsilon_h"]),
             max_time=float(ft["max_time"]))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"ftcnd: {exc}") from None
 
     nf = _section(doc, "nftsm")
@@ -414,7 +435,7 @@ def load_scenario(config_document: str):
             alpha=float(nf["alpha"]), beta=float(nf["beta"]),
             r1=float(nf["r1"]), r2=float(nf["r2"]), r3=float(nf["r3"]),
             c1=float(nf["c1"]), c2=float(nf["c2"]), delta=float(nf["delta"]))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"nftsm: {exc}") from None
 
     pd = _section(doc, "pd")
@@ -427,7 +448,7 @@ def load_scenario(config_document: str):
     sc = _section(doc, "scenario")
     try:
         script = _sim.ScenarioScript.from_config(sc, model)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"scenario: {exc}") from None
     return model, params, script
 

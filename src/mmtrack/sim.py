@@ -68,13 +68,17 @@ class ScenarioScript:
                 raise ValueError("reference.radius must be non-negative")
         elif kind == "waypoints":
             pts = ref.get("points")
-            if not pts:
+            if not isinstance(pts, list) or not pts:
                 raise ValueError("reference.points must be a non-empty list")
+            if not all(isinstance(p, dict) and "time" in p and "pose" in p
+                       for p in pts):
+                raise ValueError("reference.points: every point needs a "
+                                 "time and a pose")
             times = [float(p["time"]) for p in pts]
             if any(b <= a for a, b in zip(times, times[1:])):
                 raise ValueError("reference.points times must increase")
             for p in pts:
-                if len(p["pose"]) != 6:
+                if np.shape(p["pose"]) != (6,):
                     raise ValueError("reference.points poses must have 6 entries")
         else:
             raise ValueError(f"reference.kind: unknown kind {kind!r}")
@@ -91,9 +95,15 @@ class ScenarioScript:
 
     @staticmethod
     def from_config(sec: dict, model: RobotModel) -> "ScenarioScript":
+        for key in ("reference", "base_motion", "disturbance"):
+            if not isinstance(sec[key], dict):
+                raise ValueError(f"{key}: expected a mapping")
         init = sec.get("initial_q")
         if init is not None:
-            init = tuple(float(x) for x in init)
+            try:
+                init = tuple(float(x) for x in init)
+            except (TypeError, ValueError):
+                raise ValueError("initial_q: expected a list of numbers") from None
             if len(init) not in (model.arm_joint_count, model.total_dof):
                 raise ValueError(
                     f"initial_q: expected {model.arm_joint_count} (arm) or "

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mmtrack import dynamics as dyn
+from mmtrack import kinematics as kin
 from mmtrack.model import (JointLimits, JointSpec, RobotModel,
                            builtin_panda_on_base, builtin_planar_2link)
 
@@ -92,6 +93,23 @@ def test_inertia_gradient_matches_finite_differences():
         qm[k] -= eps
         fd = (dyn.inertia_matrix(m, qp) - dyn.inertia_matrix(m, qm)) / (2 * eps)
         np.testing.assert_allclose(dM[k], fd, atol=1e-8)
+
+
+def test_com_jacobians_vs_finite_differences():
+    m = builtin_panda_on_base()
+    offsets = m.link_com_offsets
+
+    def coms(q):
+        R, o, _, _ = kin.chain_frames(m, q, m.base_dof_count)
+        return np.einsum("ixy,iy->ix", R, offsets) + o
+
+    rng = np.random.default_rng(8)
+    eps = 1e-6
+    for _ in range(10):
+        q = rng.uniform(-1.5, 1.5, 7)
+        fd = np.stack([(coms(q + eps * e) - coms(q - eps * e)) / (2 * eps)
+                       for e in np.eye(7)], axis=-1)
+        np.testing.assert_allclose(dyn.com_jacobians(m, q), fd, atol=1e-8)
 
 
 def test_base_torque_zero_and_linear():

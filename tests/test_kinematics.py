@@ -72,6 +72,32 @@ def test_base_joints_reproduce_base_pose():
     np.testing.assert_allclose(kin.euler_zyx(rotations[5]), qb[3:], atol=1e-12)
 
 
+@pytest.mark.parametrize("builtin", [builtin_panda_on_base, builtin_planar_2link])
+@pytest.mark.parametrize("complex_step", [False, True])
+def test_batched_chain_frames_equal_stacked_calls(builtin, complex_step):
+    # Same operations per configuration: only the BLAS path may differ.
+    m = builtin()
+    rng = np.random.default_rng(13)
+    for start in (0, m.base_dof_count):
+        shape = (2, 3, m.total_dof - start)
+        Q = rng.uniform(-2, 2, shape)
+        if complex_step:
+            Q = Q + 1e-20j * rng.normal(size=shape)
+        batched = kin.chain_frames(m, Q, start)
+        for idx in np.ndindex(shape[:-1]):
+            for b, s in zip(batched, kin.chain_frames(m, Q[idx], start)):
+                assert b[idx].dtype == s.dtype == Q.dtype
+                np.testing.assert_allclose(b[idx], s, rtol=0, atol=1e-14)
+
+
+def test_euler_rate_matrix_solvable_at_gimbal_lock():
+    # euler_zyx returns pitch = arcsin(clip(.)), whose cosine is about
+    # 6e-17, never 0: the Jacobian's solve meets no exactly singular E.
+    for pitch in (np.arcsin(1.0), np.arcsin(-1.0)):
+        for yaw in np.linspace(-np.pi, np.pi, 4001):
+            np.linalg.solve(kin.euler_rate_matrix(yaw, pitch), np.eye(3))
+
+
 def test_jacobian_vs_finite_differences():
     m = builtin_panda_on_base()
     q0 = np.concatenate([np.zeros(6), [0, -0.78, 0, -2.35, 0, 1.57, 0.78]])
