@@ -1,0 +1,65 @@
+"""Golden closed-loop traces: the cases, how to run one, and how to
+regenerate the stored file.
+
+    PYTHONPATH=src python tests/golden.py
+
+rewrites ``tests/data/golden_traces.npz`` from the current code.  Do
+that only for a change that is meant to alter closed-loop outputs, and
+justify the move in CHANGES.md.
+"""
+from __future__ import annotations
+
+import dataclasses
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+from mmtrack import sim
+from mmtrack.model import load_scenario
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "golden_traces.npz"
+DURATION = 0.5
+
+# (config under configs/, controller)
+CASES = (
+    ("nominal_circle", "nftsm"),
+    ("nominal_circle", "pd"),
+    ("base_sinusoid", "nftsm"),
+    ("base_sinusoid", "nftsm-no-taub"),
+    ("base_sinusoid", "pd"),
+    ("base_tilt", "nftsm"),
+    ("base_tilt", "pd"),
+)
+
+
+def run_case(config, controller):
+    """q and tau of a DURATION-second run at every control-step row."""
+    text = (ROOT / "configs" / f"{config}.yaml").read_text(encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # the shipped configs set r3 = 1
+        model, params, script = load_scenario(text)
+    script = dataclasses.replace(script, duration=DURATION)
+    trace = sim.run_closed_loop(model, params, script, controller=controller)
+    spc = round(script.control_period / script.torque_period)
+    return trace.q[::spc], trace.tau[::spc]
+
+
+def key(config, controller, column):
+    return f"{config}:{controller}:{column}"
+
+
+def main():
+    arrays = {}
+    for config, controller in CASES:
+        q, tau = run_case(config, controller)
+        arrays[key(config, controller, "q")] = q
+        arrays[key(config, controller, "tau")] = tau
+        print(f"{config} / {controller}: {len(q)} rows", flush=True)
+    GOLDEN_PATH.parent.mkdir(exist_ok=True)
+    np.savez_compressed(GOLDEN_PATH, **arrays)
+
+
+if __name__ == "__main__":
+    main()

@@ -1,0 +1,24 @@
+"""Closed loops against the stored golden traces (see golden.py)."""
+import numpy as np
+import pytest
+
+from golden import CASES, GOLDEN_PATH, key, run_case
+
+Q_TOL = 1e-9
+TAU_TOL = 1e-8
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with np.load(GOLDEN_PATH) as data:
+        return dict(data)
+
+
+@pytest.mark.parametrize("config,controller", CASES)
+def test_closed_loop_matches_golden_trace(golden, config, controller):
+    q, tau = run_case(config, controller)
+    q_ref = golden[key(config, controller, "q")]
+    tau_ref = golden[key(config, controller, "tau")]
+    assert q.shape == q_ref.shape and tau.shape == tau_ref.shape
+    np.testing.assert_allclose(q, q_ref, rtol=0, atol=Q_TOL)
+    np.testing.assert_allclose(tau, tau_ref, rtol=0, atol=TAU_TOL)
