@@ -124,7 +124,11 @@ def cmd_solve_qp(args) -> int:
     results = {}
     if args.solver in ("ftcnd", "both"):
         params = ftcnd.FtcndParams()
-        z, diag = ftcnd.solve(problem, params)
+        try:
+            z, diag = ftcnd.solve(problem, params)
+        except ValueError as exc:
+            print(f"invalid problem: {exc}", file=sys.stderr)
+            return 1
         if not diag.converged:
             print("ftcnd did not converge within max_time", file=sys.stderr)
             return 2
@@ -139,6 +143,9 @@ def cmd_solve_qp(args) -> int:
         except qp_oracle.InfeasibleProblem as exc:
             print(f"solver failure: {exc}", file=sys.stderr)
             return 2
+        except ValueError as exc:
+            print(f"invalid problem: {exc}", file=sys.stderr)
+            return 1
         results["oracle"] = z
         print(f"oracle z* = {np.array2string(z, precision=10)}")
         print(f"oracle objective = {problem.objective(z):.12g}")

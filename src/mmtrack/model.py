@@ -344,10 +344,13 @@ def _weight_matrix(value, size, path):
 
 def _integer(sec, name, key):
     try:
-        return int(sec[key])
-    except (TypeError, ValueError):
+        value = int(sec[key])
+        if value != float(sec[key]):
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{name}.{key}: expected an integer, "
                           f"got {sec[key]!r}") from None
+    return value
 
 
 def _build_robot(sec):

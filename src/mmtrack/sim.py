@@ -421,12 +421,12 @@ def run_closed_loop(model: RobotModel, params: ControllerParams,
                 a_base = R_b.T @ a_bt[:3]
             else:
                 g_base = None
-                a_base = np.zeros(3)
+                a_base = None
             desired = {"q_md": q_md_start + k * tt * qd_md,
                        "qd_md": qd_md, "qdd_md": qdd_md}
-            tau_b = dynamics.base_disturbance_torque(model, q_arm, a_base)
             terms0 = dynamics.dynamics_terms(model, q_arm, qd_arm,
-                                             gravity=g_base)
+                                             gravity=g_base, a_b=a_base)
+            tau_b = terms0.tau_b
             if controller == "pd":
                 tau = pd_baseline_torque(model, q_arm, qd_arm, desired,
                                          params.pd_kp, params.pd_kd,
@@ -448,10 +448,12 @@ def run_closed_loop(model: RobotModel, params: ControllerParams,
             s_prev = s_now
 
             def accel(qa, qda, terms=None):
-                tb = dynamics.base_disturbance_torque(model, qa, a_base)
+                if terms is None:
+                    terms = dynamics.dynamics_terms(model, qa, qda,
+                                                    gravity=g_base, a_b=a_base)
                 return dynamics.forward_dynamics(
-                    model, qa, qda, tau_cmd, tau_d=tau_d, tau_b=-tb,
-                    gravity=g_base, terms=terms)
+                    model, qa, qda, tau_cmd, tau_d=tau_d, tau_b=-terms.tau_b,
+                    terms=terms)
 
             k1a = accel(q_arm, qd_arm, terms=terms0)
             k2v = qd_arm + 0.5 * tt * k1a

@@ -215,8 +215,8 @@ def test_criterion_7_numerical_kernels(capsys):
         spd_ok &= bool(np.allclose(terms.M, terms.M.T, atol=1e-12)
                        and np.linalg.eigvalsh(terms.M).min() > 0)
         Mdot = np.einsum("kij,k->ij", dynamics.inertia_gradient(model, q), qd)
-        worst_skew = max(worst_skew,
-                         abs(float(qd @ (Mdot - 2 * terms.C) @ qd)))
+        C = dynamics.coriolis_matrix(model, q, qd)
+        worst_skew = max(worst_skew, abs(float(qd @ (Mdot - 2 * C) @ qd)))
 
     # 2-link dynamics against the analytic Lagrangian oracle.
     two = builtin_planar_2link()
@@ -238,7 +238,9 @@ def test_criterion_7_numerical_kernels(capsys):
                       m2 * lc * grav * np.cos(q[0] + q[1])])
         worst_two = max(worst_two,
                         float(np.max(np.abs(terms.M - M))),
-                        float(np.max(np.abs(terms.C - C))),
+                        float(np.max(np.abs(
+                            dynamics.coriolis_matrix(two, q, qd) - C))),
+                        float(np.max(np.abs(terms.bias - C @ qd))),
                         float(np.max(np.abs(terms.G - G))))
 
     # Cost-form equivalence on 100 random instances.

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -18,6 +19,21 @@ scenario:
   reference:
     radius: 0.0
   initial_q: [0.3, 1.0]
+"""
+
+# The solver gets 1e-4 s of virtual time per solve: every control step
+# fails to converge, so the fourth one exhausts the failure budget.
+NON_CONVERGING_CONFIG = """
+robot:
+  builtin: planar_2link
+scenario:
+  duration: 0.1
+  reference:
+    radius: 0.05
+    angular_rate: 3.0
+  initial_q: [0.3, 1.0]
+ftcnd:
+  max_time: 1.0e-4
 """
 
 BAD_LIMITS_CONFIG = """
@@ -72,20 +88,36 @@ def test_simulate_invalid_config_names_key(tmp_path, capsys):
     assert "index 0" in captured.err
 
 
+def run_cli(*args):
+    """``python -m mmtrack.cli args`` in a fresh process."""
+    src = str(Path(mmtrack.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "mmtrack.cli", *args],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
 def test_simulate_malformed_value_exits_without_traceback(tmp_path):
     path = tmp_path / "bad.yaml"
     path.write_text("robot:\n  builtin: planar_2link\nscenario:\n"
                     "  initial_q: 3\n", encoding="utf-8")
-    src = str(Path(mmtrack.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "mmtrack.cli", "simulate", "--config",
-         str(path), "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, env=env, timeout=120)
+    proc = run_cli("simulate", "--config", str(path),
+                   "--out", str(tmp_path / "out"))
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert "initial_q" in proc.stderr
+
+
+def test_simulate_solver_failure_exits_2_without_traceback(tmp_path):
+    path = tmp_path / "slow.yaml"
+    path.write_text(NON_CONVERGING_CONFIG, encoding="utf-8")
+    proc = run_cli("simulate", "--config", str(path),
+                   "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "solver failure" in proc.stderr
+    assert not (tmp_path / "out" / "trace.csv").exists()
 
 
 def test_solve_qp_both_solvers(tmp_path, capsys):
@@ -112,6 +144,17 @@ def test_solve_qp_oracle_only(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 0
     assert "pass True" in captured.out
+
+
+@pytest.mark.parametrize("solver", ["ftcnd", "oracle"])
+def test_solve_qp_non_convex_problem_exits_1(tmp_path, capsys, solver):
+    problem = dataclasses.replace(hand_qp(), S=[[-2.0]])
+    path = tmp_path / "problem.txt"
+    path.write_text(pomptc.problem_to_text(problem), encoding="utf-8")
+    rc = cli.main(["solve-qp", "--problem", str(path), "--solver", solver])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "strictly convex" in captured.err
 
 
 def test_solve_qp_malformed_file(tmp_path, capsys):

@@ -45,7 +45,9 @@ def test_two_link_matches_analytic_oracle():
         t = dyn.dynamics_terms(m, q, qd)
         Mo, Co, Go = two_link_oracle(q, qd)
         np.testing.assert_allclose(t.M, Mo, atol=1e-10)
-        np.testing.assert_allclose(t.C, Co, atol=1e-10)
+        np.testing.assert_allclose(dyn.coriolis_matrix(m, q, qd), Co,
+                                   atol=1e-10)
+        np.testing.assert_allclose(t.bias, Co @ qd, atol=1e-10)
         np.testing.assert_allclose(t.G, Go, atol=1e-10)
 
 
@@ -54,7 +56,7 @@ def test_inertia_symmetric_positive_definite():
     rng = np.random.default_rng(2)
     for _ in range(50):
         q = rng.uniform(-1.5, 1.5, 7)
-        M = dyn.inertia_matrix(m, q)
+        M = dyn.dynamics_terms(m, q, np.zeros(7)).M
         np.testing.assert_allclose(M, M.T, atol=1e-12)
         assert np.linalg.eigvalsh(M).min() > 0
 
@@ -65,15 +67,31 @@ def test_skew_symmetry_of_mdot_minus_2c():
     for _ in range(50):
         q = rng.uniform(-1.5, 1.5, 7)
         qd = rng.uniform(-2, 2, 7)
-        t = dyn.dynamics_terms(m, q, qd)
+        C = dyn.coriolis_matrix(m, q, qd)
         Mdot = np.einsum("kij,k->ij", dyn.inertia_gradient(m, q), qd)
-        assert abs(qd @ (Mdot - 2 * t.C) @ qd) < 1e-10
+        assert abs(qd @ (Mdot - 2 * C) @ qd) < 1e-10
+
+
+@pytest.mark.parametrize("builtin", [builtin_panda_on_base,
+                                     builtin_planar_2link])
+def test_bias_equals_coriolis_matrix_times_velocity(builtin):
+    m = builtin()
+    n = m.arm_joint_count
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        q = rng.uniform(-1.5, 1.5, n)
+        qd = rng.uniform(-2, 2, n)
+        bias = dyn.dynamics_terms(m, q, qd).bias
+        np.testing.assert_allclose(bias, dyn.coriolis_matrix(m, q, qd) @ qd,
+                                   rtol=0, atol=1e-12)
 
 
 def test_coriolis_vanishes_at_zero_velocity():
     m = builtin_panda_on_base()
-    t = dyn.dynamics_terms(m, np.full(7, 0.4), np.zeros(7))
-    np.testing.assert_allclose(t.C, 0.0, atol=1e-15)
+    q = np.full(7, 0.4)
+    np.testing.assert_allclose(dyn.coriolis_matrix(m, q, np.zeros(7)), 0.0,
+                               atol=1e-15)
+    assert np.all(dyn.dynamics_terms(m, q, np.zeros(7)).bias == 0)
 
 
 def test_gravity_zero_when_model_gravity_zero():
@@ -91,7 +109,8 @@ def test_inertia_gradient_matches_finite_differences():
         qp, qm = q.copy(), q.copy()
         qp[k] += eps
         qm[k] -= eps
-        fd = (dyn.inertia_matrix(m, qp) - dyn.inertia_matrix(m, qm)) / (2 * eps)
+        fd = (dyn.dynamics_terms(m, qp, np.zeros(2)).M
+              - dyn.dynamics_terms(m, qm, np.zeros(2)).M) / (2 * eps)
         np.testing.assert_allclose(dM[k], fd, atol=1e-8)
 
 
@@ -112,14 +131,22 @@ def test_com_jacobians_vs_finite_differences():
         np.testing.assert_allclose(dyn.com_jacobians(m, q), fd, atol=1e-8)
 
 
+def base_torque(m, q, a_b):
+    return dyn.dynamics_terms(m, q, np.zeros(len(q)), a_b=a_b).tau_b
+
+
 def test_base_torque_zero_and_linear():
     m = builtin_panda_on_base()
     q = np.array([0, -0.78, 0, -2.35, 0, 1.57, 0.78])
-    assert np.all(dyn.base_disturbance_torque(m, q, np.zeros(3)) == 0)
+    assert np.all(base_torque(m, q, np.zeros(3)) == 0)
+    assert np.all(dyn.dynamics_terms(m, q, np.zeros(7)).tau_b == 0)
     a = np.array([0.3, -0.1, 0.7])
-    t1 = dyn.base_disturbance_torque(m, q, a)
-    t2 = dyn.base_disturbance_torque(m, q, 2 * a)
+    t1 = base_torque(m, q, a)
+    t2 = base_torque(m, q, 2 * a)
     np.testing.assert_allclose(t2, 2 * t1, atol=1e-14)
+    for bad in ([1.0, 2.0], [0.0, 0.0]):
+        with pytest.raises(ValueError, match="3-vector"):
+            base_torque(m, q, bad)
 
 
 def test_base_torque_pendulum_first_principles():
@@ -127,7 +154,7 @@ def test_base_torque_pendulum_first_principles():
     # virtual-work sum for a_b = (a, 0, 0) is -m a lc sin q.
     mdl = pendulum_model()
     for q in (0.3, -1.1, 2.0):
-        tb = dyn.base_disturbance_torque(mdl, [q], [1.7, 0, 0])
+        tb = base_torque(mdl, [q], [1.7, 0, 0])
         assert tb[0] == pytest.approx(-2.0 * 1.7 * 0.4 * np.sin(q), abs=1e-12)
 
 
@@ -139,7 +166,7 @@ def test_forward_dynamics_consistency():
     qd = rng.uniform(-1, 1, 2)
     qdd = rng.uniform(-1, 1, 2)
     t = dyn.dynamics_terms(m, q, qd)
-    tau = t.M @ qdd + t.C @ qd + t.G
+    tau = t.M @ qdd + t.bias + t.G
     np.testing.assert_allclose(dyn.forward_dynamics(m, q, qd, tau), qdd,
                                atol=1e-12)
 
@@ -167,17 +194,3 @@ def test_forward_dynamics_energy_conservation():
                           + (qd + dt * k3))
         qd = qd + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
     assert abs(energy(q, qd) - e0) < 1e-6
-
-
-def test_error_dynamics_matches_forward_dynamics():
-    m = builtin_planar_2link()
-    rng = np.random.default_rng(12)
-    q = rng.uniform(-1, 1, 2)
-    qd = rng.uniform(-1, 1, 2)
-    desired = {"q_md": rng.normal(size=2), "qd_md": rng.normal(size=2),
-               "qdd_md": rng.normal(size=2)}
-    tau = rng.normal(size=2)
-    F, apply = dyn.error_dynamics_terms(m, q, qd, desired)
-    e2dot = apply(tau)
-    expect = dyn.forward_dynamics(m, q, qd, tau) - desired["qdd_md"]
-    np.testing.assert_allclose(e2dot, expect, atol=1e-12)

@@ -75,13 +75,16 @@ def test_load_scenario_rejects_bad_kappa():
 
 @pytest.mark.parametrize("section, match", [
     ("pomptc:\n  horizon: x\n", "pomptc.horizon"),
+    ("pomptc:\n  horizon: 5.9\n", "pomptc.horizon"),
+    ("pomptc:\n  control_horizon: 2.5\n", "pomptc.control_horizon"),
     ("scenario:\n  reference:\n    kind: waypoints\n    points:\n"
      "      - pose: [0, 0, 0, 0, 0, 0]\n", "reference.points"),
     ("scenario:\n  initial_q: 3\n", "initial_q"),
     ("scenario:\n  base_motion: [1]\n", "base_motion"),
     ("scenario:\n  reference:\n    kind: waypoints\n    points:\n"
      "      - {time: 0, pose: 3}\n", "poses"),
-], ids=["horizon", "waypoint_time", "initial_q", "base_motion", "pose"])
+], ids=["horizon", "horizon_fraction", "control_horizon_fraction",
+        "waypoint_time", "initial_q", "base_motion", "pose"])
 def test_load_scenario_rejects_malformed_values(section, match):
     with pytest.raises(ConfigError, match=match):
         load_scenario(MINIMAL + section)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -123,6 +124,19 @@ def test_pd_baseline_formula_and_validation():
     np.testing.assert_allclose(tau, expect, atol=1e-12)
     with pytest.raises(ValueError):
         sim.pd_baseline_torque(model, q, qd, desired, 0.0, 25.0)
+
+
+def test_run_raises_once_failure_budget_is_exceeded():
+    doc = TWOLINK_REG.replace("radius: 0.0", "radius: 0.05\n    angular_rate: 3.0") \
+        + "ftcnd:\n  max_time: 1.0e-4\n"
+    model, params, script = load_quiet(doc)
+    script = dataclasses.replace(script, duration=0.1)
+    # Every solve fails to converge: the fourth consecutive failure
+    # exceeds the default budget of three, a budget of ten is never hit.
+    with pytest.raises(sim.SimulationError, match="4 consecutive"):
+        sim.run_closed_loop(model, params, script)
+    trace = sim.run_closed_loop(model, params, script, failure_budget=10)
+    assert np.isinf(trace.solver_converge_time[1:]).all()
 
 
 def test_run_rejects_unknown_controller():
