@@ -129,6 +129,9 @@ def cmd_solve_qp(args) -> int:
         except ValueError as exc:
             print(f"invalid problem: {exc}", file=sys.stderr)
             return 1
+        except ftcnd.FtcndIntegrationError as exc:
+            print(f"solver failure: {exc}", file=sys.stderr)
+            return 2
         if not diag.converged:
             print("ftcnd did not converge within max_time", file=sys.stderr)
             return 2

@@ -14,6 +14,24 @@ where a clamped row's gradient crosses zero (the component re-enters the
 residual at exactly zero).  Along every accepted step each residual
 component decays monotonically, so hT h is non-increasing and the
 per-component finite-time bound is preserved.
+
+Segments and blocks.  Between two events the free set is fixed, so the
+reduced matrix N_red is factored once per segment, and since h is
+stepped and accepted on its own, v moves by exactly N_red^-1 (h_k - h_0)
+after k steps.  A segment is integrated in blocks: h alone is stepped
+through a block of accepted steps (step halving, the return of dt to
+ode_step, the convergence test and the finiteness check all act on h),
+then one multi-column solve with the segment's Cholesky factor (the
+inverse is never formed) gives v after every step of the block, and the
+events are looked for in those columns.  At the first step with an event
+the block is cut: the crossing fraction theta of that step is computed
+as for a single step, h, the virtual time, dt, the counters and the
+histories are rolled back to that step, the step is taken up to theta,
+the slack is clamped or released, and a new segment starts.  The first
+block of a segment is 2 steps; each block that ends without an event
+doubles the next, up to a cap.  The iterates, events and histories are
+those of a solver that solves for v and checks events after every step,
+up to rounding.
 """
 from __future__ import annotations
 
@@ -25,6 +43,11 @@ from scipy.linalg import cho_factor, cho_solve
 
 _TIKHONOV = 1e-10
 _EVENT_TOL = 1e-14
+# Steps per block: 2 after each factorization, doubled after every block
+# that ends without an event, up to this cap, which bounds the block's
+# memory (a 50 s solve at 1e-4 would otherwise stack 2^18 columns);
+# past 64 columns a wider solve saves little per column.
+_MAX_BLOCK = 64
 
 
 class FtcndIntegrationError(RuntimeError):
@@ -74,6 +97,8 @@ class FtcndDiagnostics:
     projection_events: int = 0
     release_events: int = 0
     step_halvings: int = 0
+    factorizations: int = 0     # one per segment
+    block_solves: int = 0       # one multi-column solve per block
     constraint_violation: float = 0.0
     equality_residual: float = 0.0
     final_state: NeuralState | None = None
@@ -95,7 +120,10 @@ def li_activation(h, lam: float, zeta: float, kappa: float):
     if not 0.0 < kappa < 1.0:
         raise ValueError("kappa must lie strictly inside (0, 1)")
     h = np.asarray(h, float)
-    return 0.5 * lam * (signed_power(h, kappa) + signed_power(h, 1.0 / kappa)) \
+    # signed_power(h, kappa) + signed_power(h, 1/kappa), sharing |h| and
+    # sign(h): the solver evaluates this once per integration step.
+    s, a = np.sign(h), np.abs(h)
+    return 0.5 * lam * (s * a ** kappa + s * a ** (1.0 / kappa)) \
         + 0.5 * zeta * h
 
 
@@ -138,6 +166,43 @@ def _factor(N_red):
                           lower=True)
 
 
+def _first_event(V, Hc, wc, nz):
+    """First step of a block that ends at an event, as (k, theta,
+    release_hit): step k runs from column k to k + 1 of V and is cut at
+    the fraction theta.  None when no step of the block needs a cut.
+
+    Events are a free slack going negative, or a clamped row's gradient
+    g = Hc z - wc crossing from >= 0 to < 0; theta is the smallest
+    crossing fraction of either kind.
+    """
+    phi = V[nz:]
+    g = Hc @ V[:nz] - wc[:, None]
+    going_neg = (g[:, 1:] < 0.0) & (g[:, :-1] >= 0.0)
+    candidates = np.flatnonzero((phi[:, 1:] < 0.0).any(axis=0)
+                                | going_neg.any(axis=0))
+    for k in candidates:
+        theta = 1.0
+        phi_old, phi_new = phi[:, k], phi[:, k + 1]
+        crossing = phi_new < 0.0
+        if crossing.any():
+            th = phi_old[crossing] / (phi_old[crossing] - phi_new[crossing])
+            theta = min(theta, float(np.min(th)))
+        release_hit = False
+        rows = going_neg[:, k]
+        if rows.any():
+            g_old, g_new = g[rows, k], g[rows, k + 1]
+            th_min = float(np.min(g_old / (g_old - g_new)))
+            if th_min <= theta:
+                theta = th_min
+                release_hit = True
+        theta = min(max(theta, 0.0), 1.0)
+        # A crossing fraction that rounds to 1 is no cut: the step is
+        # taken whole, and the next candidate step is examined.
+        if theta < 1.0:
+            return int(k), theta, release_hit
+    return None
+
+
 def solve(problem, params: FtcndParams, warm_start=None):
     """Integrate the neural dynamics until the residual settles.
 
@@ -145,8 +210,11 @@ def solve(problem, params: FtcndParams, warm_start=None):
     projected optimality residual: free components of N v + D, with
     clamped slack rows counted as zero while their gradients stay
     non-negative.  Non-convergence within max_time returns the best
-    iterate with ``converged=False``.
+    iterate with ``converged=False``.  A problem with a non-finite entry
+    or a non-convex S raises ValueError; FtcndIntegrationError reports
+    a residual that overflows.
     """
+    problem.check_finite()
     S, H, w = problem.S, problem.H, problem.w
     nz = problem.n_variables
     nc = problem.n_constraints
@@ -178,11 +246,10 @@ def solve(problem, params: FtcndParams, warm_start=None):
     dt = params.ode_step
     eps = params.epsilon_h
     need_refactor = True
-    fac = None
-    slack_local = np.zeros(0, dtype=int)
     F = float(h @ h)
+    h_inf = float(np.max(np.abs(h)))
     diag.time_history.append(time)
-    diag.h_inf_history.append(float(np.max(np.abs(h))))
+    diag.h_inf_history.append(h_inf)
     diag.f_history.append(F)
     max_events = 100 + 10 * nc
     events = 0
@@ -192,13 +259,96 @@ def solve(problem, params: FtcndParams, warm_start=None):
             free = np.concatenate([np.arange(nz),
                                    nz + np.flatnonzero(~clamped)])
             fac = _factor(Nmat[np.ix_(free, free)])
+            diag.factorizations += 1
             h = (Nmat @ v + Dvec)[free]
             F = float(h @ h)
-            slack_local = np.arange(nz, free.size)
+            h_inf = float(np.max(np.abs(h)))
+            v_seg, h_seg = v[free], h
+            clamped_idx = np.flatnonzero(clamped)
+            Hc, wc = H[clamped_idx], w[clamped_idx]
+            block = 2
             need_refactor = False
 
-        h_inf = float(np.max(np.abs(h)))
-        if h_inf <= eps:
+        # Step the residual alone for up to `block` accepted steps.
+        n0 = len(diag.time_history)
+        it0 = diag.iterations
+        h_start = h
+        hs, dts, halvings = [], [], []
+        settled = False
+        while len(hs) < block and time < params.max_time:
+            if h_inf <= eps:
+                settled = True
+                break
+            dh = -params.mu * dt * li_activation(h, params.lam, params.zeta,
+                                                 params.kappa)
+            h_new = h + dh
+            F_new = float(h_new @ h_new)
+            if F_new > F + 1e-16:
+                dt *= 0.5
+                diag.step_halvings += 1
+                if dt < 1e-300:
+                    raise FtcndIntegrationError("step size underflow")
+                continue
+            h, F = h_new, F_new
+            if not math.isfinite(F):
+                raise FtcndIntegrationError("non-finite neural state")
+            h_inf = float(np.abs(h).max())
+            time += dt
+            diag.iterations += 1
+            diag.time_history.append(time)
+            diag.h_inf_history.append(h_inf)
+            diag.f_history.append(F)
+            hs.append(h)
+            dts.append(dt)
+            halvings.append(diag.step_halvings)
+            dt = min(dt * 2.0, params.ode_step)
+
+        if hs:
+            # Column j is v[free] after j steps of the block (0: its start).
+            V = np.empty((free.size, len(hs) + 1))
+            V[:, 0] = v[free]
+            V[:, 1:] = v_seg[:, None] + cho_solve(
+                fac, np.column_stack(hs) - h_seg[:, None], check_finite=False)
+            diag.block_solves += 1
+            split = _first_event(V, Hc, wc, nz)
+            if split is not None:
+                k, theta, release_hit = split
+                v[free] = V[:, k] + theta * (V[:, k + 1] - V[:, k])
+                h_prev = hs[k - 1] if k else h_start
+                dh = -params.mu * dts[k] * li_activation(
+                    h_prev, params.lam, params.zeta, params.kappa)
+                h = h_prev + theta * dh
+                F = float(h @ h)
+                time = diag.time_history[n0 + k - 1] + theta * dts[k]
+                dt = dts[k]
+                diag.iterations = it0 + k + 1
+                diag.step_halvings = halvings[k]
+                for hist, value in ((diag.time_history, time),
+                                    (diag.h_inf_history,
+                                     float(np.abs(h).max())),
+                                    (diag.f_history, F)):
+                    del hist[n0 + k:]
+                    hist.append(value)
+                phi = v[nz:]
+                hit = np.flatnonzero((~clamped) & (phi <= _EVENT_TOL))
+                if hit.size:
+                    phi[hit] = 0.0
+                    clamped[hit] = True
+                    diag.projection_events += hit.size
+                    events += hit.size
+                if release_hit:
+                    g_now = Hc @ v[:nz] - wc
+                    rel = clamped_idx[g_now <= _EVENT_TOL]
+                    if rel.size:
+                        clamped[rel] = False
+                        diag.release_events += rel.size
+                        events += rel.size
+                need_refactor = True
+                continue
+            v[free] = V[:, -1]
+            block = min(2 * block, _MAX_BLOCK)
+
+        if settled:
             # Reduced system converged; release clamped rows whose
             # gradient turned negative (rare: only reachable from a warm
             # start), otherwise done.
@@ -214,73 +364,6 @@ def solve(problem, params: FtcndParams, warm_start=None):
             diag.converged = True
             diag.converge_time = time
             break
-
-        dh = -params.mu * dt * li_activation(h, params.lam, params.zeta,
-                                             params.kappa)
-        h_new = h + dh
-        F_new = float(h_new @ h_new)
-        if F_new > F + 1e-16:
-            dt *= 0.5
-            diag.step_halvings += 1
-            if dt < 1e-300:
-                raise FtcndIntegrationError("step size underflow")
-            continue
-
-        dv = cho_solve(fac, dh)
-        # Events: a free slack hitting zero, or a clamped row's gradient
-        # crossing zero; split the step exactly at the first event.
-        theta = 1.0
-        phi_old = v[free[slack_local]]
-        phi_new = phi_old + dv[slack_local]
-        crossing = np.flatnonzero(phi_new < 0.0)
-        if crossing.size:
-            th = phi_old[crossing] / (phi_old[crossing] - phi_new[crossing])
-            theta = min(theta, float(np.min(th)))
-        clamped_idx = np.flatnonzero(clamped)
-        release_hit = False
-        if clamped_idx.size:
-            Hc = H[clamped_idx]
-            g_old = Hc @ v[:nz] - w[clamped_idx]
-            g_new = g_old + Hc @ dv[:nz]
-            going_neg = (g_new < 0.0) & (g_old >= 0.0)
-            if going_neg.any():
-                th = g_old[going_neg] / (g_old[going_neg] - g_new[going_neg])
-                th_min = float(np.min(th))
-                if th_min <= theta:
-                    theta = th_min
-                    release_hit = True
-
-        theta = min(max(theta, 0.0), 1.0)
-        v[free] += theta * dv
-        h = h + theta * dh
-        F = float(h @ h)
-        if not np.isfinite(F):
-            raise FtcndIntegrationError("non-finite neural state")
-        time += theta * dt
-        diag.iterations += 1
-        diag.time_history.append(time)
-        diag.h_inf_history.append(float(np.max(np.abs(h))))
-        diag.f_history.append(F)
-
-        if theta < 1.0:
-            phi = v[nz:]
-            hit = np.flatnonzero((~clamped) & (phi <= _EVENT_TOL))
-            if hit.size:
-                phi[hit] = 0.0
-                clamped[hit] = True
-                diag.projection_events += hit.size
-                events += hit.size
-            if release_hit:
-                g_now = H[clamped_idx] @ v[:nz] - w[clamped_idx]
-                rel = clamped_idx[g_now <= _EVENT_TOL]
-                if rel.size:
-                    clamped[rel] = False
-                    diag.release_events += rel.size
-                    events += rel.size
-            need_refactor = True
-            continue
-
-        dt = min(dt * 2.0, params.ode_step)
 
     z = v[:nz].copy()
     diag.constraint_violation = problem.violation(z)

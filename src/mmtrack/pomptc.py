@@ -101,6 +101,13 @@ class QpProblem:
         z = np.asarray(z, float)
         return float(0.5 * z @ self.S @ z + self.G @ z)
 
+    def check_finite(self):
+        """Raise ValueError naming the first of S, G, H, w that holds a
+        NaN or an infinity; the solvers call this before any work."""
+        for name in ("S", "G", "H", "w"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
+
     def violation(self, z) -> float:
         return float(np.max(np.append(self.H @ np.asarray(z, float) - self.w, 0.0)))
 

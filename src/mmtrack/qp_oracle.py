@@ -148,8 +148,11 @@ def solve_reference(problem, penalized: bool = False, xi: float = 5.0):
     penalized : solve the xi-penalty relaxation instead of the exact QP
     xi : penalty factor (penalized mode only)
 
-    Raises InfeasibleProblem in exact mode when no feasible point exists.
+    Raises InfeasibleProblem in exact mode when no feasible point exists,
+    and ValueError when S, G, H or w is not finite or S is not positive
+    definite.
     """
+    problem.check_finite()
     S = np.asarray(problem.S, float)
     G = np.asarray(problem.G, float)
     H = np.asarray(problem.H, float)

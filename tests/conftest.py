@@ -39,3 +39,17 @@ def hand_qp():
     H = np.array([[1.0], [-1.0], [1.0], [1.0], [1.0], [1.0]])
     w = np.array([1.0, 5.0, 5.0, 5.0, 5.0, 5.0])
     return QpProblem(S, G, H, w, 0.01, 1, 1, 1)
+
+
+def solver_batch_problems():
+    """The 200 random QPs of acceptance criteria 1-3 (m'Nu in [2, 40])."""
+    rng = np.random.default_rng(2024)
+    problems = []
+    for _ in range(200):
+        m_prime = int(rng.integers(1, 9))
+        Nu = int(rng.integers(1, 6))
+        if m_prime * Nu < 2:
+            Nu = 2
+        N = int(rng.integers(Nu, 6))
+        problems.append(random_qp(rng, N=N, Nu=Nu, m_prime=m_prime))
+    return problems

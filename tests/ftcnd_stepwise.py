@@ -1,0 +1,174 @@
+"""Step-by-step FTCND integration: the reference for ``mmtrack.ftcnd.solve``.
+
+The plainest form of the integration: one ``cho_solve`` and one pair of
+event checks per accepted step.  The library solver steps the residual
+alone and solves for ``v`` once per block of steps; it must reproduce
+this loop's iterations, events, halvings and histories
+(``tests/test_ftcnd_segments.py``).
+"""
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from scipy.linalg import cho_solve
+
+from mmtrack.ftcnd import (_EVENT_TOL, FtcndDiagnostics, FtcndIntegrationError,
+                           NeuralState, _factor, finite_time_bound,
+                           li_activation, lift)
+
+
+def solve(problem, params, warm_start=None):
+    """Integrate the neural dynamics until the residual settles.
+
+    Returns (z_star, FtcndDiagnostics).  The reported residual is the
+    projected optimality residual: free components of N v + D, with
+    clamped slack rows counted as zero while their gradients stay
+    non-negative.  Non-convergence within max_time returns the best
+    iterate with ``converged=False``.
+    """
+    S, H, w = problem.S, problem.H, problem.w
+    nz = problem.n_variables
+    nc = problem.n_constraints
+    try:
+        np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        raise ValueError("QP must be strictly convex (S positive definite)")
+
+    Nmat, Dvec, v0 = lift(problem, params.xi)
+    if warm_start is not None:
+        v = np.array(warm_start, float, copy=True)
+        if v.shape != (nz + nc,):
+            raise ValueError(f"warm start must have length {nz + nc}")
+        v[nz:] = np.maximum(v[nz:], 0.0)
+    else:
+        v = v0.copy()
+
+    h_full = Nmat @ v + Dvec
+    clamped = (v[nz:] <= 0.0) & (h_full[nz:] > 0.0)
+    v[nz:][clamped] = 0.0
+
+    diag = FtcndDiagnostics(converged=False, converge_time=math.inf,
+                            bound_t_f=0.0, iterations=0)
+    free = np.concatenate([np.arange(nz), nz + np.flatnonzero(~clamped)])
+    h = (Nmat @ v + Dvec)[free]
+    diag.bound_t_f = finite_time_bound(h, params.mu, params.kappa)
+
+    time = 0.0
+    dt = params.ode_step
+    eps = params.epsilon_h
+    need_refactor = True
+    fac = None
+    slack_local = np.zeros(0, dtype=int)
+    F = float(h @ h)
+    diag.time_history.append(time)
+    diag.h_inf_history.append(float(np.max(np.abs(h))))
+    diag.f_history.append(F)
+    max_events = 100 + 10 * nc
+    events = 0
+
+    while time < params.max_time and events <= max_events:
+        if need_refactor:
+            free = np.concatenate([np.arange(nz),
+                                   nz + np.flatnonzero(~clamped)])
+            fac = _factor(Nmat[np.ix_(free, free)])
+            h = (Nmat @ v + Dvec)[free]
+            F = float(h @ h)
+            slack_local = np.arange(nz, free.size)
+            need_refactor = False
+
+        h_inf = float(np.max(np.abs(h)))
+        if h_inf <= eps:
+            # Reduced system converged; release clamped rows whose
+            # gradient turned negative (rare: only reachable from a warm
+            # start), otherwise done.
+            if clamped.any():
+                g = H[clamped] @ v[:nz] - w[clamped]
+                stuck = np.flatnonzero(clamped)[g < -max(_EVENT_TOL, eps)]
+                if stuck.size:
+                    clamped[stuck] = False
+                    diag.release_events += stuck.size
+                    events += stuck.size
+                    need_refactor = True
+                    continue
+            diag.converged = True
+            diag.converge_time = time
+            break
+
+        dh = -params.mu * dt * li_activation(h, params.lam, params.zeta,
+                                             params.kappa)
+        h_new = h + dh
+        F_new = float(h_new @ h_new)
+        if F_new > F + 1e-16:
+            dt *= 0.5
+            diag.step_halvings += 1
+            if dt < 1e-300:
+                raise FtcndIntegrationError("step size underflow")
+            continue
+
+        dv = cho_solve(fac, dh)
+        # Events: a free slack hitting zero, or a clamped row's gradient
+        # crossing zero; split the step exactly at the first event.
+        theta = 1.0
+        phi_old = v[free[slack_local]]
+        phi_new = phi_old + dv[slack_local]
+        crossing = np.flatnonzero(phi_new < 0.0)
+        if crossing.size:
+            th = phi_old[crossing] / (phi_old[crossing] - phi_new[crossing])
+            theta = min(theta, float(np.min(th)))
+        clamped_idx = np.flatnonzero(clamped)
+        release_hit = False
+        if clamped_idx.size:
+            Hc = H[clamped_idx]
+            g_old = Hc @ v[:nz] - w[clamped_idx]
+            g_new = g_old + Hc @ dv[:nz]
+            going_neg = (g_new < 0.0) & (g_old >= 0.0)
+            if going_neg.any():
+                th = g_old[going_neg] / (g_old[going_neg] - g_new[going_neg])
+                th_min = float(np.min(th))
+                if th_min <= theta:
+                    theta = th_min
+                    release_hit = True
+
+        theta = min(max(theta, 0.0), 1.0)
+        v[free] += theta * dv
+        h = h + theta * dh
+        F = float(h @ h)
+        if not np.isfinite(F):
+            raise FtcndIntegrationError("non-finite neural state")
+        time += theta * dt
+        diag.iterations += 1
+        diag.time_history.append(time)
+        diag.h_inf_history.append(float(np.max(np.abs(h))))
+        diag.f_history.append(F)
+
+        if theta < 1.0:
+            phi = v[nz:]
+            hit = np.flatnonzero((~clamped) & (phi <= _EVENT_TOL))
+            if hit.size:
+                phi[hit] = 0.0
+                clamped[hit] = True
+                diag.projection_events += hit.size
+                events += hit.size
+            if release_hit:
+                g_now = H[clamped_idx] @ v[:nz] - w[clamped_idx]
+                rel = clamped_idx[g_now <= _EVENT_TOL]
+                if rel.size:
+                    clamped[rel] = False
+                    diag.release_events += rel.size
+                    events += rel.size
+            need_refactor = True
+            continue
+
+        dt = min(dt * 2.0, params.ode_step)
+
+    z = v[:nz].copy()
+    diag.constraint_violation = problem.violation(z)
+    resid = Nmat @ v + Dvec
+    free = np.concatenate([np.arange(nz), nz + np.flatnonzero(~clamped)])
+    diag.equality_residual = float(np.max(np.abs(resid[nz:][~clamped]))
+                                   / params.xi) if (~clamped).any() else 0.0
+    diag.final_state = NeuralState(v=v, h=resid[free], virtual_time=time)
+    if not diag.converged:
+        diag.converge_time = math.inf
+    return z, diag

@@ -1,14 +1,20 @@
 """Golden closed-loop traces: the cases, how to run one, and how to
 regenerate the stored file.
 
+    PYTHONPATH=src python tests/golden.py --diff
+
+prints, for every case, the largest |dq| and |dtau| of the current code
+against ``tests/data/golden_traces.npz`` and writes nothing.
+
     PYTHONPATH=src python tests/golden.py
 
-rewrites ``tests/data/golden_traces.npz`` from the current code.  Do
-that only for a change that is meant to alter closed-loop outputs, and
-justify the move in CHANGES.md.
+rewrites that file from the current code.  Do that only for a change
+that is meant to alter closed-loop outputs, and justify the move in
+CHANGES.md.
 """
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import warnings
 from pathlib import Path
@@ -50,7 +56,25 @@ def key(config, controller, column):
     return f"{config}:{controller}:{column}"
 
 
-def main():
+def diff(cases=CASES):
+    """Print the largest |dq| and |dtau| of each case against the stored
+    traces."""
+    with np.load(GOLDEN_PATH) as data:
+        golden = dict(data)
+    for config, controller in cases:
+        q, tau = run_case(config, controller)
+        q_ref = golden[key(config, controller, "q")]
+        tau_ref = golden[key(config, controller, "tau")]
+        if q.shape != q_ref.shape or tau.shape != tau_ref.shape:
+            print(f"{config} / {controller}: shape {q.shape} against "
+                  f"stored {q_ref.shape}", flush=True)
+            continue
+        print(f"{config} / {controller}: max |dq| = "
+              f"{np.max(np.abs(q - q_ref)):.3g}, max |dtau| = "
+              f"{np.max(np.abs(tau - tau_ref)):.3g}", flush=True)
+
+
+def regenerate():
     arrays = {}
     for config, controller in CASES:
         q, tau = run_case(config, controller)
@@ -62,4 +86,10 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--diff", action="store_true",
+                        help="compare with the stored traces; write nothing")
+    if parser.parse_args().diff:
+        diff()
+    else:
+        regenerate()

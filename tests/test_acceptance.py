@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_qp
+from conftest import solver_batch_problems
 from mmtrack import dynamics, ftcnd, kinematics as kin, nftsm, pomptc, \
     qp_oracle, sim
 from mmtrack.ftcnd import FtcndParams
@@ -47,17 +47,10 @@ def load_config(name):
 def solver_batch():
     """200 random strictly convex QPs with m'Nu in [2, 40]: FTCND
     solution, diagnostics, and the penalized oracle answer."""
-    rng = np.random.default_rng(2024)
     params = FtcndParams(ode_step=1e-3)
     records = []
     elapsed = 0.0
-    for _ in range(200):
-        m_prime = int(rng.integers(1, 9))
-        Nu = int(rng.integers(1, 6))
-        if m_prime * Nu < 2:
-            Nu = 2
-        N = int(rng.integers(Nu, 6))
-        problem = random_qp(rng, N=N, Nu=Nu, m_prime=m_prime)
+    for problem in solver_batch_problems():
         t0 = time.perf_counter()
         z, diag = ftcnd.solve(problem, params)
         elapsed += time.perf_counter() - t0

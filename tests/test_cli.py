@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import hand_qp
@@ -155,6 +156,30 @@ def test_solve_qp_non_convex_problem_exits_1(tmp_path, capsys, solver):
     captured = capsys.readouterr()
     assert rc == 1
     assert "strictly convex" in captured.err
+
+
+@pytest.mark.parametrize("solver", ["ftcnd", "oracle"])
+def test_solve_qp_non_finite_problem_exits_1(tmp_path, capsys, solver):
+    lines = pomptc.problem_to_text(hand_qp()).splitlines()
+    lines[2] = "nan"                  # G of the one-variable hand QP
+    path = tmp_path / "problem.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rc = cli.main(["solve-qp", "--problem", str(path), "--solver", solver])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "G must be finite" in captured.err
+
+
+def test_solve_qp_overflowing_problem_exits_2(tmp_path, capsys):
+    problem = dataclasses.replace(hand_qp(), G=[-1e250])
+    path = tmp_path / "problem.txt"
+    path.write_text(pomptc.problem_to_text(problem), encoding="utf-8")
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = cli.main(["solve-qp", "--problem", str(path),
+                       "--solver", "ftcnd"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "solver failure: non-finite neural state" in captured.err
 
 
 def test_solve_qp_malformed_file(tmp_path, capsys):

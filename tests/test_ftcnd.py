@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,27 @@ def test_warm_start_length_checked():
     p = hand_qp()
     with pytest.raises(ValueError, match="warm start"):
         ftcnd.solve(p, FtcndParams(), warm_start=np.zeros(3))
+
+
+def test_overflowing_residual_raises_integration_error():
+    # G = -1e250 puts |h| near 1e250: h'h and the |h|^(1/kappa) term of
+    # the Li activation overflow on the first step.
+    p = dataclasses.replace(hand_qp(), G=[-1e250])
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ftcnd.FtcndIntegrationError, match="non-finite"):
+        ftcnd.solve(p, FtcndParams(ode_step=1e-3))
+
+
+@pytest.mark.parametrize("name,value", [("S", np.nan), ("G", np.nan),
+                                        ("H", np.inf), ("w", -np.inf)])
+def test_non_finite_problem_rejected(name, value):
+    data = np.array(getattr(hand_qp(), name))
+    data.flat[0] = value
+    p = dataclasses.replace(hand_qp(), **{name: data})
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        ftcnd.solve(p, FtcndParams())
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        qp_oracle.solve_reference(p)
 
 
 def test_non_spd_problem_rejected():

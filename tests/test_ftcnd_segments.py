@@ -1,0 +1,97 @@
+"""The segmented FTCND solver against the step-by-step reference loop.
+
+``ftcnd.solve`` steps the residual alone and solves for v once per block
+of steps; ``ftcnd_stepwise.solve`` solves and checks events after every
+step.  Both must take the same steps and meet the same events; their
+iterates differ only by rounding.
+"""
+import dataclasses
+import math
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import ftcnd_stepwise
+from conftest import random_qp, solver_batch_problems
+from mmtrack import ftcnd, sim
+from mmtrack.ftcnd import FtcndParams
+from mmtrack.model import load_scenario
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+HISTORY_RTOL = 1e-9
+Z_ATOL = 1e-12
+
+
+@pytest.fixture(scope="module")
+def nominal_warm_solves():
+    """(problem, params, warm start) of the warm-started solves in the
+    first 0.05 s of nominal_circle."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # the shipped config sets r3 = 1
+        model, params, script = load_scenario(
+            (CONFIG_DIR / "nominal_circle.yaml").read_text(encoding="utf-8"))
+    script = dataclasses.replace(script, duration=0.05)
+    calls = []
+    solve = ftcnd.solve
+
+    def recording_solve(problem, ft_params, warm_start=None):
+        if warm_start is not None:
+            calls.append((problem, ft_params, warm_start.copy()))
+        return solve(problem, ft_params, warm_start=warm_start)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ftcnd, "solve", recording_solve)
+        sim.run_closed_loop(model, params, script)
+    assert len(calls) >= 3
+    return calls
+
+
+def assert_same_run(problem, params, warm_start=None):
+    z, diag = ftcnd.solve(problem, params, warm_start=warm_start)
+    z_ref, ref = ftcnd_stepwise.solve(problem, params, warm_start=warm_start)
+    assert (diag.iterations, diag.projection_events, diag.release_events,
+            diag.step_halvings, diag.converged) == \
+        (ref.iterations, ref.projection_events, ref.release_events,
+         ref.step_halvings, ref.converged)
+    assert len(diag.time_history) == len(ref.time_history)
+    assert len(diag.h_inf_history) == len(ref.h_inf_history)
+    np.testing.assert_allclose(diag.h_inf_history, ref.h_inf_history,
+                               rtol=HISTORY_RTOL, atol=0)
+    np.testing.assert_allclose(diag.time_history, ref.time_history,
+                               rtol=HISTORY_RTOL, atol=0)
+    np.testing.assert_allclose(z, z_ref, rtol=0, atol=Z_ATOL)
+    return diag
+
+
+def test_matches_stepwise_on_criterion_batch():
+    params = FtcndParams(ode_step=1e-3)
+    events = 0
+    for problem in solver_batch_problems():
+        diag = assert_same_run(problem, params)
+        events += diag.projection_events + diag.release_events
+    assert events > 0
+
+
+def test_matches_stepwise_on_cold_panda_size_qps():
+    # The panda size of the closed loop: 35 variables, 210 rows.
+    rng = np.random.default_rng(1)
+    params = FtcndParams(ode_step=1e-3)
+    for _ in range(6):
+        diag = assert_same_run(random_qp(rng, N=5, Nu=5, m_prime=7), params)
+        assert diag.factorizations > 1
+
+
+def test_matches_stepwise_on_nominal_warm_starts(nominal_warm_solves):
+    for problem, params, warm in nominal_warm_solves:
+        assert_same_run(problem, params, warm)
+
+
+def test_event_free_warm_solve_factors_once(nominal_warm_solves):
+    for problem, params, warm in nominal_warm_solves:
+        _, diag = ftcnd.solve(problem, params, warm_start=warm)
+        assert diag.converged and diag.iterations > 0
+        assert diag.projection_events == diag.release_events == 0
+        assert diag.factorizations == 1
+        assert diag.block_solves <= math.ceil(math.log2(diag.iterations)) + 1

@@ -1,8 +1,10 @@
 """Closed loops against the stored golden traces (see golden.py)."""
+import re
+
 import numpy as np
 import pytest
 
-from golden import CASES, GOLDEN_PATH, key, run_case
+from golden import CASES, GOLDEN_PATH, diff, key, run_case
 
 Q_TOL = 1e-9
 TAU_TOL = 1e-8
@@ -22,3 +24,15 @@ def test_closed_loop_matches_golden_trace(golden, config, controller):
     assert q.shape == q_ref.shape and tau.shape == tau_ref.shape
     np.testing.assert_allclose(q, q_ref, rtol=0, atol=Q_TOL)
     np.testing.assert_allclose(tau, tau_ref, rtol=0, atol=TAU_TOL)
+
+
+def test_diff_prints_each_case_and_writes_nothing(capsys):
+    stamp = GOLDEN_PATH.stat().st_mtime_ns
+    diff(CASES[:1])
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    match = re.fullmatch(r"nominal_circle / nftsm: max \|dq\| = (\S+), "
+                         r"max \|dtau\| = (\S+)", lines[0])
+    assert match, lines[0]
+    assert float(match[1]) <= Q_TOL and float(match[2]) <= TAU_TOL
+    assert GOLDEN_PATH.stat().st_mtime_ns == stamp
