@@ -10,12 +10,17 @@ evaluation of the COM Jacobians at ``q + i h qdot`` gives ``Jc`` (real
 part) and ``Jcdot`` (imaginary part over h) together.  The Christoffel
 Coriolis matrix, with dM/dq from a batched complex step, is kept as the
 oracle of that vector and of the skew-symmetry of Mdot - 2C.
+
+Forward dynamics and the NFTSM law apply M^-1 through one LAPACK
+Cholesky factorization, whose pivots are also the singularity guard
+(``solve_inertia``): no SVD is taken.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .kinematics import chain_frames, point_jacobians
 from .model import RobotModel
@@ -59,8 +64,7 @@ def com_jacobians(model: RobotModel, q_m):
     coms = np.einsum("...ixy,iy->...ix", R, model.link_com_offsets) + o
     columns, _ = point_jacobians(model, R, o, coms, start)
     # Link i moves only with joints k <= i.
-    n = model.arm_joint_count
-    columns = columns * np.tri(n, dtype=bool)[:, :, None]
+    columns = columns * model.fixed_transforms.links[:, :, None]
     return np.ascontiguousarray(np.swapaxes(columns, -1, -2))
 
 
@@ -129,6 +133,21 @@ def dynamics_terms(model: RobotModel, q_m, qdot_m, gravity=None,
                          G=_mass_weighted(model, Jc, -g), tau_b=tau_b)
 
 
+def solve_inertia(M, rhs):
+    """M^-1 rhs from one LAPACK Cholesky factorization M = L L^T.
+
+    Raises LinAlgError when the factorization fails or when
+    (max L_ii / min L_ii)^2 > 1e12, which implies cond(M) > 1e12 since
+    cond(M) = cond(L)^2 >= (max L_ii / min L_ii)^2.
+    """
+    L, info = dpotrf(M, lower=1, clean=0)
+    if info == 0:
+        d = L.diagonal().tolist()     # builtins beat ufuncs at this size
+        if max(d) ** 2 <= 1e12 * min(d) ** 2:
+            return dpotrs(L, rhs, lower=1)[0]
+    raise np.linalg.LinAlgError("inertia matrix is numerically singular")
+
+
 def forward_dynamics(model: RobotModel, q_m, qdot_m, tau, tau_d=None,
                      tau_b=None, gravity=None, terms=None) -> np.ndarray:
     """qddot = M^-1 (tau + tau_d + tau_b - C qdot - G).
@@ -136,13 +155,8 @@ def forward_dynamics(model: RobotModel, q_m, qdot_m, tau, tau_d=None,
     ``terms`` may carry precomputed DynamicsTerms for (q_m, qdot_m) to
     avoid recomputing them in tight loops.
     """
-    tau_total = np.asarray(tau, float).copy()
-    if tau_d is not None:
-        tau_total = tau_total + np.asarray(tau_d, float)
-    if tau_b is not None:
-        tau_total = tau_total + np.asarray(tau_b, float)
+    tau_total = sum(np.asarray(x, float) for x in (tau, tau_d, tau_b)
+                    if x is not None)
     if terms is None:
         terms = dynamics_terms(model, q_m, qdot_m, gravity=gravity)
-    if np.linalg.cond(terms.M) > 1e12:
-        raise np.linalg.LinAlgError("inertia matrix is numerically singular")
-    return np.linalg.solve(terms.M, tau_total - terms.bias - terms.G)
+    return solve_inertia(terms.M, tau_total - terms.bias - terms.G)

@@ -5,6 +5,10 @@ Orientation convention is Z-Y-X throughout: a pose orientation vector
 ``[yaw, pitch, roll]`` corresponds to ``R = Rz(yaw) @ Ry(pitch) @ Rx(roll)``.
 All transform helpers accept complex inputs so that callers can use
 complex-step differentiation.
+
+The one chain kernel, :func:`chain_frames`, builds the local 4 x 4
+transform of every joint at once and forms the joint frames as their
+prefix products, in ceil(log2 k) batched matrix products for k joints.
 """
 from __future__ import annotations
 
@@ -24,46 +28,18 @@ def wrap_angle(a):
     return out if out.ndim else float(out)
 
 
-def rot_x(a):
-    c, s = np.cos(a), np.sin(a)
-    one, zero = np.ones_like(c), np.zeros_like(c)
-    return np.array([[one, zero, zero], [zero, c, -s], [zero, s, c]])
-
-
-def rot_y(a):
-    c, s = np.cos(a), np.sin(a)
-    one, zero = np.ones_like(c), np.zeros_like(c)
-    return np.array([[c, zero, s], [zero, one, zero], [-s, zero, c]])
-
-
-def rot_z(a):
-    c, s = np.cos(a), np.sin(a)
-    one, zero = np.ones_like(c), np.zeros_like(c)
-    return np.array([[c, -s, zero], [s, c, zero], [zero, zero, one]])
-
-
 def rotation_rpy(rpy):
-    """Fixed-frame rotation from (roll, pitch, yaw)."""
-    return rot_z(rpy[2]) @ rot_y(rpy[1]) @ rot_x(rpy[0])
+    """Fixed-frame rotation Rz(yaw) Ry(pitch) Rx(roll), closed form."""
+    (cr, cp, cy), (sr, sp, sy) = np.cos(rpy), np.sin(rpy)
+    return np.array([[cy * cp, cy * sp * sr - sy * cr, cy * sp * cr + sy * sr],
+                     [sy * cp, sy * sp * sr + cy * cr, sy * sp * cr - cy * sr],
+                     [-sp, cp * sr, cp * cr]])
 
 
 def axis_skew(axis):
     """Skew matrix K of a unit axis: K @ v = axis x v."""
     x, y, z = axis
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-
-
-def _rodrigues(K, K2, angle):
-    """I + sin(a) K + (1 - cos(a)) K^2 for any angle shape, (..., 3, 3)."""
-    angle = np.asarray(angle)[..., None, None]
-    return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * K2
-
-
-def rotation_axis(axis, angle):
-    """Rodrigues rotation about a unit axis; complex-safe, and batched
-    over the shape of ``angle``."""
-    K = axis_skew(axis)
-    return _rodrigues(K, K @ K, angle)
 
 
 def euler_zyx(R):
@@ -93,16 +69,15 @@ def rotation_vector(R):
     angle = np.arccos(np.clip((np.trace(R) - 1.0) / 2.0, -1.0, 1.0))
     if angle < 1e-12:
         return np.zeros(3)
+    skew = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
     if np.pi - angle < 1e-6:
         # Near pi: use the symmetric part.
         A = (R + np.eye(3)) / 2.0
         axis = np.sqrt(np.maximum(np.diag(A), 0.0))
-        axis *= np.sign([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]]) + \
-            (np.sign([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]]) == 0)
+        axis *= np.sign(skew) + (np.sign(skew) == 0)
         axis /= np.linalg.norm(axis)
         return angle * axis
-    axis = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
-    return angle * axis / (2.0 * np.sin(angle))
+    return angle * skew / (2.0 * np.sin(angle))
 
 
 @dataclass(frozen=True)
@@ -155,28 +130,31 @@ def chain_frames(model: RobotModel, q, start: int = 0):
     leading batch shape, and may be complex.  Returns (rotations, origins,
     R_ee, p_ee) of shapes (..., k, 3, 3), (..., k, 3), (..., 3, 3) and
     (..., 3).
+
+    All k local 4 x 4 transforms are built at once from the cached
+    tables: rotation ``R0 + sin q R0K + (1 - cos q) R0K2`` (q read as 0
+    if prismatic), translation ``origin + q slide`` (slide = R0 axis if
+    prismatic, else 0).  The frames F, returned as views, are their
+    prefix products: ``F[s:] = F[:-s] @ F[s:]`` for s = 1, 2, 4, ... < k.
     """
     q = np.asarray(q)
-    joints = model.joints[start:]
-    if q.ndim == 0 or q.shape[-1] != len(joints):
-        raise ValueError(f"expected {len(joints)} joint values, got shape {q.shape}")
-    dtype = np.result_type(q.dtype, float)
-    batch = q.shape[:-1]
-    fixed, R_ee0 = model.fixed_transforms
-    R = np.broadcast_to(np.eye(3, dtype=dtype), batch + (3, 3))
-    p = np.zeros(batch + (3,), dtype=dtype)
-    rotations = np.empty(batch + (len(joints), 3, 3), dtype=dtype)
-    origins = np.empty(batch + (len(joints), 3), dtype=dtype)
-    for k, (joint, (R0, K, K2)) in enumerate(zip(joints, fixed[start:])):
-        p = p + R @ joint.origin_xyz
-        R = R @ R0
-        if joint.kind == "revolute":
-            R = R @ _rodrigues(K, K2, q[..., k])
-        else:
-            p = p + np.einsum("...ij,j,...->...i", R, joint.axis, q[..., k])
-        rotations[..., k, :, :] = R
-        origins[..., k, :] = p
-    return rotations, origins, R @ R_ee0, p + R @ model.ee_offset_xyz
+    tab = model.fixed_transforms
+    k = model.total_dof - start
+    if q.ndim == 0 or q.shape[-1] != k:
+        raise ValueError(f"expected {k} joint values, got shape {q.shape}")
+    angle = (q * tab.revolute[start:])[..., None, None]
+    R = (tab.R0[start:] + np.sin(angle) * tab.R0K[start:]
+         + (1.0 - np.cos(angle)) * tab.R0K2[start:])
+    F = np.zeros(q.shape + (4, 4), dtype=R.dtype)
+    F[..., :3, :3] = R
+    F[..., :3, 3] = tab.origins[start:] + q[..., None] * tab.slide[start:]
+    F[..., 3, 3] = 1.0
+    s = 1
+    while s < k:
+        F[..., s:, :, :] = F[..., :-s, :, :] @ F[..., s:, :, :]
+        s *= 2
+    ee = F[..., -1, :, :] @ tab.ee
+    return F[..., :3, :3], F[..., :3, 3], ee[..., :3, :3], ee[..., :3, 3]
 
 
 def point_jacobians(model: RobotModel, rotations, origins, points,
@@ -190,20 +168,20 @@ def point_jacobians(model: RobotModel, rotations, origins, points,
     (columns, angular) of shapes (..., P, k, 3) and (..., k, 3); angular
     column k is ``axis_k`` for a revolute joint and zero otherwise.
     """
-    joints = model.joints[start:]
-    axes = np.einsum("...kxy,ky->...kx", rotations,
-                     np.stack([j.axis for j in joints]))
-    cross = np.cross(axes[..., None, :, :],
-                     points[..., :, None, :] - origins[..., None, :, :])
-    revolute = np.array([j.kind == "revolute" for j in joints])
-    columns = np.where(revolute[:, None], cross, axes[..., None, :, :])
-    return columns, np.where(revolute[:, None], axes, 0.0)
+    tab = model.fixed_transforms
+    revolute = tab.revolute[start:, None]
+    axes = np.einsum("...kxy,ky->...kx", rotations, tab.axes[start:])
+    a = axes[..., None, :, :]
+    d = points[..., :, None, :] - origins[..., None, :, :]
+    # a x d written out: np.cross's moveaxis calls cost more than this.
+    cross = a[..., [1, 2, 0]] * d[..., [2, 0, 1]] \
+        - a[..., [2, 0, 1]] * d[..., [1, 2, 0]]
+    return np.where(revolute, cross, a), np.where(revolute, axes, 0.0)
 
 
 def forward_kinematics(model: RobotModel, q) -> Pose:
     """End-effector pose p = F(q) for the full chain (base + arm)."""
-    q = np.asarray(q, float)
-    _, _, R_ee, p_ee = chain_frames(model, q)
+    _, _, R_ee, p_ee = chain_frames(model, np.asarray(q, float))
     euler = euler_zyx(R_ee)
     singular = abs(np.cos(euler[1])) < 1e-6
     return Pose(p_ee.real, euler, representation_singular=singular)
@@ -218,15 +196,11 @@ def geometric_jacobian(model: RobotModel, q) -> np.ndarray:
     is an arcsin whose cosine never rounds to zero in float64, so the
     solve below cannot meet an exactly singular matrix.
     """
-    q = np.asarray(q, float)
-    rotations, origins, R_ee, p_ee = chain_frames(model, q)
+    rotations, origins, R_ee, p_ee = chain_frames(model, np.asarray(q, float))
     columns, angular = point_jacobians(model, rotations, origins, p_ee[None])
     yaw, pitch, _ = euler_zyx(R_ee)
     E = euler_rate_matrix(yaw, pitch)
-    J = np.zeros((6, model.total_dof))
-    J[:3] = columns[0].T
-    J[3:] = np.linalg.solve(E, angular.T)
-    return J
+    return np.vstack([columns[0].T, np.linalg.solve(E, angular.T)])
 
 
 def is_representation_singular(model: RobotModel, q, tol: float = 1e-8):

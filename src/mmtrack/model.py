@@ -7,6 +7,7 @@ followed by the arm joints.  All types are immutable after construction.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -151,16 +152,30 @@ class RobotModel:
         return int(np.count_nonzero(self.actuated_by_mpc))
 
     @cached_property
-    def fixed_transforms(self):
-        """Constant parts of the chain, derived on first use: one
-        (origin rotation, axis skew K, K @ K) triple per joint, and the
-        EE offset rotation."""
+    def fixed_transforms(self) -> "ChainTables":
+        """Constant chain tables, stacked over the joints and derived on
+        first use: ``R0``, ``R0K``, ``R0K2`` (origin rotation times I, K
+        and K @ K for the axis skew K), ``origins``, ``slide`` (R0 axis
+        if prismatic, else 0), ``axes``, the ``revolute`` mask, the 4 x 4
+        EE offset ``ee`` and ``links`` (arm link i moves with joint k <= i)."""
         from .kinematics import axis_skew, rotation_rpy
-        skews = [axis_skew(joint.axis) for joint in self.joints]
-        per_joint = tuple(
-            (_freeze(rotation_rpy(joint.origin_rpy)), _freeze(K), _freeze(K @ K))
-            for joint, K in zip(self.joints, skews))
-        return per_joint, _freeze(rotation_rpy(self.ee_offset_rpy))
+        R0 = np.array([rotation_rpy(j.origin_rpy) for j in self.joints])
+        K = np.array([axis_skew(j.axis) for j in self.joints])
+        axes = np.array([j.axis for j in self.joints])
+        revolute = np.array([j.kind == "revolute" for j in self.joints])
+        ee = np.block([[rotation_rpy(self.ee_offset_rpy),
+                        self.ee_offset_xyz[:, None]], [np.zeros(3), 1.0]])
+        slide = np.where(revolute[:, None], 0.0,
+                         np.einsum("kxy,ky->kx", R0, axes))
+        origins = [j.origin_xyz for j in self.joints]
+        return ChainTables(
+            *map(_freeze, (R0, R0 @ K, R0 @ (K @ K), origins, slide, axes)),
+            _freeze(revolute, dtype=bool), _freeze(ee),
+            _freeze(np.tri(self.arm_joint_count), dtype=bool))
+
+
+ChainTables = namedtuple(
+    "ChainTables", "R0 R0K R0K2 origins slide axes revolute ee links")
 
 
 def _base_joints():

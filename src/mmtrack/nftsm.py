@@ -99,7 +99,7 @@ def control_torque(model: RobotModel, q_m, qdot_m, desired,
 
     if terms is None:
         terms = dynamics.dynamics_terms(model, q_m, qdot_m, gravity=gravity)
-    F_term = -np.linalg.solve(terms.M, terms.bias + terms.G) \
+    F_term = -dynamics.solve_inertia(terms.M, terms.bias + terms.G) \
         - np.asarray(desired["qdd_md"], float)
 
     sat1 = saturation(e1, params.delta)

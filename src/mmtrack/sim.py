@@ -21,6 +21,8 @@ from .kinematics import ConfigurationState, Pose
 from .model import ControllerParams, RobotModel
 
 _AXIS_NAMES = {"x": 0, "y": 1, "z": 2, "yaw": 3, "pitch": 4, "roll": 5}
+# Most torque-rate rows a run may record (about 0.7 GB for 13 DOFs).
+MAX_TRACE_ROWS = 1_000_000
 
 
 class SimulationError(RuntimeError):
@@ -51,10 +53,12 @@ class ScenarioScript:
     initial_q: tuple | None = None
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
-        if self.torque_period <= 0 or self.control_period <= 0:
-            raise ValueError("periods must be positive")
+        for name in ("duration", "control_period", "torque_period"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not self.duration / self.torque_period < MAX_TRACE_ROWS:
+            raise ValueError(f"duration / torque_period exceeds the trace "
+                             f"cap of {MAX_TRACE_ROWS} rows")
         if self.torque_period > self.control_period:
             raise ValueError("torque_period must not exceed control_period")
         ratio = self.control_period / self.torque_period
@@ -288,10 +292,6 @@ def pd_baseline_torque(model: RobotModel, q_m, qdot_m, desired,
     return terms.G - kp * e1 - kd * e2
 
 
-def _base_rotation(q_b):
-    return kin.rotation_rpy((q_b[5], q_b[4], q_b[3]))
-
-
 def run_closed_loop(model: RobotModel, params: ControllerParams,
                     script: ScenarioScript, controller: str = "nftsm",
                     failure_budget: int = 3) -> SimTrace:
@@ -347,10 +347,8 @@ def run_closed_loop(model: RobotModel, params: ControllerParams,
         pose = kin.forward_kinematics(model, q_full)
         ref = script.reference_pose(t, initial_pose)
         err = kin.pose_error(pose, ref)
-        R = kin.rotation_rpy((pose.orientation[2], pose.orientation[1],
-                              pose.orientation[0]))
-        R_ref = kin.rotation_rpy((ref.orientation[2], ref.orientation[1],
-                                  ref.orientation[0]))
+        R = kin.rotation_rpy(pose.orientation[::-1])
+        R_ref = kin.rotation_rpy(ref.orientation[::-1])
         tr.time[row] = t
         tr.q[row] = q_full
         tr.qdot[row] = qd_full
@@ -415,13 +413,10 @@ def run_closed_loop(model: RobotModel, params: ControllerParams,
         for k in range(spc):
             t = t_j + k * tt
             q_bt, v_bt, a_bt = script.base_state(t)
+            g_base = a_base = None
             if b:
-                R_b = _base_rotation(q_bt)
-                g_base = R_b.T @ model.gravity
-                a_base = R_b.T @ a_bt[:3]
-            else:
-                g_base = None
-                a_base = None
+                R_b = kin.rotation_rpy(q_bt[5:2:-1])
+                g_base, a_base = R_b.T @ model.gravity, R_b.T @ a_bt[:3]
             desired = {"q_md": q_md_start + k * tt * qd_md,
                        "qd_md": qd_md, "qdd_md": qdd_md}
             terms0 = dynamics.dynamics_terms(model, q_arm, qd_arm,

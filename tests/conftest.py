@@ -53,3 +53,15 @@ def solver_batch_problems():
         N = int(rng.integers(Nu, 6))
         problems.append(random_qp(rng, N=N, Nu=Nu, m_prime=m_prime))
     return problems
+
+
+def inertia_matrices(n, seed=0):
+    """Symmetric test matrices for the inertia solve: rank-deficient,
+    cond(M) = 1e13 (its Cholesky pivots spread as sqrt(cond)), and well
+    conditioned."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(n, n - 2))
+    B = rng.normal(size=(n, n))
+    return {"rank_deficient": A @ A.T,
+            "cond_1e13": np.diag(np.geomspace(1.0, 1e-13, n)),
+            "well_conditioned": B @ B.T + n * np.eye(n)}

@@ -1,0 +1,97 @@
+"""The prefix-product chain kernel against the joint-by-joint walk.
+
+``kinematics.chain_frames`` builds all local transforms at once and
+multiplies them in ceil(log2 k) batched steps; ``chain_stepwise`` walks
+the joints one by one with elementary rotations.  Frames, COM Jacobians,
+pose and dynamics terms must agree to 1e-14 (the dynamics terms to 1e-14
+of their own scale when that exceeds 1: G reaches tens of N m).
+"""
+import numpy as np
+import pytest
+
+import chain_stepwise
+from mmtrack import dynamics as dyn
+from mmtrack import kinematics as kin
+from mmtrack.model import builtin_panda_on_base, builtin_planar_2link
+
+ATOL = 1e-14
+BUILTINS = [builtin_panda_on_base, builtin_planar_2link]
+
+
+def random_q(model, rng, shape=()):
+    q = rng.uniform(-2.5, 2.5, shape + (model.total_dof,))
+    if model.base_dof_count:
+        q[..., 4] = rng.uniform(-1.2, 1.2, shape)   # away from gimbal lock
+    return q
+
+
+def assert_close(actual, expected, atol=ATOL):
+    assert actual.shape == expected.shape
+    assert actual.dtype == expected.dtype
+    np.testing.assert_allclose(actual, expected, rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("builtin", BUILTINS)
+@pytest.mark.parametrize("complex_step", [False, True])
+@pytest.mark.parametrize("shape", [(), (2, 3)], ids=["single", "batched"])
+def test_chain_frames_match_stepwise_walk(builtin, complex_step, shape):
+    m = builtin()
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        q = random_q(m, rng, shape)
+        if complex_step:
+            q = q + 1e-20j * rng.normal(size=q.shape)
+        for start in (0, m.base_dof_count):
+            for new, ref in zip(kin.chain_frames(m, q[..., start:], start),
+                                chain_stepwise.chain_frames(m, q[..., start:],
+                                                            start)):
+                assert_close(new, ref)
+
+
+@pytest.mark.parametrize("builtin", BUILTINS)
+@pytest.mark.parametrize("complex_step", [False, True])
+@pytest.mark.parametrize("shape", [(), (2, 3)], ids=["single", "batched"])
+def test_com_jacobians_match_stepwise_walk(builtin, complex_step, shape):
+    m = builtin()
+    rng = np.random.default_rng(22)
+    for _ in range(20):
+        q_m = random_q(m, rng, shape)[..., m.arm_slice]
+        if complex_step:
+            q_m = q_m + 1e-20j * rng.normal(size=q_m.shape)
+        assert_close(dyn.com_jacobians(m, q_m),
+                     chain_stepwise.com_jacobians(m, q_m))
+
+
+@pytest.mark.parametrize("builtin", BUILTINS)
+def test_forward_kinematics_and_dynamics_terms_match_stepwise_walk(builtin):
+    m = builtin()
+    n = m.arm_joint_count
+    rng = np.random.default_rng(23)
+    for _ in range(50):
+        q = random_q(m, rng)
+        pose = kin.forward_kinematics(m, q)
+        ref = chain_stepwise.forward_kinematics(m, q)
+        assert_close(pose.position, ref.position)
+        assert_close(pose.orientation, ref.orientation)
+        assert pose.representation_singular == ref.representation_singular
+
+        qd = rng.uniform(-2, 2, n)
+        a_b = rng.normal(size=3)
+        tilt = kin.rotation_rpy(rng.uniform(-0.3, 0.3, 3))
+        gravity = tilt.T @ m.gravity
+        terms = dyn.dynamics_terms(m, q[m.arm_slice], qd, gravity=gravity,
+                                   a_b=a_b)
+        for new, expected in zip((terms.M, terms.bias, terms.G, terms.tau_b),
+                                 chain_stepwise.dynamics_terms(
+                                     m, q[m.arm_slice], qd, gravity=gravity,
+                                     a_b=a_b)):
+            assert_close(new, expected,
+                         atol=ATOL * max(1.0, np.max(np.abs(expected))))
+
+
+def test_rotation_rpy_matches_elementary_product():
+    rng = np.random.default_rng(24)
+    for _ in range(200):
+        rpy = rng.uniform(-np.pi, np.pi, 3)
+        assert_close(kin.rotation_rpy(rpy), chain_stepwise.rotation_rpy(rpy),
+                     atol=1e-15)

@@ -110,6 +110,19 @@ def test_simulate_malformed_value_exits_without_traceback(tmp_path):
     assert "initial_q" in proc.stderr
 
 
+@pytest.mark.parametrize("duration", [".inf", ".nan", "1.0e+9"])
+def test_simulate_unbounded_duration_exits_1_without_traceback(tmp_path,
+                                                               duration):
+    path = tmp_path / "long.yaml"
+    path.write_text("robot:\n  builtin: planar_2link\nscenario:\n"
+                    f"  duration: {duration}\n", encoding="utf-8")
+    proc = run_cli("simulate", "--config", str(path),
+                   "--out", str(tmp_path / "out"))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "duration" in proc.stderr
+
+
 def test_simulate_solver_failure_exits_2_without_traceback(tmp_path):
     path = tmp_path / "slow.yaml"
     path.write_text(NON_CONVERGING_CONFIG, encoding="utf-8")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import inertia_matrices
 from mmtrack import dynamics as dyn
 from mmtrack import kinematics as kin
 from mmtrack.model import (JointLimits, JointSpec, RobotModel,
@@ -194,3 +195,24 @@ def test_forward_dynamics_energy_conservation():
                           + (qd + dt * k3))
         qd = qd + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
     assert abs(energy(q, qd) - e0) < 1e-6
+
+
+@pytest.mark.parametrize("case", ["rank_deficient", "cond_1e13"])
+def test_forward_dynamics_rejects_singular_inertia(case):
+    n = 7
+    M = inertia_matrices(n)[case]
+    zero = np.zeros(n)
+    terms = dyn.DynamicsTerms(M=M, bias=zero, G=zero, tau_b=zero)
+    with pytest.raises(np.linalg.LinAlgError, match="numerically singular"):
+        dyn.forward_dynamics(None, None, None, np.ones(n), terms=terms)
+
+
+def test_forward_dynamics_solves_well_conditioned_inertia():
+    n = 7
+    rng = np.random.default_rng(32)
+    M = inertia_matrices(n)["well_conditioned"]
+    tau, bias, G = rng.normal(size=(3, n))
+    terms = dyn.DynamicsTerms(M=M, bias=bias, G=G, tau_b=np.zeros(n))
+    np.testing.assert_allclose(
+        dyn.forward_dynamics(None, None, None, tau, terms=terms),
+        np.linalg.solve(M, tau - bias - G), rtol=0, atol=1e-12)

@@ -18,6 +18,7 @@ from conftest import random_qp, solver_batch_problems
 from mmtrack import ftcnd, sim
 from mmtrack.ftcnd import FtcndParams
 from mmtrack.model import load_scenario
+from mmtrack.pomptc import QpProblem
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 HISTORY_RTOL = 1e-9
@@ -81,6 +82,23 @@ def test_matches_stepwise_on_cold_panda_size_qps():
     for _ in range(6):
         diag = assert_same_run(random_qp(rng, N=5, Nu=5, m_prime=7), params)
         assert diag.factorizations > 1
+
+
+@pytest.mark.parametrize("ode_step", [2.0 ** -5, 2.0 ** -4])
+def test_matches_stepwise_through_halvings_and_an_event(ode_step):
+    # min 1/2 z^2 - 4 z  s.t.  z <= 1 (the other five rows are slack),
+    # with dyadic data and steps.  At these steps a halving precedes
+    # nearly every accepted step, and the slack of z <= 1 hits zero
+    # inside a block, so the cut must roll dt and the halving count back
+    # to the event step.  The counts are not on a rounding edge: a
+    # one-ulp change of G leaves them as they are.
+    H = np.array([[1.0], [-1.0], [1.0], [1.0], [1.0], [1.0]])
+    problem = QpProblem(S=np.array([[1.0]]), G=np.array([-4.0]), H=H,
+                        w=np.array([1.0, 8.0, 8.0, 8.0, 8.0, 8.0]),
+                        t=0.01, N=1, Nu=1, m_prime=1)
+    diag = assert_same_run(problem, FtcndParams(ode_step=ode_step))
+    assert diag.converged and diag.projection_events == 1
+    assert diag.step_halvings >= diag.iterations
 
 
 def test_matches_stepwise_on_nominal_warm_starts(nominal_warm_solves):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import chain_stepwise as cs
 from mmtrack import kinematics as kin
 from mmtrack.model import builtin_panda_on_base, builtin_planar_2link
 
@@ -34,18 +35,18 @@ def test_euler_round_trip():
     for _ in range(200):
         yaw, roll = rng.uniform(-np.pi, np.pi, 2)
         pitch = rng.uniform(-1.4, 1.4)
-        R = kin.rot_z(yaw) @ kin.rot_y(pitch) @ kin.rot_x(roll)
+        R = kin.rotation_rpy((roll, pitch, yaw))
         out = kin.euler_zyx(R)
         np.testing.assert_allclose(out, [yaw, pitch, roll], atol=1e-12)
 
 
 def test_rotation_axis_matches_elementary():
     a = 0.7
-    np.testing.assert_allclose(kin.rotation_axis((0, 0, 1), a), kin.rot_z(a),
+    np.testing.assert_allclose(cs.rotation_axis((0, 0, 1), a), cs.rot_z(a),
                                atol=1e-15)
-    np.testing.assert_allclose(kin.rotation_axis((0, 1, 0), a), kin.rot_y(a),
+    np.testing.assert_allclose(cs.rotation_axis((0, 1, 0), a), cs.rot_y(a),
                                atol=1e-15)
-    np.testing.assert_allclose(kin.rotation_axis((1, 0, 0), a), kin.rot_x(a),
+    np.testing.assert_allclose(cs.rotation_axis((1, 0, 0), a), cs.rot_x(a),
                                atol=1e-15)
 
 

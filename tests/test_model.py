@@ -83,8 +83,17 @@ def test_load_scenario_rejects_bad_kappa():
     ("scenario:\n  base_motion: [1]\n", "base_motion"),
     ("scenario:\n  reference:\n    kind: waypoints\n    points:\n"
      "      - {time: 0, pose: 3}\n", "poses"),
+    ("scenario:\n  duration: .inf\n", "duration"),
+    ("scenario:\n  duration: .nan\n", "duration"),
+    ("scenario:\n  duration: 1.0e+9\n", "duration"),
+    ("scenario:\n  control_period: .nan\n", "control_period"),
+    ("scenario:\n  torque_period: .inf\n", "torque_period"),
+    ("scenario:\n  torque_period: 1.0e-9\n  control_period: 1.0e-9\n",
+     "duration"),
 ], ids=["horizon", "horizon_fraction", "control_horizon_fraction",
-        "waypoint_time", "initial_q", "base_motion", "pose"])
+        "waypoint_time", "initial_q", "base_motion", "pose",
+        "duration_inf", "duration_nan", "duration_huge", "control_period_nan",
+        "torque_period_inf", "rows_over_cap"])
 def test_load_scenario_rejects_malformed_values(section, match):
     with pytest.raises(ConfigError, match=match):
         load_scenario(MINIMAL + section)

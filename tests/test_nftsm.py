@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import inertia_matrices
 from mmtrack import dynamics, nftsm
 from mmtrack.dynamics import ErrorState
 from mmtrack.model import builtin_planar_2link
@@ -143,3 +144,34 @@ def test_lyapunov_rate_negative_outside_boundary_layer():
 def test_lyapunov_diagnostics_validation():
     with pytest.raises(ValueError):
         nftsm.lyapunov_diagnostics(np.zeros(2), np.zeros(2), 0.0)
+
+
+def _torque_with_inertia(M, bias, G):
+    n = len(bias)
+    rng = np.random.default_rng(33)
+    q, qd, q_md, qd_md, qdd_md = rng.uniform(-0.2, 0.2, (5, n))
+    terms = dynamics.DynamicsTerms(M=M, bias=bias, G=G, tau_b=np.zeros(n))
+    desired = {"q_md": q_md, "qd_md": qd_md, "qdd_md": qdd_md}
+    return nftsm.control_torque(None, q, qd, desired, make_params(),
+                                terms=terms)[0]
+
+
+@pytest.mark.parametrize("case", ["rank_deficient", "cond_1e13"])
+def test_torque_rejects_singular_inertia(case):
+    n = 7
+    M = inertia_matrices(n)[case]
+    with pytest.raises(np.linalg.LinAlgError, match="numerically singular"):
+        _torque_with_inertia(M, np.ones(n), np.ones(n))
+
+
+def test_torque_solves_well_conditioned_inertia():
+    # tau = -M (x + F) with F = -M^-1 (bias + G) - qdd_md and x free of
+    # M, so tau(M) = b - M (b - tau(I)) for b = bias + G.
+    n = 7
+    rng = np.random.default_rng(34)
+    M = inertia_matrices(n)["well_conditioned"]
+    bias, G = rng.normal(size=(2, n))
+    b = bias + G
+    tau_identity = _torque_with_inertia(np.eye(n), bias, G)
+    np.testing.assert_allclose(_torque_with_inertia(M, bias, G),
+                               b - M @ (b - tau_identity), rtol=0, atol=1e-12)
