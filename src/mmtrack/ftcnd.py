@@ -15,23 +15,32 @@ residual at exactly zero).  Along every accepted step each residual
 component decays monotonically, so hT h is non-increasing and the
 per-component finite-time bound is preserved.
 
-Segments and blocks.  Between two events the free set is fixed, so the
-reduced matrix N_red is factored once per segment, and since h is
-stepped and accepted on its own, v moves by exactly N_red^-1 (h_k - h_0)
-after k steps.  A segment is integrated in blocks: h alone is stepped
-through a block of accepted steps (step halving, the return of dt to
-ode_step, the convergence test and the finiteness check all act on h),
-then one multi-column solve with the segment's Cholesky factor (the
-inverse is never formed) gives v after every step of the block, and the
-events are looked for in those columns.  At the first step with an event
-the block is cut: the crossing fraction theta of that step is computed
-as for a single step, h, the virtual time, dt, the counters and the
-histories are rolled back to that step, the step is taken up to theta,
-the slack is clamped or released, and a new segment starts.  The first
-block of a segment is 2 steps; each block that ends without an event
-doubles the next, up to a cap.  The iterates, events and histories are
-those of a solver that solves for v and checks events after every step,
-up to rounding.
+Segments and blocks.  Between two events the free set is fixed, and
+since h is stepped and accepted on its own, v moves by exactly
+N_red^-1 (h_k - h_0) after k steps, N_red being N without the clamped
+rows and columns.  N is never formed: with r = H z + phi - w the
+residual is N v + D = [S z + G + xi H'r; xi r], and as the slack block
+of N_red is xi I, block elimination reduces N_red x = b to
+(S + xi Hc'Hc) x_z = b_z - Hf' b_f and x_f = b_f / xi - Hf x_z, where Hc
+and Hf are the clamped and the free rows of H.  So each segment factors
+only the nz x nz matrix S + xi Hc'Hc; while no row is clamped this is
+the factor of S that the convexity check computes.  A segment is
+integrated in blocks: h alone is stepped through a block of accepted
+steps, then one multi-column solve with the segment's factor (no inverse
+is formed) gives v after every step of the block, and the events are
+looked for in those columns.  Step halving, the return of dt to
+ode_step, the convergence test and the finiteness check all act on h:
+a step whose h'h is not finite raises, and a step that does not lower
+h'h is halved, so h'h strictly decreases along accepted steps
+(accepting an equal value would let a coarse step flip h to about -h
+over and over).  At the first step with an event the block is cut: the
+crossing fraction theta of that step is computed as for a single step,
+h, the virtual time, dt, the counters and the histories are rolled back
+to that step, the step is taken up to theta, the slack is clamped or
+released, and a new segment starts.  The first block of a segment is 2
+steps; each block that ends without an event doubles the next, up to a
+cap.  The iterates, events and histories are those of a solver that
+solves for v and checks events after every step, up to rounding.
 """
 from __future__ import annotations
 
@@ -39,7 +48,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 _TIKHONOV = 1e-10
 _EVENT_TOL = 1e-14
@@ -145,7 +154,7 @@ def lift(problem, xi: float):
     """Slack-variable lift of the QP into N v + D = 0.
 
     N = [[S + xi H'H, xi H'], [xi H, xi I]],  D = [G - xi H'w; -xi w],
-    v0 = [0; max(0, w)].
+    v0 = [0; max(0, w)].  The definition only: ``solve`` never forms N.
     """
     if xi <= 0:
         raise ValueError("penalty factor xi must be positive")
@@ -158,12 +167,35 @@ def lift(problem, xi: float):
     return N, D, v0
 
 
-def _factor(N_red):
-    try:
-        return cho_factor(N_red, lower=True)
-    except np.linalg.LinAlgError:
-        return cho_factor(N_red + _TIKHONOV * np.eye(N_red.shape[0]),
-                          lower=True)
+def residual(problem, v, xi: float):
+    """N v + D of the lift, without forming N:
+    [S z + G + xi H'r; xi r] with r = H z + phi - w."""
+    nz = problem.n_variables
+    z = v[:nz]
+    r = problem.H @ z + v[nz:] - problem.w
+    return np.concatenate([problem.S @ z + problem.G
+                           + xi * (problem.H.T @ r), xi * r])
+
+
+def _factor(A):
+    """Lower Cholesky factor of the symmetric A (its upper triangle is
+    not cleaned); a failed factorization is retried once with a Tikhonov
+    shift."""
+    L, info = dpotrf(A, lower=1, clean=0)
+    if info:
+        L, info = dpotrf(A + _TIKHONOV * np.eye(A.shape[0]), lower=1,
+                         clean=0)
+        if info:
+            raise np.linalg.LinAlgError("matrix is not positive definite")
+    return L
+
+
+def _reduced_solve(L, Hf, B, nz: int, xi: float):
+    """N_red^-1 B by block elimination (see the module docstring), with L
+    the Cholesky factor of S + xi Hc'Hc and Hf the free rows of H."""
+    Bf = B[nz:]
+    Xz = dpotrs(L, B[:nz] - Hf.T @ Bf, lower=1)[0]
+    return np.concatenate([Xz, Bf / xi - Hf @ Xz])
 
 
 def _first_event(V, Hc, wc, nz):
@@ -218,28 +250,27 @@ def solve(problem, params: FtcndParams, warm_start=None):
     S, H, w = problem.S, problem.H, problem.w
     nz = problem.n_variables
     nc = problem.n_constraints
-    try:
-        np.linalg.cholesky(S)
-    except np.linalg.LinAlgError:
+    xi = params.xi
+    # The factor of S is the segment factor while no row is clamped.
+    L_S, info = dpotrf(S, lower=1, clean=0)
+    if info:
         raise ValueError("QP must be strictly convex (S positive definite)")
 
-    Nmat, Dvec, v0 = lift(problem, params.xi)
     if warm_start is not None:
         v = np.array(warm_start, float, copy=True)
         if v.shape != (nz + nc,):
             raise ValueError(f"warm start must have length {nz + nc}")
         v[nz:] = np.maximum(v[nz:], 0.0)
     else:
-        v = v0.copy()
+        v = np.concatenate([np.zeros(nz), np.maximum(0.0, w)])
 
-    h_full = Nmat @ v + Dvec
-    clamped = (v[nz:] <= 0.0) & (h_full[nz:] > 0.0)
+    clamped = (v[nz:] <= 0.0) & (residual(problem, v, xi)[nz:] > 0.0)
     v[nz:][clamped] = 0.0
 
     diag = FtcndDiagnostics(converged=False, converge_time=math.inf,
                             bound_t_f=0.0, iterations=0)
     free = np.concatenate([np.arange(nz), nz + np.flatnonzero(~clamped)])
-    h = (Nmat @ v + Dvec)[free]
+    h = residual(problem, v, xi)[free]
     diag.bound_t_f = finite_time_bound(h, params.mu, params.kappa)
 
     time = 0.0
@@ -256,16 +287,16 @@ def solve(problem, params: FtcndParams, warm_start=None):
 
     while time < params.max_time and events <= max_events:
         if need_refactor:
-            free = np.concatenate([np.arange(nz),
-                                   nz + np.flatnonzero(~clamped)])
-            fac = _factor(Nmat[np.ix_(free, free)])
+            free_rows = np.flatnonzero(~clamped)
+            clamped_idx = np.flatnonzero(clamped)
+            free = np.concatenate([np.arange(nz), nz + free_rows])
+            Hc, wc, Hf = H[clamped_idx], w[clamped_idx], H[free_rows]
+            L = _factor(S + xi * (Hc.T @ Hc)) if clamped_idx.size else L_S
             diag.factorizations += 1
-            h = (Nmat @ v + Dvec)[free]
+            h = residual(problem, v, xi)[free]
             F = float(h @ h)
             h_inf = float(np.max(np.abs(h)))
             v_seg, h_seg = v[free], h
-            clamped_idx = np.flatnonzero(clamped)
-            Hc, wc = H[clamped_idx], w[clamped_idx]
             block = 2
             need_refactor = False
 
@@ -283,15 +314,15 @@ def solve(problem, params: FtcndParams, warm_start=None):
                                                  params.kappa)
             h_new = h + dh
             F_new = float(h_new @ h_new)
-            if F_new > F + 1e-16:
+            if not math.isfinite(F_new):
+                raise FtcndIntegrationError("non-finite neural state")
+            if F_new >= F:
                 dt *= 0.5
                 diag.step_halvings += 1
                 if dt < 1e-300:
                     raise FtcndIntegrationError("step size underflow")
                 continue
             h, F = h_new, F_new
-            if not math.isfinite(F):
-                raise FtcndIntegrationError("non-finite neural state")
             h_inf = float(np.abs(h).max())
             time += dt
             diag.iterations += 1
@@ -307,8 +338,8 @@ def solve(problem, params: FtcndParams, warm_start=None):
             # Column j is v[free] after j steps of the block (0: its start).
             V = np.empty((free.size, len(hs) + 1))
             V[:, 0] = v[free]
-            V[:, 1:] = v_seg[:, None] + cho_solve(
-                fac, np.column_stack(hs) - h_seg[:, None], check_finite=False)
+            V[:, 1:] = v_seg[:, None] + _reduced_solve(
+                L, Hf, np.array(hs).T - h_seg[:, None], nz, xi)
             diag.block_solves += 1
             split = _first_event(V, Hc, wc, nz)
             if split is not None:
@@ -367,10 +398,10 @@ def solve(problem, params: FtcndParams, warm_start=None):
 
     z = v[:nz].copy()
     diag.constraint_violation = problem.violation(z)
-    resid = Nmat @ v + Dvec
+    resid = residual(problem, v, xi)
     free = np.concatenate([np.arange(nz), nz + np.flatnonzero(~clamped)])
     diag.equality_residual = float(np.max(np.abs(resid[nz:][~clamped]))
-                                   / params.xi) if (~clamped).any() else 0.0
+                                   / xi) if (~clamped).any() else 0.0
     diag.final_state = NeuralState(v=v, h=resid[free], virtual_time=time)
     if not diag.converged:
         diag.converge_time = math.inf

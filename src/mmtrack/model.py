@@ -50,6 +50,10 @@ class JointSpec:
             raise ConfigError("joint axis must be a unit vector")
 
 
+_LIMIT_NAMES = ("q_lower", "q_upper", "qdot_lower", "qdot_upper",
+                "qddot_lower", "qddot_upper")
+
+
 @dataclass(frozen=True)
 class JointLimits:
     """Three-level box limits for every DOF (base DOFs first, then arm)."""
@@ -62,15 +66,17 @@ class JointLimits:
     qddot_upper: np.ndarray
 
     def __post_init__(self):
-        for name in ("q_lower", "q_upper", "qdot_lower", "qdot_upper",
-                     "qddot_lower", "qddot_upper"):
-            object.__setattr__(self, name, _freeze(getattr(self, name)))
+        for name in _LIMIT_NAMES:
+            arr = _freeze(getattr(self, name))
+            if arr.ndim != 1 or not np.isfinite(arr).all():
+                raise ConfigError(f"limits.{name}: expected a vector of "
+                                  "finite numbers")
+            object.__setattr__(self, name, arr)
         self.validate()
 
     def validate(self):
         m = len(self.q_lower)
-        for name in ("q_upper", "qdot_lower", "qdot_upper",
-                     "qddot_lower", "qddot_upper"):
+        for name in _LIMIT_NAMES[1:]:
             if len(getattr(self, name)) != m:
                 raise ConfigError(f"limits.{name}: expected length {m}, "
                                   f"got {len(getattr(self, name))}")
@@ -369,9 +375,11 @@ def _integer(sec, name, key):
 
 
 def _build_robot(sec):
+    if not isinstance(sec, dict):
+        raise ConfigError("robot: expected a mapping")
     if "builtin" in sec:
         name = sec["builtin"]
-        if name not in _BUILTINS:
+        if not isinstance(name, str) or name not in _BUILTINS:
             raise ConfigError(f"robot.builtin: unknown model {name!r}")
         model = _BUILTINS[name]()
     else:
@@ -380,18 +388,21 @@ def _build_robot(sec):
                           + ", ".join(sorted(_BUILTINS)))
     limits = sec.get("limits")
     if limits:
-        kw = {}
-        for key, attr in (("q_lower", "q_lower"), ("q_upper", "q_upper"),
-                          ("qdot_lower", "qdot_lower"), ("qdot_upper", "qdot_upper"),
-                          ("qddot_lower", "qddot_lower"), ("qddot_upper", "qddot_upper")):
-            kw[attr] = np.asarray(limits.get(key, getattr(model.limits, attr)), float)
+        if not isinstance(limits, dict):
+            raise ConfigError("robot.limits: expected a mapping")
         try:
+            kw = {name: np.asarray(limits.get(name, getattr(model.limits, name)),
+                                   float)
+                  for name in _LIMIT_NAMES}
             model = replace(model, limits=JointLimits(**kw))
-        except ConfigError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"robot.limits: {exc}") from None
     if "actuated_by_mpc" in sec:
-        mask = np.asarray(sec["actuated_by_mpc"], dtype=bool)
-        model = replace(model, actuated_by_mpc=mask)
+        try:
+            model = replace(model, actuated_by_mpc=np.asarray(
+                sec["actuated_by_mpc"], dtype=bool))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"robot.actuated_by_mpc: {exc}") from None
     return model
 
 
@@ -430,7 +441,7 @@ def load_scenario(config_document: str):
             accel=_weight_matrix(po["accel_weight"], mprime,
                                  "pomptc.accel_weight"),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"pomptc: {exc}") from None
     horizon = _integer(po, "pomptc", "horizon")
     control_horizon = _integer(po, "pomptc", "control_horizon")
@@ -457,10 +468,13 @@ def load_scenario(config_document: str):
         raise ConfigError(f"nftsm: {exc}") from None
 
     pd = _section(doc, "pd")
+    try:
+        pd_kp, pd_kd = float(pd["kp"]), float(pd["kd"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"pd: {exc}") from None
     params = ControllerParams(
         weights=weights, horizon=horizon, control_horizon=control_horizon,
-        ftcnd=ftcnd_params, nftsm=nftsm_params,
-        pd_kp=float(pd["kp"]), pd_kd=float(pd["kd"]),
+        ftcnd=ftcnd_params, nftsm=nftsm_params, pd_kp=pd_kp, pd_kd=pd_kd,
         compensate_base=bool(nf["compensate_base"]))
 
     sc = _section(doc, "scenario")

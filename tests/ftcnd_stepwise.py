@@ -1,7 +1,11 @@
 """Step-by-step FTCND integration: the reference for ``mmtrack.ftcnd.solve``.
 
-The plainest form of the integration: one ``cho_solve`` and one pair of
-event checks per accepted step.  The library solver steps the residual
+The plainest form of the integration: the reduced matrix N_red is
+gathered from the dense lift (``ftcnd.lift``) and factored, and each
+accepted step makes one ``cho_solve`` and one pair of event checks.  The
+residual N v + D is read from ``ftcnd.residual``, as in the library, so
+that both see the same exact zeros.  The library solver never forms N:
+it factors the nz x nz Schur complement S + xi Hc'Hc, steps the residual
 alone and solves for ``v`` once per block of steps; it must reproduce
 this loop's iterations, events, halvings and histories
 (``tests/test_ftcnd_segments.py``).
@@ -15,7 +19,7 @@ from scipy.linalg import cho_solve
 
 from mmtrack.ftcnd import (_EVENT_TOL, FtcndDiagnostics, FtcndIntegrationError,
                            NeuralState, _factor, finite_time_bound,
-                           li_activation, lift)
+                           li_activation, lift, residual)
 
 
 def solve(problem, params, warm_start=None):
@@ -35,7 +39,8 @@ def solve(problem, params, warm_start=None):
     except np.linalg.LinAlgError:
         raise ValueError("QP must be strictly convex (S positive definite)")
 
-    Nmat, Dvec, v0 = lift(problem, params.xi)
+    xi = params.xi
+    Nmat, _, v0 = lift(problem, xi)
     if warm_start is not None:
         v = np.array(warm_start, float, copy=True)
         if v.shape != (nz + nc,):
@@ -44,14 +49,13 @@ def solve(problem, params, warm_start=None):
     else:
         v = v0.copy()
 
-    h_full = Nmat @ v + Dvec
-    clamped = (v[nz:] <= 0.0) & (h_full[nz:] > 0.0)
+    clamped = (v[nz:] <= 0.0) & (residual(problem, v, xi)[nz:] > 0.0)
     v[nz:][clamped] = 0.0
 
     diag = FtcndDiagnostics(converged=False, converge_time=math.inf,
                             bound_t_f=0.0, iterations=0)
     free = np.concatenate([np.arange(nz), nz + np.flatnonzero(~clamped)])
-    h = (Nmat @ v + Dvec)[free]
+    h = residual(problem, v, xi)[free]
     diag.bound_t_f = finite_time_bound(h, params.mu, params.kappa)
 
     time = 0.0
@@ -71,8 +75,8 @@ def solve(problem, params, warm_start=None):
         if need_refactor:
             free = np.concatenate([np.arange(nz),
                                    nz + np.flatnonzero(~clamped)])
-            fac = _factor(Nmat[np.ix_(free, free)])
-            h = (Nmat @ v + Dvec)[free]
+            fac = (_factor(Nmat[np.ix_(free, free)]), True)
+            h = residual(problem, v, xi)[free]
             F = float(h @ h)
             slack_local = np.arange(nz, free.size)
             need_refactor = False
@@ -99,7 +103,9 @@ def solve(problem, params, warm_start=None):
                                              params.kappa)
         h_new = h + dh
         F_new = float(h_new @ h_new)
-        if F_new > F + 1e-16:
+        if not math.isfinite(F_new):
+            raise FtcndIntegrationError("non-finite neural state")
+        if F_new >= F:
             dt *= 0.5
             diag.step_halvings += 1
             if dt < 1e-300:
@@ -134,8 +140,6 @@ def solve(problem, params, warm_start=None):
         v[free] += theta * dv
         h = h + theta * dh
         F = float(h @ h)
-        if not np.isfinite(F):
-            raise FtcndIntegrationError("non-finite neural state")
         time += theta * dt
         diag.iterations += 1
         diag.time_history.append(time)
@@ -164,10 +168,10 @@ def solve(problem, params, warm_start=None):
 
     z = v[:nz].copy()
     diag.constraint_violation = problem.violation(z)
-    resid = Nmat @ v + Dvec
+    resid = residual(problem, v, xi)
     free = np.concatenate([np.arange(nz), nz + np.flatnonzero(~clamped)])
     diag.equality_residual = float(np.max(np.abs(resid[nz:][~clamped]))
-                                   / params.xi) if (~clamped).any() else 0.0
+                                   / xi) if (~clamped).any() else 0.0
     diag.final_state = NeuralState(v=v, h=resid[free], virtual_time=time)
     if not diag.converged:
         diag.converge_time = math.inf

@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import hand_qp, random_qp
+import ftcnd_stepwise
+from conftest import hand_qp, random_qp, solver_batch_problems
 from mmtrack import ftcnd, qp_oracle
 from mmtrack.ftcnd import FtcndParams
 from mmtrack.pomptc import QpProblem
@@ -75,6 +76,80 @@ def test_lift_structure_hand_instance():
     np.testing.assert_allclose(v0, np.concatenate([[0.0], p.w]), atol=1e-15)
     with pytest.raises(ValueError):
         ftcnd.lift(p, 0.0)
+
+
+@pytest.mark.parametrize("clamp", ["none", "some", "all"])
+def test_reduced_solve_matches_dense_lift(clamp):
+    # Block elimination against a dense solve of the reduced lift.
+    rng = np.random.default_rng(11)
+    p = random_qp(rng, N=5, Nu=5, m_prime=7)
+    xi, nz, nc = 5.0, p.n_variables, p.n_constraints
+    clamped = {"none": np.zeros(nc, bool), "some": rng.random(nc) < 0.3,
+               "all": np.ones(nc, bool)}[clamp]
+    Hc, Hf = p.H[clamped], p.H[~clamped]
+    L = ftcnd._factor(p.S + xi * Hc.T @ Hc)
+    N, _, _ = ftcnd.lift(p, xi)
+    free = np.concatenate([np.arange(nz), nz + np.flatnonzero(~clamped)])
+    B = rng.normal(size=(free.size, 4))
+    x = ftcnd._reduced_solve(L, Hf, B, nz, xi)
+    x_ref = np.linalg.solve(N[np.ix_(free, free)], B)
+    assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+
+
+def test_final_state_matches_lift_residual():
+    # final_state.h and equality_residual are read from N v + D, with the
+    # clamped slacks (exactly zero at the end) left out.
+    rng = np.random.default_rng(5)
+    params = FtcndParams(ode_step=1e-3)
+    events = 0
+    for _ in range(20):
+        p = random_qp(rng)
+        nz = p.n_variables
+        _, diag = ftcnd.solve(p, params)
+        events += diag.projection_events
+        v, h = diag.final_state.v, diag.final_state.h
+        N, D, _ = ftcnd.lift(p, params.xi)
+        full = N @ v + D
+        scale = float(np.max(np.abs(N) @ np.abs(v) + np.abs(D)))
+        np.testing.assert_allclose(ftcnd.residual(p, v, params.xi), full,
+                                   rtol=0, atol=1e-12 * scale)
+        free_rows = v[nz:] != 0.0
+        assert h.size == nz + np.count_nonzero(free_rows)
+        np.testing.assert_allclose(
+            h, np.concatenate([full[:nz], full[nz:][free_rows]]),
+            rtol=0, atol=1e-12 * scale)
+        assert diag.equality_residual == pytest.approx(
+            np.max(np.abs(full[nz:][free_rows])) / params.xi,
+            rel=0, abs=1e-12 * scale)
+    assert events > 0
+
+
+def test_solve_never_forms_the_lift(monkeypatch):
+    def no_lift(problem, xi):
+        raise AssertionError("solve formed the lifted matrix N")
+
+    monkeypatch.setattr(ftcnd, "lift", no_lift)
+    params = FtcndParams(ode_step=1e-3)
+    for p in solver_batch_problems():
+        _, diag = ftcnd.solve(p, params)
+        assert diag.converged
+
+
+@pytest.mark.parametrize("solve", [ftcnd.solve, ftcnd_stepwise.solve],
+                         ids=["segmented", "stepwise"])
+@pytest.mark.parametrize("ode_step", [2.0 ** -6, 2.0 ** -5, 0.02])
+def test_coarse_step_converges_with_strict_descent(solve, ode_step):
+    # min 1/2 z^2 - 4 z  s.t.  z <= 100 (six copies of the row): no row
+    # is active, and near h = 0 a coarse step overshoots.  A step that
+    # does not lower h'h must be halved; accepting it flips h to about
+    # -h over and over and never settles.
+    problem = QpProblem(S=np.array([[1.0]]), G=np.array([-4.0]),
+                        H=np.ones((6, 1)), w=np.full(6, 100.0),
+                        t=0.01, N=1, Nu=1, m_prime=1)
+    z, diag = solve(problem, FtcndParams(ode_step=ode_step))
+    assert diag.converged
+    assert np.all(np.diff(diag.f_history) < 0.0)
+    assert z[0] == pytest.approx(4.0, abs=1e-8)
 
 
 def test_solve_hand_instance_matches_penalized_value():

@@ -1,9 +1,19 @@
+import copy
+import functools
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mmtrack.model import (ConfigError, JointLimits, JointSpec,
                            builtin_panda_on_base, builtin_planar_2link,
                            load_scenario, serialize_scenario)
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 MINIMAL = """
 robot:
@@ -109,6 +119,15 @@ def test_load_scenario_rejects_unknown_builtin():
         load_scenario("robot:\n  builtin: ur5\n")
 
 
+@pytest.mark.parametrize("robot", [
+    "3", "[builtin]", "{builtin: [panda_on_base]}", "{builtin: {a: 1}}",
+    "{builtin: 3}", "{builtin: null}",
+], ids=["scalar", "list", "name_list", "name_dict", "name_int", "name_null"])
+def test_load_scenario_rejects_malformed_robot(robot):
+    with pytest.raises(ConfigError, match="robot"):
+        load_scenario(f"robot: {robot}\n")
+
+
 def test_load_scenario_limit_override_validated():
     doc = """
 robot:
@@ -118,6 +137,18 @@ robot:
     q_upper: [1.0, 1.0]
 """
     with pytest.raises(ConfigError, match="index 0"):
+        load_scenario(doc)
+
+
+@pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
+def test_load_scenario_rejects_non_finite_limits(value):
+    doc = f"""
+robot:
+  builtin: planar_2link
+  limits:
+    q_lower: [-1.0, {value}]
+"""
+    with pytest.raises(ConfigError, match="q_lower: expected a vector of finite"):
         load_scenario(doc)
 
 
@@ -141,3 +172,78 @@ scenario:
     assert params2.ftcnd == params.ftcnd
     assert params2.nftsm == params.nftsm
     assert script2 == script
+
+
+@functools.lru_cache(maxsize=None)
+def _fuzz_seeds():
+    """The shipped configs as written and with every default spelled out
+    (serialize_scenario), so that a mutation can reach every key."""
+    docs = {}
+    for path in sorted(CONFIG_DIR.glob("*.yaml")):
+        text = path.read_text(encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # nominal_circle sets r3 = 1
+            full = serialize_scenario(*load_scenario(text))
+        docs[path.stem] = yaml.safe_load(text)
+        docs[path.stem + "_full"] = yaml.safe_load(full)
+    return docs
+
+
+def _keys(node):
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield key
+            yield from _keys(child)
+    elif isinstance(node, list):
+        for child in node:
+            yield from _keys(child)
+
+
+# Values a mutation puts into a config: wrong types, non-finite and
+# extreme numbers, the configs' own keys and keywords, nested containers.
+_WORDS = st.sampled_from(sorted(
+    {"", "auto", "circle", "waypoints", "sinusoid", "tilt", "static",
+     "none", "x", "panda_on_base", "planar_2link"}
+    | {key for doc in _fuzz_seeds().values() for key in _keys(doc)}))
+_LEAVES = st.one_of(st.none(), st.booleans(), _WORDS,
+                    st.integers(-10 ** 4, 10 ** 4), st.floats(),
+                    st.sampled_from([0, 1e-12, 1e9, 1e300, -1.0]),
+                    st.lists(st.floats(-10.0, 10.0), max_size=14))
+_VALUES = st.recursive(
+    _LEAVES, lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(_WORDS, inner, max_size=3)),
+    max_leaves=8)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_load_scenario_fuzz_raises_only_config_error(data):
+    # Up to three times, walk down a shipped config to a random depth and
+    # replace, delete or add an entry there; loading must then succeed
+    # or raise ConfigError.
+    seeds = _fuzz_seeds()
+    doc = copy.deepcopy(seeds[data.draw(st.sampled_from(sorted(seeds)))])
+    for _ in range(data.draw(st.integers(1, 3))):
+        parent, key, node = None, None, doc
+        while isinstance(node, (dict, list)) and node and (
+                parent is None or data.draw(st.booleans())):
+            parent, key = node, data.draw(st.sampled_from(
+                list(node) if isinstance(node, dict) else range(len(node))))
+            node = parent[key]
+        if parent is None:
+            break
+        action = data.draw(st.sampled_from(["replace", "delete", "add"]))
+        if action == "delete":
+            del parent[key]
+        elif action == "add" and isinstance(parent, dict):
+            parent[data.draw(_WORDS)] = data.draw(_VALUES)
+        else:
+            parent[key] = data.draw(_VALUES)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            load_scenario(yaml.safe_dump(doc))
+        except ConfigError:
+            pass
