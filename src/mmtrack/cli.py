@@ -203,20 +203,15 @@ def cmd_compare(args) -> int:
         trace.to_csv(out_dir / f"trace_{name}.csv")
         summary[name] = sim.error_metrics(trace, settle, model=model)
 
-    first = traces[controllers[0]]
+    head = ["time"] + [f"{c}_pos_err" for c in controllers] \
+        + [f"{c}_ori_err" for c in controllers]
+    cols = [traces[controllers[0]].time] \
+        + [np.max(np.abs(traces[c].err_pos), axis=1) for c in controllers] \
+        + [np.max(np.abs(traces[c].err_ori), axis=1) for c in controllers]
     with open(out_dir / "errors.csv", "w", encoding="utf-8",
               newline="\n") as fh:
-        head = ["time"] + [f"{c}_pos_err" for c in controllers] \
-            + [f"{c}_ori_err" for c in controllers]
-        fh.write(",".join(head) + "\n")
-        pos = {c: np.max(np.abs(traces[c].err_pos), axis=1)
-               for c in controllers}
-        ori = {c: np.max(np.abs(traces[c].err_ori), axis=1)
-               for c in controllers}
-        for i, t in enumerate(first.time):
-            row = [t] + [pos[c][i] for c in controllers] \
-                + [ori[c][i] for c in controllers]
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        np.savetxt(fh, np.column_stack(cols), fmt="%.17g", delimiter=",",
+                   header=",".join(head), comments="")
 
     (out_dir / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n",

@@ -112,10 +112,6 @@ class FtcndDiagnostics:
     equality_residual: float = 0.0
     final_state: NeuralState | None = None
 
-    @property
-    def within_bound(self) -> bool:
-        return self.converge_time <= self.bound_t_f + 1e-12
-
 
 def signed_power(h, p):
     """Lip^p: sign(h) |h|^p elementwise, zero at zero."""
@@ -264,13 +260,14 @@ def solve(problem, params: FtcndParams, warm_start=None):
     else:
         v = np.concatenate([np.zeros(nz), np.maximum(0.0, w)])
 
-    clamped = (v[nz:] <= 0.0) & (residual(problem, v, xi)[nz:] > 0.0)
+    resid = residual(problem, v, xi)
+    clamped = (v[nz:] <= 0.0) & (resid[nz:] > 0.0)
     v[nz:][clamped] = 0.0
 
     diag = FtcndDiagnostics(converged=False, converge_time=math.inf,
                             bound_t_f=0.0, iterations=0)
     free = np.concatenate([np.arange(nz), nz + np.flatnonzero(~clamped)])
-    h = residual(problem, v, xi)[free]
+    h = resid[free]
     diag.bound_t_f = finite_time_bound(h, params.mu, params.kappa)
 
     time = 0.0
@@ -293,9 +290,10 @@ def solve(problem, params: FtcndParams, warm_start=None):
             Hc, wc, Hf = H[clamped_idx], w[clamped_idx], H[free_rows]
             L = _factor(S + xi * (Hc.T @ Hc)) if clamped_idx.size else L_S
             diag.factorizations += 1
-            h = residual(problem, v, xi)[free]
-            F = float(h @ h)
-            h_inf = float(np.max(np.abs(h)))
+            if diag.factorizations > 1:   # the first starts from h above
+                h = residual(problem, v, xi)[free]
+                F = float(h @ h)
+                h_inf = float(np.max(np.abs(h)))
             v_seg, h_seg = v[free], h
             block = 2
             need_refactor = False
@@ -407,11 +405,3 @@ def solve(problem, params: FtcndParams, warm_start=None):
         diag.converge_time = math.inf
     return z, diag
 
-
-def diagnostics_to_csv(diag: FtcndDiagnostics, path):
-    """Write the solver trace (virtual_time, h_inf, F_value) as CSV."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("virtual_time,h_inf,F_value\n")
-        for t, hi, f in zip(diag.time_history, diag.h_inf_history,
-                            diag.f_history):
-            fh.write(f"{t:.17g},{hi:.17g},{f:.17g}\n")

@@ -29,11 +29,14 @@ def wrap_angle(a):
 
 
 def rotation_rpy(rpy):
-    """Fixed-frame rotation Rz(yaw) Ry(pitch) Rx(roll), closed form."""
+    """Fixed-frame rotation Rz(yaw) Ry(pitch) Rx(roll), closed form, of
+    the [roll, pitch, yaw] in the last axis of ``rpy``: shape (..., 3, 3)."""
+    rpy = np.moveaxis(np.asarray(rpy), -1, 0)
     (cr, cp, cy), (sr, sp, sy) = np.cos(rpy), np.sin(rpy)
-    return np.array([[cy * cp, cy * sp * sr - sy * cr, cy * sp * cr + sy * sr],
-                     [sy * cp, sy * sp * sr + cy * cr, sy * sp * cr - cy * sr],
-                     [-sp, cp * sr, cp * cr]])
+    R = np.array([[cy * cp, cy * sp * sr - sy * cr, cy * sp * cr + sy * sr],
+                  [sy * cp, sy * sp * sr + cy * cr, sy * sp * cr - cy * sr],
+                  [-sp, cp * sr, cp * cr]])
+    return np.moveaxis(R, (0, 1), (-2, -1))
 
 
 def axis_skew(axis):
@@ -43,16 +46,14 @@ def axis_skew(axis):
 
 
 def euler_zyx(R):
-    """Extract [yaw, pitch, roll] from a rotation matrix."""
-    pitch = np.arcsin(np.clip(-R[2, 0], -1.0, 1.0))
-    if abs(np.cos(pitch)) < PITCH_SINGULARITY_TOL:
-        # Gimbal lock: yaw/roll are coupled; pick roll = 0.
-        yaw = np.arctan2(-R[0, 1], R[1, 1])
-        roll = 0.0
-    else:
-        yaw = np.arctan2(R[1, 0], R[0, 0])
-        roll = np.arctan2(R[2, 1], R[2, 2])
-    return np.array([yaw, pitch, roll])
+    """Extract [yaw, pitch, roll] from rotation matrices (..., 3, 3)."""
+    pitch = np.arcsin(np.clip(-R[..., 2, 0], -1.0, 1.0))
+    # Gimbal lock: yaw/roll are coupled; pick roll = 0.
+    lock = np.abs(np.cos(pitch)) < PITCH_SINGULARITY_TOL
+    yaw = np.where(lock, np.arctan2(-R[..., 0, 1], R[..., 1, 1]),
+                   np.arctan2(R[..., 1, 0], R[..., 0, 0]))
+    roll = np.where(lock, 0.0, np.arctan2(R[..., 2, 1], R[..., 2, 2]))
+    return np.stack([yaw, pitch, roll], axis=-1)
 
 
 def euler_rate_matrix(yaw, pitch):
@@ -65,24 +66,26 @@ def euler_rate_matrix(yaw, pitch):
 
 
 def rotation_vector(R):
-    """Axis-angle (rotation vector) of a rotation matrix."""
-    angle = np.arccos(np.clip((np.trace(R) - 1.0) / 2.0, -1.0, 1.0))
-    if angle < 1e-12:
-        return np.zeros(3)
-    skew = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
-    if np.pi - angle < 1e-6:
-        # Near pi: use the symmetric part.
-        A = (R + np.eye(3)) / 2.0
-        axis = np.sqrt(np.maximum(np.diag(A), 0.0))
-        axis *= np.sign(skew) + (np.sign(skew) == 0)
-        axis /= np.linalg.norm(axis)
-        return angle * axis
-    return angle * skew / (2.0 * np.sin(angle))
+    """Axis-angle (rotation vector) of rotation matrices (..., 3, 3)."""
+    diag = np.diagonal(R, axis1=-2, axis2=-1)
+    angle = np.arccos(np.clip((diag.sum(axis=-1) - 1.0) / 2.0,
+                              -1.0, 1.0))[..., None]
+    skew = np.stack([R[..., 2, 1] - R[..., 1, 2], R[..., 0, 2] - R[..., 2, 0],
+                     R[..., 1, 0] - R[..., 0, 1]], axis=-1)
+    small, near_pi = angle < 1e-12, np.pi - angle < 1e-6
+    # Near pi the axis comes from the symmetric part (R + I) / 2.
+    axis = np.sqrt(np.maximum((diag + 1.0) / 2.0, 0.0))
+    axis *= np.sign(skew) + (np.sign(skew) == 0)
+    axis /= np.linalg.norm(axis, axis=-1, keepdims=True)
+    sin = np.sin(np.where(small | near_pi, 1.0, angle))
+    return np.where(small, 0.0, np.where(near_pi, angle * axis,
+                                         angle * skew / (2.0 * sin)))
 
 
 @dataclass(frozen=True)
 class Pose:
-    """End-effector position (m) and Z-Y-X Euler orientation (rad)."""
+    """End-effector position (m) and Z-Y-X Euler orientation (rad), in
+    the last axis: a Pose may hold a batch of poses."""
 
     position: np.ndarray
     orientation: np.ndarray  # [yaw, pitch, roll]
@@ -94,12 +97,12 @@ class Pose:
                            wrap_angle(np.asarray(self.orientation, float)))
 
     def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.position, self.orientation])
+        return np.concatenate([self.position, self.orientation], axis=-1)
 
     @staticmethod
     def from_vector(v) -> "Pose":
         v = np.asarray(v, float)
-        return Pose(v[:3], v[3:6])
+        return Pose(v[..., :3], v[..., 3:6])
 
 
 @dataclass(frozen=True)
@@ -273,4 +276,4 @@ def pose_error(pose: Pose, ref: Pose) -> np.ndarray:
     return np.concatenate([
         pose.position - ref.position,
         wrap_angle(pose.orientation - ref.orientation),
-    ])
+    ], axis=-1)

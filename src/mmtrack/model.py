@@ -144,6 +144,9 @@ class RobotModel:
             raise ConfigError("link_com_offsets must be (n, 3)")
         if self.actuated_by_mpc.shape != (m,):
             raise ConfigError("actuated_by_mpc mask length must equal total DOF")
+        if not self.actuated_by_mpc.any():
+            raise ConfigError("actuated_by_mpc mask has no true entry: the "
+                              "predictive layer needs at least one DOF")
 
     @property
     def total_dof(self) -> int:
@@ -322,20 +325,11 @@ _DEFAULTS = {
     "nftsm": {"alpha": 1.0, "beta": 1.0, "r1": 1.8, "r2": 1.6, "r3": 1.0,
               "c1": 20.0, "c2": 0.6, "delta": 0.05, "compensate_base": True},
     "pd": {"kp": 60.0, "kd": 25.0},
-    "scenario": {"duration": 10.0, "control_period": 0.01,
-                 "torque_period": 0.001,
-                 "initial_q": None,
-                 "reference": {"kind": "circle", "center": "auto",
-                               "radius": 0.1,
-                               "angular_rate": 2 * math.pi / 10.0,
-                               "orientation": "auto"},
-                 "base_motion": {"kind": "static"},
-                 "disturbance": {"kind": "none"}},
 }
 
 
-def _section(doc, key):
-    sec = dict(_DEFAULTS.get(key, {}))
+def _section(doc, key, defaults=None):
+    sec = dict(_DEFAULTS[key] if defaults is None else defaults)
     user = doc.get(key, {})
     if user is None:
         user = {}
@@ -477,7 +471,8 @@ def load_scenario(config_document: str):
         ftcnd=ftcnd_params, nftsm=nftsm_params, pd_kp=pd_kp, pd_kd=pd_kd,
         compensate_base=bool(nf["compensate_base"]))
 
-    sc = _section(doc, "scenario")
+    # The scenario defaults are ScenarioScript's own.
+    sc = _section(doc, "scenario", _sim.ScenarioScript().to_config())
     try:
         script = _sim.ScenarioScript.from_config(sc, model)
     except (TypeError, ValueError) as exc:

@@ -12,7 +12,7 @@ enabled, the same term is fed forward by the controller.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -23,6 +23,9 @@ from .model import ControllerParams, RobotModel
 _AXIS_NAMES = {"x": 0, "y": 1, "z": 2, "yaw": 3, "pitch": 4, "roll": 5}
 # Most torque-rate rows a run may record (about 0.7 GB for 13 DOFs).
 MAX_TRACE_ROWS = 1_000_000
+# Trace rows per batch of the pose and error columns, which bounds the
+# derivation's temporaries whatever the trace length.
+POSE_BLOCK_ROWS = 256
 
 
 class SimulationError(RuntimeError):
@@ -38,9 +41,113 @@ def _as_vector(value, length, name):
     return arr
 
 
+def _base_motion(spec: dict):
+    """Base generalized position, velocity and acceleration (q, v, a) as
+    a function of time t, from ``base_motion``."""
+    kind = spec.get("kind", "static")
+    if kind in ("static", "tilt"):
+        pose = np.zeros(6)
+        if kind == "static":
+            pose[:] = np.asarray(spec.get("pose", 0.0), float)
+        else:
+            pose[4] = float(spec.get("angle", 0.21))
+        return lambda t: (pose.copy(), np.zeros(6), np.zeros(6))
+    if kind != "sinusoid":
+        raise ValueError(f"base_motion.kind: unknown kind {kind!r}")
+    axis = spec.get("axis", "x")
+    if isinstance(axis, str) and axis not in _AXIS_NAMES:
+        raise ValueError(f"base_motion.axis: unknown axis {axis!r}")
+    idx = _AXIS_NAMES[axis] if isinstance(axis, str) else int(axis)
+    A = float(spec.get("amplitude", 0.1))
+    om = 2.0 * math.pi * float(spec.get("frequency", 0.5))
+    ph = float(spec.get("phase", 0.0))
+
+    def state(t):
+        q, v, a = np.zeros(6), np.zeros(6), np.zeros(6)
+        q[idx] = A * math.sin(om * t + ph)
+        v[idx] = A * om * math.cos(om * t + ph)
+        a[idx] = -A * om * om * math.sin(om * t + ph)
+        return q, v, a
+    return state
+
+
+def _reference(spec: dict):
+    """Reference pose vectors [x, y, z, yaw, pitch, roll] at ``times``
+    (any shape; the result has shape ``times.shape + (6,)``) as a
+    function of (times, initial pose), from ``reference``.  The angles
+    are not wrapped yet: :class:`Pose` wraps them."""
+    kind = spec.get("kind", "circle")
+    if kind == "circle":
+        r = float(spec.get("radius", 0.0))
+        if r < 0:
+            raise ValueError("reference.radius must be non-negative")
+        center, ori = spec.get("center", "auto"), spec.get("orientation", "auto")
+        center = None if isinstance(center, str) else np.asarray(center, float)
+        ori = None if isinstance(ori, str) else np.asarray(ori, float)
+        for name, value in (("center", center), ("orientation", ori)):
+            if value is not None and value.shape != (3,):
+                raise ValueError(f"reference.{name} must have 3 entries")
+        om = float(spec.get("angular_rate", 0.0))
+
+        def circle(t, initial_pose):
+            t = np.asarray(t, float)
+            c = initial_pose.position - np.array([r, 0.0, 0.0]) \
+                if center is None else center
+            o = initial_pose.orientation if ori is None else ori
+            pos = c + r * np.stack([np.cos(om * t), np.sin(om * t),
+                                    np.zeros_like(t)], axis=-1)
+            return np.concatenate([pos, np.broadcast_to(o, pos.shape)],
+                                  axis=-1)
+        return circle
+    if kind != "waypoints":
+        raise ValueError(f"reference.kind: unknown kind {kind!r}")
+    pts = spec.get("points")
+    if not isinstance(pts, list) or not pts:
+        raise ValueError("reference.points must be a non-empty list")
+    if not all(isinstance(p, dict) and "time" in p and "pose" in p
+               for p in pts):
+        raise ValueError("reference.points: every point needs a "
+                         "time and a pose")
+    times = np.array([float(p["time"]) for p in pts])
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("reference.points times must increase")
+    if any(np.shape(p["pose"]) != (6,) for p in pts):
+        raise ValueError("reference.points poses must have 6 entries")
+    poses = np.array([p["pose"] for p in pts], float)
+    return lambda t, initial_pose: np.stack(
+        [np.interp(np.asarray(t, float), times, poses[:, k])
+         for k in range(6)], axis=-1)
+
+
+def _disturbance(spec: dict):
+    """External joint torque as a function of (time, n), from
+    ``disturbance``."""
+    kind = spec.get("kind", "none")
+    if kind == "none":
+        return lambda t, n: np.zeros(n)
+    if kind == "step":
+        t_on, value = float(spec.get("time", 0.0)), spec.get("value", 0.0)
+        return lambda t, n: _as_vector(value, n, "disturbance.value") \
+            if t >= t_on else np.zeros(n)
+    if kind != "sinusoid":
+        raise ValueError(f"disturbance.kind: unknown kind {kind!r}")
+    amplitude = spec.get("amplitude", 0.0)
+    om = 2.0 * math.pi * float(spec.get("frequency", 1.0))
+    ph = float(spec.get("phase", 0.0))
+    return lambda t, n: _as_vector(amplitude, n, "disturbance.amplitude") \
+        * math.sin(om * t + ph)
+
+
 @dataclass(frozen=True)
 class ScenarioScript:
-    """Validated scenario: timing, reference, base motion, disturbance."""
+    """Validated scenario: timing, reference, base motion, disturbance.
+
+    Construction resolves each ``kind`` once into a time function
+    (``dataclasses.replace`` resolves them again): ``base_state(t)``,
+    ``reference_path(times, initial_pose)`` and
+    ``disturbance_torque(t, n)``, built by :func:`_base_motion`,
+    :func:`_reference` and :func:`_disturbance`.
+    """
 
     duration: float = 10.0
     control_period: float = 0.01
@@ -65,37 +172,10 @@ class ScenarioScript:
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("control_period must be an integer multiple "
                              "of torque_period")
-        ref = dict(self.reference)
-        kind = ref.get("kind", "circle")
-        if kind == "circle":
-            if float(ref.get("radius", 0.0)) < 0:
-                raise ValueError("reference.radius must be non-negative")
-        elif kind == "waypoints":
-            pts = ref.get("points")
-            if not isinstance(pts, list) or not pts:
-                raise ValueError("reference.points must be a non-empty list")
-            if not all(isinstance(p, dict) and "time" in p and "pose" in p
-                       for p in pts):
-                raise ValueError("reference.points: every point needs a "
-                                 "time and a pose")
-            times = [float(p["time"]) for p in pts]
-            if any(b <= a for a, b in zip(times, times[1:])):
-                raise ValueError("reference.points times must increase")
-            for p in pts:
-                if np.shape(p["pose"]) != (6,):
-                    raise ValueError("reference.points poses must have 6 entries")
-        else:
-            raise ValueError(f"reference.kind: unknown kind {kind!r}")
-        bm = self.base_motion.get("kind", "static")
-        if bm not in ("static", "sinusoid", "tilt"):
-            raise ValueError(f"base_motion.kind: unknown kind {bm!r}")
-        if bm == "sinusoid":
-            axis = self.base_motion.get("axis", "x")
-            if isinstance(axis, str) and axis not in _AXIS_NAMES:
-                raise ValueError(f"base_motion.axis: unknown axis {axis!r}")
-        dk = self.disturbance.get("kind", "none")
-        if dk not in ("none", "step", "sinusoid"):
-            raise ValueError(f"disturbance.kind: unknown kind {dk!r}")
+        object.__setattr__(self, "reference_path", _reference(self.reference))
+        object.__setattr__(self, "base_state", _base_motion(self.base_motion))
+        object.__setattr__(self, "disturbance_torque",
+                           _disturbance(self.disturbance))
 
     @staticmethod
     def from_config(sec: dict, model: RobotModel) -> "ScenarioScript":
@@ -126,155 +206,107 @@ class ScenarioScript:
         return script
 
     def to_config(self) -> dict:
-        out = {
-            "duration": self.duration,
-            "control_period": self.control_period,
-            "torque_period": self.torque_period,
-            "reference": dict(self.reference),
-            "base_motion": dict(self.base_motion),
-            "disturbance": dict(self.disturbance),
-        }
+        out = asdict(self)
         out["initial_q"] = list(self.initial_q) if self.initial_q else None
         return out
 
-    # --- time functions -------------------------------------------------
-
-    def base_state(self, t: float):
-        """Base generalized position, velocity, acceleration at time t."""
-        q = np.zeros(6)
-        v = np.zeros(6)
-        a = np.zeros(6)
-        bm = self.base_motion
-        kind = bm.get("kind", "static")
-        if kind == "static":
-            if "pose" in bm:
-                q[:] = np.asarray(bm["pose"], float)
-        elif kind == "tilt":
-            q[4] = float(bm.get("angle", 0.21))
-        else:  # sinusoid
-            axis = bm.get("axis", "x")
-            idx = _AXIS_NAMES[axis] if isinstance(axis, str) else int(axis)
-            A = float(bm.get("amplitude", 0.1))
-            om = 2.0 * math.pi * float(bm.get("frequency", 0.5))
-            ph = float(bm.get("phase", 0.0))
-            q[idx] = A * math.sin(om * t + ph)
-            v[idx] = A * om * math.cos(om * t + ph)
-            a[idx] = -A * om * om * math.sin(om * t + ph)
-        return q, v, a
-
     def reference_pose(self, t: float, initial_pose: Pose) -> Pose:
-        ref = self.reference
-        if ref.get("kind", "circle") == "circle":
-            r = float(ref.get("radius", 0.0))
-            center = ref.get("center", "auto")
-            if isinstance(center, str):
-                center = initial_pose.position - np.array([r, 0.0, 0.0])
-            else:
-                center = np.asarray(center, float)
-            ori = ref.get("orientation", "auto")
-            if isinstance(ori, str):
-                ori = initial_pose.orientation
-            om = float(ref.get("angular_rate", 0.0))
-            pos = center + r * np.array([math.cos(om * t), math.sin(om * t), 0.0])
-            return Pose(pos, np.asarray(ori, float))
-        pts = ref["points"]
-        times = np.array([p["time"] for p in pts], float)
-        poses = np.array([p["pose"] for p in pts], float)
-        vec = np.array([np.interp(t, times, poses[:, k]) for k in range(6)])
-        return Pose.from_vector(vec)
+        return Pose.from_vector(self.reference_path(t, initial_pose))
 
-    def disturbance_torque(self, t: float, n: int) -> np.ndarray:
-        d = self.disturbance
-        kind = d.get("kind", "none")
-        if kind == "none":
-            return np.zeros(n)
-        if kind == "step":
-            if t >= float(d.get("time", 0.0)):
-                return _as_vector(d.get("value", 0.0), n, "disturbance.value")
-            return np.zeros(n)
-        A = _as_vector(d.get("amplitude", 0.0), n, "disturbance.amplitude")
-        om = 2.0 * math.pi * float(d.get("frequency", 1.0))
-        return A * math.sin(om * t + float(d.get("phase", 0.0)))
+    def __reduce__(self):
+        # Pickle the fields only: the time functions are closures.
+        return ScenarioScript, tuple(getattr(self, f.name)
+                                     for f in fields(self))
+
+
+_POSE = ("x", "y", "z", "yaw", "pitch", "roll")
+
+
+def _columns(suffixes=None, stem=None):
+    """A trace field's columns: ``stem_<suffix>`` per suffix ("m" and "n"
+    number the total and the arm DOFs), or one column ``stem`` without
+    suffixes.  The stem defaults to the field name."""
+    return field(metadata={"suffixes": suffixes, "stem": stem})
 
 
 @dataclass
 class SimTrace:
-    """Column-oriented record of one closed-loop run (torque-rate rows)."""
+    """Column-oriented record of one closed-loop run (torque-rate rows).
 
-    time: np.ndarray
-    q: np.ndarray          # (T, m)
-    qdot: np.ndarray       # (T, m)
-    qddot: np.ndarray      # (T, m)
-    tau: np.ndarray        # (T, n)
-    tau_b: np.ndarray      # (T, n)
-    tau_d: np.ndarray      # (T, n)
-    pose: np.ndarray       # (T, 6)
-    pose_ref: np.ndarray   # (T, 6)
-    err_pos: np.ndarray    # (T, 3)
-    err_ori: np.ndarray    # (T, 3), wrapped Euler difference
-    err_rotvec: np.ndarray  # (T, 3), rotation-vector orientation error
-    solver_h_inf: np.ndarray
-    solver_converge_time: np.ndarray
-    solver_bound: np.ndarray
-    sliding_V: np.ndarray
-    sliding_Vdot: np.ndarray
+    The fields, in this order, are the trace.csv column groups: the one
+    declaration of the file's columns.  The loop stores the fields up to
+    ``tau_d`` and from ``solver_h_inf`` on; :func:`pose_columns` derives
+    the pose and error fields from ``time`` and ``q`` after the loop.
+    """
 
-    _POSE_NAMES = ("x", "y", "z", "yaw", "pitch", "roll")
+    time: np.ndarray = _columns()
+    q: np.ndarray = _columns("m")           # (T, m)
+    qdot: np.ndarray = _columns("m")        # (T, m)
+    qddot: np.ndarray = _columns("m")       # (T, m)
+    tau: np.ndarray = _columns("n")         # (T, n)
+    tau_b: np.ndarray = _columns("n")       # (T, n)
+    tau_d: np.ndarray = _columns("n")       # (T, n)
+    pose: np.ndarray = _columns(_POSE)
+    pose_ref: np.ndarray = _columns(_POSE, stem="ref")
+    err_pos: np.ndarray = _columns(_POSE[:3])
+    err_ori: np.ndarray = _columns(_POSE[3:])     # wrapped Euler difference
+    err_rotvec: np.ndarray = _columns(_POSE[:3])  # rotation-vector error
+    solver_h_inf: np.ndarray = _columns()
+    solver_converge_time: np.ndarray = _columns()
+    solver_bound: np.ndarray = _columns()
+    sliding_V: np.ndarray = _columns()
+    sliding_Vdot: np.ndarray = _columns()
+
+    @staticmethod
+    def layout(m: int, n: int):
+        """(field name, column names, width) of every field, in
+        trace.csv order, for m total and n arm DOFs; width is None for a
+        one-column field, held as a 1-D array."""
+        out = []
+        for f in fields(SimTrace):
+            sfx, stem = f.metadata["suffixes"], f.metadata["stem"] or f.name
+            if isinstance(sfx, str):
+                sfx = range({"m": m, "n": n}[sfx])
+            names = [stem] if sfx is None else [f"{stem}_{s}" for s in sfx]
+            out.append((f.name, names, None if sfx is None else len(names)))
+        return out
+
+    @staticmethod
+    def zeros(rows: int, m: int, n: int) -> "SimTrace":
+        return SimTrace(**{
+            name: np.zeros(rows if width is None else (rows, width))
+            for name, _, width in SimTrace.layout(m, n)})
 
     def column_names(self):
-        m = self.q.shape[1]
-        n = self.tau.shape[1]
-        names = ["time"]
-        for stem, cols in (("q", m), ("qdot", m), ("qddot", m),
-                           ("tau", n), ("tau_b", n), ("tau_d", n)):
-            names += [f"{stem}_{i}" for i in range(cols)]
-        names += [f"pose_{c}" for c in self._POSE_NAMES]
-        names += [f"ref_{c}" for c in self._POSE_NAMES]
-        names += [f"err_pos_{c}" for c in "xyz"]
-        names += [f"err_ori_{c}" for c in ("yaw", "pitch", "roll")]
-        names += [f"err_rotvec_{c}" for c in "xyz"]
-        names += ["solver_h_inf", "solver_converge_time", "solver_bound",
-                  "sliding_V", "sliding_Vdot"]
-        return names
+        return [c for _, cols, _ in SimTrace.layout(self.q.shape[1],
+                                                     self.tau.shape[1])
+                for c in cols]
 
     def as_matrix(self) -> np.ndarray:
-        return np.column_stack([
-            self.time, self.q, self.qdot, self.qddot, self.tau, self.tau_b,
-            self.tau_d, self.pose, self.pose_ref, self.err_pos, self.err_ori,
-            self.err_rotvec, self.solver_h_inf, self.solver_converge_time,
-            self.solver_bound, self.sliding_V, self.sliding_Vdot])
+        return np.column_stack([getattr(self, f.name) for f in fields(self)])
 
     def to_csv(self, path):
-        mat = self.as_matrix()
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(self.column_names()) + "\n")
-            for row in mat:
-                fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+            np.savetxt(fh, self.as_matrix(), fmt="%.17g", delimiter=",",
+                       header=",".join(self.column_names()), comments="")
 
     @staticmethod
     def from_csv(path) -> "SimTrace":
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip().split(",")
-            mat = np.array([[float(x) for x in line.split(",")]
-                            for line in fh if line.strip()])
         m = sum(1 for h in header if h.startswith("q_"))
         n = sum(1 for h in header if h.startswith("tau_")
                 and not h.startswith(("tau_b", "tau_d")))
-
-        def grab(count):
-            nonlocal at
-            block = mat[:, at:at + count]
-            at += count
-            return block if count > 1 else block[:, 0]
-
-        at = 0
-        return SimTrace(
-            time=grab(1), q=grab(m), qdot=grab(m), qddot=grab(m),
-            tau=grab(n), tau_b=grab(n), tau_d=grab(n),
-            pose=grab(6), pose_ref=grab(6), err_pos=grab(3),
-            err_ori=grab(3), err_rotvec=grab(3),
-            solver_h_inf=grab(1), solver_converge_time=grab(1),
-            solver_bound=grab(1), sliding_V=grab(1), sliding_Vdot=grab(1))
+        layout = SimTrace.layout(m, n)
+        if header != [c for _, cols, _ in layout for c in cols]:
+            raise ValueError(f"{path}: header does not match the trace columns")
+        mat = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        out, at = {}, 0
+        for name, cols, width in layout:
+            block = mat[:, at:at + len(cols)]
+            out[name] = block[:, 0] if width is None else block
+            at += len(cols)
+        return SimTrace(**out)
 
 
 def pd_baseline_torque(model: RobotModel, q_m, qdot_m, desired,
@@ -312,65 +344,23 @@ def run_closed_loop(model: RobotModel, params: ControllerParams,
     n_control = round(script.duration / tc)
     n_rows = n_control * spc + 1
 
-    if script.initial_q is not None:
-        q0 = np.asarray(script.initial_q, float)
-        q_arm = q0[-n:].copy()
-    else:
-        q_arm = np.zeros(n)
+    q_arm = np.zeros(n) if script.initial_q is None \
+        else np.array(script.initial_q[-n:], float)
     qd_arm = np.zeros(n)
     q_md = q_arm.copy()
 
     def full_q(q_b, arm):
         return np.concatenate([q_b[:b], arm]) if b else np.asarray(arm, float)
 
-    q_b0, _, _ = script.base_state(0.0)
-    initial_pose = kin.forward_kinematics(model, full_q(q_b0, q_arm))
+    tr = SimTrace.zeros(n_rows, m, n)
+    q_b0, v_b0, _ = script.base_state(0.0)
+    tr.q[0], tr.qdot[0] = full_q(q_b0, q_arm), full_q(v_b0, qd_arm)
+    initial_pose = kin.forward_kinematics(model, tr.q[0])
 
     compensate = params.compensate_base and controller == "nftsm"
     qdot_prev = np.zeros(m)
     warm = None
     failures = 0
-
-    tr = SimTrace(
-        time=np.zeros(n_rows), q=np.zeros((n_rows, m)),
-        qdot=np.zeros((n_rows, m)), qddot=np.zeros((n_rows, m)),
-        tau=np.zeros((n_rows, n)), tau_b=np.zeros((n_rows, n)),
-        tau_d=np.zeros((n_rows, n)), pose=np.zeros((n_rows, 6)),
-        pose_ref=np.zeros((n_rows, 6)), err_pos=np.zeros((n_rows, 3)),
-        err_ori=np.zeros((n_rows, 3)), err_rotvec=np.zeros((n_rows, 3)),
-        solver_h_inf=np.zeros(n_rows), solver_converge_time=np.zeros(n_rows),
-        solver_bound=np.zeros(n_rows), sliding_V=np.zeros(n_rows),
-        sliding_Vdot=np.zeros(n_rows))
-
-    def record(row, t, q_full, qd_full, qdd_full, tau, tau_b, tau_d,
-               sol, sdiag, vdot):
-        pose = kin.forward_kinematics(model, q_full)
-        ref = script.reference_pose(t, initial_pose)
-        err = kin.pose_error(pose, ref)
-        R = kin.rotation_rpy(pose.orientation[::-1])
-        R_ref = kin.rotation_rpy(ref.orientation[::-1])
-        tr.time[row] = t
-        tr.q[row] = q_full
-        tr.qdot[row] = qd_full
-        tr.qddot[row] = qdd_full
-        tr.tau[row] = tau
-        tr.tau_b[row] = tau_b
-        tr.tau_d[row] = tau_d
-        tr.pose[row] = pose.as_vector()
-        tr.pose_ref[row] = ref.as_vector()
-        tr.err_pos[row] = err[:3]
-        tr.err_ori[row] = err[3:]
-        tr.err_rotvec[row] = kin.rotation_vector(R_ref.T @ R)
-        tr.solver_h_inf[row] = sol[0]
-        tr.solver_converge_time[row] = sol[1]
-        tr.solver_bound[row] = sol[2]
-        tr.sliding_V[row] = sdiag
-        tr.sliding_Vdot[row] = vdot
-
-    v_b0 = script.base_state(0.0)[1]
-    record(0, 0.0, full_q(q_b0, q_arm),
-           full_q(v_b0, qd_arm) if b else np.zeros(m), np.zeros(m),
-           np.zeros(n), np.zeros(n), np.zeros(n), (0.0, 0.0, 0.0), 0.0, 0.0)
 
     s_prev = None
     row = 1
@@ -380,8 +370,8 @@ def run_closed_loop(model: RobotModel, params: ControllerParams,
         q_full_md = full_q(q_bj, q_md)
         state = ConfigurationState(q=q_full_md, qdot=qdot_prev,
                                    qdot_prev=qdot_prev)
-        refs = [script.reference_pose(t_j + (i + 1) * tc, initial_pose)
-                for i in range(params.horizon)]
+        refs = script.reference_path(
+            t_j + np.arange(1, params.horizon + 1) * tc, initial_pose)
         problem = pomptc.assemble_qp(model, state, refs, params.weights,
                                      tc, params.horizon,
                                      params.control_horizon)
@@ -400,9 +390,11 @@ def run_closed_loop(model: RobotModel, params: ControllerParams,
         else:
             failures = 0
         warm = diag.final_state.v
-        sol = (diag.h_inf_history[-1] if diag.h_inf_history else 0.0,
-               diag.converge_time if diag.converged else math.inf,
-               diag.bound_t_f)
+        # The solver columns hold this step's result on its torque rows.
+        step_rows = slice(row, row + spc)
+        tr.solver_h_inf[step_rows] = diag.h_inf_history[-1]
+        tr.solver_converge_time[step_rows] = diag.converge_time
+        tr.solver_bound[step_rows] = diag.bound_t_f
 
         dq = pomptc.extract_first_increment(z, model)
         qdot_cmd = qdot_prev + dq
@@ -436,9 +428,8 @@ def run_closed_loop(model: RobotModel, params: ControllerParams,
                 s_now = sd.s
             tau_cmd = tau + tau_b if compensate else tau
             tau_d = script.disturbance_torque(t, n)
-            vdot = 0.0
             if s_prev is not None:
-                vdot = nftsm.lyapunov_diagnostics(
+                tr.sliding_Vdot[row] = nftsm.lyapunov_diagnostics(
                     s_prev, s_now, tt, params.nftsm.delta).Vdot_estimate
             s_prev = s_now
 
@@ -462,15 +453,45 @@ def run_closed_loop(model: RobotModel, params: ControllerParams,
 
             t_next = t + tt
             q_bn, v_bn, a_bn = script.base_state(t_next)
-            record(row, t_next, full_q(q_bn, q_arm), full_q(v_bn, qd_arm),
-                   full_q(a_bn, k1a), tau_cmd, tau_b, tau_d, sol,
-                   float(0.5 * s_now @ s_now), vdot)
+            tr.time[row] = t_next
+            tr.q[row] = full_q(q_bn, q_arm)
+            tr.qdot[row] = full_q(v_bn, qd_arm)
+            tr.qddot[row] = full_q(a_bn, k1a)
+            tr.tau[row] = tau_cmd
+            tr.tau_b[row] = tau_b
+            tr.tau_d[row] = tau_d
+            tr.sliding_V[row] = 0.5 * s_now @ s_now
             row += 1
 
         q_md = q_md_start + tc * qd_md
         qdot_prev = qdot_cmd
 
+    for start in range(0, n_rows, POSE_BLOCK_ROWS):
+        rows = slice(start, start + POSE_BLOCK_ROWS)
+        (tr.pose[rows], tr.pose_ref[rows], tr.err_pos[rows],
+         tr.err_ori[rows], tr.err_rotvec[rows]) = pose_columns(
+            model, script, initial_pose, tr.time[rows], tr.q[rows])
     return tr
+
+
+def pose_columns(model: RobotModel, script: ScenarioScript,
+                 initial_pose: Pose, time, q):
+    """The pose, pose_ref, err_pos, err_ori and err_rotvec columns of
+    trace rows at ``time`` (T,) with joint vectors ``q`` (T, m), in batch.
+
+    Row by row they equal :func:`kinematics.forward_kinematics`,
+    :meth:`ScenarioScript.reference_pose`, :func:`kinematics.pose_error`
+    and :func:`kinematics.rotation_vector` of ``R_ref' R``, where R and
+    R_ref are rebuilt from the wrapped Euler angles.
+    """
+    _, _, R_ee, p_ee = kin.chain_frames(model, q)
+    pose = Pose(p_ee, kin.euler_zyx(R_ee))
+    ref = Pose.from_vector(script.reference_path(time, initial_pose))
+    err = kin.pose_error(pose, ref)
+    R = kin.rotation_rpy(pose.orientation[..., ::-1])
+    R_ref = kin.rotation_rpy(ref.orientation[..., ::-1])
+    return (pose.as_vector(), ref.as_vector(), err[..., :3], err[..., 3:],
+            kin.rotation_vector(np.swapaxes(R_ref, -1, -2) @ R))
 
 
 def error_metrics(trace: SimTrace, settle_window: float,
@@ -510,20 +531,15 @@ def error_metrics(trace: SimTrace, settle_window: float,
         "convergence_time_ori": conv_time(ori_norm, ori_threshold),
         "solver_bound_violations": int(np.count_nonzero(
             trace.solver_converge_time > trace.solver_bound + bound_margin)),
-        "max_abs_torque": float(np.max(np.abs(trace.tau)))
-        if trace.tau.size else 0.0,
+        "max_abs_torque": float(np.max(np.abs(trace.tau), initial=0.0)),
     }
     if model is not None:
         lim = model.limits
         dt = np.diff(t)
         acc = np.diff(trace.qdot, axis=0) / dt[:, None]
-        viol = max(
-            float(np.max(np.append(trace.q - lim.q_upper, 0.0))),
-            float(np.max(np.append(lim.q_lower - trace.q, 0.0))),
-            float(np.max(np.append(trace.qdot - lim.qdot_upper, 0.0))),
-            float(np.max(np.append(lim.qdot_lower - trace.qdot, 0.0))),
-            float(np.max(np.append(acc - lim.qddot_upper, 0.0))),
-            float(np.max(np.append(lim.qddot_lower - acc, 0.0))),
-        )
-        out["max_constraint_violation"] = viol
+        out["max_constraint_violation"] = max(
+            float(np.max(excess, initial=0.0)) for excess in (
+                trace.q - lim.q_upper, lim.q_lower - trace.q,
+                trace.qdot - lim.qdot_upper, lim.qdot_lower - trace.qdot,
+                acc - lim.qddot_upper, lim.qddot_lower - acc))
     return out

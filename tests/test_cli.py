@@ -110,6 +110,16 @@ def test_simulate_malformed_value_exits_without_traceback(tmp_path):
     assert "initial_q" in proc.stderr
 
 
+def test_simulate_all_false_mpc_mask_exits_1(tmp_path, capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_text("robot:\n  builtin: planar_2link\n"
+                    "  actuated_by_mpc: [false, false]\n", encoding="utf-8")
+    rc = cli.main(["simulate", "--config", str(path),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "actuated_by_mpc" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("duration", [".inf", ".nan", "1.0e+9"])
 def test_simulate_unbounded_duration_exits_1_without_traceback(tmp_path,
                                                                duration):

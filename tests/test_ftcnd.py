@@ -1,13 +1,19 @@
 import dataclasses
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ftcnd_stepwise
 from conftest import hand_qp, random_qp, solver_batch_problems
-from mmtrack import ftcnd, qp_oracle
+from mmtrack import ftcnd, kinematics as kin, pomptc, qp_oracle
 from mmtrack.ftcnd import FtcndParams
+from mmtrack.kinematics import ConfigurationState
+from mmtrack.model import load_scenario
 from mmtrack.pomptc import QpProblem
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_params_validation():
@@ -178,7 +184,6 @@ def test_residual_norm_monotone_and_within_bound():
         assert diag.converged
         f = np.asarray(diag.f_history)
         assert np.all(np.diff(f) <= 1e-12)
-        assert diag.within_bound
         assert diag.converge_time <= diag.bound_t_f + 1e-12
 
 
@@ -237,13 +242,35 @@ def test_non_spd_problem_rejected():
         ftcnd.solve(p, FtcndParams())
 
 
-def test_diagnostics_to_csv(tmp_path):
-    _, diag = ftcnd.solve(hand_qp(), FtcndParams(ode_step=1e-3))
-    path = tmp_path / "trace.csv"
-    ftcnd.diagnostics_to_csv(diag, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "virtual_time,h_inf,F_value"
-    assert len(lines) == 1 + len(diag.time_history)
-    t, hi, f = (float(x) for x in lines[-1].split(","))
-    assert t == diag.time_history[-1]
-    assert hi <= FtcndParams().epsilon_h
+
+def test_one_residual_per_segment_plus_the_final_one(monkeypatch):
+    # A warm solve of the nominal QP: one residual at the start (the
+    # clamp test, the bound and the first segment share it), one per
+    # later segment, and the final one.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # the shipped configs set r3 = 1
+        model, params, script = load_scenario(
+            (CONFIGS / "nominal_circle.yaml").read_text(encoding="utf-8"))
+    q0 = np.zeros(model.total_dof)             # a static base at the origin
+    q0[model.arm_slice] = script.initial_q[-model.arm_joint_count:]
+    p0 = kin.forward_kinematics(model, q0)
+    state = ConfigurationState(q0, np.zeros_like(q0), np.zeros_like(q0))
+    tc, N = script.control_period, params.horizon
+
+    def problem(j):
+        refs = [script.reference_pose((j + i) * tc, p0)
+                for i in range(1, N + 1)]
+        return pomptc.assemble_qp(model, state, refs, params.weights, tc, N,
+                                  params.control_horizon)
+    _, cold = ftcnd.solve(problem(0), params.ftcnd)
+    calls = []
+    residual = ftcnd.residual
+
+    def counting(*args):
+        calls.append(1)
+        return residual(*args)
+    monkeypatch.setattr(ftcnd, "residual", counting)
+    _, diag = ftcnd.solve(problem(1), params.ftcnd,
+                          warm_start=cold.final_state.v)
+    assert diag.converged and diag.iterations > 0
+    assert len(calls) == diag.factorizations + 1

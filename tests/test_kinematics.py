@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -179,3 +181,49 @@ def test_pose_vector_round_trip():
     v = np.array([0.1, -0.2, 0.3, 0.5, -0.4, 2.9])
     np.testing.assert_allclose(kin.Pose.from_vector(v).as_vector(), v,
                                atol=1e-15)
+
+
+def hand_rotations():
+    """Rotations that reach every branch of euler_zyx and rotation_vector:
+    generic ones, the gimbal lock (pitch = +-pi/2 exactly), the identity
+    (angle 0), and angles at and just below pi."""
+    rng = np.random.default_rng(5)
+    generic = kin.rotation_rpy(rng.uniform(-np.pi, np.pi, (20, 3)))
+    gimbal = [np.array([[0.0, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, 0.0]])
+              @ kin.rotation_rpy([r, 0.0, 0.0])
+              for s in (1.0, -1.0) for r in (0.0, 0.4)]
+    near_pi = [kin.rotation_rpy([0.0, 0.0, np.pi - 1e-8]),
+               kin.rotation_rpy([np.pi - 3e-7, 0.0, 0.0]),
+               np.diag([1.0, -1.0, -1.0]), np.diag([-1.0, -1.0, 1.0])]
+    return np.concatenate([generic, gimbal, near_pi, [np.eye(3)]])
+
+
+def test_rotation_helpers_accept_a_batch_axis():
+    R = hand_rotations()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        euler, rotvec = kin.euler_zyx(R), kin.rotation_vector(R)
+        rpy = kin.wrap_angle(euler[:, ::-1])
+        rebuilt = kin.rotation_rpy(rpy)
+        grid = kin.rotation_rpy(rpy[:28].reshape(4, 7, 3))
+    for k, Rk in enumerate(R):
+        np.testing.assert_array_equal(euler[k], kin.euler_zyx(Rk))
+        np.testing.assert_allclose(rotvec[k], kin.rotation_vector(Rk),
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(rebuilt[k], kin.rotation_rpy(rpy[k]))
+    np.testing.assert_array_equal(grid.reshape(28, 3, 3), rebuilt[:28])
+    # Gimbal rows keep roll = 0; every row rebuilds its rotation.
+    assert np.all(euler[20:24, 2] == 0.0)
+    np.testing.assert_allclose(rebuilt, R, rtol=0, atol=1e-12)
+
+
+def test_rotation_vector_angle_and_axis():
+    for axis in np.eye(3):
+        for angle in (0.0, 0.3, -2.0, np.pi - 1e-8):
+            R = kin.rotation_rpy(axis * angle)    # [roll, pitch, yaw]
+            np.testing.assert_allclose(kin.rotation_vector(R), axis * angle,
+                                       rtol=0, atol=1e-7)
+        # At pi the sign of the axis is arbitrary.
+        R = kin.rotation_rpy(axis * np.pi)
+        np.testing.assert_allclose(np.abs(kin.rotation_vector(R)),
+                                   axis * np.pi, rtol=0, atol=1e-7)

@@ -100,13 +100,24 @@ def test_load_scenario_rejects_bad_kappa():
     ("scenario:\n  torque_period: .inf\n", "torque_period"),
     ("scenario:\n  torque_period: 1.0e-9\n  control_period: 1.0e-9\n",
      "duration"),
+    ("scenario:\n  reference:\n    center: [0, 0]\n", "reference.center"),
 ], ids=["horizon", "horizon_fraction", "control_horizon_fraction",
         "waypoint_time", "initial_q", "base_motion", "pose",
         "duration_inf", "duration_nan", "duration_huge", "control_period_nan",
-        "torque_period_inf", "rows_over_cap"])
+        "torque_period_inf", "rows_over_cap", "circle_center"])
 def test_load_scenario_rejects_malformed_values(section, match):
     with pytest.raises(ConfigError, match=match):
         load_scenario(MINIMAL + section)
+
+
+def test_load_scenario_rejects_all_false_mpc_mask():
+    text = (CONFIG_DIR / "nominal_circle.yaml").read_text(encoding="utf-8")
+    text = text.replace("  builtin: panda_on_base\n",
+                        "  builtin: panda_on_base\n  actuated_by_mpc: "
+                        + str([False] * 13).lower() + "\n")
+    with pytest.raises(ConfigError,
+                       match="robot.actuated_by_mpc: .* no true entry"):
+        load_scenario(text)
 
 
 def test_load_scenario_rejects_missing_robot():

@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import pickle
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mmtrack import dynamics, sim
+from mmtrack import cli, dynamics, kinematics as kin, sim
 from mmtrack.kinematics import Pose
 from mmtrack.model import builtin_planar_2link, load_scenario
 from mmtrack.sim import ScenarioScript, SimTrace
@@ -213,3 +215,179 @@ def test_error_metrics_settle_window_validation():
     trace = synthetic_trace(lambda t: 0.0, duration=1.0)
     with pytest.raises(ValueError, match="settle_window"):
         sim.error_metrics(trace, 2.0)
+
+
+def per_row_pose_columns(model, script, initial_pose, time, q):
+    """pose, pose_ref, err_pos, err_ori, err_rotvec row by row from the
+    scalar kinematics: the oracle of the batched derivation."""
+    rows = []
+    for t, q_row in zip(time, q):
+        pose = kin.forward_kinematics(model, q_row)
+        ref = script.reference_pose(t, initial_pose)
+        R = kin.rotation_rpy(pose.orientation[::-1])
+        R_ref = kin.rotation_rpy(ref.orientation[::-1])
+        rows.append(np.concatenate([
+            pose.as_vector(), ref.as_vector(), kin.pose_error(pose, ref),
+            kin.rotation_vector(R_ref.T @ R)]))
+    return np.array(rows)
+
+
+def load_config(name):
+    text = (Path(__file__).resolve().parent.parent / "configs"
+            / f"{name}.yaml").read_text(encoding="utf-8")
+    return load_quiet(text)
+
+
+def test_pose_columns_match_per_row_calls_on_tilt_trace(monkeypatch):
+    model, params, script = load_config("base_tilt")
+    script = dataclasses.replace(script, duration=0.05)
+    # Small blocks, so that the run spans several and a partial last one.
+    monkeypatch.setattr(sim, "POSE_BLOCK_ROWS", 16)
+    trace = sim.run_closed_loop(model, params, script)
+    initial_pose = kin.forward_kinematics(model, trace.q[0])
+    expect = per_row_pose_columns(model, script, initial_pose, trace.time,
+                                  trace.q)
+    got = np.column_stack([trace.pose, trace.pose_ref, trace.err_pos,
+                           trace.err_ori, trace.err_rotvec])
+    np.testing.assert_allclose(got, expect, rtol=0, atol=1e-14)
+    assert np.abs(trace.err_rotvec).max() > 0.0
+
+
+def branch_rows(model, q, ref_orientations):
+    """pose_columns of hand-built rows against the per-row oracle, with a
+    waypoint reference through the given orientations; no warnings."""
+    times = np.arange(len(q), dtype=float)
+    points = [{"time": t, "pose": [0.5, 0.4, 0.0, *ori]}
+              for t, ori in zip(times, ref_orientations)]
+    script = ScenarioScript(reference={"kind": "waypoints",
+                                       "points": points})
+    initial_pose = kin.forward_kinematics(model, q[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = np.column_stack(sim.pose_columns(model, script, initial_pose,
+                                               times, q))
+    expect = per_row_pose_columns(model, script, initial_pose, times, q)
+    np.testing.assert_allclose(got, expect, rtol=0, atol=1e-14)
+    return got
+
+
+def test_pose_columns_match_per_row_calls_at_branch_edges():
+    # The reference yaw sits 0, just under pi and exactly pi away from
+    # the planar arm's yaw q0 + q1: rotation_vector's zero and near-pi
+    # branches.
+    q = np.array([[0.3, 1.0], [0.3, 1.0], [-0.2, 0.5], [1.0, -1.0]])
+    offsets = np.array([0.0, np.pi - 1e-8, np.pi, 0.25])
+    rotvec = branch_rows(builtin_planar_2link(), q,
+                         [[qk.sum() + d, 0.0, 0.0]
+                          for qk, d in zip(q, offsets)])[:, -3:]
+    assert np.all(rotvec[0] == 0.0)
+    np.testing.assert_allclose(np.abs(rotvec[1:3, 2]), offsets[1:3],
+                               rtol=0, atol=1e-6)
+    # The same arm turning about y reaches pitch +-pi/2 exactly (R[2, 0]
+    # is -sin q0): euler_zyx's gimbal branch, which an exact pi/2 proves
+    # (arcsin of the next double below 1 is 1.5e-8 short of it).
+    model = builtin_planar_2link()
+    y_axis = [dataclasses.replace(j, axis=(0.0, 1.0, 0.0))
+              for j in model.joints]
+    pose = branch_rows(dataclasses.replace(model, joints=y_axis),
+                       np.array([[np.pi / 2, 0.0], [-np.pi / 2, 0.0],
+                                 [0.3, 0.2]]),
+                       [[0.25, 0.1, 0.0]] * 3)[:, :6]
+    np.testing.assert_array_equal(np.abs(pose[:2, 4]), np.pi / 2)
+    np.testing.assert_array_equal(pose[:2, 5], 0.0)
+
+
+def test_waypoint_reference_closed_loop():
+    # Waypoints on the planar arm's path through three joint vectors,
+    # so that position and yaw can be tracked together.
+    model = builtin_planar_2link()
+    times = [0.0, 0.1, 0.3]
+    poses = np.array([kin.forward_kinematics(model, q).as_vector()
+                      for q in ([0.3, 1.0], [0.33, 0.98], [0.36, 0.9])])
+    doc = TWOLINK_REG.replace(
+        "  reference:\n    radius: 0.0\n",
+        "  reference:\n    kind: waypoints\n    points:\n" + "".join(
+            f"      - {{time: {t}, pose: {p.tolist()}}}\n"
+            for t, p in zip(times, poses)))
+    model, params, script = load_quiet(doc)
+    script = dataclasses.replace(script, duration=0.3)
+    trace = sim.run_closed_loop(model, params, script)
+    expect = np.column_stack([np.interp(trace.time, times, poses[:, k])
+                              for k in range(6)])
+    expect[:, 3:] = kin.wrap_angle(expect[:, 3:])
+    np.testing.assert_array_equal(trace.pose_ref, expect)
+    # The arm follows the moving reference.
+    assert np.abs(trace.err_pos).max() < 2e-3
+    assert trace.pose[-1, 1] > trace.pose[0, 1] + 0.02
+
+
+PANDA_TRACE_HEADER = (
+    "time,q_0,q_1,q_2,q_3,q_4,q_5,q_6,q_7,q_8,q_9,q_10,q_11,q_12,"
+    "qdot_0,qdot_1,qdot_2,qdot_3,qdot_4,qdot_5,qdot_6,qdot_7,qdot_8,qdot_9,"
+    "qdot_10,qdot_11,qdot_12,"
+    "qddot_0,qddot_1,qddot_2,qddot_3,qddot_4,qddot_5,qddot_6,qddot_7,"
+    "qddot_8,qddot_9,qddot_10,qddot_11,qddot_12,"
+    "tau_0,tau_1,tau_2,tau_3,tau_4,tau_5,tau_6,"
+    "tau_b_0,tau_b_1,tau_b_2,tau_b_3,tau_b_4,tau_b_5,tau_b_6,"
+    "tau_d_0,tau_d_1,tau_d_2,tau_d_3,tau_d_4,tau_d_5,tau_d_6,"
+    "pose_x,pose_y,pose_z,pose_yaw,pose_pitch,pose_roll,"
+    "ref_x,ref_y,ref_z,ref_yaw,ref_pitch,ref_roll,"
+    "err_pos_x,err_pos_y,err_pos_z,err_ori_yaw,err_ori_pitch,err_ori_roll,"
+    "err_rotvec_x,err_rotvec_y,err_rotvec_z,"
+    "solver_h_inf,solver_converge_time,solver_bound,sliding_V,sliding_Vdot")
+
+
+def test_panda_trace_header_is_pinned(tmp_path):
+    model, params, script = load_config("nominal_circle")
+    script = dataclasses.replace(script, duration=0.01)
+    trace = sim.run_closed_loop(model, params, script)
+    trace.to_csv(tmp_path / "trace.csv")
+    with open(tmp_path / "trace.csv", encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n")
+    assert header == PANDA_TRACE_HEADER
+    # The emitted plot scripts select their columns by these names.
+    names = header.split(",")
+    for columns, _ in cli._PANELS.values():
+        for want in columns:
+            if want.endswith("_"):
+                assert any(h.startswith(want) and h[len(want):].isdigit()
+                           for h in names), want
+            else:
+                assert want in names, want
+
+
+def test_from_csv_rejects_a_foreign_header(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("time,q_0,tau_0\n0,1,2\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="header"):
+        SimTrace.from_csv(path)
+
+
+def test_forward_kinematics_once_per_control_step(monkeypatch):
+    calls = []
+    fk = kin.forward_kinematics
+
+    def counting(model, q):
+        calls.append(1)
+        return fk(model, q)
+    monkeypatch.setattr(kin, "forward_kinematics", counting)
+    model, params, script = load_quiet(TWOLINK_REG)
+    script = dataclasses.replace(script, duration=0.1)
+    sim.run_closed_loop(model, params, script)
+    # The initial pose, then one per assemble_qp; none per torque row.
+    assert len(calls) == 1 + round(script.duration / script.control_period)
+
+
+def test_replace_and_pickle_resolve_the_time_functions_again():
+    s = ScenarioScript()
+    tilted = dataclasses.replace(s, base_motion={"kind": "tilt",
+                                                 "angle": 0.3})
+    assert tilted.base_state(0.5)[0][4] == 0.3
+    assert s.base_state(0.5)[0][4] == 0.0
+    stepped = dataclasses.replace(s, disturbance={"kind": "step",
+                                                  "value": 2.0})
+    np.testing.assert_array_equal(stepped.disturbance_torque(0.0, 3),
+                                  [2.0, 2.0, 2.0])
+    # A pickled script is rebuilt from its fields.
+    back = pickle.loads(pickle.dumps(tilted))
+    assert back == tilted and back.base_state(0.5)[0][4] == 0.3
