@@ -92,11 +92,6 @@ class QpProblem:
     def n_constraints(self) -> int:
         return (2 * self.N + 4 * self.Nu) * self.m_prime
 
-    @property
-    def position_rows(self) -> slice:
-        """Rows encoding the joint-angle box (the relaxable block)."""
-        return slice(0, 2 * self.N * self.m_prime)
-
     def objective(self, z) -> float:
         z = np.asarray(z, float)
         return float(0.5 * z @ self.S @ z + self.G @ z)
@@ -110,14 +105,6 @@ class QpProblem:
 
     def violation(self, z) -> float:
         return float(np.max(np.append(self.H @ np.asarray(z, float) - self.w, 0.0)))
-
-    def relaxed(self, slack: float) -> "QpProblem":
-        """Copy with the position rows loosened by ``slack`` (feasibility
-        guard for states pinned against an angle limit)."""
-        w = self.w.copy()
-        w[self.position_rows] += slack
-        return QpProblem(self.S, self.G, self.H, w, self.t, self.N,
-                         self.Nu, self.m_prime)
 
 
 def _horizon_refs(pose_refs):

@@ -23,6 +23,8 @@ from .model import ControllerParams, RobotModel
 _AXIS_NAMES = {"x": 0, "y": 1, "z": 2, "yaw": 3, "pitch": 4, "roll": 5}
 # Most torque-rate rows a run may record (about 0.7 GB for 13 DOFs).
 MAX_TRACE_ROWS = 1_000_000
+# Consecutive unconverged control steps a run tolerates.
+FAILURE_BUDGET = 3
 # Trace rows per batch of the pose and error columns, which bounds the
 # derivation's temporaries whatever the trace length.
 POSE_BLOCK_ROWS = 256
@@ -32,12 +34,23 @@ class SimulationError(RuntimeError):
     """Raised when the closed loop cannot continue (solver failures)."""
 
 
+def _number(value, name):
+    """``value`` as a finite float; the error names the key ``name``."""
+    try:
+        if math.isfinite(number := float(value)):
+            return number
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"{name}: expected a finite number, got {value!r}")
+
+
 def _as_vector(value, length, name):
     arr = np.atleast_1d(np.asarray(value, float))
     if arr.shape == (1,):
         arr = np.full(length, arr[0])
-    if arr.shape != (length,):
-        raise ValueError(f"{name}: expected scalar or length-{length} vector")
+    if arr.shape != (length,) or not np.isfinite(arr).all():
+        raise ValueError(f"{name}: expected a finite scalar or "
+                         f"length-{length} vector")
     return arr
 
 
@@ -48,19 +61,22 @@ def _base_motion(spec: dict):
     if kind in ("static", "tilt"):
         pose = np.zeros(6)
         if kind == "static":
-            pose[:] = np.asarray(spec.get("pose", 0.0), float)
+            pose[:] = _as_vector(spec.get("pose", 0.0), 6, "base_motion.pose")
         else:
-            pose[4] = float(spec.get("angle", 0.21))
+            pose[4] = _number(spec.get("angle", 0.21), "base_motion.angle")
         return lambda t: (pose.copy(), np.zeros(6), np.zeros(6))
     if kind != "sinusoid":
         raise ValueError(f"base_motion.kind: unknown kind {kind!r}")
     axis = spec.get("axis", "x")
-    if isinstance(axis, str) and axis not in _AXIS_NAMES:
-        raise ValueError(f"base_motion.axis: unknown axis {axis!r}")
-    idx = _AXIS_NAMES[axis] if isinstance(axis, str) else int(axis)
-    A = float(spec.get("amplitude", 0.1))
-    om = 2.0 * math.pi * float(spec.get("frequency", 0.5))
-    ph = float(spec.get("phase", 0.0))
+    idx = _AXIS_NAMES.get(axis, axis) if isinstance(axis, str) else axis
+    if isinstance(idx, bool) or idx not in range(6):
+        raise ValueError(f"base_motion.axis: unknown axis {axis!r}; expected "
+                         f"one of {', '.join(_AXIS_NAMES)} or 0-5")
+    idx = int(idx)
+    A = _number(spec.get("amplitude", 0.1), "base_motion.amplitude")
+    om = 2.0 * math.pi * _number(spec.get("frequency", 0.5),
+                                 "base_motion.frequency")
+    ph = _number(spec.get("phase", 0.0), "base_motion.phase")
 
     def state(t):
         q, v, a = np.zeros(6), np.zeros(6), np.zeros(6)
@@ -78,16 +94,18 @@ def _reference(spec: dict):
     are not wrapped yet: :class:`Pose` wraps them."""
     kind = spec.get("kind", "circle")
     if kind == "circle":
-        r = float(spec.get("radius", 0.0))
+        r = _number(spec.get("radius", 0.0), "reference.radius")
         if r < 0:
             raise ValueError("reference.radius must be non-negative")
         center, ori = spec.get("center", "auto"), spec.get("orientation", "auto")
         center = None if isinstance(center, str) else np.asarray(center, float)
         ori = None if isinstance(ori, str) else np.asarray(ori, float)
         for name, value in (("center", center), ("orientation", ori)):
-            if value is not None and value.shape != (3,):
-                raise ValueError(f"reference.{name} must have 3 entries")
-        om = float(spec.get("angular_rate", 0.0))
+            if value is not None and (value.shape != (3,)
+                                      or not np.isfinite(value).all()):
+                raise ValueError(f"reference.{name} must have 3 finite "
+                                 "entries")
+        om = _number(spec.get("angular_rate", 0.0), "reference.angular_rate")
 
         def circle(t, initial_pose):
             t = np.asarray(t, float)
@@ -108,12 +126,14 @@ def _reference(spec: dict):
                for p in pts):
         raise ValueError("reference.points: every point needs a "
                          "time and a pose")
-    times = np.array([float(p["time"]) for p in pts])
+    times = np.array([_number(p["time"], "reference.points.time")
+                      for p in pts])
     if np.any(np.diff(times) <= 0):
         raise ValueError("reference.points times must increase")
-    if any(np.shape(p["pose"]) != (6,) for p in pts):
-        raise ValueError("reference.points poses must have 6 entries")
-    poses = np.array([p["pose"] for p in pts], float)
+    poses = [np.asarray(p["pose"], float) for p in pts]
+    if any(p.shape != (6,) or not np.isfinite(p).all() for p in poses):
+        raise ValueError("reference.points poses must have 6 finite entries")
+    poses = np.array(poses)
     return lambda t, initial_pose: np.stack(
         [np.interp(np.asarray(t, float), times, poses[:, k])
          for k in range(6)], axis=-1)
@@ -126,14 +146,16 @@ def _disturbance(spec: dict):
     if kind == "none":
         return lambda t, n: np.zeros(n)
     if kind == "step":
-        t_on, value = float(spec.get("time", 0.0)), spec.get("value", 0.0)
+        t_on = _number(spec.get("time", 0.0), "disturbance.time")
+        value = spec.get("value", 0.0)
         return lambda t, n: _as_vector(value, n, "disturbance.value") \
             if t >= t_on else np.zeros(n)
     if kind != "sinusoid":
         raise ValueError(f"disturbance.kind: unknown kind {kind!r}")
     amplitude = spec.get("amplitude", 0.0)
-    om = 2.0 * math.pi * float(spec.get("frequency", 1.0))
-    ph = float(spec.get("phase", 0.0))
+    om = 2.0 * math.pi * _number(spec.get("frequency", 1.0),
+                                 "disturbance.frequency")
+    ph = _number(spec.get("phase", 0.0), "disturbance.phase")
     return lambda t, n: _as_vector(amplitude, n, "disturbance.amplitude") \
         * math.sin(om * t + ph)
 
@@ -184,10 +206,8 @@ class ScenarioScript:
                 raise ValueError(f"{key}: expected a mapping")
         init = sec.get("initial_q")
         if init is not None:
-            try:
-                init = tuple(float(x) for x in init)
-            except (TypeError, ValueError):
-                raise ValueError("initial_q: expected a list of numbers") from None
+            init = tuple(_number(x, "initial_q") for x in (
+                init if isinstance(init, (list, tuple)) else [init]))
             if len(init) not in (model.arm_joint_count, model.total_dof):
                 raise ValueError(
                     f"initial_q: expected {model.arm_joint_count} (arm) or "
@@ -203,6 +223,9 @@ class ScenarioScript:
         )
         if script.base_motion["kind"] != "static" and model.base_dof_count < 6:
             raise ValueError("base_motion: model has no base DOFs to move")
+        for key in ("value", "amplitude"):
+            _as_vector(script.disturbance.get(key, 0.0),
+                       model.arm_joint_count, f"disturbance.{key}")
         return script
 
     def to_config(self) -> dict:
@@ -325,8 +348,8 @@ def pd_baseline_torque(model: RobotModel, q_m, qdot_m, desired,
 
 
 def run_closed_loop(model: RobotModel, params: ControllerParams,
-                    script: ScenarioScript, controller: str = "nftsm",
-                    failure_budget: int = 3) -> SimTrace:
+                    script: ScenarioScript,
+                    controller: str = "nftsm") -> SimTrace:
     """Run the scripted scenario and return the full trace.
 
     ``controller`` selects the torque law: "nftsm" (with base
@@ -362,7 +385,6 @@ def run_closed_loop(model: RobotModel, params: ControllerParams,
     warm = None
     failures = 0
 
-    s_prev = None
     row = 1
     for j in range(n_control):
         t_j = j * tc
@@ -376,19 +398,11 @@ def run_closed_loop(model: RobotModel, params: ControllerParams,
                                      tc, params.horizon,
                                      params.control_horizon)
         z, diag = ftcnd.solve(problem, params.ftcnd, warm_start=warm)
-        if diag.constraint_violation > 1e-6:
-            # Feasibility guard: loosen the angle rows just enough and
-            # re-solve from scratch.
-            problem = problem.relaxed(2.0 * diag.constraint_violation)
-            z, diag = ftcnd.solve(problem, params.ftcnd)
-        if not diag.converged:
-            failures += 1
-            if failures > failure_budget:
-                raise SimulationError(
-                    f"solver failed {failures} consecutive control steps "
-                    f"(t = {t_j:.3f} s)")
-        else:
-            failures = 0
+        failures = 0 if diag.converged else failures + 1
+        if failures > FAILURE_BUDGET:
+            raise SimulationError(
+                f"solver failed {failures} consecutive control steps "
+                f"(t = {t_j:.3f} s)")
         warm = diag.final_state.v
         # The solver columns hold this step's result on its torque rows.
         step_rows = slice(row, row + spc)
@@ -428,10 +442,6 @@ def run_closed_loop(model: RobotModel, params: ControllerParams,
                 s_now = sd.s
             tau_cmd = tau + tau_b if compensate else tau
             tau_d = script.disturbance_torque(t, n)
-            if s_prev is not None:
-                tr.sliding_Vdot[row] = nftsm.lyapunov_diagnostics(
-                    s_prev, s_now, tt, params.nftsm.delta).Vdot_estimate
-            s_prev = s_now
 
             def accel(qa, qda, terms=None):
                 if terms is None:
@@ -466,6 +476,8 @@ def run_closed_loop(model: RobotModel, params: ControllerParams,
         q_md = q_md_start + tc * qd_md
         qdot_prev = qdot_cmd
 
+    # V̇ is the backward difference of V between torque steps.
+    tr.sliding_Vdot[2:] = np.diff(tr.sliding_V[1:]) / tt
     for start in range(0, n_rows, POSE_BLOCK_ROWS):
         rows = slice(start, start + POSE_BLOCK_ROWS)
         (tr.pose[rows], tr.pose_ref[rows], tr.err_pos[rows],

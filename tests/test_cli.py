@@ -89,6 +89,28 @@ def test_simulate_invalid_config_names_key(tmp_path, capsys):
     assert "index 0" in captured.err
 
 
+@pytest.mark.parametrize("scenario, key", [
+    ("disturbance: {kind: step, value: [1, 2]}", "disturbance.value"),
+    ("disturbance: {kind: sinusoid, amplitude: [1, 2]}",
+     "disturbance.amplitude"),
+    ("base_motion: {kind: sinusoid, axis: 9}", "base_motion.axis"),
+    ("base_motion: {kind: sinusoid, amplitude: x}", "base_motion.amplitude"),
+    ("reference: {angular_rate: [1]}", "reference.angular_rate"),
+    ("disturbance: {kind: step, time: soon}", "disturbance.time"),
+])
+def test_simulate_malformed_scenario_value_exits_1(tmp_path, capsys,
+                                                   scenario, key):
+    path = tmp_path / "bad.yaml"
+    path.write_text("robot:\n  builtin: panda_on_base\nscenario:\n"
+                    f"  {scenario}\n", encoding="utf-8")
+    rc = cli.main(["simulate", "--config", str(path),
+                   "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "config error" in err and key in err
+    assert not (tmp_path / "out").exists()
+
+
 def run_cli(*args):
     """``python -m mmtrack.cli args`` in a fresh process."""
     src = str(Path(mmtrack.__file__).resolve().parents[1])

@@ -9,6 +9,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from mmtrack.kinematics import Pose
 from mmtrack.model import (ConfigError, JointLimits, JointSpec,
                            builtin_panda_on_base, builtin_planar_2link,
                            load_scenario, serialize_scenario)
@@ -101,10 +102,35 @@ def test_load_scenario_rejects_bad_kappa():
     ("scenario:\n  torque_period: 1.0e-9\n  control_period: 1.0e-9\n",
      "duration"),
     ("scenario:\n  reference:\n    center: [0, 0]\n", "reference.center"),
+    ("scenario:\n  reference:\n    center: [.nan, 0, 0]\n",
+     "reference.center"),
+    ("scenario:\n  reference:\n    radius: .inf\n", "reference.radius"),
+    ("scenario:\n  reference:\n    angular_rate: [1]\n",
+     "reference.angular_rate"),
+    ("scenario:\n  reference:\n    kind: waypoints\n    points:\n"
+     "      - {time: 0, pose: [0, 0, .nan, 0, 0, 0]}\n", "poses"),
+    ("scenario:\n  initial_q: [0, .nan, 0, -2.35, 0, 1.57, 0.78]\n",
+     "initial_q"),
+    ("scenario:\n  base_motion: {kind: sinusoid, axis: 9}\n",
+     "base_motion.axis"),
+    ("scenario:\n  base_motion: {kind: sinusoid, amplitude: x}\n",
+     "base_motion.amplitude"),
+    ("scenario:\n  base_motion: {kind: static, pose: [1, 2]}\n",
+     "base_motion.pose"),
+    ("scenario:\n  disturbance: {kind: step, time: soon}\n",
+     "disturbance.time"),
+    ("scenario:\n  disturbance: {kind: step, value: [1, 2]}\n",
+     "disturbance.value"),
+    ("scenario:\n  disturbance: {kind: sinusoid, amplitude: [1, 2, 3]}\n",
+     "disturbance.amplitude"),
 ], ids=["horizon", "horizon_fraction", "control_horizon_fraction",
         "waypoint_time", "initial_q", "base_motion", "pose",
         "duration_inf", "duration_nan", "duration_huge", "control_period_nan",
-        "torque_period_inf", "rows_over_cap", "circle_center"])
+        "torque_period_inf", "rows_over_cap", "circle_center",
+        "circle_center_nan", "radius_inf", "angular_rate_list",
+        "waypoint_pose_nan", "initial_q_nan", "base_axis_range",
+        "base_amplitude_word", "base_pose_length", "disturbance_time_word",
+        "disturbance_value_length", "disturbance_amplitude_length"])
 def test_load_scenario_rejects_malformed_values(section, match):
     with pytest.raises(ConfigError, match=match):
         load_scenario(MINIMAL + section)
@@ -255,6 +281,10 @@ def test_load_scenario_fuzz_raises_only_config_error(data):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
-            load_scenario(yaml.safe_dump(doc))
+            model, _, script = load_scenario(yaml.safe_dump(doc))
         except ConfigError:
-            pass
+            return
+    # A scenario that loads runs its time functions without error.
+    script.base_state(0.0)
+    script.reference_path(np.zeros(1), Pose(np.zeros(3), np.zeros(3)))
+    script.disturbance_torque(0.0, model.arm_joint_count)

@@ -166,18 +166,6 @@ def test_extract_first_increment_scatter():
     np.testing.assert_allclose(out[6:], z[:7])
 
 
-def test_relaxed_widens_position_rows_only():
-    model = builtin_planar_2link()
-    state = ConfigurationState(q=[0.3, 1.0], qdot=np.zeros(2),
-                               qdot_prev=np.zeros(2))
-    refs = [kin.forward_kinematics(model, state.q)] * 2
-    p = pomptc.assemble_qp(model, state, refs, make_weights(model), 0.01, 2, 2)
-    r = p.relaxed(0.5)
-    rows = p.position_rows
-    np.testing.assert_allclose(r.w[rows], p.w[rows] + 0.5)
-    np.testing.assert_allclose(r.w[rows.stop:], p.w[rows.stop:])
-
-
 def test_problem_text_round_trip():
     rng = np.random.default_rng(77)
     model = builtin_planar_2link()

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
-from mmtrack import cli, dynamics, kinematics as kin, sim
+from mmtrack import cli, dynamics, ftcnd, kinematics as kin, sim
 from mmtrack.kinematics import Pose
 from mmtrack.model import builtin_planar_2link, load_scenario
 from mmtrack.sim import ScenarioScript, SimTrace
@@ -128,16 +129,17 @@ def test_pd_baseline_formula_and_validation():
         sim.pd_baseline_torque(model, q, qd, desired, 0.0, 25.0)
 
 
-def test_run_raises_once_failure_budget_is_exceeded():
+def test_run_raises_once_failure_budget_is_exceeded(monkeypatch):
     doc = TWOLINK_REG.replace("radius: 0.0", "radius: 0.05\n    angular_rate: 3.0") \
         + "ftcnd:\n  max_time: 1.0e-4\n"
     model, params, script = load_quiet(doc)
     script = dataclasses.replace(script, duration=0.1)
     # Every solve fails to converge: the fourth consecutive failure
-    # exceeds the default budget of three, a budget of ten is never hit.
+    # exceeds the budget of three, a budget of ten is never hit.
     with pytest.raises(sim.SimulationError, match="4 consecutive"):
         sim.run_closed_loop(model, params, script)
-    trace = sim.run_closed_loop(model, params, script, failure_budget=10)
+    monkeypatch.setattr(sim, "FAILURE_BUDGET", 10)
+    trace = sim.run_closed_loop(model, params, script)
     assert np.isinf(trace.solver_converge_time[1:]).all()
 
 
@@ -232,10 +234,13 @@ def per_row_pose_columns(model, script, initial_pose, time, q):
     return np.array(rows)
 
 
-def load_config(name):
-    text = (Path(__file__).resolve().parent.parent / "configs"
+def config_text(name):
+    return (Path(__file__).resolve().parent.parent / "configs"
             / f"{name}.yaml").read_text(encoding="utf-8")
-    return load_quiet(text)
+
+
+def load_config(name):
+    return load_quiet(config_text(name))
 
 
 def test_pose_columns_match_per_row_calls_on_tilt_trace(monkeypatch):
@@ -391,3 +396,110 @@ def test_replace_and_pickle_resolve_the_time_functions_again():
     # A pickled script is rebuilt from its fields.
     back = pickle.loads(pickle.dumps(tilted))
     assert back == tilted and back.base_state(0.5)[0][4] == 0.3
+
+
+# The arm joint whose lower limit the pinned-limit run sets just below
+# its start (-0.78 rad in nominal_circle).
+PINNED_JOINT = 1
+
+
+def nominal_variant(edit, duration=1.0):
+    """nominal_circle, shortened to ``duration`` and changed by
+    ``edit(doc, model, script)`` on its parsed YAML document."""
+    doc = yaml.safe_load(config_text("nominal_circle"))
+    doc["scenario"]["duration"] = duration
+    model, _, script = load_quiet(yaml.safe_dump(doc))
+    edit(doc, model, script)
+    return load_quiet(yaml.safe_dump(doc))
+
+
+def pin_lower_limit(doc, model, script):
+    # The lower angle limit of arm joint 1 sits 0.01 rad below its start,
+    # so that the QP's angle rows bind within the first steps.
+    q_lower = model.limits.q_lower.copy()
+    q_lower[model.base_dof_count + PINNED_JOINT] = \
+        script.initial_q[PINNED_JOINT] - 0.01
+    doc["robot"]["limits"] = {"q_lower": q_lower.tolist()}
+
+
+def offset_center(doc, model, script):
+    # An explicit circle centre 2 cm off the auto centre in x and y: the
+    # run starts with a tracking error.
+    q0 = np.zeros(model.total_dof)
+    q0[model.arm_slice] = script.initial_q
+    radius = script.reference["radius"]
+    center = kin.forward_kinematics(model, q0).position \
+        + [0.02 - radius, 0.02, 0.0]
+    doc["scenario"]["reference"]["center"] = center.tolist()
+
+
+def counted_run(model, params, script):
+    """The trace of one run, and the diagnostics of every ftcnd.solve
+    call it made."""
+    diags, solve = [], ftcnd.solve
+
+    def counting(*args, **kwargs):
+        z, diag = solve(*args, **kwargs)
+        diags.append(diag)
+        return z, diag
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ftcnd, "solve", counting)
+        trace = sim.run_closed_loop(model, params, script)
+    return trace, diags
+
+
+@pytest.fixture(scope="module")
+def pinned_run():
+    model, params, script = nominal_variant(pin_lower_limit)
+    return (model, script) + counted_run(model, params, script)
+
+
+@pytest.fixture(scope="module")
+def offset_run():
+    model, params, script = nominal_variant(offset_center)
+    return (model, script) + counted_run(model, params, script)
+
+
+def test_one_warm_solve_per_control_step_on_a_pinned_limit(pinned_run):
+    model, script, trace, diags = pinned_run
+    assert len(diags) == round(script.duration / script.control_period)
+    assert all(d.converged for d in diags)
+    # The angle rows bind: the warm solves violate them.
+    assert max(d.constraint_violation for d in diags) > 1e-3
+
+
+def test_max_constraint_violation_is_the_excess_past_the_pinned_limit(
+        pinned_run):
+    model, _, trace, _ = pinned_run
+    j = model.base_dof_count + PINNED_JOINT
+    excess = np.max(model.limits.q_lower[j] - trace.q[:, j])
+    assert excess > 0.0
+    metrics = sim.error_metrics(trace, 0.5, model=model)
+    assert metrics["max_constraint_violation"] == excess
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "FTCND solves the xi-penalized QP; with xi = 5 against a pose weight "
+    "of 5e4 a binding angle limit does not hold (the plant runs 0.036 rad "
+    "past it in 1 s)"))
+def test_plant_angle_holds_a_pinned_limit(pinned_run):
+    model, _, trace, _ = pinned_run
+    j = model.base_dof_count + PINNED_JOINT
+    assert trace.q[:, j].min() >= model.limits.q_lower[j] - 1e-3
+
+
+def test_offset_start_converges_in_finite_time(offset_run):
+    model, script, trace, diags = offset_run
+    assert len(diags) == round(script.duration / script.control_period)
+    assert np.max(np.abs(trace.err_pos[0])) == pytest.approx(0.02, abs=1e-12)
+    metrics = sim.error_metrics(trace, 0.5, model=model)
+    assert 0.0 < metrics["convergence_time_pos"] < 0.2
+
+
+def test_sliding_Vdot_is_the_backward_difference_of_V(offset_run):
+    _, script, trace, _ = offset_run
+    assert np.all(trace.sliding_Vdot[:2] == 0.0)
+    np.testing.assert_array_equal(
+        trace.sliding_Vdot[2:],
+        np.diff(trace.sliding_V[1:]) / script.torque_period)
+    assert np.any(trace.sliding_Vdot != 0.0)
