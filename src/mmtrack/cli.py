@@ -18,6 +18,10 @@ from .model import ConfigError, load_scenario
 
 _CONTROLLERS = ("nftsm", "pd", "nftsm-no-taub")
 
+# Exit 2; a diverging plant ends in LinAlgError once M stops factoring.
+_SOLVER_FAILURES = (sim.SimulationError, ftcnd.FtcndIntegrationError,
+                    pomptc.SingularConfigurationError, np.linalg.LinAlgError)
+
 _PANELS = {
     "path": (["pose_x", "pose_y", "pose_z", "ref_x", "ref_y", "ref_z"],
              "end-effector path vs reference (x-y projection)"),
@@ -100,8 +104,7 @@ def cmd_simulate(args) -> int:
     try:
         trace = sim.run_closed_loop(model, params, script,
                                     controller=args.controller)
-    except (sim.SimulationError, ftcnd.FtcndIntegrationError,
-            pomptc.SingularConfigurationError) as exc:
+    except _SOLVER_FAILURES as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2
     metrics = _write_outputs(Path(args.out), trace, model, script)
@@ -192,8 +195,7 @@ def cmd_compare(args) -> int:
         traces = {name: sim.run_closed_loop(model, params, script,
                                             controller=name)
                   for name in controllers}
-    except (sim.SimulationError, ftcnd.FtcndIntegrationError,
-            pomptc.SingularConfigurationError) as exc:
+    except _SOLVER_FAILURES as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2
 

@@ -12,13 +12,14 @@ prefix products, in ceil(log2 k) batched matrix products for k joints.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import RobotModel
 
 PITCH_SINGULARITY_TOL = 1e-9
+TASK_SINGULARITY_TOL = 1e-8
 
 
 def wrap_angle(a):
@@ -89,7 +90,6 @@ class Pose:
 
     position: np.ndarray
     orientation: np.ndarray  # [yaw, pitch, roll]
-    representation_singular: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "position", np.asarray(self.position, float))
@@ -103,25 +103,6 @@ class Pose:
     def from_vector(v) -> "Pose":
         v = np.asarray(v, float)
         return Pose(v[..., :3], v[..., 3:6])
-
-
-@dataclass(frozen=True)
-class ConfigurationState:
-    """Joint state fed to the predictive layer.
-
-    ``qdot_prev`` is the commanded velocity of the previous control step,
-    the quantity the velocity recursion starts from.
-    """
-
-    q: np.ndarray
-    qdot: np.ndarray
-    qdot_prev: np.ndarray
-
-    def __post_init__(self):
-        for name in ("q", "qdot", "qdot_prev"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), float))
-        if not (len(self.q) == len(self.qdot) == len(self.qdot_prev)):
-            raise ValueError("state vectors must share one length")
 
 
 def chain_frames(model: RobotModel, q, start: int = 0):
@@ -185,42 +166,44 @@ def point_jacobians(model: RobotModel, rotations, origins, points,
 def forward_kinematics(model: RobotModel, q) -> Pose:
     """End-effector pose p = F(q) for the full chain (base + arm)."""
     _, _, R_ee, p_ee = chain_frames(model, np.asarray(q, float))
+    return Pose(p_ee.real, euler_zyx(R_ee))
+
+
+def linearization(model: RobotModel, q):
+    """End-effector pose, analytic Jacobian J and task-singularity test
+    (singular, det) at ``q``, from one :func:`chain_frames` pass.
+
+    J is 6 x m: rows 0-2 are the translational Jacobian; rows 3-5 map
+    joint rates to Euler-angle rates via the inverse angular-rate
+    transform E.  det E = -cos(pitch), and the arcsin pitch of
+    :func:`euler_zyx` has a cosine that never rounds to zero, so E is
+    never exactly singular.  ``singular`` is True when |cos(base pitch)|
+    or ``det`` = det(J Jt) over the task rows is below TASK_SINGULARITY_TOL.
+    """
+    q = np.asarray(q, float)
+    rotations, origins, R_ee, p_ee = chain_frames(model, q)
+    columns, angular = point_jacobians(model, rotations, origins, p_ee[None])
     euler = euler_zyx(R_ee)
-    singular = abs(np.cos(euler[1])) < 1e-6
-    return Pose(p_ee.real, euler, representation_singular=singular)
+    E = euler_rate_matrix(euler[0], euler[1])
+    J = np.vstack([columns[0].T, np.linalg.solve(E, angular.T)])
+    Jt = J[list(model.task_rows)]
+    det = float(np.linalg.det(Jt @ Jt.T))
+    pitch_singular = (model.base_dof_count >= 5
+                      and abs(np.cos(q[4])) < TASK_SINGULARITY_TOL)
+    singular = pitch_singular or det < TASK_SINGULARITY_TOL
+    return Pose(p_ee, euler), J, singular, det
 
 
 def geometric_jacobian(model: RobotModel, q) -> np.ndarray:
-    """Analytic (Euler-rate) Jacobian: pdot = J(q) qdot, 6 x m.
-
-    Rows 0-2 are the translational Jacobian; rows 3-5 map joint rates to
-    Euler-angle rates via the inverse angular-rate transform.  That
-    transform has det = -cos(pitch), and the pitch of :func:`euler_zyx`
-    is an arcsin whose cosine never rounds to zero in float64, so the
-    solve below cannot meet an exactly singular matrix.
-    """
-    rotations, origins, R_ee, p_ee = chain_frames(model, np.asarray(q, float))
-    columns, angular = point_jacobians(model, rotations, origins, p_ee[None])
-    yaw, pitch, _ = euler_zyx(R_ee)
-    E = euler_rate_matrix(yaw, pitch)
-    return np.vstack([columns[0].T, np.linalg.solve(E, angular.T)])
+    """Analytic (Euler-rate) Jacobian: pdot = J(q) qdot, 6 x m; see
+    :func:`linearization`."""
+    return linearization(model, q)[1]
 
 
-def is_representation_singular(model: RobotModel, q, tol: float = 1e-8):
-    """Flag representation/task singularities.
-
-    True when the base pitch is at +-pi/2 (within tol on its cosine) or
-    when det(J Jt), restricted to the model's task rows, falls below tol.
-    Returns (flag, det_value).
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    q = np.asarray(q, float)
-    Jt = geometric_jacobian(model, q)[list(model.task_rows)]
-    det = float(np.linalg.det(Jt @ Jt.T))
-    pitch_singular = (model.base_dof_count >= 5
-                      and abs(np.cos(q[4])) < max(tol, 1e-12))
-    return pitch_singular or det < tol, det
+def is_representation_singular(model: RobotModel, q):
+    """Flag representation/task singularities as (flag, det); see
+    :func:`linearization`."""
+    return linearization(model, q)[2:]
 
 
 def prediction_matrix(t: float, N: int, Nu: int) -> np.ndarray:

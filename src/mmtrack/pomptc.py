@@ -3,9 +3,16 @@
 The quadratic program minimizes, over stacked joint-velocity increments
 z, the weighted sum of linearized pose-tracking errors, joint
 velocities, and velocity increments over the horizon, subject to
-three-level (angle / velocity / acceleration) box constraints.
-``direct_cost`` evaluates the same objective literally from the rolled
-trajectory and serves as the equivalence oracle for the assembly.
+three-level (angle / velocity / acceleration) box constraints.  The
+Jacobian J is held constant over the horizon, so the cost's quadratic
+form is, for the prediction matrix U and accumulation matrix I1,
+
+    kron(U'U, J' Wp J) + kron(I1'I1, Wv) + kron(I, Wa).
+
+:func:`assemble_qp` builds it from these blocks after one chain pass
+(:func:`kinematics.linearization`).  ``direct_cost`` evaluates the same
+objective literally from the rolled trajectory and serves as the
+equivalence oracle for the assembly.
 """
 from __future__ import annotations
 
@@ -15,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kinematics as kin
-from .kinematics import ConfigurationState, Pose
+from .kinematics import Pose
 from .model import RobotModel
 
 
@@ -75,12 +82,11 @@ class QpProblem:
             a = np.asarray(getattr(self, name), float).copy()
             a.setflags(write=False)
             object.__setattr__(self, name, a)
-        nz = self.m_prime * self.Nu
+        nz, nc = self.n_variables, self.n_constraints
         if self.S.shape != (nz, nz):
             raise ValueError(f"S must be {nz}x{nz}")
         if self.G.shape != (nz,):
             raise ValueError(f"G must have length {nz}")
-        nc = (2 * self.N + 4 * self.Nu) * self.m_prime
         if self.H.shape != (nc, nz) or self.w.shape != (nc,):
             raise ValueError(f"H/w must have {nc} rows")
 
@@ -107,16 +113,11 @@ class QpProblem:
         return float(np.max(np.append(self.H @ np.asarray(z, float) - self.w, 0.0)))
 
 
-def _horizon_refs(pose_refs):
-    out = []
-    for r in pose_refs:
-        out.append(r if isinstance(r, Pose) else Pose.from_vector(r))
-    return out
-
-
-def assemble_qp(model: RobotModel, state: ConfigurationState, pose_refs,
+def assemble_qp(model: RobotModel, q, qdot_prev, pose_refs,
                 weights: PomptcWeights, t: float, N: int, Nu: int) -> QpProblem:
-    """Build the dense QP for the current state and reference window.
+    """Build the dense QP at configuration ``q`` for the (N, 6) reference
+    window ``pose_refs``; ``qdot_prev`` is the commanded velocity of the
+    previous control step, which the velocity recursion starts from.
 
     The pose over the horizon is linearized about the current
     configuration, p(j+i) ~ p(j) + J(q(j)) (q(j+i) - q(j)), with the
@@ -127,47 +128,44 @@ def assemble_qp(model: RobotModel, state: ConfigurationState, pose_refs,
         raise ValueError("need N >= Nu >= 1")
     if t <= 0:
         raise ValueError("sampling period must be positive")
-    pose_refs = _horizon_refs(pose_refs)
-    if len(pose_refs) != N:
-        raise ValueError(f"expected {N} pose references, got {len(pose_refs)}")
+    pose_refs = np.asarray(pose_refs, float)
+    if pose_refs.shape != (N, 6):
+        raise ValueError(f"expected {N} pose references, got {pose_refs.shape}")
     mask = model.actuated_by_mpc
     mp = int(np.count_nonzero(mask))
-    singular, det = kin.is_representation_singular(model, state.q)
+    q = np.asarray(q, float)
+    pose_now, J, singular, det = kin.linearization(model, q)
     if singular:
         raise SingularConfigurationError(
             f"configuration is representation-singular (det {det:.3e})")
-
-    pose_now = kin.forward_kinematics(model, state.q)
-    J = kin.geometric_jacobian(model, state.q)[:, mask]  # 6 x m'
-    qdp = state.qdot_prev[mask]
+    J = J[:, mask]                            # 6 x m'
+    qdp = np.asarray(qdot_prev, float)[mask]
 
     U = kin.prediction_matrix(t, N, Nu)       # N x Nu
     I1 = kin.accumulation_matrix(Nu)          # Nu x Nu
-    Imp = np.eye(mp)
+    Wp, Wv, Wa = weights.pose, weights.velocity, weights.accel
 
-    # Stacked linear maps from z to pose errors and velocities.
-    A_pose = np.kron(U, J)
-    b_pose = np.empty(6 * N)
-    for i in range(N):
-        e_i = kin.pose_error(pose_now, pose_refs[i])
-        b_pose[6 * i:6 * (i + 1)] = e_i + (i + 1) * t * (J @ qdp)
-    A_vel = np.kron(I1, Imp)
-    b_vel = np.tile(qdp, Nu)
+    # Row i of B is the pose error at step i + 1 for z = 0, so the
+    # stacked error is vec(B) + kron(U, J) z.
+    steps = np.arange(1, N + 1) * t
+    B = kin.pose_error(pose_now, Pose.from_vector(pose_refs)) \
+        + np.outer(steps, J @ qdp)
 
-    Cbar = np.kron(np.eye(N), weights.pose)
-    B1bar = np.kron(np.eye(Nu), weights.velocity)
-    B2bar = np.kron(np.eye(Nu), weights.accel)
-
-    S = 2.0 * (A_pose.T @ Cbar @ A_pose + A_vel.T @ B1bar @ A_vel + B2bar)
-    S = 0.5 * (S + S.T)
-    G = 2.0 * (A_pose.T @ Cbar @ b_pose + A_vel.T @ B1bar @ b_vel)
+    S = np.kron(U.T @ U, J.T @ Wp @ J) + np.kron(I1.T @ I1, Wv)
+    diag = np.arange(Nu)
+    S.reshape(Nu, mp, Nu, mp)[diag, :, diag, :] += Wa    # + kron(I, Wa)
+    S = S + S.T           # S is twice the quadratic form; exactly symmetric
+    G = 2.0 * ((U.T @ B @ Wp @ J).ravel()
+               + np.kron(I1.sum(axis=0), Wv @ qdp))
 
     # Constraints, six blocks: q upper/lower, qdot upper/lower,
     # acceleration upper/lower.
     lim = model.limits
-    qm = state.q[mask]
+    qm = q[mask]
+    Imp = np.eye(mp)
     T_q = np.kron(U, Imp)                     # maps z to q(j+i) - q(j)
-    drift = np.concatenate([(i + 1) * t * qdp for i in range(N)])
+    A_vel = np.kron(I1, Imp)                  # maps z to qdot(j+i) - qdot_prev
+    drift = np.outer(steps, qdp).ravel()
     q_up = np.tile(lim.q_upper[mask], N) - np.tile(qm, N) - drift
     q_lo = np.tile(qm, N) + drift - np.tile(lim.q_lower[mask], N)
     v_up = np.tile(lim.qdot_upper[mask] - qdp, Nu)
@@ -180,28 +178,29 @@ def assemble_qp(model: RobotModel, state: ConfigurationState, pose_refs,
     return QpProblem(S=S, G=G, H=H, w=w, t=t, N=N, Nu=Nu, m_prime=mp)
 
 
-def direct_cost(model: RobotModel, state: ConfigurationState, pose_refs,
+def direct_cost(model: RobotModel, q, qdot_prev, pose_refs,
                 weights: PomptcWeights, t: float, N: int, Nu: int, z) -> float:
     """Literal evaluation of the three weighted horizon sums.
 
     Rolls the trajectory forward step by step and sums the terms,
     independent of the assembled matrices; oracle for assemble_qp.
     """
-    pose_refs = _horizon_refs(pose_refs)
     mask = model.actuated_by_mpc
     mp = int(np.count_nonzero(mask))
     z = np.asarray(z, float)
     if z.shape != (mp * Nu,):
         raise ValueError(f"z must have length {mp * Nu}")
     delta = z.reshape(Nu, mp)
-    qm = state.q[mask]
-    qdp = state.qdot_prev[mask]
+    q = np.asarray(q, float)
+    qm = q[mask]
+    qdp = np.asarray(qdot_prev, float)[mask]
     q_traj, qdot_traj = kin.predict_joint_trajectory(qm, qdp, delta, t, N)
-    pose_now = kin.forward_kinematics(model, state.q)
-    J = kin.geometric_jacobian(model, state.q)[:, mask]
+    pose_now = kin.forward_kinematics(model, q)
+    J = kin.geometric_jacobian(model, q)[:, mask]
     cost = 0.0
     for i in range(N):
-        err = kin.pose_error(pose_now, pose_refs[i]) + J @ (q_traj[i] - qm)
+        ref = Pose.from_vector(pose_refs[i])
+        err = kin.pose_error(pose_now, ref) + J @ (q_traj[i] - qm)
         cost += err @ weights.pose @ err
     for i in range(Nu):
         cost += qdot_traj[i] @ weights.velocity @ qdot_traj[i]

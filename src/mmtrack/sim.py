@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import dynamics, ftcnd, kinematics as kin, nftsm, pomptc
-from .kinematics import ConfigurationState, Pose
+from .kinematics import Pose
 from .model import ControllerParams, RobotModel
 
 _AXIS_NAMES = {"x": 0, "y": 1, "z": 2, "yaw": 3, "pitch": 4, "roll": 5}
@@ -54,9 +54,17 @@ def _as_vector(value, length, name):
     return arr
 
 
-def _base_motion(spec: dict):
+def _sinusoid_bounded(om, phase, peak, duration, name):
+    """Raise naming the key ``name`` unless sin(om t + phase) has a
+    finite argument over [0, duration] and ``peak`` is finite."""
+    if not (math.isfinite(om * duration + phase) and math.isfinite(peak)):
+        raise ValueError(f"{name}: the sinusoid overflows within the "
+                         f"{duration:g} s run")
+
+
+def _base_motion(spec: dict, duration: float):
     """Base generalized position, velocity and acceleration (q, v, a) as
-    a function of time t, from ``base_motion``."""
+    a function of time t in [0, duration], from ``base_motion``."""
     kind = spec.get("kind", "static")
     if kind in ("static", "tilt"):
         pose = np.zeros(6)
@@ -77,6 +85,7 @@ def _base_motion(spec: dict):
     om = 2.0 * math.pi * _number(spec.get("frequency", 0.5),
                                  "base_motion.frequency")
     ph = _number(spec.get("phase", 0.0), "base_motion.phase")
+    _sinusoid_bounded(om, ph, A * om * om, duration, "base_motion.frequency")
 
     def state(t):
         q, v, a = np.zeros(6), np.zeros(6), np.zeros(6)
@@ -87,7 +96,7 @@ def _base_motion(spec: dict):
     return state
 
 
-def _reference(spec: dict):
+def _reference(spec: dict, duration: float):
     """Reference pose vectors [x, y, z, yaw, pitch, roll] at ``times``
     (any shape; the result has shape ``times.shape + (6,)``) as a
     function of (times, initial pose), from ``reference``.  The angles
@@ -105,7 +114,12 @@ def _reference(spec: dict):
                                       or not np.isfinite(value).all()):
                 raise ValueError(f"reference.{name} must have 3 finite "
                                  "entries")
+        # The path stays within r of the centre; the auto one is r off.
+        if not math.isfinite(2.0 * r if center is None
+                             else np.abs(center).max() + r):
+            raise ValueError("reference.radius: the circle overflows")
         om = _number(spec.get("angular_rate", 0.0), "reference.angular_rate")
+        _sinusoid_bounded(om, 0.0, 0.0, duration, "reference.angular_rate")
 
         def circle(t, initial_pose):
             t = np.asarray(t, float)
@@ -139,9 +153,9 @@ def _reference(spec: dict):
          for k in range(6)], axis=-1)
 
 
-def _disturbance(spec: dict):
-    """External joint torque as a function of (time, n), from
-    ``disturbance``."""
+def _disturbance(spec: dict, duration: float):
+    """External joint torque as a function of (time, n) for times in
+    [0, duration], from ``disturbance``."""
     kind = spec.get("kind", "none")
     if kind == "none":
         return lambda t, n: np.zeros(n)
@@ -156,6 +170,7 @@ def _disturbance(spec: dict):
     om = 2.0 * math.pi * _number(spec.get("frequency", 1.0),
                                  "disturbance.frequency")
     ph = _number(spec.get("phase", 0.0), "disturbance.phase")
+    _sinusoid_bounded(om, ph, 0.0, duration, "disturbance.frequency")
     return lambda t, n: _as_vector(amplitude, n, "disturbance.amplitude") \
         * math.sin(om * t + ph)
 
@@ -194,10 +209,12 @@ class ScenarioScript:
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("control_period must be an integer multiple "
                              "of torque_period")
-        object.__setattr__(self, "reference_path", _reference(self.reference))
-        object.__setattr__(self, "base_state", _base_motion(self.base_motion))
+        object.__setattr__(self, "reference_path",
+                           _reference(self.reference, self.duration))
+        object.__setattr__(self, "base_state",
+                           _base_motion(self.base_motion, self.duration))
         object.__setattr__(self, "disturbance_torque",
-                           _disturbance(self.disturbance))
+                           _disturbance(self.disturbance, self.duration))
 
     @staticmethod
     def from_config(sec: dict, model: RobotModel) -> "ScenarioScript":
@@ -390,12 +407,10 @@ def run_closed_loop(model: RobotModel, params: ControllerParams,
         t_j = j * tc
         q_bj, _, _ = script.base_state(t_j)
         q_full_md = full_q(q_bj, q_md)
-        state = ConfigurationState(q=q_full_md, qdot=qdot_prev,
-                                   qdot_prev=qdot_prev)
         refs = script.reference_path(
             t_j + np.arange(1, params.horizon + 1) * tc, initial_pose)
-        problem = pomptc.assemble_qp(model, state, refs, params.weights,
-                                     tc, params.horizon,
+        problem = pomptc.assemble_qp(model, q_full_md, qdot_prev, refs,
+                                     params.weights, tc, params.horizon,
                                      params.control_horizon)
         z, diag = ftcnd.solve(problem, params.ftcnd, warm_start=warm)
         failures = 0 if diag.converged else failures + 1

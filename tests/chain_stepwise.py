@@ -105,9 +105,7 @@ def com_jacobians(model, q_m):
 def forward_kinematics(model, q):
     """Same contract as ``kinematics.forward_kinematics``."""
     _, _, R_ee, p_ee = chain_frames(model, np.asarray(q, float))
-    euler = euler_zyx(R_ee)
-    return Pose(p_ee, euler,
-                representation_singular=abs(np.cos(euler[1])) < 1e-6)
+    return Pose(p_ee, euler_zyx(R_ee))
 
 
 def dynamics_terms(model, q_m, qdot_m, gravity=None, a_b=None):

@@ -4,7 +4,8 @@ regenerate the stored file.
     PYTHONPATH=src python tests/golden.py --diff
 
 prints, for every case, the largest |dq| and |dtau| of the current code
-against ``tests/data/golden_traces.npz`` and writes nothing.
+against ``tests/data/golden_traces.npz`` and writes nothing.  It exits 1
+when a case has another shape or exceeds Q_TOL or TAU_TOL, else 0.
 
     PYTHONPATH=src python tests/golden.py
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import sys
 import warnings
 from pathlib import Path
 
@@ -27,6 +29,9 @@ from mmtrack.model import load_scenario
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "golden_traces.npz"
 DURATION = 0.5
+# Largest |dq| and |dtau| against the stored traces that still passes.
+Q_TOL = 1e-9
+TAU_TOL = 1e-8
 
 # (config under configs/, controller)
 CASES = (
@@ -58,9 +63,11 @@ def key(config, controller, column):
 
 def diff(cases=CASES):
     """Print the largest |dq| and |dtau| of each case against the stored
-    traces."""
+    traces; return 1 if any case has another shape or exceeds Q_TOL or
+    TAU_TOL, else 0."""
     with np.load(GOLDEN_PATH) as data:
         golden = dict(data)
+    status = 0
     for config, controller in cases:
         q, tau = run_case(config, controller)
         q_ref = golden[key(config, controller, "q")]
@@ -68,10 +75,15 @@ def diff(cases=CASES):
         if q.shape != q_ref.shape or tau.shape != tau_ref.shape:
             print(f"{config} / {controller}: shape {q.shape} against "
                   f"stored {q_ref.shape}", flush=True)
+            status = 1
             continue
-        print(f"{config} / {controller}: max |dq| = "
-              f"{np.max(np.abs(q - q_ref)):.3g}, max |dtau| = "
-              f"{np.max(np.abs(tau - tau_ref)):.3g}", flush=True)
+        dq = np.max(np.abs(q - q_ref))
+        dtau = np.max(np.abs(tau - tau_ref))
+        print(f"{config} / {controller}: max |dq| = {dq:.3g}, "
+              f"max |dtau| = {dtau:.3g}", flush=True)
+        if not (dq <= Q_TOL and dtau <= TAU_TOL):
+            status = 1
+    return status
 
 
 def regenerate():
@@ -90,6 +102,6 @@ if __name__ == "__main__":
     parser.add_argument("--diff", action="store_true",
                         help="compare with the stored traces; write nothing")
     if parser.parse_args().diff:
-        diff()
+        sys.exit(diff())
     else:
         regenerate()

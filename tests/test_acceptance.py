@@ -18,7 +18,6 @@ from conftest import solver_batch_problems
 from mmtrack import dynamics, ftcnd, kinematics as kin, nftsm, pomptc, \
     qp_oracle, sim
 from mmtrack.ftcnd import FtcndParams
-from mmtrack.kinematics import ConfigurationState, Pose
 from mmtrack.model import builtin_panda_on_base, builtin_planar_2link, \
     load_scenario
 
@@ -246,21 +245,18 @@ def test_criterion_7_numerical_kernels(capsys):
         q = Q0_FULL + rng.uniform(-0.1, 0.1, 13)
         qdp = np.zeros(13)
         qdp[6:] = rng.uniform(-0.2, 0.2, 7)
-        state = ConfigurationState(q=q, qdot=qdp, qdot_prev=qdp)
-        pose = kin.forward_kinematics(model, q)
-        refs = [Pose(pose.position + rng.uniform(-0.02, 0.02, 3),
-                     pose.orientation + rng.uniform(-0.02, 0.02, 3))
-                for _ in range(N)]
+        refs = kin.forward_kinematics(model, q).as_vector() \
+            + rng.uniform(-0.02, 0.02, (N, 6))
         weights = pomptc.PomptcWeights(
             pose=float(rng.uniform(10, 1000)) * np.eye(6),
             velocity=np.eye(mp), accel=20.0 * np.eye(mp))
-        prob = pomptc.assemble_qp(model, state, refs, weights, t, N, Nu)
+        args = (model, q, qdp, refs, weights, t, N, Nu)
+        prob = pomptc.assemble_qp(*args)
         z0 = np.zeros(prob.n_variables)
-        off = pomptc.direct_cost(model, state, refs, weights, t, N, Nu, z0)
+        off = pomptc.direct_cost(*args, z0)
         for _ in range(3):
             z = rng.normal(scale=0.1, size=prob.n_variables)
-            direct = pomptc.direct_cost(model, state, refs, weights,
-                                        t, N, Nu, z) - off
+            direct = pomptc.direct_cost(*args, z) - off
             quad = prob.objective(z) - prob.objective(z0)
             worst_cost = max(worst_cost,
                              abs(quad - direct) / max(1.0, abs(direct)))

@@ -166,6 +166,22 @@ def test_simulate_solver_failure_exits_2_without_traceback(tmp_path):
     assert not (tmp_path / "out" / "trace.csv").exists()
 
 
+def test_simulate_diverging_plant_exits_2_without_traceback(tmp_path):
+    # A finite but huge disturbance drives the plant until its inertia
+    # matrix no longer factors.
+    path = tmp_path / "huge.yaml"
+    path.write_text("robot:\n  builtin: panda_on_base\nscenario:\n"
+                    "  duration: 0.03\n"
+                    "  disturbance: {kind: step, value: 1.0e+300}\n",
+                    encoding="utf-8")
+    proc = run_cli("simulate", "--config", str(path),
+                   "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "solver failure" in proc.stderr
+    assert not (tmp_path / "out" / "trace.csv").exists()
+
+
 def test_solve_qp_both_solvers(tmp_path, capsys):
     path = tmp_path / "problem.txt"
     path.write_text(pomptc.problem_to_text(hand_qp()), encoding="utf-8")

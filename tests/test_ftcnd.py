@@ -9,7 +9,6 @@ import ftcnd_stepwise
 from conftest import hand_qp, random_qp, solver_batch_problems
 from mmtrack import ftcnd, kinematics as kin, pomptc, qp_oracle
 from mmtrack.ftcnd import FtcndParams
-from mmtrack.kinematics import ConfigurationState
 from mmtrack.model import load_scenario
 from mmtrack.pomptc import QpProblem
 
@@ -254,13 +253,12 @@ def test_one_residual_per_segment_plus_the_final_one(monkeypatch):
     q0 = np.zeros(model.total_dof)             # a static base at the origin
     q0[model.arm_slice] = script.initial_q[-model.arm_joint_count:]
     p0 = kin.forward_kinematics(model, q0)
-    state = ConfigurationState(q0, np.zeros_like(q0), np.zeros_like(q0))
     tc, N = script.control_period, params.horizon
 
     def problem(j):
-        refs = [script.reference_pose((j + i) * tc, p0)
-                for i in range(1, N + 1)]
-        return pomptc.assemble_qp(model, state, refs, params.weights, tc, N,
+        refs = script.reference_path((j + np.arange(1, N + 1)) * tc, p0)
+        return pomptc.assemble_qp(model, q0, np.zeros_like(q0), refs,
+                                  params.weights, tc, N,
                                   params.control_horizon)
     _, cold = ftcnd.solve(problem(0), params.ftcnd)
     calls = []

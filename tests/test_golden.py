@@ -4,10 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from golden import CASES, GOLDEN_PATH, diff, key, run_case
-
-Q_TOL = 1e-9
-TAU_TOL = 1e-8
+from golden import CASES, GOLDEN_PATH, Q_TOL, TAU_TOL, diff, key, run_case
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +25,7 @@ def test_closed_loop_matches_golden_trace(golden, config, controller):
 
 def test_diff_prints_each_case_and_writes_nothing(capsys):
     stamp = GOLDEN_PATH.stat().st_mtime_ns
-    diff(CASES[:1])
+    assert diff(CASES[:1]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1
     match = re.fullmatch(r"nominal_circle / nftsm: max \|dq\| = (\S+), "

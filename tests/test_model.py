@@ -123,6 +123,13 @@ def test_load_scenario_rejects_bad_kappa():
      "disturbance.value"),
     ("scenario:\n  disturbance: {kind: sinusoid, amplitude: [1, 2, 3]}\n",
      "disturbance.amplitude"),
+    ("scenario:\n  base_motion: {kind: sinusoid, frequency: 1.0e+308}\n",
+     "base_motion.frequency"),
+    ("scenario:\n  disturbance: {kind: sinusoid, frequency: 1.0e+308}\n",
+     "disturbance.frequency"),
+    ("scenario:\n  reference: {angular_rate: 1.0e+308}\n",
+     "reference.angular_rate"),
+    ("scenario:\n  reference: {radius: 1.5e+308}\n", "reference.radius"),
 ], ids=["horizon", "horizon_fraction", "control_horizon_fraction",
         "waypoint_time", "initial_q", "base_motion", "pose",
         "duration_inf", "duration_nan", "duration_huge", "control_period_nan",
@@ -130,7 +137,9 @@ def test_load_scenario_rejects_bad_kappa():
         "circle_center_nan", "radius_inf", "angular_rate_list",
         "waypoint_pose_nan", "initial_q_nan", "base_axis_range",
         "base_amplitude_word", "base_pose_length", "disturbance_time_word",
-        "disturbance_value_length", "disturbance_amplitude_length"])
+        "disturbance_value_length", "disturbance_amplitude_length",
+        "base_frequency_overflow", "disturbance_frequency_overflow",
+        "angular_rate_overflow", "radius_overflow"])
 def test_load_scenario_rejects_malformed_values(section, match):
     with pytest.raises(ConfigError, match=match):
         load_scenario(MINIMAL + section)
@@ -284,7 +293,11 @@ def test_load_scenario_fuzz_raises_only_config_error(data):
             model, _, script = load_scenario(yaml.safe_dump(doc))
         except ConfigError:
             return
-    # A scenario that loads runs its time functions without error.
-    script.base_state(0.0)
-    script.reference_path(np.zeros(1), Pose(np.zeros(3), np.zeros(3)))
-    script.disturbance_torque(0.0, model.arm_joint_count)
+    # A scenario that loads runs its time functions without error, and
+    # they stay finite up to the end of the run.
+    start = Pose(np.zeros(3), np.zeros(3))
+    for t in (0.0, script.duration):
+        assert all(np.isfinite(x).all() for x in script.base_state(t))
+        assert np.isfinite(script.reference_path(np.array([t]), start)).all()
+        assert np.isfinite(
+            script.disturbance_torque(t, model.arm_joint_count)).all()

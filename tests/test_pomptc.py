@@ -3,7 +3,6 @@ import pytest
 
 from mmtrack import kinematics as kin
 from mmtrack import pomptc
-from mmtrack.kinematics import ConfigurationState, Pose
 from mmtrack.model import builtin_panda_on_base, builtin_planar_2link
 
 Q0 = np.concatenate([np.zeros(6), [0, -0.78, 0, -2.35, 0, 1.57, 0.78]])
@@ -16,21 +15,31 @@ def make_weights(model, pose=100.0, vel=1.0, acc=5.0):
                                 accel=acc * np.eye(mp))
 
 
+def dense_weights(model, rng):
+    # Dense random SPD weights: a transposed or misordered Kronecker
+    # factor changes the cost, where it would not for scaled identities.
+    def spd(n, scale):
+        A = rng.normal(size=(n, n))
+        W = A @ A.T + n * np.eye(n)
+        return scale * 0.5 * (W + W.T)
+    mp = model.mpc_dof
+    return pomptc.PomptcWeights(pose=spd(6, float(rng.uniform(10, 1000))),
+                                velocity=spd(mp, 1.0), accel=spd(mp, 5.0))
+
+
 def random_state(model, rng, scale=0.1):
+    """(q, qdot_prev) near the nominal configuration."""
     q = Q0 + rng.uniform(-scale, scale, model.total_dof) \
         if model.total_dof == 13 else rng.uniform(-1, 1, model.total_dof)
     qdp = rng.uniform(-0.2, 0.2, model.total_dof)
     qdp[~model.actuated_by_mpc] = 0.0
-    return ConfigurationState(q=q, qdot=qdp, qdot_prev=qdp)
+    return q, qdp
 
 
-def random_refs(model, state, rng, N):
-    pose = kin.forward_kinematics(model, state.q)
-    refs = []
-    for _ in range(N):
-        refs.append(Pose(pose.position + rng.uniform(-0.02, 0.02, 3),
-                         pose.orientation + rng.uniform(-0.02, 0.02, 3)))
-    return refs
+def random_refs(model, q, rng, N):
+    """(N, 6) reference poses within 2 cm / 0.02 rad of the pose at q."""
+    pose = kin.forward_kinematics(model, q).as_vector()
+    return pose + rng.uniform(-0.02, 0.02, (N, 6))
 
 
 def test_weights_validation():
@@ -47,9 +56,8 @@ def test_weights_validation():
 
 def test_qp_dimensions():
     model = builtin_panda_on_base()
-    state = ConfigurationState(q=Q0, qdot=np.zeros(13), qdot_prev=np.zeros(13))
-    refs = [kin.forward_kinematics(model, Q0)] * 5
-    p = pomptc.assemble_qp(model, state, refs, make_weights(model),
+    refs = np.tile(kin.forward_kinematics(model, Q0).as_vector(), (5, 1))
+    p = pomptc.assemble_qp(model, Q0, np.zeros(13), refs, make_weights(model),
                            0.01, 5, 5)
     assert p.n_variables == 35
     assert p.n_constraints == (2 * 5 + 4 * 5) * 7
@@ -60,24 +68,43 @@ def test_qp_dimensions():
 
 def test_cost_form_matches_direct_evaluation():
     # The assembled quadratic and the literal horizon sums must agree up
-    # to a z-independent constant.
+    # to a z-independent constant, for scaled-identity and dense weights.
     rng = np.random.default_rng(21)
     for model in (builtin_panda_on_base(), builtin_planar_2link()):
-        for _ in range(20):
+        for k in range(40):
             N = int(rng.integers(1, 5))
             Nu = int(rng.integers(1, N + 1))
             t = float(rng.uniform(0.005, 0.05))
-            state = random_state(model, rng)
-            refs = random_refs(model, state, rng, N)
-            w = make_weights(model, pose=float(rng.uniform(10, 1000)))
-            prob = pomptc.assemble_qp(model, state, refs, w, t, N, Nu)
+            q, qdp = random_state(model, rng)
+            refs = random_refs(model, q, rng, N)
+            w = make_weights(model, pose=float(rng.uniform(10, 1000))) \
+                if k < 20 else dense_weights(model, rng)
+            args = (model, q, qdp, refs, w, t, N, Nu)
+            prob = pomptc.assemble_qp(*args)
             z0 = np.zeros(prob.n_variables)
-            off = pomptc.direct_cost(model, state, refs, w, t, N, Nu, z0)
+            off = pomptc.direct_cost(*args, z0)
             for _ in range(5):
                 z = rng.normal(scale=0.1, size=prob.n_variables)
                 lhs = prob.objective(z) - prob.objective(z0)
-                rhs = pomptc.direct_cost(model, state, refs, w, t, N, Nu, z) - off
+                rhs = pomptc.direct_cost(*args, z) - off
                 assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
+
+
+def test_assembly_walks_the_chain_once(monkeypatch):
+    model = builtin_panda_on_base()
+    rng = np.random.default_rng(5)
+    q, qdp = random_state(model, rng)
+    refs = random_refs(model, q, rng, 5)
+    calls = []
+    chain_frames = kin.chain_frames
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return chain_frames(*args, **kwargs)
+    monkeypatch.setattr(kin, "chain_frames", counting)
+    pomptc.assemble_qp(model, q, qdp, refs, dense_weights(model, rng),
+                       0.01, 5, 5)
+    assert len(calls) == 1
 
 
 def test_constraints_sound_and_complete():
@@ -85,10 +112,10 @@ def test_constraints_sound_and_complete():
     # rollout violating the box must violate Hz <= w.
     model = builtin_panda_on_base()
     rng = np.random.default_rng(33)
-    state = random_state(model, rng, scale=0.05)
+    q, qdp = random_state(model, rng, scale=0.05)
     N = Nu = 3
     t = 0.01
-    prob = pomptc.assemble_qp(model, state, random_refs(model, state, rng, N),
+    prob = pomptc.assemble_qp(model, q, qdp, random_refs(model, q, rng, N),
                               make_weights(model), t, N, Nu)
     lim = model.limits
     mask = model.actuated_by_mpc
@@ -96,7 +123,7 @@ def test_constraints_sound_and_complete():
         z = rng.normal(scale=0.02, size=prob.n_variables)
         delta = z.reshape(Nu, model.mpc_dof)
         q_traj, qd_traj = kin.predict_joint_trajectory(
-            state.q[mask], state.qdot_prev[mask], delta, t, N)
+            q[mask], qdp[mask], delta, t, N)
         acc = delta / t
         inside = (np.all(q_traj <= lim.q_upper[mask] + 1e-12)
                   and np.all(q_traj >= lim.q_lower[mask] - 1e-12)
@@ -113,18 +140,17 @@ def test_translation_invariance():
     # leaves the QP unchanged.
     model = builtin_panda_on_base()
     rng = np.random.default_rng(8)
-    state = random_state(model, rng)
-    refs = random_refs(model, state, rng, 4)
+    q, qdp = random_state(model, rng)
+    refs = random_refs(model, q, rng, 4)
     w = make_weights(model)
-    p1 = pomptc.assemble_qp(model, state, refs, w, 0.01, 4, 2)
+    p1 = pomptc.assemble_qp(model, q, qdp, refs, w, 0.01, 4, 2)
 
-    shift = np.array([0.2, 0.0, 0.0])
-    q2 = state.q.copy()
-    q2[0] += shift[0]
-    state2 = ConfigurationState(q=q2, qdot=state.qdot,
-                                qdot_prev=state.qdot_prev)
-    refs2 = [kin.Pose(r.position + shift, r.orientation) for r in refs]
-    p2 = pomptc.assemble_qp(model, state2, refs2, w, 0.01, 4, 2)
+    shift = 0.2
+    q2 = q.copy()
+    q2[0] += shift
+    refs2 = refs.copy()
+    refs2[:, 0] += shift
+    p2 = pomptc.assemble_qp(model, q2, qdp, refs2, w, 0.01, 4, 2)
     np.testing.assert_allclose(p1.S, p2.S, atol=1e-9)
     np.testing.assert_allclose(p1.G, p2.G, atol=1e-9)
     np.testing.assert_allclose(p1.H, p2.H, atol=1e-12)
@@ -135,26 +161,23 @@ def test_translation_invariance():
 
 def test_singular_configuration_rejected():
     model = builtin_planar_2link()
-    state = ConfigurationState(q=np.zeros(2), qdot=np.zeros(2),
-                               qdot_prev=np.zeros(2))
-    refs = [Pose([1.0, 0.0, 0.0], [0.0, 0.0, 0.0])]
+    refs = [[1.0, 0.0, 0.0, 0.0, 0.0, 0.0]]
     with pytest.raises(pomptc.SingularConfigurationError):
-        pomptc.assemble_qp(model, state, refs, make_weights(model),
-                           0.01, 1, 1)
+        pomptc.assemble_qp(model, np.zeros(2), np.zeros(2), refs,
+                           make_weights(model), 0.01, 1, 1)
 
 
 def test_horizon_validation():
     model = builtin_planar_2link()
-    state = ConfigurationState(q=[0.3, 1.0], qdot=np.zeros(2),
-                               qdot_prev=np.zeros(2))
-    refs = [kin.forward_kinematics(model, state.q)]
+    q, qdp = [0.3, 1.0], np.zeros(2)
+    refs = [kin.forward_kinematics(model, q).as_vector()]
+    w = make_weights(model)
     with pytest.raises(ValueError):
-        pomptc.assemble_qp(model, state, refs, make_weights(model), 0.01, 1, 2)
+        pomptc.assemble_qp(model, q, qdp, refs, w, 0.01, 1, 2)
     with pytest.raises(ValueError):
-        pomptc.assemble_qp(model, state, refs * 2, make_weights(model),
-                           -0.01, 2, 1)
+        pomptc.assemble_qp(model, q, qdp, refs * 2, w, -0.01, 2, 1)
     with pytest.raises(ValueError, match="references"):
-        pomptc.assemble_qp(model, state, refs, make_weights(model), 0.01, 2, 1)
+        pomptc.assemble_qp(model, q, qdp, refs, w, 0.01, 2, 1)
 
 
 def test_extract_first_increment_scatter():
@@ -169,10 +192,10 @@ def test_extract_first_increment_scatter():
 def test_problem_text_round_trip():
     rng = np.random.default_rng(77)
     model = builtin_planar_2link()
-    state = ConfigurationState(q=[0.3, 1.0], qdot=[0.1, -0.1],
-                               qdot_prev=[0.1, -0.1])
-    refs = random_refs(model, state, rng, 3)
-    p = pomptc.assemble_qp(model, state, refs, make_weights(model), 0.01, 3, 2)
+    q = np.array([0.3, 1.0])
+    refs = random_refs(model, q, rng, 3)
+    p = pomptc.assemble_qp(model, q, [0.1, -0.1], refs, make_weights(model),
+                           0.01, 3, 2)
     q = pomptc.problem_from_text(pomptc.problem_to_text(p))
     np.testing.assert_array_equal(p.S, q.S)
     np.testing.assert_array_equal(p.G, q.G)

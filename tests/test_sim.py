@@ -368,7 +368,7 @@ def test_from_csv_rejects_a_foreign_header(tmp_path):
         SimTrace.from_csv(path)
 
 
-def test_forward_kinematics_once_per_control_step(monkeypatch):
+def test_forward_kinematics_once_per_run(monkeypatch):
     calls = []
     fk = kin.forward_kinematics
 
@@ -379,8 +379,9 @@ def test_forward_kinematics_once_per_control_step(monkeypatch):
     model, params, script = load_quiet(TWOLINK_REG)
     script = dataclasses.replace(script, duration=0.1)
     sim.run_closed_loop(model, params, script)
-    # The initial pose, then one per assemble_qp; none per torque row.
-    assert len(calls) == 1 + round(script.duration / script.control_period)
+    # The initial pose only: assemble_qp takes the pose from its own
+    # chain pass, and the trace's pose columns from chain_frames.
+    assert len(calls) == 1
 
 
 def test_replace_and_pickle_resolve_the_time_functions_again():
