@@ -7,9 +7,9 @@ inertia per joint, so the inertia matrix is
 (bias) vector is ``C(q, qdot) qdot = sum_i m_i Jc_i^T (Jcdot_i qdot)``.
 The plant and the torque laws use only that vector: one complex-step
 evaluation of the COM Jacobians at ``q + i h qdot`` gives ``Jc`` (real
-part) and ``Jcdot`` (imaginary part over h) together.  The Christoffel
-Coriolis matrix, with dM/dq from a batched complex step, is kept as the
-oracle of that vector and of the skew-symmetry of Mdot - 2C.
+part) and ``Jcdot`` (imaginary part over h) together, in one fused
+pass of a few batched matmuls.  The Christoffel Coriolis matrix, the
+oracle of the bias vector, is in ``tests/oracles.py``.
 
 Forward dynamics and the NFTSM law apply M^-1 through one LAPACK
 Cholesky factorization, whose pivots are also the singularity guard
@@ -22,10 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .kinematics import chain_frames, point_jacobians
+from .kinematics import axis_skew, joint_frames
 from .model import RobotModel
 
 _CS_STEP = 1e-20  # complex-step size; derivative error is O(step^2)
+# v @ _SKEW is the skew matrix of v, flattened row by row.
+_SKEW = np.array([axis_skew(e).ravel() for e in np.eye(3)])
 
 
 @dataclass(frozen=True)
@@ -57,48 +59,23 @@ def com_jacobians(model: RobotModel, q_m):
     """Translational COM Jacobians in the base frame, (..., n, 3, n).
 
     ``q_m`` holds arm angles in its last axis with any leading batch
-    shape; complex-safe for complex-step differentiation.
+    shape; complex-safe.  Column k of link i, axis_k x (com_i - o_k), comes
+    from one matmul of the axis skews; the result is a view of memory laid
+    out as [joint k, axis, link i].
     """
     start = model.base_dof_count
-    R, o, _, _ = chain_frames(model, q_m, start)
-    coms = np.einsum("...ixy,iy->...ix", R, model.link_com_offsets) + o
-    columns, _ = point_jacobians(model, R, o, coms, start)
-    # Link i moves only with joints k <= i.
-    columns = columns * model.fixed_transforms.links[:, :, None]
-    return np.ascontiguousarray(np.swapaxes(columns, -1, -2))
-
-
-def _mass_weighted(model: RobotModel, Jc, v):
-    """sum_i m_i Jc_i^T v: the joint torque of a uniform force field v
-    (per unit mass) acting on the link COMs."""
-    return np.einsum("m,mak,a->k", model.link_masses, Jc, v)
-
-
-def _inertia(model: RobotModel, Jc):
-    """sum_i m_i Jc_i^T Jc_i + diag(rotor), batched over leading axes;
-    complex-safe (no conjugation)."""
-    M = np.einsum("m,...mak,...mal->...kl", model.link_masses, Jc, Jc)
-    return M + np.diag(model.rotor_inertia)
-
-
-def inertia_gradient(model: RobotModel, q_m):
-    """dM/dq_k for every k, shape (n, n, n), by complex step: one
-    imaginary perturbation per joint in a batch of n configurations."""
-    q_m = np.asarray(q_m, float)
-    n = model.arm_joint_count
-    Q = q_m[None, :] + 1j * _CS_STEP * np.eye(n)
-    return _inertia(model, com_jacobians(model, Q)).imag / _CS_STEP
-
-
-def coriolis_matrix(model: RobotModel, q_m, qdot_m):
-    """Christoffel Coriolis matrix C(q, qdot), so that q' (Mdot - 2C) q'
-    vanishes identically.  The oracle of ``DynamicsTerms.bias``."""
-    dM = inertia_gradient(model, q_m)
-    qdot_m = np.asarray(qdot_m, float)
-    # C[i, j] = 0.5 * sum_k (dM[k][i,j] + dM[j][i,k] - dM[i][k,j]) qdot[k]
-    return 0.5 * (np.einsum("kij,k->ij", dM, qdot_m)
-                  + np.einsum("jik,k->ij", dM, qdot_m)
-                  - np.einsum("ikj,k->ij", dM, qdot_m))
+    tab = model.fixed_transforms
+    F = joint_frames(model, q_m, start)
+    o = F[..., :3, 3]
+    rotated = F[..., :3, :] @ tab.axis_com      # (..., n, 3, 2)
+    axes, coms = rotated[..., 0], rotated[..., 1]
+    skews = (axes @ _SKEW).reshape(axes.shape + (3,))
+    columns = skews @ (np.swapaxes(coms, -1, -2)[..., None, :, :]
+                       - o[..., None])          # (..., k, 3, i)
+    if tab.slides[start]:
+        columns = np.where(tab.revolute[start:, None, None], columns,
+                           axes[..., None])
+    return np.swapaxes(columns * tab.links, -1, -3)
 
 
 def dynamics_terms(model: RobotModel, q_m, qdot_m, gravity=None,
@@ -110,7 +87,8 @@ def dynamics_terms(model: RobotModel, q_m, qdot_m, gravity=None,
     is tilted).  ``a_b`` is the base linear acceleration in the base
     frame; tau_b is the feed-forward torque compensating it, the
     mass-weighted virtual-work sum ``tau_b[k] = sum_i m_i a_b .
-    d(com_i)/dq_k``, linear in a_b and zero when the base coasts.
+    d(com_i)/dq_k``, linear in a_b and exactly +0 when the base coasts.
+    M is one Gram matmul; G and tau_b use ``Jm = sum_i m_i Jc_i``.
     """
     q_m = np.asarray(q_m, float)
     qdot_m = np.asarray(qdot_m, float)
@@ -118,19 +96,22 @@ def dynamics_terms(model: RobotModel, q_m, qdot_m, gravity=None,
     if q_m.shape != (n,) or qdot_m.shape != (n,):
         raise ValueError(f"expected arm vectors of length {n}")
     g = model.gravity if gravity is None else np.asarray(gravity, float)
-    Jz = com_jacobians(model, q_m + 1j * _CS_STEP * qdot_m)
-    Jc = Jz.real
-    Jcdot_qdot = Jz.imag @ qdot_m / _CS_STEP     # (n, 3)
-    bias = np.einsum("m,mak,ma->k", model.link_masses, Jc, Jcdot_qdot)
+    masses = model.link_masses
+    qz = q_m + 1j * _CS_STEP * qdot_m
+    Jz = np.swapaxes(com_jacobians(model, qz), 0, 2)   # [joint, axis, link]
+    J = Jz.real.reshape(n, 3 * n)
+    mJ = (Jz.real * masses).reshape(n, 3 * n)
+    Jdot_qdot = qdot_m @ Jz.imag.reshape(n, 3 * n) / _CS_STEP
+    Jm = Jz.real @ masses                       # (n, 3)
     tau_b = np.zeros(n)
     if a_b is not None:
         a_b = np.asarray(a_b, float)
         if a_b.shape != (3,):
             raise ValueError("a_b must be a 3-vector")
         if np.any(a_b):
-            tau_b = _mass_weighted(model, Jc, a_b)
-    return DynamicsTerms(M=_inertia(model, Jc), bias=bias,
-                         G=_mass_weighted(model, Jc, -g), tau_b=tau_b)
+            tau_b = Jm @ a_b
+    return DynamicsTerms(M=J @ mJ.T + model.fixed_transforms.rotor,
+                         bias=mJ @ Jdot_qdot, G=-(Jm @ g), tau_b=tau_b)
 
 
 def solve_inertia(M, rhs):

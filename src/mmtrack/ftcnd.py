@@ -65,7 +65,9 @@ class FtcndIntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class FtcndParams:
-    """Gains and integration settings of the neural-dynamics solver."""
+    """Gains and integration settings of the neural-dynamics solver.
+    From ``ode_step`` ~ 0.02 (default gains) steps near convergence
+    overshoot, and the step count depends on rounding."""
 
     xi: float = 5.0
     mu: float = 5.0

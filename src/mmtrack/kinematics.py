@@ -6,9 +6,10 @@ Orientation convention is Z-Y-X throughout: a pose orientation vector
 All transform helpers accept complex inputs so that callers can use
 complex-step differentiation.
 
-The one chain kernel, :func:`chain_frames`, builds the local 4 x 4
+The one chain kernel, :func:`joint_frames`, builds the local 4 x 4
 transform of every joint at once and forms the joint frames as their
-prefix products, in ceil(log2 k) batched matrix products for k joints.
+prefix products, in ceil(log2 k) batched matrix products for k joints;
+:func:`chain_frames` adds the EE frame.
 """
 from __future__ import annotations
 
@@ -105,62 +106,45 @@ class Pose:
         return Pose(v[..., :3], v[..., 3:6])
 
 
-def chain_frames(model: RobotModel, q, start: int = 0):
-    """Rotation and origin of every joint frame, plus the EE frame.
+def joint_frames(model: RobotModel, q, start: int = 0):
+    """Homogeneous 4 x 4 frames of joints ``start`` .. end, (..., k, 4, 4).
 
-    Walks joints ``start`` .. end of the chain from the frame of joint
-    ``start``'s parent (``start = model.base_dof_count`` gives the arm in
-    the base frame); ``q`` holds their values in its last axis, with any
-    leading batch shape, and may be complex.  Returns (rotations, origins,
-    R_ee, p_ee) of shapes (..., k, 3, 3), (..., k, 3), (..., 3, 3) and
-    (..., 3).
-
-    All k local 4 x 4 transforms are built at once from the cached
-    tables: rotation ``R0 + sin q R0K + (1 - cos q) R0K2`` (q read as 0
-    if prismatic), translation ``origin + q slide`` (slide = R0 axis if
-    prismatic, else 0).  The frames F, returned as views, are their
-    prefix products: ``F[s:] = F[:-s] @ F[s:]`` for s = 1, 2, 4, ... < k.
+    Walks the chain from the frame of joint ``start``'s parent
+    (``start = model.base_dof_count`` gives the arm in the base frame);
+    ``q`` holds the k joint values in its last axis, with any leading
+    batch shape, and may be complex.  The k local transforms are built at
+    once from the stacked table T of ``model.fixed_transforms``:
+    ``T0 + sin q T1 + (1 - cos q) T2``, plus ``q T3`` only when the chain
+    has a prismatic joint.  The frames F are their prefix products:
+    ``F[s:] = F[:-s] @ F[s:]`` for s = 1, 2, 4, ... < k.
     """
     q = np.asarray(q)
     tab = model.fixed_transforms
     k = model.total_dof - start
     if q.ndim == 0 or q.shape[-1] != k:
         raise ValueError(f"expected {k} joint values, got shape {q.shape}")
-    angle = (q * tab.revolute[start:])[..., None, None]
-    R = (tab.R0[start:] + np.sin(angle) * tab.R0K[start:]
-         + (1.0 - np.cos(angle)) * tab.R0K2[start:])
-    F = np.zeros(q.shape + (4, 4), dtype=R.dtype)
-    F[..., :3, :3] = R
-    F[..., :3, 3] = tab.origins[start:] + q[..., None] * tab.slide[start:]
-    F[..., 3, 3] = 1.0
+    T = tab.local[:, start:]
+    q = q[..., None, None]
+    F = T[0] + np.sin(q) * T[1] + (1.0 - np.cos(q)) * T[2]
+    if tab.slides[start]:
+        F += q * T[3]
     s = 1
     while s < k:
         F[..., s:, :, :] = F[..., :-s, :, :] @ F[..., s:, :, :]
         s *= 2
-    ee = F[..., -1, :, :] @ tab.ee
-    return F[..., :3, :3], F[..., :3, 3], ee[..., :3, :3], ee[..., :3, 3]
+    return F
 
 
-def point_jacobians(model: RobotModel, rotations, origins, points,
-                    start: int = 0):
-    """Translational Jacobian columns of world points carried by the
-    chain frames of :func:`chain_frames` (same ``start``).
+def chain_frames(model: RobotModel, q, start: int = 0):
+    """Rotation and origin of every joint frame, plus the EE frame.
 
-    ``points`` has shape (..., P, 3); column k of point i is
-    ``axis_k x (point_i - origin_k)`` for a revolute joint and ``axis_k``
-    for a prismatic one, with the axes in the world frame.  Returns
-    (columns, angular) of shapes (..., P, k, 3) and (..., k, 3); angular
-    column k is ``axis_k`` for a revolute joint and zero otherwise.
+    Same walk as :func:`joint_frames`.  Returns (rotations, origins, R_ee,
+    p_ee) of shapes (..., k, 3, 3), (..., k, 3), (..., 3, 3) and (..., 3):
+    views of the joint frames and of the last one times the EE offset.
     """
-    tab = model.fixed_transforms
-    revolute = tab.revolute[start:, None]
-    axes = np.einsum("...kxy,ky->...kx", rotations, tab.axes[start:])
-    a = axes[..., None, :, :]
-    d = points[..., :, None, :] - origins[..., None, :, :]
-    # a x d written out: np.cross's moveaxis calls cost more than this.
-    cross = a[..., [1, 2, 0]] * d[..., [2, 0, 1]] \
-        - a[..., [2, 0, 1]] * d[..., [1, 2, 0]]
-    return np.where(revolute, cross, a), np.where(revolute, axes, 0.0)
+    F = joint_frames(model, q, start)
+    ee = F[..., -1, :, :] @ model.fixed_transforms.ee
+    return F[..., :3, :3], F[..., :3, 3], ee[..., :3, :3], ee[..., :3, 3]
 
 
 def forward_kinematics(model: RobotModel, q) -> Pose:
@@ -182,10 +166,18 @@ def linearization(model: RobotModel, q):
     """
     q = np.asarray(q, float)
     rotations, origins, R_ee, p_ee = chain_frames(model, q)
-    columns, angular = point_jacobians(model, rotations, origins, p_ee[None])
+    tab = model.fixed_transforms
+    # Column k is axis_k x (p_ee - origin_k) if revolute, else axis_k;
+    # the cross product written out costs less than np.cross.
+    axes = np.einsum("kxy,ky->kx", rotations, tab.axes)
+    d = p_ee - origins
+    cross = axes[:, [1, 2, 0]] * d[:, [2, 0, 1]] \
+        - axes[:, [2, 0, 1]] * d[:, [1, 2, 0]]
+    revolute = tab.revolute[:, None]
     euler = euler_zyx(R_ee)
     E = euler_rate_matrix(euler[0], euler[1])
-    J = np.vstack([columns[0].T, np.linalg.solve(E, angular.T)])
+    J = np.vstack([np.where(revolute, cross, axes).T,
+                   np.linalg.solve(E, np.where(revolute, axes, 0.0).T)])
     Jt = J[list(model.task_rows)]
     det = float(np.linalg.det(Jt @ Jt.T))
     pitch_singular = (model.base_dof_count >= 5

@@ -163,28 +163,42 @@ class RobotModel:
     @cached_property
     def fixed_transforms(self) -> "ChainTables":
         """Constant chain tables, stacked over the joints and derived on
-        first use: ``R0``, ``R0K``, ``R0K2`` (origin rotation times I, K
-        and K @ K for the axis skew K), ``origins``, ``slide`` (R0 axis
-        if prismatic, else 0), ``axes``, the ``revolute`` mask, the 4 x 4
-        EE offset ``ee`` and ``links`` (arm link i moves with joint k <= i)."""
+        first use.  ``local`` (4, m, 4, 4) holds the terms T0 .. T3 of
+        joint k's local transform ``T0 + sin q T1 + (1 - cos q) T2 + q T3``:
+        the origin transform; R0 K and R0 K @ K (origin rotation R0, axis
+        skew K) if revolute; the slide R0 axis if prismatic.
+        ``slides[s]`` tells whether joints s .. m - 1 include a prismatic
+        one.  Also the 4 x 4 EE offset ``ee``, ``axes``, the ``revolute``
+        mask, the arm's ``axis_com`` (n, 4, 2) homogeneous columns [axis,
+        COM offset], ``links`` (n, 1, n), 1 at [k, 0, i] where arm link i
+        moves with joint k <= i, and ``rotor``, diag(rotor_inertia)."""
         from .kinematics import axis_skew, rotation_rpy
+        m, n = self.total_dof, self.arm_joint_count
         R0 = np.array([rotation_rpy(j.origin_rpy) for j in self.joints])
         K = np.array([axis_skew(j.axis) for j in self.joints])
         axes = np.array([j.axis for j in self.joints])
         revolute = np.array([j.kind == "revolute" for j in self.joints])
+        local = np.zeros((4, m, 4, 4))
+        local[:3, :, :3, :3] = [R0, R0 @ K, R0 @ (K @ K)]
+        local[1:3] *= revolute[:, None, None]
+        local[0, :, :3, 3] = [j.origin_xyz for j in self.joints]
+        local[3, :, :3, 3] = (R0 @ axes[:, :, None])[..., 0] \
+            * ~revolute[:, None]
+        local[0, :, 3, 3] = 1.0
         ee = np.block([[rotation_rpy(self.ee_offset_rpy),
                         self.ee_offset_xyz[:, None]], [np.zeros(3), 1.0]])
-        slide = np.where(revolute[:, None], 0.0,
-                         np.einsum("kxy,ky->kx", R0, axes))
-        origins = [j.origin_xyz for j in self.joints]
-        return ChainTables(
-            *map(_freeze, (R0, R0 @ K, R0 @ (K @ K), origins, slide, axes)),
-            _freeze(revolute, dtype=bool), _freeze(ee),
-            _freeze(np.tri(self.arm_joint_count), dtype=bool))
+        axis_com = np.block([[axes[self.base_dof_count:, :, None],
+                              self.link_com_offsets[:, :, None]],
+                             [np.zeros((n, 1, 1)), np.ones((n, 1, 1))]])
+        slides = tuple(not revolute[s:].all() for s in range(m + 1))
+        return ChainTables(_freeze(local), slides, _freeze(ee), _freeze(axes),
+                           _freeze(revolute, dtype=bool), _freeze(axis_com),
+                           _freeze(np.triu(np.ones((n, n)))[:, None]),
+                           _freeze(np.diag(self.rotor_inertia)))
 
 
 ChainTables = namedtuple(
-    "ChainTables", "R0 R0K R0K2 origins slide axes revolute ee links")
+    "ChainTables", "local slides ee axes revolute axis_com links rotor")
 
 
 def _base_joints():

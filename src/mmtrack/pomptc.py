@@ -121,7 +121,8 @@ def assemble_qp(model: RobotModel, q, qdot_prev, pose_refs,
 
     The pose over the horizon is linearized about the current
     configuration, p(j+i) ~ p(j) + J(q(j)) (q(j+i) - q(j)), with the
-    Jacobian held constant.  Only MPC-actuated DOFs enter the decision
+    Jacobian held constant.  Only the model's ``task_rows`` of the pose
+    error are weighted.  Only MPC-actuated DOFs enter the decision
     vector; the remaining DOFs are frozen at the current state.
     """
     if not (N >= Nu >= 1):
@@ -138,17 +139,19 @@ def assemble_qp(model: RobotModel, q, qdot_prev, pose_refs,
     if singular:
         raise SingularConfigurationError(
             f"configuration is representation-singular (det {det:.3e})")
-    J = J[:, mask]                            # 6 x m'
+    rows = list(model.task_rows)
+    J = J[rows][:, mask]                      # task rows x m'
     qdp = np.asarray(qdot_prev, float)[mask]
 
     U = kin.prediction_matrix(t, N, Nu)       # N x Nu
     I1 = kin.accumulation_matrix(Nu)          # Nu x Nu
-    Wp, Wv, Wa = weights.pose, weights.velocity, weights.accel
+    Wp = weights.pose[np.ix_(rows, rows)]
+    Wv, Wa = weights.velocity, weights.accel
 
     # Row i of B is the pose error at step i + 1 for z = 0, so the
     # stacked error is vec(B) + kron(U, J) z.
     steps = np.arange(1, N + 1) * t
-    B = kin.pose_error(pose_now, Pose.from_vector(pose_refs)) \
+    B = kin.pose_error(pose_now, Pose.from_vector(pose_refs))[:, rows] \
         + np.outer(steps, J @ qdp)
 
     S = np.kron(U.T @ U, J.T @ Wp @ J) + np.kron(I1.T @ I1, Wv)
@@ -196,12 +199,14 @@ def direct_cost(model: RobotModel, q, qdot_prev, pose_refs,
     qdp = np.asarray(qdot_prev, float)[mask]
     q_traj, qdot_traj = kin.predict_joint_trajectory(qm, qdp, delta, t, N)
     pose_now = kin.forward_kinematics(model, q)
-    J = kin.geometric_jacobian(model, q)[:, mask]
+    rows = list(model.task_rows)
+    J = kin.geometric_jacobian(model, q)[rows][:, mask]
+    Wp = weights.pose[np.ix_(rows, rows)]
     cost = 0.0
     for i in range(N):
         ref = Pose.from_vector(pose_refs[i])
-        err = kin.pose_error(pose_now, ref) + J @ (q_traj[i] - qm)
-        cost += err @ weights.pose @ err
+        err = kin.pose_error(pose_now, ref)[rows] + J @ (q_traj[i] - qm)
+        cost += err @ Wp @ err
     for i in range(Nu):
         cost += qdot_traj[i] @ weights.velocity @ qdot_traj[i]
         cost += delta[i] @ weights.accel @ delta[i]

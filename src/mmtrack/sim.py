@@ -430,14 +430,18 @@ def run_closed_loop(model: RobotModel, params: ControllerParams,
         qd_md = qdot_cmd[model.arm_slice]
         qdd_md = dq[model.arm_slice] / tc
         q_md_start = q_md.copy()
+        if b:
+            # Base-frame gravity and acceleration of each torque step.
+            base = [script.base_state(t_j + k * tt) for k in range(spc)]
+            R_bT = np.swapaxes(kin.rotation_rpy(
+                np.array([q_b[5:2:-1] for q_b, _, _ in base])), -1, -2)
+            g_steps = R_bT @ model.gravity
+            a_steps = (R_bT @ np.array([a_b[:3] for _, _, a_b in base])
+                       [..., None])[..., 0]
 
         for k in range(spc):
             t = t_j + k * tt
-            q_bt, v_bt, a_bt = script.base_state(t)
-            g_base = a_base = None
-            if b:
-                R_b = kin.rotation_rpy(q_bt[5:2:-1])
-                g_base, a_base = R_b.T @ model.gravity, R_b.T @ a_bt[:3]
+            g_base, a_base = (g_steps[k], a_steps[k]) if b else (None, None)
             desired = {"q_md": q_md_start + k * tt * qd_md,
                        "qd_md": qd_md, "qdd_md": qdd_md}
             terms0 = dynamics.dynamics_terms(model, q_arm, qd_arm,

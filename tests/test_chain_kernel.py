@@ -1,10 +1,14 @@
 """The prefix-product chain kernel against the joint-by-joint walk.
 
 ``kinematics.chain_frames`` builds all local transforms at once and
-multiplies them in ceil(log2 k) batched steps; ``chain_stepwise`` walks
-the joints one by one with elementary rotations.  Frames, COM Jacobians,
-pose and dynamics terms must agree to 1e-14 (the dynamics terms to 1e-14
-of their own scale when that exceeds 1: G reaches tens of N m).
+multiplies them in ceil(log2 k) batched steps (``joint_frames``), then
+applies the EE offset; ``chain_stepwise`` walks the joints one by one
+with elementary rotations.  Frames, COM
+Jacobians, pose and dynamics terms must agree to 1e-14 (the dynamics
+terms to 1e-14 of their own scale when that exceeds 1: G reaches tens
+of N m).  Besides the built-in robots, a user-built one with a
+prismatic arm joint covers the slide term of the kernel and the
+prismatic Jacobian column, which no built-in arm reaches.
 """
 import numpy as np
 import pytest
@@ -12,10 +16,33 @@ import pytest
 import chain_stepwise
 from mmtrack import dynamics as dyn
 from mmtrack import kinematics as kin
-from mmtrack.model import builtin_panda_on_base, builtin_planar_2link
+from mmtrack.model import (JointLimits, JointSpec, RobotModel,
+                           builtin_panda_on_base, builtin_planar_2link)
 
 ATOL = 1e-14
-BUILTINS = [builtin_panda_on_base, builtin_planar_2link]
+
+
+def prismatic_arm():
+    """The panda's virtual base plus a revolute-prismatic-revolute arm
+    with tilted origins, a skew axis and a rotated EE offset."""
+    base = builtin_panda_on_base()
+    arm = [JointSpec("revolute", (0, 0, 1), (0, 0, 0.3), (0.2, -0.1, 0.3)),
+           JointSpec("prismatic", (0, 1, 0), (0.1, 0, 0.2), (1.2, 0, 0)),
+           JointSpec("revolute", (0.6, 0, 0.8), (0, 0.05, 0.1),
+                     (0, 0.4, -0.7))]
+    big = np.full(9, 9.0)
+    return RobotModel(
+        name="prismatic_arm", base_dof_count=6, arm_joint_count=3,
+        joints=list(base.joints[:6]) + arm,
+        ee_offset_xyz=(0.05, 0, 0.1), ee_offset_rpy=(0.1, 0.2, -0.3),
+        link_masses=(2.0, 1.5, 0.5),
+        link_com_offsets=((0, 0.02, 0.1), (0.03, 0.1, 0), (0.05, 0, 0.02)),
+        rotor_inertia=(0.1, 0.2, 0.05), gravity=(0, 0, -9.81),
+        limits=JointLimits(-big, big, -big, big, -big, big),
+        actuated_by_mpc=np.ones(9, dtype=bool))
+
+
+MODELS = [builtin_panda_on_base, builtin_planar_2link, prismatic_arm]
 
 
 def random_q(model, rng, shape=()):
@@ -31,11 +58,11 @@ def assert_close(actual, expected, atol=ATOL):
     np.testing.assert_allclose(actual, expected, rtol=0, atol=atol)
 
 
-@pytest.mark.parametrize("builtin", BUILTINS)
+@pytest.mark.parametrize("make_model", MODELS)
 @pytest.mark.parametrize("complex_step", [False, True])
 @pytest.mark.parametrize("shape", [(), (2, 3)], ids=["single", "batched"])
-def test_chain_frames_match_stepwise_walk(builtin, complex_step, shape):
-    m = builtin()
+def test_chain_frames_match_stepwise_walk(make_model, complex_step, shape):
+    m = make_model()
     rng = np.random.default_rng(21)
     for _ in range(20):
         q = random_q(m, rng, shape)
@@ -48,11 +75,11 @@ def test_chain_frames_match_stepwise_walk(builtin, complex_step, shape):
                 assert_close(new, ref)
 
 
-@pytest.mark.parametrize("builtin", BUILTINS)
+@pytest.mark.parametrize("make_model", MODELS)
 @pytest.mark.parametrize("complex_step", [False, True])
 @pytest.mark.parametrize("shape", [(), (2, 3)], ids=["single", "batched"])
-def test_com_jacobians_match_stepwise_walk(builtin, complex_step, shape):
-    m = builtin()
+def test_com_jacobians_match_stepwise_walk(make_model, complex_step, shape):
+    m = make_model()
     rng = np.random.default_rng(22)
     for _ in range(20):
         q_m = random_q(m, rng, shape)[..., m.arm_slice]
@@ -62,9 +89,9 @@ def test_com_jacobians_match_stepwise_walk(builtin, complex_step, shape):
                      chain_stepwise.com_jacobians(m, q_m))
 
 
-@pytest.mark.parametrize("builtin", BUILTINS)
-def test_forward_kinematics_and_dynamics_terms_match_stepwise_walk(builtin):
-    m = builtin()
+@pytest.mark.parametrize("make_model", MODELS)
+def test_forward_kinematics_and_dynamics_terms_match_stepwise_walk(make_model):
+    m = make_model()
     n = m.arm_joint_count
     rng = np.random.default_rng(23)
     for _ in range(50):

@@ -90,6 +90,26 @@ def test_cost_form_matches_direct_evaluation():
                 assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
 
 
+def test_pose_weight_outside_task_rows_is_ignored():
+    # planar_2link's task rows are x and y: the pose weight's other rows
+    # and columns must not reach the QP or the direct cost.
+    model = builtin_planar_2link()
+    rng = np.random.default_rng(22)
+    q, qdp = random_state(model, rng)
+    refs = random_refs(model, q, rng, 4)
+    w = dense_weights(model, rng)
+    other = np.diag(rng.uniform(1e3, 1e4, 6))
+    other[:2, :2] = w.pose[:2, :2]
+    w_other = pomptc.PomptcWeights(other, w.velocity, w.accel)
+    a, b = (pomptc.assemble_qp(model, q, qdp, refs, ww, 0.01, 4, 3)
+            for ww in (w, w_other))
+    for name in ("S", "G", "H", "w"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    z = rng.normal(size=a.n_variables)
+    assert pomptc.direct_cost(model, q, qdp, refs, w, 0.01, 4, 3, z) \
+        == pomptc.direct_cost(model, q, qdp, refs, w_other, 0.01, 4, 3, z)
+
+
 def test_assembly_walks_the_chain_once(monkeypatch):
     model = builtin_panda_on_base()
     rng = np.random.default_rng(5)

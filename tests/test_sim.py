@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from mmtrack import cli, dynamics, ftcnd, kinematics as kin, sim
+from mmtrack import cli, dynamics, ftcnd, kinematics as kin, nftsm, sim
 from mmtrack.kinematics import Pose
 from mmtrack.model import builtin_planar_2link, load_scenario
 from mmtrack.sim import ScenarioScript, SimTrace
@@ -326,6 +326,26 @@ def test_waypoint_reference_closed_loop():
     assert trace.pose[-1, 1] > trace.pose[0, 1] + 0.02
 
 
+def test_planar_waypoints_weight_only_task_rows():
+    # A 1 cm move whose waypoint yaw (1.3 -> 1.2) does not match the
+    # arm's yaw at those positions: only the task rows x, y are weighted,
+    # so the yaw does not pull the arm off the path (3 cm off in 0.3 s
+    # when all six pose rows were weighted).
+    model = builtin_planar_2link()
+    start = kin.forward_kinematics(model, [0.3, 1.0]).as_vector()
+    end = start + [0.0, 0.01, 0.0, -0.1, 0.0, 0.0]
+    doc = TWOLINK_REG.replace(
+        "  reference:\n    radius: 0.0\n",
+        "  reference:\n    kind: waypoints\n    points:\n"
+        f"      - {{time: 0.0, pose: {start.tolist()}}}\n"
+        f"      - {{time: 0.3, pose: {end.tolist()}}}\n")
+    model, params, script = load_quiet(doc)
+    trace = sim.run_closed_loop(model, params,
+                                dataclasses.replace(script, duration=0.3))
+    assert np.abs(trace.err_pos).max() < 2e-3
+    assert abs(trace.pose[-1, 1] - end[1]) < 1e-3
+
+
 PANDA_TRACE_HEADER = (
     "time,q_0,q_1,q_2,q_3,q_4,q_5,q_6,q_7,q_8,q_9,q_10,q_11,q_12,"
     "qdot_0,qdot_1,qdot_2,qdot_3,qdot_4,qdot_5,qdot_6,qdot_7,qdot_8,qdot_9,"
@@ -340,6 +360,37 @@ PANDA_TRACE_HEADER = (
     "err_pos_x,err_pos_y,err_pos_z,err_ori_yaw,err_ori_pitch,err_ori_roll,"
     "err_rotvec_x,err_rotvec_y,err_rotvec_z,"
     "solver_h_inf,solver_converge_time,solver_bound,sliding_V,sliding_Vdot")
+
+
+def test_call_contract_of_the_closed_loop(monkeypatch, tmp_path):
+    # Module attributes that tools wrap to time the layers: the loop
+    # must reach them through their modules, one torque law and four
+    # plant terms (torque step and RK4 stages 2-4) per torque step and
+    # one solve per control step.
+    model, params, script = load_config("nominal_circle")
+    script = dataclasses.replace(script, duration=0.05)
+    calls = {}
+    for module, name in ((nftsm, "control_torque"), (ftcnd, "solve"),
+                         (dynamics, "dynamics_terms")):
+        def counting(*args, _fn=getattr(module, name), _name=name,
+                     **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+    trace = sim.run_closed_loop(model, params, script)
+    control_steps = round(script.duration / script.control_period)
+    torque_steps = len(trace.time) - 1
+    assert calls == {"solve": control_steps,
+                     "control_torque": torque_steps,
+                     "dynamics_terms": 4 * torque_steps}
+    # A static base leaves tau_b exactly +0, never -0 in trace.csv.
+    assert not np.any(trace.tau_b) and not np.signbit(trace.tau_b).any()
+    trace.to_csv(tmp_path / "trace.csv")
+    with open(tmp_path / "trace.csv", encoding="utf-8") as fh:
+        names = fh.readline().rstrip("\n").split(",")
+        cells = [row.rstrip("\n").split(",") for row in fh]
+    columns = [i for i, h in enumerate(names) if h.startswith("tau_b_")]
+    assert {row[i] for row in cells for i in columns} == {"0"}
 
 
 def test_panda_trace_header_is_pinned(tmp_path):
