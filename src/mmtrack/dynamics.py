@@ -11,8 +11,8 @@ part) and ``Jcdot`` (imaginary part over h) together, in one fused
 pass of a few batched matmuls.  The Christoffel Coriolis matrix, the
 oracle of the bias vector, is in ``tests/oracles.py``.
 
-Forward dynamics and the NFTSM law apply M^-1 through one LAPACK
-Cholesky factorization, whose pivots are also the singularity guard
+Forward dynamics applies M^-1 through one LAPACK Cholesky
+factorization, whose pivots are also the singularity guard
 (``solve_inertia``): no SVD is taken.
 """
 from __future__ import annotations
@@ -39,20 +39,6 @@ class DynamicsTerms:
     bias: np.ndarray
     G: np.ndarray
     tau_b: np.ndarray
-
-
-@dataclass(frozen=True)
-class ErrorState:
-    """Joint-space tracking error (position and velocity)."""
-
-    e1: np.ndarray
-    e2: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "e1", np.asarray(self.e1, float))
-        object.__setattr__(self, "e2", np.asarray(self.e2, float))
-        if self.e1.shape != self.e2.shape:
-            raise ValueError("e1 and e2 must have the same length")
 
 
 def com_jacobians(model: RobotModel, q_m):
@@ -135,15 +121,7 @@ def solve_inertia(M, rhs):
     raise np.linalg.LinAlgError("inertia matrix is numerically singular")
 
 
-def forward_dynamics(model: RobotModel, q_m, qdot_m, tau, tau_d=None,
-                     tau_b=None, gravity=None, terms=None) -> np.ndarray:
-    """qddot = M^-1 (tau + tau_d + tau_b - C qdot - G).
-
-    ``terms`` may carry precomputed DynamicsTerms for (q_m, qdot_m) to
-    avoid recomputing them in tight loops.
-    """
-    tau_total = sum(np.asarray(x, float) for x in (tau, tau_d, tau_b)
-                    if x is not None)
-    if terms is None:
-        terms = dynamics_terms(model, q_m, qdot_m, gravity=gravity)
-    return solve_inertia(terms.M, tau_total - terms.bias - terms.G)
+def forward_dynamics(terms: DynamicsTerms, tau) -> np.ndarray:
+    """qddot = M^-1 (tau - C qdot - G) for the dynamics terms of the arm's
+    state; ``tau`` is the total joint torque acting on the arm."""
+    return solve_inertia(terms.M, tau - terms.bias - terms.G)

@@ -45,7 +45,7 @@ solves for v and checks events after every step, up to rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -74,17 +74,16 @@ class FtcndParams:
     lam: float = 1.0
     zeta: float = 30.0
     kappa: float = 0.8
-    ode_step: float = 1e-4
+    ode_step: float = 1e-3
     epsilon_h: float = 1e-8
     max_time: float = 50.0
 
     def __post_init__(self):
-        if not 0.0 < self.kappa < 1.0:
+        for f in fields(self):
+            if not 0.0 < getattr(self, f.name) < math.inf:
+                raise ValueError(f"{f.name} must be positive and finite")
+        if not self.kappa < 1.0:
             raise ValueError("kappa must lie strictly inside (0, 1)")
-        for name in ("xi", "mu", "lam", "zeta", "ode_step", "epsilon_h",
-                     "max_time"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
 
 
 @dataclass

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -17,6 +17,10 @@ import yaml
 
 class ConfigError(ValueError):
     """Raised when a scenario document is malformed or inconsistent."""
+
+
+# What converting a malformed value raises; YAML integers are unbounded.
+_BAD_VALUE = (TypeError, ValueError, OverflowError)
 
 
 def _freeze(a, dtype=float):
@@ -329,26 +333,48 @@ class ControllerParams:
     pd_kd: float
     compensate_base: bool
 
+    def __post_init__(self):
+        for key, gain in (("kp", self.pd_kp), ("kd", self.pd_kd)):
+            if not 0.0 < gain < math.inf:
+                raise ConfigError(f"pd.{key}: expected a finite positive "
+                                  f"number, got {gain!r}")
+        if not isinstance(self.compensate_base, bool):
+            raise ConfigError("nftsm.compensate_base: expected true or "
+                              f"false, got {self.compensate_base!r}")
 
-# Defaults mirror the nominal simulation parameter set.
+
+# Defaults of the sections without a parameter dataclass; ftcnd and
+# nftsm take theirs from FtcndParams and NftsmParams.
 _DEFAULTS = {
     "pomptc": {"pose_weight": 50000.0, "velocity_weight": 1.0,
                "accel_weight": 20.0, "horizon": 5, "control_horizon": 5},
-    "ftcnd": {"xi": 5.0, "mu": 5.0, "lam": 1.0, "zeta": 30.0, "kappa": 0.8,
-              "ode_step": 1e-3, "epsilon_h": 1e-8, "max_time": 50.0},
-    "nftsm": {"alpha": 1.0, "beta": 1.0, "r1": 1.8, "r2": 1.6, "r3": 1.0,
-              "c1": 20.0, "c2": 0.6, "delta": 0.05, "compensate_base": True},
     "pd": {"kp": 60.0, "kd": 25.0},
 }
+_SECTIONS = ("robot", "pomptc", "ftcnd", "nftsm", "pd", "scenario")
+_ROBOT_KEYS = ("builtin", "limits", "actuated_by_mpc")
 
 
-def _section(doc, key, defaults=None):
-    sec = dict(_DEFAULTS[key] if defaults is None else defaults)
+def _field_defaults(cls) -> dict:
+    """The dataclass ``cls``'s field defaults, read without building one."""
+    return {f.name: f.default for f in fields(cls)}
+
+
+def _known_keys(mapping, allowed, path):
+    """Raise naming ``path.key`` for the first key of ``mapping`` that is
+    not in ``allowed``."""
+    for key in mapping:
+        if key not in allowed:
+            raise ConfigError(f"{path}{key}: unknown key")
+
+
+def _section(doc, key, defaults):
+    sec = dict(defaults)
     user = doc.get(key, {})
     if user is None:
         user = {}
     if not isinstance(user, dict):
         raise ConfigError(f"{key}: expected a mapping")
+    _known_keys(user, sec, f"{key}.")
     for k, v in user.items():
         if isinstance(v, dict) and isinstance(sec.get(k), dict):
             merged = dict(sec[k])
@@ -376,7 +402,7 @@ def _integer(sec, name, key):
         value = int(sec[key])
         if value != float(sec[key]):
             raise ValueError
-    except (TypeError, ValueError, OverflowError):
+    except _BAD_VALUE:
         raise ConfigError(f"{name}.{key}: expected an integer, "
                           f"got {sec[key]!r}") from None
     return value
@@ -385,6 +411,7 @@ def _integer(sec, name, key):
 def _build_robot(sec):
     if not isinstance(sec, dict):
         raise ConfigError("robot: expected a mapping")
+    _known_keys(sec, _ROBOT_KEYS, "robot.")
     if "builtin" in sec:
         name = sec["builtin"]
         if not isinstance(name, str) or name not in _BUILTINS:
@@ -398,18 +425,19 @@ def _build_robot(sec):
     if limits:
         if not isinstance(limits, dict):
             raise ConfigError("robot.limits: expected a mapping")
+        _known_keys(limits, _LIMIT_NAMES, "robot.limits.")
         try:
             kw = {name: np.asarray(limits.get(name, getattr(model.limits, name)),
                                    float)
                   for name in _LIMIT_NAMES}
             model = replace(model, limits=JointLimits(**kw))
-        except (TypeError, ValueError) as exc:
+        except _BAD_VALUE as exc:
             raise ConfigError(f"robot.limits: {exc}") from None
     if "actuated_by_mpc" in sec:
         try:
             model = replace(model, actuated_by_mpc=np.asarray(
                 sec["actuated_by_mpc"], dtype=bool))
-        except (TypeError, ValueError) as exc:
+        except _BAD_VALUE as exc:
             raise ConfigError(f"robot.actuated_by_mpc: {exc}") from None
     return model
 
@@ -434,12 +462,13 @@ def load_scenario(config_document: str):
         doc = {}
     if not isinstance(doc, dict):
         raise ConfigError("top level: expected a mapping")
+    _known_keys(doc, _SECTIONS, "")
 
     if "robot" not in doc:
         raise ConfigError("robot: section is required")
     model = _build_robot(doc["robot"])
 
-    po = _section(doc, "pomptc")
+    po = _section(doc, "pomptc", _DEFAULTS["pomptc"])
     mprime = model.mpc_dof
     try:
         weights = _pomptc.PomptcWeights(
@@ -449,47 +478,44 @@ def load_scenario(config_document: str):
             accel=_weight_matrix(po["accel_weight"], mprime,
                                  "pomptc.accel_weight"),
         )
-    except (TypeError, ValueError) as exc:
+    except _BAD_VALUE as exc:
         raise ConfigError(f"pomptc: {exc}") from None
     horizon = _integer(po, "pomptc", "horizon")
     control_horizon = _integer(po, "pomptc", "control_horizon")
     if not horizon >= control_horizon >= 1:
         raise ConfigError("pomptc.horizon: need horizon >= control_horizon >= 1")
 
-    ft = _section(doc, "ftcnd")
+    ft = _section(doc, "ftcnd", _field_defaults(_ftcnd.FtcndParams))
     try:
         ftcnd_params = _ftcnd.FtcndParams(
-            xi=float(ft["xi"]), mu=float(ft["mu"]), lam=float(ft["lam"]),
-            zeta=float(ft["zeta"]), kappa=float(ft["kappa"]),
-            ode_step=float(ft["ode_step"]), epsilon_h=float(ft["epsilon_h"]),
-            max_time=float(ft["max_time"]))
-    except (TypeError, ValueError) as exc:
+            **{k: float(v) for k, v in ft.items()})
+    except _BAD_VALUE as exc:
         raise ConfigError(f"ftcnd: {exc}") from None
 
-    nf = _section(doc, "nftsm")
+    nf = _section(doc, "nftsm", _field_defaults(_nftsm.NftsmParams)
+                  | {"compensate_base": True})
+    compensate_base = nf.pop("compensate_base")
     try:
         nftsm_params = _nftsm.NftsmParams(
-            alpha=float(nf["alpha"]), beta=float(nf["beta"]),
-            r1=float(nf["r1"]), r2=float(nf["r2"]), r3=float(nf["r3"]),
-            c1=float(nf["c1"]), c2=float(nf["c2"]), delta=float(nf["delta"]))
-    except (TypeError, ValueError) as exc:
+            **{k: float(v) for k, v in nf.items()})
+    except _BAD_VALUE as exc:
         raise ConfigError(f"nftsm: {exc}") from None
 
-    pd = _section(doc, "pd")
+    pd = _section(doc, "pd", _DEFAULTS["pd"])
     try:
         pd_kp, pd_kd = float(pd["kp"]), float(pd["kd"])
-    except (TypeError, ValueError) as exc:
+    except _BAD_VALUE as exc:
         raise ConfigError(f"pd: {exc}") from None
     params = ControllerParams(
         weights=weights, horizon=horizon, control_horizon=control_horizon,
         ftcnd=ftcnd_params, nftsm=nftsm_params, pd_kp=pd_kp, pd_kd=pd_kd,
-        compensate_base=bool(nf["compensate_base"]))
+        compensate_base=compensate_base)
 
     # The scenario defaults are ScenarioScript's own.
     sc = _section(doc, "scenario", _sim.ScenarioScript().to_config())
     try:
         script = _sim.ScenarioScript.from_config(sc, model)
-    except (TypeError, ValueError) as exc:
+    except _BAD_VALUE as exc:
         raise ConfigError(f"scenario: {exc}") from None
     return model, params, script
 
@@ -501,14 +527,8 @@ def serialize_scenario(model: RobotModel, params: ControllerParams,
     doc = {
         "robot": {
             "builtin": model.name,
-            "limits": {
-                "q_lower": model.limits.q_lower.tolist(),
-                "q_upper": model.limits.q_upper.tolist(),
-                "qdot_lower": model.limits.qdot_lower.tolist(),
-                "qdot_upper": model.limits.qdot_upper.tolist(),
-                "qddot_lower": model.limits.qddot_lower.tolist(),
-                "qddot_upper": model.limits.qddot_upper.tolist(),
-            },
+            "limits": {name: getattr(model.limits, name).tolist()
+                       for name in _LIMIT_NAMES},
             "actuated_by_mpc": model.actuated_by_mpc.tolist(),
         },
         "pomptc": {
@@ -518,20 +538,9 @@ def serialize_scenario(model: RobotModel, params: ControllerParams,
             "horizon": params.horizon,
             "control_horizon": params.control_horizon,
         },
-        "ftcnd": {
-            "xi": params.ftcnd.xi, "mu": params.ftcnd.mu,
-            "lam": params.ftcnd.lam, "zeta": params.ftcnd.zeta,
-            "kappa": params.ftcnd.kappa, "ode_step": params.ftcnd.ode_step,
-            "epsilon_h": params.ftcnd.epsilon_h,
-            "max_time": params.ftcnd.max_time,
-        },
-        "nftsm": {
-            "alpha": params.nftsm.alpha, "beta": params.nftsm.beta,
-            "r1": params.nftsm.r1, "r2": params.nftsm.r2,
-            "r3": params.nftsm.r3, "c1": params.nftsm.c1,
-            "c2": params.nftsm.c2, "delta": params.nftsm.delta,
-            "compensate_base": params.compensate_base,
-        },
+        "ftcnd": asdict(params.ftcnd),
+        "nftsm": asdict(params.nftsm)
+        | {"compensate_base": params.compensate_base},
         "pd": {"kp": params.pd_kp, "kd": params.pd_kd},
         "scenario": script.to_config(),
     }

@@ -39,7 +39,7 @@ def _number(value, name):
     try:
         if math.isfinite(number := float(value)):
             return number
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         pass
     raise ValueError(f"{name}: expected a finite number, got {value!r}")
 
@@ -349,18 +349,9 @@ class SimTrace:
         return SimTrace(**out)
 
 
-def pd_baseline_torque(model: RobotModel, q_m, qdot_m, desired,
-                       kp: float, kd: float, gravity=None,
-                       terms=None) -> np.ndarray:
+def pd_baseline_torque(terms: dynamics.DynamicsTerms, e1, e2,
+                       kp: float, kd: float) -> np.ndarray:
     """Gravity-compensated PD: tau = G - Kp e1 - Kd e2."""
-    if kp <= 0 or kd <= 0:
-        raise ValueError("PD gains must be positive")
-    q_m = np.asarray(q_m, float)
-    qdot_m = np.asarray(qdot_m, float)
-    if terms is None:
-        terms = dynamics.dynamics_terms(model, q_m, qdot_m, gravity=gravity)
-    e1 = q_m - np.asarray(desired["q_md"], float)
-    e2 = qdot_m - np.asarray(desired["qd_md"], float)
     return terms.G - kp * e1 - kd * e2
 
 
@@ -442,35 +433,27 @@ def run_closed_loop(model: RobotModel, params: ControllerParams,
         for k in range(spc):
             t = t_j + k * tt
             g_base, a_base = (g_steps[k], a_steps[k]) if b else (None, None)
-            desired = {"q_md": q_md_start + k * tt * qd_md,
-                       "qd_md": qd_md, "qdd_md": qdd_md}
+            e1 = q_arm - (q_md_start + k * tt * qd_md)
+            e2 = qd_arm - qd_md
             terms0 = dynamics.dynamics_terms(model, q_arm, qd_arm,
                                              gravity=g_base, a_b=a_base)
-            tau_b = terms0.tau_b
             if controller == "pd":
-                tau = pd_baseline_torque(model, q_arm, qd_arm, desired,
-                                         params.pd_kp, params.pd_kd,
-                                         gravity=g_base, terms=terms0)
-                e = dynamics.ErrorState(q_arm - desired["q_md"],
-                                        qd_arm - desired["qd_md"])
-                s_now = nftsm.sliding_surface(e, params.nftsm)
+                tau = pd_baseline_torque(terms0, e1, e2, params.pd_kp,
+                                         params.pd_kd)
+                s_now = nftsm.sliding_surface(e1, e2, params.nftsm)
             else:
-                tau, sd = nftsm.control_torque(model, q_arm, qd_arm, desired,
-                                               params.nftsm, gravity=g_base,
-                                               terms=terms0)
-                s_now = sd.s
-            tau_cmd = tau + tau_b if compensate else tau
+                tau, s_now = nftsm.control_torque(terms0, e1, e2, qdd_md,
+                                                  params.nftsm)
+            tau_cmd = tau + terms0.tau_b if compensate else tau
             tau_d = script.disturbance_torque(t, n)
+            tau_in = tau_cmd + tau_d
 
-            def accel(qa, qda, terms=None):
-                if terms is None:
-                    terms = dynamics.dynamics_terms(model, qa, qda,
-                                                    gravity=g_base, a_b=a_base)
-                return dynamics.forward_dynamics(
-                    model, qa, qda, tau_cmd, tau_d=tau_d, tau_b=-terms.tau_b,
-                    terms=terms)
+            def accel(qa, qda):
+                terms = dynamics.dynamics_terms(model, qa, qda,
+                                                gravity=g_base, a_b=a_base)
+                return dynamics.forward_dynamics(terms, tau_in - terms.tau_b)
 
-            k1a = accel(q_arm, qd_arm, terms=terms0)
+            k1a = dynamics.forward_dynamics(terms0, tau_in - terms0.tau_b)
             k2v = qd_arm + 0.5 * tt * k1a
             k2a = accel(q_arm + 0.5 * tt * qd_arm, k2v)
             k3v = qd_arm + 0.5 * tt * k2a
@@ -487,7 +470,7 @@ def run_closed_loop(model: RobotModel, params: ControllerParams,
             tr.qdot[row] = full_q(v_bn, qd_arm)
             tr.qddot[row] = full_q(a_bn, k1a)
             tr.tau[row] = tau_cmd
-            tr.tau_b[row] = tau_b
+            tr.tau_b[row] = terms0.tau_b
             tr.tau_d[row] = tau_d
             tr.sliding_V[row] = 0.5 * s_now @ s_now
             row += 1

@@ -272,15 +272,16 @@ def test_criterion_7_numerical_kernels(capsys):
 def test_criterion_8_nftsm_finite_time_regulation(capsys):
     model = builtin_planar_2link()
     q_des = np.array([0.8, -0.4])
-    desired = {"q_md": q_des, "qd_md": np.zeros(2), "qdd_md": np.zeros(2)}
 
     def settle_time(params, steps=7000, dt=1e-3, tol=1e-3):
         q = np.array([1.0, -0.6])  # 0.2 rad initial joint error
         qd = np.zeros(2)
         err = np.zeros(steps)
         for i in range(steps):
-            tau, _ = nftsm.control_torque(model, q, qd, desired, params)
-            qd = qd + dt * dynamics.forward_dynamics(model, q, qd, tau)
+            terms = dynamics.dynamics_terms(model, q, qd)
+            tau, _ = nftsm.control_torque(terms, q - q_des, qd, np.zeros(2),
+                                          params)
+            qd = qd + dt * dynamics.forward_dynamics(terms, tau)
             q = q + dt * qd
             err[i] = np.max(np.abs(q - q_des))
         if err[-1] > tol:

@@ -111,6 +111,40 @@ def test_simulate_malformed_scenario_value_exits_1(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+ARM = "robot: {builtin: planar_2link}\n"
+SHORT = "scenario: {duration: 0.02}\n"
+
+
+@pytest.mark.parametrize("doc, controller, key", [
+    (ARM + SHORT + "ftcnd: {xii: 3}", "nftsm", "ftcnd.xii"),
+    (ARM + SHORT + "nftsm: {compensate_bse: false}", "nftsm",
+     "nftsm.compensate_bse"),
+    (ARM + "scenario: {duration: 0.02, durration: 3}", "nftsm",
+     "scenario.durration"),
+    ("robot: {builtin: planar_2link, limitz: {}}\n" + SHORT, "nftsm",
+     "robot.limitz"),
+    (ARM + SHORT + "pomptc: {horizn: 3}", "nftsm", "pomptc.horizn"),
+    (ARM + SHORT + "foo: 1", "nftsm", "foo: unknown key"),
+    (ARM + SHORT + "ftcnd: {mu: .nan}", "nftsm", "mu"),
+    (ARM + SHORT + "nftsm: {delta: .inf}", "nftsm", "delta"),
+    (ARM + SHORT + "pd: {kp: 0}", "pd", "pd.kp"),
+    (ARM + SHORT + "nftsm: {compensate_base: 'false'}", "nftsm",
+     "nftsm.compensate_base"),
+], ids=["ftcnd_key", "nftsm_key", "scenario_key", "robot_key",
+        "pomptc_key", "top_key", "ftcnd_nan", "nftsm_inf", "pd_zero",
+        "compensate_base_string"])
+def test_simulate_config_probe_exits_1(tmp_path, capsys, doc, controller,
+                                       key):
+    path = tmp_path / "bad.yaml"
+    path.write_text(doc + "\n", encoding="utf-8")
+    rc = cli.main(["simulate", "--config", str(path), "--controller",
+                   controller, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("config error:") and key in err
+    assert not (tmp_path / "out").exists()
+
+
 def run_cli(*args):
     """``python -m mmtrack.cli args`` in a fresh process."""
     src = str(Path(mmtrack.__file__).resolve().parents[1])

@@ -169,8 +169,7 @@ def test_forward_dynamics_consistency():
     qdd = rng.uniform(-1, 1, 2)
     t = dyn.dynamics_terms(m, q, qd)
     tau = t.M @ qdd + t.bias + t.G
-    np.testing.assert_allclose(dyn.forward_dynamics(m, q, qd, tau), qdd,
-                               atol=1e-12)
+    np.testing.assert_allclose(dyn.forward_dynamics(t, tau), qdd, atol=1e-12)
 
 
 def test_forward_dynamics_energy_conservation():
@@ -184,14 +183,15 @@ def test_forward_dynamics_energy_conservation():
         V = 2.0 * G_ACC * 0.4 * np.sin(q[0])
         return T + V
 
+    def accel(q, qd):
+        return dyn.forward_dynamics(dyn.dynamics_terms(mdl, q, qd), [0.0])
+
     e0 = energy(q, qd)
     for _ in range(2000):
-        k1 = dyn.forward_dynamics(mdl, q, qd, [0.0])
-        k2 = dyn.forward_dynamics(mdl, q + dt / 2 * qd, qd + dt / 2 * k1, [0.0])
-        k3 = dyn.forward_dynamics(mdl, q + dt / 2 * (qd + dt / 2 * k1),
-                                  qd + dt / 2 * k2, [0.0])
-        k4 = dyn.forward_dynamics(mdl, q + dt * (qd + dt / 2 * k2),
-                                  qd + dt * k3, [0.0])
+        k1 = accel(q, qd)
+        k2 = accel(q + dt / 2 * qd, qd + dt / 2 * k1)
+        k3 = accel(q + dt / 2 * (qd + dt / 2 * k1), qd + dt / 2 * k2)
+        k4 = accel(q + dt * (qd + dt / 2 * k2), qd + dt * k3)
         q = q + dt / 6 * (qd + 2 * (qd + dt / 2 * k1) + 2 * (qd + dt / 2 * k2)
                           + (qd + dt * k3))
         qd = qd + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
@@ -205,7 +205,7 @@ def test_forward_dynamics_rejects_singular_inertia(case):
     zero = np.zeros(n)
     terms = dyn.DynamicsTerms(M=M, bias=zero, G=zero, tau_b=zero)
     with pytest.raises(np.linalg.LinAlgError, match="numerically singular"):
-        dyn.forward_dynamics(None, None, None, np.ones(n), terms=terms)
+        dyn.forward_dynamics(terms, np.ones(n))
 
 
 def test_forward_dynamics_solves_well_conditioned_inertia():
@@ -215,5 +215,5 @@ def test_forward_dynamics_solves_well_conditioned_inertia():
     tau, bias, G = rng.normal(size=(3, n))
     terms = dyn.DynamicsTerms(M=M, bias=bias, G=G, tau_b=np.zeros(n))
     np.testing.assert_allclose(
-        dyn.forward_dynamics(None, None, None, tau, terms=terms),
+        dyn.forward_dynamics(terms, tau),
         np.linalg.solve(M, tau - bias - G), rtol=0, atol=1e-12)

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import functools
 import warnings
 from pathlib import Path
@@ -9,10 +10,12 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from mmtrack.ftcnd import FtcndParams
 from mmtrack.kinematics import Pose
 from mmtrack.model import (ConfigError, JointLimits, JointSpec,
                            builtin_panda_on_base, builtin_planar_2link,
                            load_scenario, serialize_scenario)
+from mmtrack.nftsm import NftsmParams
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -20,6 +23,8 @@ MINIMAL = """
 robot:
   builtin: panda_on_base
 """
+# A YAML integer that no float holds.
+BIG_INT = "1" + "0" * 400
 
 
 def test_joint_spec_rejects_non_unit_axis():
@@ -70,6 +75,11 @@ def test_load_scenario_defaults():
     assert np.allclose(params.weights.pose, 50000.0 * np.eye(6))
     assert script.duration == 10.0
     assert script.control_period == 0.01
+    # One default per parameter: the loader's are the dataclasses' own.
+    assert params.ftcnd == FtcndParams()
+    with pytest.warns(UserWarning, match="r3"):
+        assert params.nftsm == NftsmParams()
+    assert params.compensate_base is True
 
 
 def test_load_scenario_rejects_bad_horizon():
@@ -130,6 +140,35 @@ def test_load_scenario_rejects_bad_kappa():
     ("scenario:\n  reference: {angular_rate: 1.0e+308}\n",
      "reference.angular_rate"),
     ("scenario:\n  reference: {radius: 1.5e+308}\n", "reference.radius"),
+    ("ftcnd: {xii: 3}\n", "^ftcnd.xii: unknown key$"),
+    ("nftsm: {compensate_bse: false}\n",
+     "^nftsm.compensate_bse: unknown key$"),
+    ("scenario: {durration: 3}\n", "^scenario.durration: unknown key$"),
+    ("pomptc: {horizn: 3}\n", "^pomptc.horizn: unknown key$"),
+    ("pd: {kq: 3}\n", "^pd.kq: unknown key$"),
+    ("foo: 1\n", "^foo: unknown key$"),
+    ("ftcnd: {mu: .nan}\n", "ftcnd: mu must be positive and finite"),
+    ("ftcnd: {max_time: .inf}\n",
+     "ftcnd: max_time must be positive and finite"),
+    ("ftcnd: {kappa: .nan}\n", "ftcnd: kappa must be positive and finite"),
+    ("nftsm: {delta: .inf}\n", "nftsm: delta must be positive and finite"),
+    ("nftsm: {r2: .nan}\n", "nftsm: r2 must be positive and finite"),
+    ("nftsm: {c2: -.inf}\n", "nftsm: c2 must be positive and finite"),
+    (f"ftcnd: {{xi: {BIG_INT}}}\n", "ftcnd: int too large"),
+    ("pd: {kp: 0}\n", "pd.kp: expected a finite positive number"),
+    ("pd: {kd: -25}\n", "pd.kd: expected a finite positive number"),
+    ("pd: {kp: .inf}\n", "pd.kp: expected a finite positive number"),
+    ("pd: {kd: .nan}\n", "pd.kd: expected a finite positive number"),
+    ("nftsm: {compensate_base: 'false'}\n",
+     "nftsm.compensate_base: expected true or false"),
+    ("nftsm: {compensate_base: 0}\n",
+     "nftsm.compensate_base: expected true or false"),
+    (f"scenario: {{duration: {BIG_INT}}}\n", "scenario: int too large"),
+    (f"pomptc: {{pose_weight: {BIG_INT}}}\n", "pomptc: int too large"),
+    (f"scenario: {{reference: {{radius: {BIG_INT}}}}}\n",
+     "reference.radius: expected a finite number"),
+    (f"scenario: {{initial_q: [{BIG_INT}]}}\n",
+     "initial_q: expected a finite number"),
 ], ids=["horizon", "horizon_fraction", "control_horizon_fraction",
         "waypoint_time", "initial_q", "base_motion", "pose",
         "duration_inf", "duration_nan", "duration_huge", "control_period_nan",
@@ -139,10 +178,27 @@ def test_load_scenario_rejects_bad_kappa():
         "base_amplitude_word", "base_pose_length", "disturbance_time_word",
         "disturbance_value_length", "disturbance_amplitude_length",
         "base_frequency_overflow", "disturbance_frequency_overflow",
-        "angular_rate_overflow", "radius_overflow"])
+        "angular_rate_overflow", "radius_overflow", "ftcnd_key",
+        "nftsm_key", "scenario_key", "pomptc_key", "pd_key", "top_key",
+        "ftcnd_nan", "ftcnd_inf", "kappa_nan", "nftsm_inf", "nftsm_nan",
+        "nftsm_minus_inf", "ftcnd_int_overflow", "pd_zero", "pd_negative",
+        "pd_inf", "pd_nan", "compensate_base_string",
+        "compensate_base_int", "duration_int_overflow",
+        "pose_weight_int_overflow", "radius_int_overflow",
+        "initial_q_int_overflow"])
 def test_load_scenario_rejects_malformed_values(section, match):
     with pytest.raises(ConfigError, match=match):
         load_scenario(MINIMAL + section)
+
+
+@pytest.mark.parametrize("robot, match", [
+    ("{builtin: panda_on_base, limitz: {}}", "robot.limitz: unknown key"),
+    ("{builtin: planar_2link, limits: {q_lowr: [-1, -1]}}",
+     "robot.limits.q_lowr: unknown key"),
+], ids=["robot", "robot_limits"])
+def test_load_scenario_rejects_unknown_robot_keys(robot, match):
+    with pytest.raises(ConfigError, match=f"^{match}$"):
+        load_scenario(f"robot: {robot}\n")
 
 
 def test_load_scenario_rejects_all_false_mpc_mask():
@@ -290,9 +346,14 @@ def test_load_scenario_fuzz_raises_only_config_error(data):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
-            model, _, script = load_scenario(yaml.safe_dump(doc))
+            model, params, script = load_scenario(yaml.safe_dump(doc))
         except ConfigError:
             return
+    # Every gain that loads is finite.
+    gains = [*dataclasses.asdict(params.ftcnd).values(),
+             *dataclasses.asdict(params.nftsm).values(),
+             params.pd_kp, params.pd_kd]
+    assert np.isfinite(gains).all()
     # A scenario that loads runs its time functions without error, and
     # they stay finite up to the end of the run.
     start = Pose(np.zeros(3), np.zeros(3))

@@ -5,7 +5,6 @@ import pytest
 
 from conftest import inertia_matrices
 from mmtrack import dynamics, nftsm
-from mmtrack.dynamics import ErrorState
 from mmtrack.model import builtin_planar_2link
 from mmtrack.nftsm import NftsmParams
 
@@ -50,43 +49,45 @@ def test_saturation_branches():
 def test_surface_values_and_oddness():
     p = make_params()
     z = np.zeros(2)
-    np.testing.assert_allclose(
-        nftsm.sliding_surface(ErrorState(z, z), p), 0.0)
+    np.testing.assert_allclose(nftsm.sliding_surface(z, z, p), 0.0)
     # e1 = 0, e2 = 1: s = beta * sat(1/delta) * 1^r2 = 1.
-    s = nftsm.sliding_surface(ErrorState(np.array([0.0]), np.array([1.0])), p)
+    s = nftsm.sliding_surface(np.array([0.0]), np.array([1.0]), p)
     assert s[0] == pytest.approx(1.0)
     rng = np.random.default_rng(2)
     for _ in range(20):
         e1 = rng.normal(size=3)
         e2 = rng.normal(size=3)
-        sp = nftsm.sliding_surface(ErrorState(e1, e2), p)
-        sm = nftsm.sliding_surface(ErrorState(-e1, -e2), p)
+        sp = nftsm.sliding_surface(e1, e2, p)
+        sm = nftsm.sliding_surface(-e1, -e2, p)
         np.testing.assert_allclose(sm, -sp, atol=1e-14)
+
+
+def regulation_torque(model, q, qd, q_des, params):
+    """The torque law regulating the arm at (q, qd) to rest at q_des."""
+    terms = dynamics.dynamics_terms(model, q, qd)
+    return nftsm.control_torque(terms, q - q_des, qd, np.zeros(len(q)),
+                                params)
 
 
 def test_torque_finite_at_zero_velocity_error():
     # The classical terminal-SM singularity (division by e2 -> 0) must
     # not appear: the equivalent control multiplies by |e2|^(2-r2).
     model = builtin_planar_2link()
-    desired = {"q_md": np.array([0.8, -0.4]), "qd_md": np.zeros(2),
-               "qdd_md": np.zeros(2)}
-    tau, diag = nftsm.control_torque(model, [0.3, 1.0], [0.0, 0.0],
-                                     desired, make_params())
+    tau, s = regulation_torque(model, np.array([0.3, 1.0]), np.zeros(2),
+                               np.array([0.8, -0.4]), make_params())
     assert np.all(np.isfinite(tau))
-    assert np.all(np.isfinite(diag.s))
+    assert np.all(np.isfinite(s))
 
 
 def test_torque_zero_error_is_pure_compensation():
     model = builtin_planar_2link()
     q = np.array([0.3, 1.0])
-    desired = {"q_md": q, "qd_md": np.zeros(2), "qdd_md": np.zeros(2)}
-    tau, diag = nftsm.control_torque(model, q, np.zeros(2), desired,
-                                     make_params())
+    tau, s = regulation_torque(model, q, np.zeros(2), q, make_params())
     # s = 0, u_sw = 0, u_eq = -M^-1 G, so tau = G exactly.
     terms = dynamics.dynamics_terms(model, q, np.zeros(2))
     np.testing.assert_allclose(tau, terms.G, atol=1e-10)
-    np.testing.assert_allclose(diag.s, 0.0, atol=1e-15)
-    assert diag.V == 0.0
+    np.testing.assert_allclose(s, 0.0, atol=1e-15)
+    assert 0.5 * s @ s == 0.0
 
 
 def _settle_time(params, steps=7000, dt=1e-3, tol=1e-3):
@@ -94,13 +95,14 @@ def _settle_time(params, steps=7000, dt=1e-3, tol=1e-3):
     error enters and never leaves the tol ball."""
     model = builtin_planar_2link()
     q_des = np.array([0.8, -0.4])
-    desired = {"q_md": q_des, "qd_md": np.zeros(2), "qdd_md": np.zeros(2)}
     q = np.array([1.0, -0.6])
     qd = np.zeros(2)
     err = np.zeros(steps)
     for i in range(steps):
-        tau, _ = nftsm.control_torque(model, q, qd, desired, params)
-        qdd = dynamics.forward_dynamics(model, q, qd, tau)
+        terms = dynamics.dynamics_terms(model, q, qd)
+        tau, _ = nftsm.control_torque(terms, q - q_des, qd, np.zeros(2),
+                                      params)
+        qdd = dynamics.forward_dynamics(terms, tau)
         qd = qd + dt * qdd
         q = q + dt * qd
         err[i] = np.max(np.abs(q - q_des))
@@ -124,26 +126,21 @@ def test_lyapunov_rate_negative_outside_boundary_layer():
     model = builtin_planar_2link()
     params = make_params()
     q_des = np.array([0.8, -0.4])
-    desired = {"q_md": q_des, "qd_md": np.zeros(2), "qdd_md": np.zeros(2)}
     q = np.array([1.6, -1.2])
     qd = np.zeros(2)
     dt = 1e-3
-    s_prev = None
+    V_prev = None
     for _ in range(1500):
-        tau, diag = nftsm.control_torque(model, q, qd, desired, params)
-        if s_prev is not None and not diag.inside_boundary_layer.any():
-            rep = nftsm.lyapunov_diagnostics(s_prev, diag.s, dt, params.delta)
-            assert rep.Vdot_estimate < 0.0
-            np.testing.assert_allclose(rep.V, 0.5 * diag.s @ diag.s)
-        s_prev = diag.s
-        qdd = dynamics.forward_dynamics(model, q, qd, tau)
+        terms = dynamics.dynamics_terms(model, q, qd)
+        tau, s = nftsm.control_torque(terms, q - q_des, qd, np.zeros(2),
+                                      params)
+        V = 0.5 * s @ s
+        if V_prev is not None and not (np.abs(s) <= params.delta).any():
+            assert (V - V_prev) / dt < 0.0
+        V_prev = V
+        qdd = dynamics.forward_dynamics(terms, tau)
         qd = qd + dt * qdd
         q = q + dt * qd
-
-
-def test_lyapunov_diagnostics_validation():
-    with pytest.raises(ValueError):
-        nftsm.lyapunov_diagnostics(np.zeros(2), np.zeros(2), 0.0)
 
 
 def _torque_with_inertia(M, bias, G):
@@ -151,17 +148,8 @@ def _torque_with_inertia(M, bias, G):
     rng = np.random.default_rng(33)
     q, qd, q_md, qd_md, qdd_md = rng.uniform(-0.2, 0.2, (5, n))
     terms = dynamics.DynamicsTerms(M=M, bias=bias, G=G, tau_b=np.zeros(n))
-    desired = {"q_md": q_md, "qd_md": qd_md, "qdd_md": qdd_md}
-    return nftsm.control_torque(None, q, qd, desired, make_params(),
-                                terms=terms)[0]
-
-
-@pytest.mark.parametrize("case", ["rank_deficient", "cond_1e13"])
-def test_torque_rejects_singular_inertia(case):
-    n = 7
-    M = inertia_matrices(n)[case]
-    with pytest.raises(np.linalg.LinAlgError, match="numerically singular"):
-        _torque_with_inertia(M, np.ones(n), np.ones(n))
+    return nftsm.control_torque(terms, q - q_md, qd - qd_md, qdd_md,
+                                make_params())[0]
 
 
 def test_torque_solves_well_conditioned_inertia():

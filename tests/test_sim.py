@@ -115,18 +115,16 @@ def test_disturbance_torque_kinds():
 
 
 def test_pd_baseline_formula_and_validation():
+    # The gains are validated once, at load: see the pd cases of
+    # test_model.py's test_load_scenario_rejects_malformed_values.
     model = builtin_planar_2link()
     q = np.array([0.3, 1.0])
     qd = np.array([0.1, -0.2])
-    desired = {"q_md": np.array([0.4, 0.9]), "qd_md": np.array([0.0, 0.1]),
-               "qdd_md": np.zeros(2)}
-    tau = sim.pd_baseline_torque(model, q, qd, desired, 60.0, 25.0)
+    q_md, qd_md = np.array([0.4, 0.9]), np.array([0.0, 0.1])
     terms = dynamics.dynamics_terms(model, q, qd)
-    expect = terms.G - 60.0 * (q - desired["q_md"]) \
-        - 25.0 * (qd - desired["qd_md"])
+    tau = sim.pd_baseline_torque(terms, q - q_md, qd - qd_md, 60.0, 25.0)
+    expect = terms.G - 60.0 * (q - q_md) - 25.0 * (qd - qd_md)
     np.testing.assert_allclose(tau, expect, atol=1e-12)
-    with pytest.raises(ValueError):
-        sim.pd_baseline_torque(model, q, qd, desired, 0.0, 25.0)
 
 
 def test_run_raises_once_failure_budget_is_exceeded(monkeypatch):
@@ -364,14 +362,15 @@ PANDA_TRACE_HEADER = (
 
 def test_call_contract_of_the_closed_loop(monkeypatch, tmp_path):
     # Module attributes that tools wrap to time the layers: the loop
-    # must reach them through their modules, one torque law and four
-    # plant terms (torque step and RK4 stages 2-4) per torque step and
-    # one solve per control step.
+    # must reach them through their modules, one torque law, four plant
+    # terms (torque step and RK4 stages 2-4) and four inertia solves
+    # (one per RK4 stage) per torque step and one solve per control step.
     model, params, script = load_config("nominal_circle")
     script = dataclasses.replace(script, duration=0.05)
     calls = {}
     for module, name in ((nftsm, "control_torque"), (ftcnd, "solve"),
-                         (dynamics, "dynamics_terms")):
+                         (dynamics, "dynamics_terms"),
+                         (dynamics, "solve_inertia")):
         def counting(*args, _fn=getattr(module, name), _name=name,
                      **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
@@ -382,7 +381,8 @@ def test_call_contract_of_the_closed_loop(monkeypatch, tmp_path):
     torque_steps = len(trace.time) - 1
     assert calls == {"solve": control_steps,
                      "control_torque": torque_steps,
-                     "dynamics_terms": 4 * torque_steps}
+                     "dynamics_terms": 4 * torque_steps,
+                     "solve_inertia": 4 * torque_steps}
     # A static base leaves tau_b exactly +0, never -0 in trace.csv.
     assert not np.any(trace.tau_b) and not np.signbit(trace.tau_b).any()
     trace.to_csv(tmp_path / "trace.csv")
