@@ -210,10 +210,7 @@ def cmd_compare(args) -> int:
     cols = [traces[controllers[0]].time] \
         + [np.max(np.abs(traces[c].err_pos), axis=1) for c in controllers] \
         + [np.max(np.abs(traces[c].err_ori), axis=1) for c in controllers]
-    with open(out_dir / "errors.csv", "w", encoding="utf-8",
-              newline="\n") as fh:
-        np.savetxt(fh, np.column_stack(cols), fmt="%.17g", delimiter=",",
-                   header=",".join(head), comments="")
+    sim.write_csv(out_dir / "errors.csv", head, np.column_stack(cols))
 
     (out_dir / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n",

@@ -26,17 +26,20 @@ and Hf are the clamped and the free rows of H.  So each segment factors
 only the nz x nz matrix S + xi Hc'Hc; while no row is clamped this is
 the factor of S that the convexity check computes.  A segment is
 integrated in blocks: h alone is stepped through a block of accepted
-steps, then one multi-column solve with the segment's factor (no inverse
-is formed) gives v after every step of the block, and the events are
+steps, each written into the next row of one (block, nfree) buffer,
+then one multi-column solve with the segment's factor (no inverse is
+formed) gives v after every step of the block, and the events are
 looked for in those columns.  Step halving, the return of dt to
 ode_step, the convergence test and the finiteness check all act on h:
 a step whose h'h is not finite raises, and a step that does not lower
 h'h is halved, so h'h strictly decreases along accepted steps
 (accepting an equal value would let a coarse step flip h to about -h
-over and over).  At the first step with an event the block is cut: the
-crossing fraction theta of that step is computed as for a single step,
-h, the virtual time, dt, the counters and the histories are rolled back
-to that step, the step is taken up to theta, the slack is clamped or
+over and over).  The test max|h| <= eps runs only once h'h <= 2 nfree
+max(eps^2, 1e-300), which max|h| <= eps implies with room for the
+rounding of h'h.  At the first step with an event the block is cut: its
+crossing fraction theta is computed as for a single step, h, the
+virtual time, dt, the counters and the histories are rolled back to
+that step, the step is taken up to theta, the slack is clamped or
 released, and a new segment starts.  The first block of a segment is 2
 steps; each block that ends without an event doubles the next, up to a
 cap.  The iterates, events and histories are those of a solver that
@@ -97,10 +100,10 @@ class NeuralState:
 
 @dataclass
 class FtcndDiagnostics:
-    converged: bool
-    converge_time: float
-    bound_t_f: float
-    iterations: int
+    converged: bool = False
+    converge_time: float = math.inf
+    bound_t_f: float = 0.0
+    iterations: int = 0
     h_inf_history: list = field(default_factory=list)
     f_history: list = field(default_factory=list)
     time_history: list = field(default_factory=list)
@@ -120,17 +123,18 @@ def signed_power(h, p):
     return np.sign(h) * np.abs(h) ** p
 
 
-def li_activation(h, lam: float, zeta: float, kappa: float):
+def li_activation(h, lam: float, zeta: float, kappa: float, out=None):
     """Li function: odd, monotone, with a fractional-power term that
-    drives the residual to zero in finite time."""
+    drives the residual to zero in finite time; written to ``out`` if given."""
     if not 0.0 < kappa < 1.0:
         raise ValueError("kappa must lie strictly inside (0, 1)")
     h = np.asarray(h, float)
-    # signed_power(h, kappa) + signed_power(h, 1/kappa), sharing |h| and
-    # sign(h): the solver evaluates this once per integration step.
-    s, a = np.sign(h), np.abs(h)
-    return 0.5 * lam * (s * a ** kappa + s * a ** (1.0 / kappa)) \
-        + 0.5 * zeta * h
+    # = signed_power(h, kappa) + signed_power(h, 1/kappa) up to a zero sign.
+    a = np.abs(h)
+    y = np.copysign(a ** kappa + a ** (1.0 / kappa), h, out=out)
+    y *= 0.5 * lam
+    y += 0.5 * zeta * h
+    return y
 
 
 def finite_time_bound(h0, mu: float, kappa: float) -> float:
@@ -205,11 +209,13 @@ def _first_event(V, Hc, wc, nz):
     crossing fraction of either kind.
     """
     phi = V[nz:]
-    g = Hc @ V[:nz] - wc[:, None]
-    going_neg = (g[:, 1:] < 0.0) & (g[:, :-1] >= 0.0)
-    candidates = np.flatnonzero((phi[:, 1:] < 0.0).any(axis=0)
-                                | going_neg.any(axis=0))
-    for k in candidates:
+    candidates = (phi[:, 1:] < 0.0).any(axis=0)
+    going_neg = np.zeros((0, candidates.size), bool)
+    if wc.size:
+        g = Hc @ V[:nz] - wc[:, None]
+        going_neg = (g[:, 1:] < 0.0) & (g[:, :-1] >= 0.0)
+        candidates |= going_neg.any(axis=0)
+    for k in np.flatnonzero(candidates):
         theta = 1.0
         phi_old, phi_new = phi[:, k], phi[:, k + 1]
         crossing = phi_new < 0.0
@@ -248,6 +254,7 @@ def solve(problem, params: FtcndParams, warm_start=None):
     nz = problem.n_variables
     nc = problem.n_constraints
     xi = params.xi
+    mu, lam, zeta, kappa = params.mu, params.lam, params.zeta, params.kappa
     # The factor of S is the segment factor while no row is clamped.
     L_S, info = dpotrf(S, lower=1, clean=0)
     if info:
@@ -265,20 +272,17 @@ def solve(problem, params: FtcndParams, warm_start=None):
     clamped = (v[nz:] <= 0.0) & (resid[nz:] > 0.0)
     v[nz:][clamped] = 0.0
 
-    diag = FtcndDiagnostics(converged=False, converge_time=math.inf,
-                            bound_t_f=0.0, iterations=0)
     free = np.concatenate([np.arange(nz), nz + np.flatnonzero(~clamped)])
     h = resid[free]
-    diag.bound_t_f = finite_time_bound(h, params.mu, params.kappa)
+    diag = FtcndDiagnostics(bound_t_f=finite_time_bound(h, mu, kappa))
 
     time = 0.0
     dt = params.ode_step
     eps = params.epsilon_h
     need_refactor = True
     F = float(h @ h)
-    h_inf = float(np.max(np.abs(h)))
     diag.time_history.append(time)
-    diag.h_inf_history.append(h_inf)
+    diag.h_inf_history.append(float(np.max(np.abs(h))))
     diag.f_history.append(F)
     max_events = 100 + 10 * nc
     events = 0
@@ -294,24 +298,23 @@ def solve(problem, params: FtcndParams, warm_start=None):
             if diag.factorizations > 1:   # the first starts from h above
                 h = residual(problem, v, xi)[free]
                 F = float(h @ h)
-                h_inf = float(np.max(np.abs(h)))
+            gate = 2.0 * free.size * max(eps * eps, 1e-300)
             v_seg, h_seg = v[free], h
             block = 2
             need_refactor = False
 
-        # Step the residual alone for up to `block` accepted steps.
-        n0 = len(diag.time_history)
-        it0 = diag.iterations
-        h_start = h
-        hs, dts, halvings = [], [], []
-        settled = False
-        while len(hs) < block and time < params.max_time:
-            if h_inf <= eps:
+        # Step the residual alone for up to `block` accepted steps, into Hb.
+        n0, h_start = len(diag.time_history), h
+        Hb = np.empty((block, free.size))
+        steps = []              # (dt, halvings so far) of each step
+        j, settled = 0, False
+        while j < block and time < params.max_time:
+            if F <= gate and float(np.abs(h).max()) <= eps:
                 settled = True
                 break
-            dh = -params.mu * dt * li_activation(h, params.lam, params.zeta,
-                                                 params.kappa)
-            h_new = h + dh
+            h_new = li_activation(h, lam, zeta, kappa, out=Hb[j])
+            h_new *= -mu * dt
+            h_new += h
             F_new = float(h_new @ h_new)
             if not math.isfinite(F_new):
                 raise FtcndIntegrationError("non-finite neural state")
@@ -322,37 +325,32 @@ def solve(problem, params: FtcndParams, warm_start=None):
                     raise FtcndIntegrationError("step size underflow")
                 continue
             h, F = h_new, F_new
-            h_inf = float(np.abs(h).max())
             time += dt
-            diag.iterations += 1
+            j += 1
             diag.time_history.append(time)
-            diag.h_inf_history.append(h_inf)
             diag.f_history.append(F)
-            hs.append(h)
-            dts.append(dt)
-            halvings.append(diag.step_halvings)
+            steps.append((dt, diag.step_halvings))
             dt = min(dt * 2.0, params.ode_step)
 
-        if hs:
+        if j:
+            diag.h_inf_history.extend(np.abs(Hb[:j]).max(axis=1).tolist())
             # Column j is v[free] after j steps of the block (0: its start).
-            V = np.empty((free.size, len(hs) + 1))
+            V = np.empty((free.size, j + 1))
             V[:, 0] = v[free]
             V[:, 1:] = v_seg[:, None] + _reduced_solve(
-                L, Hf, np.array(hs).T - h_seg[:, None], nz, xi)
+                L, Hf, (Hb[:j] - h_seg).T, nz, xi)
             diag.block_solves += 1
             split = _first_event(V, Hc, wc, nz)
             if split is not None:
                 k, theta, release_hit = split
+                dt, diag.step_halvings = steps[k]
                 v[free] = V[:, k] + theta * (V[:, k + 1] - V[:, k])
-                h_prev = hs[k - 1] if k else h_start
-                dh = -params.mu * dts[k] * li_activation(
-                    h_prev, params.lam, params.zeta, params.kappa)
+                h_prev = Hb[k - 1] if k else h_start
+                dh = -mu * dt * li_activation(h_prev, lam, zeta, kappa)
                 h = h_prev + theta * dh
                 F = float(h @ h)
-                time = diag.time_history[n0 + k - 1] + theta * dts[k]
-                dt = dts[k]
-                diag.iterations = it0 + k + 1
-                diag.step_halvings = halvings[k]
+                time = diag.time_history[n0 + k - 1] + theta * dt
+                diag.iterations += k + 1
                 for hist, value in ((diag.time_history, time),
                                     (diag.h_inf_history,
                                      float(np.abs(h).max())),
@@ -375,6 +373,7 @@ def solve(problem, params: FtcndParams, warm_start=None):
                         events += rel.size
                 need_refactor = True
                 continue
+            diag.iterations += j
             v[free] = V[:, -1]
             block = min(2 * block, _MAX_BLOCK)
 
@@ -402,7 +401,5 @@ def solve(problem, params: FtcndParams, warm_start=None):
     diag.equality_residual = float(np.max(np.abs(resid[nz:][~clamped]))
                                    / xi) if (~clamped).any() else 0.0
     diag.final_state = NeuralState(v=v, h=resid[free], virtual_time=time)
-    if not diag.converged:
-        diag.converge_time = math.inf
     return z, diag
 

@@ -19,6 +19,20 @@ class ConfigError(ValueError):
     """Raised when a scenario document is malformed or inconsistent."""
 
 
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that rejects a repeated key instead of keeping the last."""
+
+    def construct_mapping(self, node, deep=False):
+        own = [k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]
+        mapping = super().construct_mapping(node, deep=deep)
+        keys = [self.construct_object(k) for k in own]
+        for i, key in enumerate(keys):
+            if key in keys[:i]:
+                raise ConfigError(f"{key}: repeated key (line "
+                                  f"{own[i].start_mark.line + 1})")
+        return mapping
+
+
 # What converting a malformed value raises; YAML integers are unbounded.
 _BAD_VALUE = (TypeError, ValueError, OverflowError)
 
@@ -455,7 +469,7 @@ def load_scenario(config_document: str):
     from . import sim as _sim
 
     try:
-        doc = yaml.safe_load(config_document)
+        doc = yaml.load(config_document, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"parse failure: {exc}") from None
     if doc is None:

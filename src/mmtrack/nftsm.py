@@ -55,15 +55,20 @@ def saturation(s, delta: float):
     """Boundary-layer saturation: s/delta clipped to [-1, 1]."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    return np.clip(np.asarray(s, float) / delta, -1.0, 1.0)
+    return np.minimum(np.maximum(np.asarray(s, float) / delta, -1.0), 1.0)
+
+
+def _surface(e1, e2, params: NftsmParams):
+    """s with the |e1|, |e2| and sat(e2/d) it is built from."""
+    a1, a2, sat2 = np.abs(e1), np.abs(e2), saturation(e2, params.delta)
+    return (e1 + params.alpha * saturation(e1, params.delta) * a1 ** params.r1
+            + params.beta * sat2 * a2 ** params.r2), a1, a2, sat2
 
 
 def sliding_surface(e1, e2, params: NftsmParams) -> np.ndarray:
     """s = e1 + alpha sat(e1/d)|e1|^r1 + beta sat(e2/d)|e2|^r2, elementwise,
     for the joint position and velocity errors e1 and e2."""
-    return (e1
-            + params.alpha * saturation(e1, params.delta) * np.abs(e1) ** params.r1
-            + params.beta * saturation(e2, params.delta) * np.abs(e2) ** params.r2)
+    return _surface(e1, e2, params)[0]
 
 
 def control_torque(terms: DynamicsTerms, e1, e2, qdd_md,
@@ -78,10 +83,9 @@ def control_torque(terms: DynamicsTerms, e1, e2, qdd_md,
     tau = C qdot + G - M (u_frac - qdd_md + u_sw).  The caller adds the
     base-acceleration feed-forward on top.
     """
-    s = sliding_surface(e1, e2, params)
-    u = (np.abs(e2) ** (2.0 - params.r2) * saturation(e2, params.delta)
-         / (params.beta * params.r2)
-         * (1.0 + params.alpha * params.r1 * np.abs(e1) ** (params.r1 - 1.0))
+    s, a1, a2, sat2 = _surface(e1, e2, params)
+    u = (a2 ** (2.0 - params.r2) * sat2 / (params.beta * params.r2)
+         * (1.0 + params.alpha * params.r1 * a1 ** (params.r1 - 1.0))
          - qdd_md
          + params.c1 * np.abs(s) ** params.r3 * saturation(s, params.delta)
          + params.c2 * s)

@@ -269,6 +269,16 @@ def _columns(suffixes=None, stem=None):
     return field(metadata={"suffixes": suffixes, "stem": stem})
 
 
+def write_csv(path, header, matrix):
+    """np.savetxt(fmt="%.17g", delimiter=",")'s bytes, header first; 64
+    rows per write keep the formatted text's memory small."""
+    fmt = ",".join(["%.17g"] * matrix.shape[1]) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for block in np.split(matrix, range(64, len(matrix), 64)):
+            fh.writelines([fmt % tuple(r) for r in block.tolist()])
+
+
 @dataclass
 class SimTrace:
     """Column-oriented record of one closed-loop run (torque-rate rows).
@@ -326,9 +336,7 @@ class SimTrace:
         return np.column_stack([getattr(self, f.name) for f in fields(self)])
 
     def to_csv(self, path):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            np.savetxt(fh, self.as_matrix(), fmt="%.17g", delimiter=",",
-                       header=",".join(self.column_names()), comments="")
+        write_csv(path, self.column_names(), self.as_matrix())
 
     @staticmethod
     def from_csv(path) -> "SimTrace":

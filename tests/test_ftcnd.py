@@ -43,6 +43,38 @@ def test_li_activation_values():
         ftcnd.li_activation(1.0, 1.0, 30.0, 1.2)
 
 
+def _li_sign_form(h, lam, zeta, kappa):
+    """The Li function written with sign(h), as li_activation computed it
+    before it used copysign."""
+    s, a = np.sign(h), np.abs(h)
+    return 0.5 * lam * (s * a ** kappa + s * a ** (1.0 / kappa)) \
+        + 0.5 * zeta * h
+
+
+@pytest.mark.parametrize("lam, zeta, kappa",
+                         [(1.0, 30.0, 0.8), (2.5, 0.1, 0.3), (0.7, 1.0, 0.5)])
+def test_li_activation_equals_sign_form_bit_for_bit(lam, zeta, kappa):
+    # copysign(x + y, h) = sign(h) x + sign(h) y in every rounding; only
+    # the sign of a zero result may differ (h = -0.0 gives -0.0).
+    rng = np.random.default_rng(3)
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-308,
+                        1e-300, -1e-300, 1e300, -1e300])
+    for h in (special, rng.normal(size=245),
+              rng.normal(size=245) * 10.0 ** rng.uniform(-200, 200, 245)):
+        with np.errstate(over="ignore", under="ignore"):
+            ref = _li_sign_form(h, lam, zeta, kappa)
+            out = np.full_like(h, np.nan)
+            plain = ftcnd.li_activation(h, lam, zeta, kappa)
+            assert ftcnd.li_activation(h, lam, zeta, kappa, out=out) is out
+        nonzero = ref != 0.0
+        for got in (plain, out):
+            assert np.array_equal(got, ref)
+            assert np.array_equal(got[nonzero].view(np.uint64),
+                                  ref[nonzero].view(np.uint64))
+    assert ftcnd.li_activation(-0.25, lam, zeta, kappa) \
+        == _li_sign_form(-0.25, lam, zeta, kappa)
+
+
 def test_finite_time_bound_values():
     # 2 |h|^(1-kappa) / (mu (1-kappa)) with |h| = 1, mu = 5, kappa = 0.8.
     assert ftcnd.finite_time_bound(1.0, 5.0, 0.8) == pytest.approx(2.0)

@@ -101,6 +101,33 @@ def test_matches_stepwise_through_halvings_and_an_event(ode_step):
     assert diag.step_halvings >= diag.iterations
 
 
+def test_equal_residual_settles_where_stepwise_does():
+    # Dyadic data make every residual component exactly 1 at the warm
+    # start, so all 14 components follow the same Li dynamics and stay
+    # equal: h'h is nfree max|h|^2 up to rounding, the edge of the h'h
+    # gate in front of the convergence test.  With epsilon_h set to
+    # max|h| after step k, where the rounded h'h exceeds nfree
+    # epsilon_h^2, both solvers must settle at step k.
+    H = np.random.default_rng(0).integers(-2, 3, size=(12, 2)) / 2.0
+    w = np.full(12, 8.0)
+    problem = QpProblem(S=np.diag([2.0, 4.0]), G=1.0 - H.sum(axis=0), H=H,
+                        w=w, t=0.0, N=1, Nu=1, m_prime=2)
+    warm = np.concatenate([np.zeros(2), w + 0.25])
+    xi = 4.0
+    assert np.all(ftcnd.residual(problem, warm, xi) == 1.0)
+    _, ref = ftcnd_stepwise.solve(problem, FtcndParams(xi=xi),
+                                  warm_start=warm)
+    edges = [k for k, (h_inf, F) in enumerate(zip(ref.h_inf_history,
+                                                  ref.f_history))
+             if F > 14 * h_inf ** 2]
+    assert len(edges) >= 10
+    for k in edges:
+        params = FtcndParams(xi=xi, epsilon_h=ref.h_inf_history[k])
+        diag = assert_same_run(problem, params, warm)
+        assert diag.converged and diag.iterations == k
+        assert diag.projection_events == diag.release_events == 0
+
+
 def test_matches_stepwise_on_nominal_warm_starts(nominal_warm_solves):
     for problem, params, warm in nominal_warm_solves:
         assert_same_run(problem, params, warm)

@@ -169,6 +169,9 @@ def test_load_scenario_rejects_bad_kappa():
      "reference.radius: expected a finite number"),
     (f"scenario: {{initial_q: [{BIG_INT}]}}\n",
      "initial_q: expected a finite number"),
+    ("robot: {builtin: planar_2link}\n",
+     r"^robot: repeated key \(line 4\)$"),
+    ("ftcnd: {mu: 3.0, mu: 7.0}\n", r"^mu: repeated key \(line 4\)$"),
 ], ids=["horizon", "horizon_fraction", "control_horizon_fraction",
         "waypoint_time", "initial_q", "base_motion", "pose",
         "duration_inf", "duration_nan", "duration_huge", "control_period_nan",
@@ -185,7 +188,7 @@ def test_load_scenario_rejects_bad_kappa():
         "pd_inf", "pd_nan", "compensate_base_string",
         "compensate_base_int", "duration_int_overflow",
         "pose_weight_int_overflow", "radius_int_overflow",
-        "initial_q_int_overflow"])
+        "initial_q_int_overflow", "repeated_robot", "repeated_ftcnd_key"])
 def test_load_scenario_rejects_malformed_values(section, match):
     with pytest.raises(ConfigError, match=match):
         load_scenario(MINIMAL + section)
