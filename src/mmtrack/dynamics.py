@@ -5,11 +5,13 @@ Links are modelled as point masses at their COM plus a constant rotor
 inertia per joint, so the inertia matrix is
 ``M(q) = sum_i m_i Jc_i^T Jc_i + diag(rotor)`` and the velocity-product
 (bias) vector is ``C(q, qdot) qdot = sum_i m_i Jc_i^T (Jcdot_i qdot)``.
-The plant and the torque laws use only that vector: one complex-step
-evaluation of the COM Jacobians at ``q + i h qdot`` gives ``Jc`` (real
-part) and ``Jcdot`` (imaginary part over h) together, in one fused
-pass of a few batched matmuls.  The Christoffel Coriolis matrix, the
-oracle of the bias vector, is in ``tests/oracles.py``.
+The plant and the torque laws use only that vector.  ``Jc`` and its
+time rate ``Jcdot`` along qdot come from one real pass over the dual
+frames [[F, Fdot], [0, F]] of ``kinematics.joint_frames``: a column
+``a_k x (c_i - o_k)`` and its rate are one product of the block skew
+[[K(a), 0], [K(adot), K(a)]] with [c - o; cdot - odot].  The
+Christoffel Coriolis matrix, the oracle of the bias vector, is in
+``tests/oracles.py``.
 
 Forward dynamics applies M^-1 through one LAPACK Cholesky
 factorization, whose pivots are also the singularity guard
@@ -25,9 +27,11 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 from .kinematics import axis_skew, joint_frames
 from .model import RobotModel
 
-_CS_STEP = 1e-20  # complex-step size; derivative error is O(step^2)
-# v @ _SKEW is the skew matrix of v, flattened row by row.
-_SKEW = np.array([axis_skew(e).ravel() for e in np.eye(3)])
+# v @ _SKEW[d] is the skew matrix K(v) (d = 1), or for v = [a; adot] the
+# block skew [[K(a), 0], [K(adot), K(a)]] (d = 2), flattened row by row.
+_SKEW = {d: np.array([np.kron(np.eye(d, k=-b), axis_skew(e)).ravel()
+                      for b in range(d) for e in np.eye(3)])
+         for d in (1, 2)}
 
 
 @dataclass(frozen=True)
@@ -41,33 +45,34 @@ class DynamicsTerms:
     tau_b: np.ndarray
 
 
-def com_jacobians(model: RobotModel, q_m):
-    """Translational COM Jacobians in the base frame, (..., n, 3, n).
-
-    ``q_m`` holds arm angles in its last axis with any leading batch
-    shape; complex-safe.  Column k of link i, axis_k x (com_i - o_k), comes
-    from one matmul of the axis skews; the result is a view of memory laid
-    out as [joint k, axis, link i].
-    """
+def com_jacobians(model: RobotModel, q_m, qdot_m=None):
+    """Translational COM Jacobians Jc in the base frame, (..., n, 3, n), or
+    with ``qdot_m`` (..., n, 6, n), [Jc; Jcdot] along axis -2, Jcdot being
+    the rate along ``qdot_m``; ``q_m`` holds arm angles in its last axis
+    with any leading batch shape (complex-safe without ``qdot_m``).  Column
+    k of link i, axis_k x (com_i - o_k), and its rate are one matmul of
+    the (block) axis skews, laid out in memory as [joint k, axis, link i]."""
     start = model.base_dof_count
     tab = model.fixed_transforms
-    F = joint_frames(model, q_m, start)
-    o = F[..., :3, 3]
-    rotated = F[..., :3, :] @ tab.axis_com      # (..., n, 3, 2)
-    axes, coms = rotated[..., 0], rotated[..., 1]
-    skews = (axes @ _SKEW).reshape(axes.shape + (3,))
-    columns = skews @ (np.swapaxes(coms, -1, -2)[..., None, :, :]
-                       - o[..., None])          # (..., k, 3, i)
+    d = 1 if qdot_m is None else 2
+    F = joint_frames(model, q_m, start, qdot_m)
+    # [axes; coms; origins] of every frame, each [value; rate] when d = 2.
+    p = (tab.points[d - 1] @ F[..., :3, :].swapaxes(-1, -2)).reshape(
+        F.shape[:-2] + (3, 3 * d))
+    axes, coms, origins = p[..., 0, :], p[..., 1, :], p[..., 2, :]
+    skews = (axes @ _SKEW[d]).reshape(axes.shape + (3 * d,))
+    columns = skews @ (coms.swapaxes(-1, -2)[..., None, :, :]
+                       - origins[..., None])    # (..., k, 3d, i)
     if tab.slides[start]:
         columns = np.where(tab.revolute[start:, None, None], columns,
                            axes[..., None])
-    return np.swapaxes(columns * tab.links, -1, -3)
+    return (columns * tab.links).swapaxes(-1, -3)
 
 
 def dynamics_terms(model: RobotModel, q_m, qdot_m, gravity=None,
                    a_b=None) -> DynamicsTerms:
-    """M, C qdot, G and tau_b of the arm at (q_m, qdot_m), from one
-    complex-step evaluation of the COM Jacobians.
+    """M, C qdot, G and tau_b of the arm at (q_m, qdot_m), from one dual
+    pass of the COM Jacobians and their rates.
 
     ``gravity`` overrides the model gravity vector (used when the base
     is tilted).  ``a_b`` is the base linear acceleration in the base
@@ -83,18 +88,19 @@ def dynamics_terms(model: RobotModel, q_m, qdot_m, gravity=None,
         raise ValueError(f"expected arm vectors of length {n}")
     g = model.gravity if gravity is None else np.asarray(gravity, float)
     masses = model.link_masses
-    qz = q_m + 1j * _CS_STEP * qdot_m
-    Jz = np.swapaxes(com_jacobians(model, qz), 0, 2)   # [joint, axis, link]
-    J = Jz.real.reshape(n, 3 * n)
-    mJ = (Jz.real * masses).reshape(n, 3 * n)
-    Jdot_qdot = qdot_m @ Jz.imag.reshape(n, 3 * n) / _CS_STEP
-    Jm = Jz.real @ masses                       # (n, 3)
+    # [joint, axis, link], axes 3 .. 5 being the rates.
+    columns = com_jacobians(model, q_m, qdot_m).swapaxes(0, 2)
+    Jc = columns[:, :3]
+    J = Jc.reshape(n, 3 * n)
+    mJ = (Jc * masses).reshape(n, 3 * n)
+    Jdot_qdot = (qdot_m @ columns.reshape(n, 6 * n))[3 * n:]
+    Jm = Jc @ masses                            # (n, 3)
     tau_b = np.zeros(n)
     if a_b is not None:
         a_b = np.asarray(a_b, float)
         if a_b.shape != (3,):
             raise ValueError("a_b must be a 3-vector")
-        if np.any(a_b):
+        if a_b.any():
             tau_b = Jm @ a_b
     return DynamicsTerms(M=J @ mJ.T + model.fixed_transforms.rotor,
                          bias=mJ @ Jdot_qdot, G=-(Jm @ g), tau_b=tau_b)

@@ -151,26 +151,9 @@ def finite_time_bound(h0, mu: float, kappa: float) -> float:
     return 2.0 * hmax ** (1.0 - kappa) / (mu * (1.0 - kappa))
 
 
-def lift(problem, xi: float):
-    """Slack-variable lift of the QP into N v + D = 0.
-
-    N = [[S + xi H'H, xi H'], [xi H, xi I]],  D = [G - xi H'w; -xi w],
-    v0 = [0; max(0, w)].  The definition only: ``solve`` never forms N.
-    """
-    if xi <= 0:
-        raise ValueError("penalty factor xi must be positive")
-    S, G, H, w = problem.S, problem.G, problem.H, problem.w
-    nc = H.shape[0]
-    N = np.block([[S + xi * H.T @ H, xi * H.T],
-                  [xi * H, xi * np.eye(nc)]])
-    D = np.concatenate([G - xi * H.T @ w, -xi * w])
-    v0 = np.concatenate([np.zeros(S.shape[0]), np.maximum(0.0, w)])
-    return N, D, v0
-
-
 def residual(problem, v, xi: float):
-    """N v + D of the lift, without forming N:
-    [S z + G + xi H'r; xi r] with r = H z + phi - w."""
+    """N v + D of the lift, without forming N (``tests/oracles.py``'s
+    ``lift`` forms it): [S z + G + xi H'r; xi r] with r = H z + phi - w."""
     nz = problem.n_variables
     z = v[:nz]
     r = problem.H @ z + v[nz:] - problem.w

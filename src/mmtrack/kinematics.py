@@ -3,13 +3,14 @@ horizon discretization used by the predictive layer.
 
 Orientation convention is Z-Y-X throughout: a pose orientation vector
 ``[yaw, pitch, roll]`` corresponds to ``R = Rz(yaw) @ Ry(pitch) @ Rx(roll)``.
-All transform helpers accept complex inputs so that callers can use
-complex-step differentiation.
+The transform helpers and the plain chain kernel accept complex inputs.
 
-The one chain kernel, :func:`joint_frames`, builds the local 4 x 4
-transform of every joint at once and forms the joint frames as their
-prefix products, in ceil(log2 k) batched matrix products for k joints;
-:func:`chain_frames` adds the EE frame.
+The one chain kernel, :func:`joint_frames`, builds the local transform
+of every joint at once and forms the joint frames as their prefix
+products, in ceil(log2 k) batched matrix products for k joints; given
+joint rates it does so on 8 x 8 dual blocks [[L, Ldot], [0, L]], which
+carry the frames' time rates (forward-mode differentiation in block
+form).  :func:`chain_frames` adds the EE frame.
 """
 from __future__ import annotations
 
@@ -106,28 +107,43 @@ class Pose:
         return Pose(v[..., :3], v[..., 3:6])
 
 
-def joint_frames(model: RobotModel, q, start: int = 0):
-    """Homogeneous 4 x 4 frames of joints ``start`` .. end, (..., k, 4, 4).
+def joint_frames(model: RobotModel, q, start: int = 0, qdot=None):
+    """Homogeneous 4 x 4 frames of joints ``start`` .. end, (..., k, 4, 4);
+    with ``qdot`` (broadcast to the shape of ``q``), the 8 x 8 dual blocks
+    [[F, Fdot], [0, F]], Fdot being the time rate of F along ``qdot``.
 
     Walks the chain from the frame of joint ``start``'s parent
     (``start = model.base_dof_count`` gives the arm in the base frame);
     ``q`` holds the k joint values in its last axis, with any leading
-    batch shape, and may be complex.  The k local transforms are built at
-    once from the stacked table T of ``model.fixed_transforms``:
-    ``T0 + sin q T1 + (1 - cos q) T2``, plus ``q T3`` only when the chain
-    has a prismatic joint.  The frames F are their prefix products:
-    ``F[s:] = F[:-s] @ F[s:]`` for s = 1, 2, 4, ... < k.
+    batch shape, and may be complex without ``qdot``.  The local
+    transforms ``L = T0 + sin q T1 + (1 - cos q) T2`` (plus ``q T3`` if
+    the chain slides) come from the stacked table T of
+    ``model.fixed_transforms``, and the dual blocks [[L, Ldot], [0, L]],
+    ``Ldot = qdot (cos q T1 + sin q T2 + T3)``, from one matmul of their
+    coefficients with its ``dual`` table.  The frames are the prefix
+    products ``F[s:] = F[:-s] @ F[s:]``, s = 1, 2, 4, ... < k; a product
+    of dual blocks, [[A B, A Bdot + Adot B], [0, A B]], is the product rule.
     """
     q = np.asarray(q)
     tab = model.fixed_transforms
     k = model.total_dof - start
     if q.ndim == 0 or q.shape[-1] != k:
         raise ValueError(f"expected {k} joint values, got shape {q.shape}")
-    T = tab.local[:, start:]
-    q = q[..., None, None]
-    F = T[0] + np.sin(q) * T[1] + (1.0 - np.cos(q)) * T[2]
-    if tab.slides[start]:
-        F += q * T[3]
+    if qdot is None:
+        T = tab.local[:, start:]
+        q = q[..., None, None]
+        F = T[0] + np.sin(q) * T[1] + (1.0 - np.cos(q)) * T[2]
+        if tab.slides[start]:
+            F += q * T[3]
+    else:
+        qdot = np.asarray(qdot, float)
+        x = np.empty(q.shape + (2, 4))  # (1, sin q, cos q, q) x (1, qdot)
+        x[..., 0, 0], x[..., 0, 3] = 1.0, q
+        np.sin(q, out=x[..., 0, 1])
+        np.cos(q, out=x[..., 0, 2])
+        np.multiply(x[..., 0, :], qdot[..., None], out=x[..., 1, :])
+        F = (x.reshape(q.shape + (1, 8)) @ tab.dual[start:]).reshape(
+            q.shape + (8, 8))
     s = 1
     while s < k:
         F[..., s:, :, :] = F[..., :-s, :, :] @ F[..., s:, :, :]
@@ -192,12 +208,6 @@ def geometric_jacobian(model: RobotModel, q) -> np.ndarray:
     return linearization(model, q)[1]
 
 
-def is_representation_singular(model: RobotModel, q):
-    """Flag representation/task singularities as (flag, det); see
-    :func:`linearization`."""
-    return linearization(model, q)[2:]
-
-
 def prediction_matrix(t: float, N: int, Nu: int) -> np.ndarray:
     """Lower-band horizon matrix: entry (i, k) = max(0, i+1-k) * t.
 
@@ -212,38 +222,6 @@ def prediction_matrix(t: float, N: int, Nu: int) -> np.ndarray:
 def accumulation_matrix(Nu: int) -> np.ndarray:
     """Lower-triangular ones; maps increments to velocity offsets."""
     return np.tril(np.ones((Nu, Nu)))
-
-
-def predict_joint_trajectory(q_j, qdot_prev, delta_v, t: float, N: int):
-    """Roll the velocity-increment recursion forward over the horizon.
-
-    Parameters
-    ----------
-    q_j : (m,) current joint vector
-    qdot_prev : (m,) commanded velocity of the previous step
-    delta_v : (Nu, m) stacked velocity increments
-    t : sampling period, s
-    N : prediction horizon (>= Nu); increments beyond Nu-1 are held at zero
-
-    Returns
-    -------
-    q_traj : (N, m) predicted joint angles q(j+1) .. q(j+N)
-    qdot_traj : (Nu, m) predicted velocities qdot(j) .. qdot(j+Nu-1)
-    """
-    q_j = np.asarray(q_j, float)
-    qdot_prev = np.asarray(qdot_prev, float)
-    delta_v = np.atleast_2d(np.asarray(delta_v, float))
-    Nu = delta_v.shape[0]
-    if t <= 0:
-        raise ValueError("sampling period must be positive")
-    if N < Nu:
-        raise ValueError(f"prediction horizon N={N} shorter than Nu={Nu}")
-    U = prediction_matrix(t, N, Nu)
-    I1 = accumulation_matrix(Nu)
-    qdot_traj = qdot_prev[None, :] + I1 @ delta_v
-    steps = np.arange(1, N + 1)[:, None]
-    q_traj = q_j[None, :] + steps * t * qdot_prev[None, :] + U @ delta_v
-    return q_traj, qdot_traj
 
 
 def pose_error(pose: Pose, ref: Pose) -> np.ndarray:

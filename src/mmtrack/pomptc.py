@@ -10,9 +10,9 @@ form is, for the prediction matrix U and accumulation matrix I1,
     kron(U'U, J' Wp J) + kron(I1'I1, Wv) + kron(I, Wa).
 
 :func:`assemble_qp` builds it from these blocks after one chain pass
-(:func:`kinematics.linearization`).  ``direct_cost`` evaluates the same
-objective literally from the rolled trajectory and serves as the
-equivalence oracle for the assembly.
+(:func:`kinematics.linearization`).  ``tests/oracles.py``'s
+``direct_cost`` evaluates the same objective literally from the rolled
+trajectory and serves as the equivalence oracle for the assembly.
 """
 from __future__ import annotations
 
@@ -179,38 +179,6 @@ def assemble_qp(model: RobotModel, q, qdot_prev, pose_refs,
     H = np.vstack([T_q, -T_q, A_vel, -A_vel, Iz, -Iz])
     w = np.concatenate([q_up, q_lo, v_up, v_lo, a_up, a_lo])
     return QpProblem(S=S, G=G, H=H, w=w, t=t, N=N, Nu=Nu, m_prime=mp)
-
-
-def direct_cost(model: RobotModel, q, qdot_prev, pose_refs,
-                weights: PomptcWeights, t: float, N: int, Nu: int, z) -> float:
-    """Literal evaluation of the three weighted horizon sums.
-
-    Rolls the trajectory forward step by step and sums the terms,
-    independent of the assembled matrices; oracle for assemble_qp.
-    """
-    mask = model.actuated_by_mpc
-    mp = int(np.count_nonzero(mask))
-    z = np.asarray(z, float)
-    if z.shape != (mp * Nu,):
-        raise ValueError(f"z must have length {mp * Nu}")
-    delta = z.reshape(Nu, mp)
-    q = np.asarray(q, float)
-    qm = q[mask]
-    qdp = np.asarray(qdot_prev, float)[mask]
-    q_traj, qdot_traj = kin.predict_joint_trajectory(qm, qdp, delta, t, N)
-    pose_now = kin.forward_kinematics(model, q)
-    rows = list(model.task_rows)
-    J = kin.geometric_jacobian(model, q)[rows][:, mask]
-    Wp = weights.pose[np.ix_(rows, rows)]
-    cost = 0.0
-    for i in range(N):
-        ref = Pose.from_vector(pose_refs[i])
-        err = kin.pose_error(pose_now, ref)[rows] + J @ (q_traj[i] - qm)
-        cost += err @ Wp @ err
-    for i in range(Nu):
-        cost += qdot_traj[i] @ weights.velocity @ qdot_traj[i]
-        cost += delta[i] @ weights.accel @ delta[i]
-    return float(cost)
 
 
 def extract_first_increment(z_star, model: RobotModel) -> np.ndarray:

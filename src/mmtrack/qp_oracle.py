@@ -10,7 +10,6 @@ point.  Both are dense and intended for small instances only.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,17 +80,6 @@ def _solve_penalized(S, G, H, w, xi):
         z = z_new
         active = new_active
     raise RuntimeError("penalized active-set iteration did not settle")
-
-
-def _kkt_solve(S, G, H, w, working):
-    """Equality-constrained solve on the working set; (z, lambda)."""
-    Ha = H[working]
-    na = Ha.shape[0]
-    K = np.block([[S, Ha.T], [Ha, np.zeros((na, na))]])
-    rhs = np.concatenate([-G, w[working]])
-    sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
-    nz = S.shape[0]
-    return sol[:nz], sol[nz:]
 
 
 def _solve_exact(S, G, H, w):
@@ -166,37 +154,6 @@ def solve_reference(problem, penalized: bool = False, xi: float = 5.0):
             raise ValueError("penalty factor xi must be positive")
         return _solve_penalized(S, G, H, w, xi)
     return _solve_exact(S, G, H, w)
-
-
-def brute_force(problem):
-    """Exhaustive enumeration over active sets; tiny instances only.
-
-    Solves the equality-constrained QP for every subset of rows, keeps
-    candidates that are primal feasible with non-negative multipliers,
-    and returns the best by objective.
-    """
-    S = np.asarray(problem.S, float)
-    G = np.asarray(problem.G, float)
-    H = np.asarray(problem.H, float)
-    w = np.asarray(problem.w, float)
-    nc = H.shape[0]
-    if nc > 12:
-        raise ValueError("brute force is limited to 12 constraints")
-    best, best_obj = None, np.inf
-    for r in range(nc + 1):
-        for subset in itertools.combinations(range(nc), r):
-            working = list(subset)
-            z, lam = _kkt_solve(S, G, H, w, working)
-            if lam.size and lam.min() < -1e-9:
-                continue
-            if np.max(np.append(H @ z - w, 0.0)) > 1e-9:
-                continue
-            obj = 0.5 * z @ S @ z + G @ z
-            if obj < best_obj - 1e-15:
-                best, best_obj = z, obj
-    if best is None:
-        raise InfeasibleProblem(int(np.argmax(-w)))
-    return best
 
 
 def check_kkt(problem, z, tol: float = 1e-8) -> KktReport:

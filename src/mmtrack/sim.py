@@ -18,7 +18,7 @@ import numpy as np
 
 from . import dynamics, ftcnd, kinematics as kin, nftsm, pomptc
 from .kinematics import Pose
-from .model import ControllerParams, RobotModel
+from .model import ControllerParams, RobotModel, _known_keys
 
 _AXIS_NAMES = {"x": 0, "y": 1, "z": 2, "yaw": 3, "pitch": 4, "roll": 5}
 # Most torque-rate rows a run may record (about 0.7 GB for 13 DOFs).
@@ -28,6 +28,11 @@ FAILURE_BUDGET = 3
 # Trace rows per batch of the pose and error columns, which bounds the
 # derivation's temporaries whatever the trace length.
 POSE_BLOCK_ROWS = 256
+# The keys that each kind of base motion and disturbance reads.
+_BASE_MOTION_KEYS = {"static": ("pose",), "tilt": ("angle",),
+                     "sinusoid": ("axis", "amplitude", "frequency", "phase")}
+_DISTURBANCE_KEYS = {"none": (), "step": ("time", "value"),
+                     "sinusoid": ("amplitude", "frequency", "phase")}
 
 
 class SimulationError(RuntimeError):
@@ -54,6 +59,16 @@ def _as_vector(value, length, name):
     return arr
 
 
+def _kind(spec, default, kinds, name):
+    """``spec``'s kind; an unknown kind, or a key that the kind does not
+    read, raises naming ``name.kind`` or ``name.<key>``."""
+    kind = spec.get("kind", default)
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ValueError(f"{name}.kind: unknown kind {kind!r}")
+    _known_keys(spec, ("kind",) + kinds[kind], f"{name}.")
+    return kind
+
+
 def _sinusoid_bounded(om, phase, peak, duration, name):
     """Raise naming the key ``name`` unless sin(om t + phase) has a
     finite argument over [0, duration] and ``peak`` is finite."""
@@ -65,7 +80,7 @@ def _sinusoid_bounded(om, phase, peak, duration, name):
 def _base_motion(spec: dict, duration: float):
     """Base generalized position, velocity and acceleration (q, v, a) as
     a function of time t in [0, duration], from ``base_motion``."""
-    kind = spec.get("kind", "static")
+    kind = _kind(spec, "static", _BASE_MOTION_KEYS, "base_motion")
     if kind in ("static", "tilt"):
         pose = np.zeros(6)
         if kind == "static":
@@ -73,8 +88,6 @@ def _base_motion(spec: dict, duration: float):
         else:
             pose[4] = _number(spec.get("angle", 0.21), "base_motion.angle")
         return lambda t: (pose.copy(), np.zeros(6), np.zeros(6))
-    if kind != "sinusoid":
-        raise ValueError(f"base_motion.kind: unknown kind {kind!r}")
     axis = spec.get("axis", "x")
     idx = _AXIS_NAMES.get(axis, axis) if isinstance(axis, str) else axis
     if isinstance(idx, bool) or idx not in range(6):
@@ -156,7 +169,7 @@ def _reference(spec: dict, duration: float):
 def _disturbance(spec: dict, duration: float):
     """External joint torque as a function of (time, n) for times in
     [0, duration], from ``disturbance``."""
-    kind = spec.get("kind", "none")
+    kind = _kind(spec, "none", _DISTURBANCE_KEYS, "disturbance")
     if kind == "none":
         return lambda t, n: np.zeros(n)
     if kind == "step":
@@ -164,8 +177,6 @@ def _disturbance(spec: dict, duration: float):
         value = spec.get("value", 0.0)
         return lambda t, n: _as_vector(value, n, "disturbance.value") \
             if t >= t_on else np.zeros(n)
-    if kind != "sinusoid":
-        raise ValueError(f"disturbance.kind: unknown kind {kind!r}")
     amplitude = spec.get("amplitude", 0.0)
     om = 2.0 * math.pi * _number(spec.get("frequency", 1.0),
                                  "disturbance.frequency")

@@ -1,7 +1,7 @@
 """Step-by-step FTCND integration: the reference for ``mmtrack.ftcnd.solve``.
 
 The plainest form of the integration: the reduced matrix N_red is
-gathered from the dense lift (``ftcnd.lift``) and factored, and each
+gathered from the dense lift (``oracles.lift``) and factored, and each
 accepted step makes one ``cho_solve`` and one pair of event checks.  The
 residual N v + D is read from ``ftcnd.residual``, as in the library, so
 that both see the same exact zeros.  The library solver never forms N:
@@ -19,7 +19,8 @@ from scipy.linalg import cho_solve
 
 from mmtrack.ftcnd import (_EVENT_TOL, FtcndDiagnostics, FtcndIntegrationError,
                            NeuralState, _factor, finite_time_bound,
-                           li_activation, lift, residual)
+                           li_activation, residual)
+from oracles import lift
 
 
 def solve(problem, params, warm_start=None):

@@ -1,18 +1,31 @@
-"""Independent oracles of the library's rigid-body terms.
+"""Independent oracles of the library's numerical kernels.
 
 ``dynamics.dynamics_terms`` forms M as one Gram matmul of the COM
-Jacobians and the bias vector ``C(q, qdot) qdot`` from one complex-step
-pass.  Here M is the mass-weighted einsum ``sum_i m_i Jc_i^T Jc_i``, dM/dq
+Jacobians and the bias vector ``C(q, qdot) qdot`` from one dual pass.
+Here M is the mass-weighted einsum ``sum_i m_i Jc_i^T Jc_i``, dM/dq
 comes from a batched complex step (one imaginary perturbation per
 joint), and C is the Christoffel Coriolis matrix built from dM/dq, so
-that q' (Mdot - 2C) q' vanishes identically.  They serve the dynamics
-and acceptance tests.
+that q' (Mdot - 2C) q' vanishes identically.
+
+The other oracles are the literal forms of what the library computes
+in closed form or never forms: ``direct_cost`` rolls the horizon
+(``predict_joint_trajectory``) and sums the cost of
+``pomptc.assemble_qp`` term by term; ``brute_force`` enumerates the
+active sets of a tiny QP for ``qp_oracle.solve_reference``; ``lift``
+forms the dense matrix N of the slack lift that ``ftcnd.solve`` only
+factors in reduced form; ``is_representation_singular`` reads the
+singularity test of ``kinematics.linearization``.
 """
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
+from mmtrack import kinematics as kin
 from mmtrack.dynamics import com_jacobians
+from mmtrack.kinematics import Pose
+from mmtrack.qp_oracle import InfeasibleProblem
 
 _CS_STEP = 1e-20
 
@@ -36,3 +49,133 @@ def coriolis_matrix(model, q_m, qdot_m):
     return 0.5 * (np.einsum("kij,k->ij", dM, qdot_m)
                   + np.einsum("jik,k->ij", dM, qdot_m)
                   - np.einsum("ikj,k->ij", dM, qdot_m))
+
+
+def is_representation_singular(model, q):
+    """Flag representation/task singularities as (flag, det); see
+    ``kinematics.linearization``."""
+    return kin.linearization(model, q)[2:]
+
+
+def predict_joint_trajectory(q_j, qdot_prev, delta_v, t: float, N: int):
+    """Roll the velocity-increment recursion forward over the horizon.
+
+    Parameters
+    ----------
+    q_j : (m,) current joint vector
+    qdot_prev : (m,) commanded velocity of the previous step
+    delta_v : (Nu, m) stacked velocity increments
+    t : sampling period, s
+    N : prediction horizon (>= Nu); increments beyond Nu-1 are held at zero
+
+    Returns
+    -------
+    q_traj : (N, m) predicted joint angles q(j+1) .. q(j+N)
+    qdot_traj : (Nu, m) predicted velocities qdot(j) .. qdot(j+Nu-1)
+    """
+    q_j = np.asarray(q_j, float)
+    qdot_prev = np.asarray(qdot_prev, float)
+    delta_v = np.atleast_2d(np.asarray(delta_v, float))
+    Nu = delta_v.shape[0]
+    if t <= 0:
+        raise ValueError("sampling period must be positive")
+    if N < Nu:
+        raise ValueError(f"prediction horizon N={N} shorter than Nu={Nu}")
+    U = kin.prediction_matrix(t, N, Nu)
+    I1 = kin.accumulation_matrix(Nu)
+    qdot_traj = qdot_prev[None, :] + I1 @ delta_v
+    steps = np.arange(1, N + 1)[:, None]
+    q_traj = q_j[None, :] + steps * t * qdot_prev[None, :] + U @ delta_v
+    return q_traj, qdot_traj
+
+
+def direct_cost(model, q, qdot_prev, pose_refs, weights, t: float, N: int,
+                Nu: int, z) -> float:
+    """Literal evaluation of the three weighted horizon sums.
+
+    Rolls the trajectory forward step by step and sums the terms,
+    independent of the assembled matrices; oracle for assemble_qp.
+    """
+    mask = model.actuated_by_mpc
+    mp = int(np.count_nonzero(mask))
+    z = np.asarray(z, float)
+    if z.shape != (mp * Nu,):
+        raise ValueError(f"z must have length {mp * Nu}")
+    delta = z.reshape(Nu, mp)
+    q = np.asarray(q, float)
+    qm = q[mask]
+    qdp = np.asarray(qdot_prev, float)[mask]
+    q_traj, qdot_traj = predict_joint_trajectory(qm, qdp, delta, t, N)
+    pose_now = kin.forward_kinematics(model, q)
+    rows = list(model.task_rows)
+    J = kin.geometric_jacobian(model, q)[rows][:, mask]
+    Wp = weights.pose[np.ix_(rows, rows)]
+    cost = 0.0
+    for i in range(N):
+        ref = Pose.from_vector(pose_refs[i])
+        err = kin.pose_error(pose_now, ref)[rows] + J @ (q_traj[i] - qm)
+        cost += err @ Wp @ err
+    for i in range(Nu):
+        cost += qdot_traj[i] @ weights.velocity @ qdot_traj[i]
+        cost += delta[i] @ weights.accel @ delta[i]
+    return float(cost)
+
+
+def _kkt_solve(S, G, H, w, working):
+    """Equality-constrained solve on the working set; (z, lambda)."""
+    Ha = H[working]
+    na = Ha.shape[0]
+    K = np.block([[S, Ha.T], [Ha, np.zeros((na, na))]])
+    rhs = np.concatenate([-G, w[working]])
+    sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
+    nz = S.shape[0]
+    return sol[:nz], sol[nz:]
+
+
+def brute_force(problem):
+    """Exhaustive enumeration over active sets; tiny instances only.
+
+    Solves the equality-constrained QP for every subset of rows, keeps
+    candidates that are primal feasible with non-negative multipliers,
+    and returns the best by objective.
+    """
+    S = np.asarray(problem.S, float)
+    G = np.asarray(problem.G, float)
+    H = np.asarray(problem.H, float)
+    w = np.asarray(problem.w, float)
+    nc = H.shape[0]
+    if nc > 12:
+        raise ValueError("brute force is limited to 12 constraints")
+    best, best_obj = None, np.inf
+    for r in range(nc + 1):
+        for subset in itertools.combinations(range(nc), r):
+            working = list(subset)
+            z, lam = _kkt_solve(S, G, H, w, working)
+            if lam.size and lam.min() < -1e-9:
+                continue
+            if np.max(np.append(H @ z - w, 0.0)) > 1e-9:
+                continue
+            obj = 0.5 * z @ S @ z + G @ z
+            if obj < best_obj - 1e-15:
+                best, best_obj = z, obj
+    if best is None:
+        raise InfeasibleProblem(int(np.argmax(-w)))
+    return best
+
+
+def lift(problem, xi: float):
+    """Slack-variable lift of the QP into N v + D = 0.
+
+    N = [[S + xi H'H, xi H'], [xi H, xi I]],  D = [G - xi H'w; -xi w],
+    v0 = [0; max(0, w)].  The definition only: ``ftcnd.solve`` never
+    forms N.
+    """
+    if xi <= 0:
+        raise ValueError("penalty factor xi must be positive")
+    S, G, H, w = problem.S, problem.G, problem.H, problem.w
+    nc = H.shape[0]
+    N = np.block([[S + xi * H.T @ H, xi * H.T],
+                  [xi * H, xi * np.eye(nc)]])
+    D = np.concatenate([G - xi * H.T @ w, -xi * w])
+    v0 = np.concatenate([np.zeros(S.shape[0]), np.maximum(0.0, w)])
+    return N, D, v0

@@ -254,10 +254,10 @@ def test_criterion_7_numerical_kernels(capsys):
         args = (model, q, qdp, refs, weights, t, N, Nu)
         prob = pomptc.assemble_qp(*args)
         z0 = np.zeros(prob.n_variables)
-        off = pomptc.direct_cost(*args, z0)
+        off = oracles.direct_cost(*args, z0)
         for _ in range(3):
             z = rng.normal(scale=0.1, size=prob.n_variables)
-            direct = pomptc.direct_cost(*args, z) - off
+            direct = oracles.direct_cost(*args, z) - off
             quad = prob.objective(z) - prob.objective(z0)
             worst_cost = max(worst_cost,
                              abs(quad - direct) / max(1.0, abs(direct)))

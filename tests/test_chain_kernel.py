@@ -6,9 +6,12 @@ applies the EE offset; ``chain_stepwise`` walks the joints one by one
 with elementary rotations.  Frames, COM
 Jacobians, pose and dynamics terms must agree to 1e-14 (the dynamics
 terms to 1e-14 of their own scale when that exceeds 1: G reaches tens
-of N m).  Besides the built-in robots, a user-built one with a
-prismatic arm joint covers the slide term of the kernel and the
-prismatic Jacobian column, which no built-in arm reaches.
+of N m).  The dual frames [[F, Fdot], [0, F]] must carry the plain
+frames, and the COM Jacobian rates of the dual pass must match the
+complex step of the walk along qdot.  Besides the built-in robots, a
+user-built one with a prismatic arm joint covers the slide term of the
+kernel and the prismatic Jacobian column, which no built-in arm
+reaches.
 """
 import numpy as np
 import pytest
@@ -87,6 +90,45 @@ def test_com_jacobians_match_stepwise_walk(make_model, complex_step, shape):
             q_m = q_m + 1e-20j * rng.normal(size=q_m.shape)
         assert_close(dyn.com_jacobians(m, q_m),
                      chain_stepwise.com_jacobians(m, q_m))
+
+
+@pytest.mark.parametrize("make_model", MODELS)
+@pytest.mark.parametrize("shape", [(), (2, 3)], ids=["single", "batched"])
+def test_dual_frames_carry_the_plain_frames(make_model, shape):
+    m = make_model()
+    rng = np.random.default_rng(25)
+    for _ in range(20):
+        q = random_q(m, rng, shape)
+        qd = rng.uniform(-2, 2, q.shape)
+        for start in (0, m.base_dof_count):
+            plain = kin.joint_frames(m, q[..., start:], start)
+            dual = kin.joint_frames(m, q[..., start:], start, qd[..., start:])
+            assert dual.shape == plain.shape[:-2] + (8, 8)
+            assert_close(dual[..., :4, :4], plain)
+            assert_close(dual[..., 4:, 4:], plain)
+            assert not dual[..., 4:, :4].any()
+
+
+@pytest.mark.parametrize("make_model", MODELS)
+@pytest.mark.parametrize("shape", [(), (4,)], ids=["single", "batched"])
+def test_dual_com_jacobian_rates_match_complex_step_and_differences(
+        make_model, shape):
+    # Jcdot is the time rate of Jc along qdot: the complex step of the
+    # joint-by-joint walk at q + i h qdot, and a central difference.
+    m = make_model()
+    rng = np.random.default_rng(26)
+    h = 1e-6
+    for _ in range(20):
+        q = random_q(m, rng, shape)[..., m.arm_slice]
+        qd = rng.uniform(-2, 2, q.shape)
+        both = dyn.com_jacobians(m, q, qd)
+        Jc, Jcdot = both[..., :3, :], both[..., 3:, :]
+        assert_close(Jc, dyn.com_jacobians(m, q))
+        cs = chain_stepwise.com_jacobians(m, q + 1e-20j * qd).imag / 1e-20
+        assert_close(Jcdot, cs, atol=1e-12 * np.max(np.abs(cs)))
+        fd = (dyn.com_jacobians(m, q + h * qd)
+              - dyn.com_jacobians(m, q - h * qd)) / (2 * h)
+        np.testing.assert_allclose(Jcdot, fd, rtol=0, atol=1e-6)
 
 
 @pytest.mark.parametrize("make_model", MODELS)

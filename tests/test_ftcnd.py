@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import ftcnd_stepwise
+import oracles
 from conftest import hand_qp, random_qp, solver_batch_problems
 from mmtrack import ftcnd, kinematics as kin, pomptc, qp_oracle
 from mmtrack.ftcnd import FtcndParams
@@ -102,7 +103,7 @@ def test_scalar_ode_reaches_zero_within_bound():
 
 def test_lift_structure_hand_instance():
     p = hand_qp()
-    N, D, v0 = ftcnd.lift(p, 5.0)
+    N, D, v0 = oracles.lift(p, 5.0)
     assert N.shape == (7, 7)
     # S + xi H'H with H columns summing squared to 6: 2 + 5*6 = 32.
     assert N[0, 0] == pytest.approx(32.0)
@@ -112,7 +113,7 @@ def test_lift_structure_hand_instance():
                                                   -5.0 * p.w]), atol=1e-12)
     np.testing.assert_allclose(v0, np.concatenate([[0.0], p.w]), atol=1e-15)
     with pytest.raises(ValueError):
-        ftcnd.lift(p, 0.0)
+        oracles.lift(p, 0.0)
 
 
 @pytest.mark.parametrize("clamp", ["none", "some", "all"])
@@ -125,7 +126,7 @@ def test_reduced_solve_matches_dense_lift(clamp):
                "all": np.ones(nc, bool)}[clamp]
     Hc, Hf = p.H[clamped], p.H[~clamped]
     L = ftcnd._factor(p.S + xi * Hc.T @ Hc)
-    N, _, _ = ftcnd.lift(p, xi)
+    N, _, _ = oracles.lift(p, xi)
     free = np.concatenate([np.arange(nz), nz + np.flatnonzero(~clamped)])
     B = rng.normal(size=(free.size, 4))
     x = ftcnd._reduced_solve(L, Hf, B, nz, xi)
@@ -145,7 +146,7 @@ def test_final_state_matches_lift_residual():
         _, diag = ftcnd.solve(p, params)
         events += diag.projection_events
         v, h = diag.final_state.v, diag.final_state.h
-        N, D, _ = ftcnd.lift(p, params.xi)
+        N, D, _ = oracles.lift(p, params.xi)
         full = N @ v + D
         scale = float(np.max(np.abs(N) @ np.abs(v) + np.abs(D)))
         np.testing.assert_allclose(ftcnd.residual(p, v, params.xi), full,
@@ -162,10 +163,12 @@ def test_final_state_matches_lift_residual():
 
 
 def test_solve_never_forms_the_lift(monkeypatch):
+    # The dense lift is defined only here, in oracles.lift.
     def no_lift(problem, xi):
         raise AssertionError("solve formed the lifted matrix N")
 
-    monkeypatch.setattr(ftcnd, "lift", no_lift)
+    assert not hasattr(ftcnd, "lift")
+    monkeypatch.setattr(oracles, "lift", no_lift)
     params = FtcndParams(ode_step=1e-3)
     for p in solver_batch_problems():
         _, diag = ftcnd.solve(p, params)

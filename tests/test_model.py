@@ -172,6 +172,12 @@ def test_load_scenario_rejects_bad_kappa():
     ("robot: {builtin: planar_2link}\n",
      r"^robot: repeated key \(line 4\)$"),
     ("ftcnd: {mu: 3.0, mu: 7.0}\n", r"^mu: repeated key \(line 4\)$"),
+    ("scenario:\n  base_motion: {kind: sinusoid, amplitdue: 0.1}\n",
+     "^scenario: base_motion.amplitdue: unknown key$"),
+    ("scenario:\n  disturbance: {kind: step, valu: 1.0}\n",
+     "^scenario: disturbance.valu: unknown key$"),
+    ("scenario:\n  base_motion: {kind: tilt, amplitude: 0.1}\n",
+     "^scenario: base_motion.amplitude: unknown key$"),
 ], ids=["horizon", "horizon_fraction", "control_horizon_fraction",
         "waypoint_time", "initial_q", "base_motion", "pose",
         "duration_inf", "duration_nan", "duration_huge", "control_period_nan",
@@ -188,7 +194,9 @@ def test_load_scenario_rejects_bad_kappa():
         "pd_inf", "pd_nan", "compensate_base_string",
         "compensate_base_int", "duration_int_overflow",
         "pose_weight_int_overflow", "radius_int_overflow",
-        "initial_q_int_overflow", "repeated_robot", "repeated_ftcnd_key"])
+        "initial_q_int_overflow", "repeated_robot", "repeated_ftcnd_key",
+        "base_motion_misspelled_key", "disturbance_misspelled_key",
+        "tilt_sinusoid_key"])
 def test_load_scenario_rejects_malformed_values(section, match):
     with pytest.raises(ConfigError, match=match):
         load_scenario(MINIMAL + section)

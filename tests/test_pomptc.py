@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from mmtrack import kinematics as kin
 from mmtrack import pomptc
 from mmtrack.model import builtin_panda_on_base, builtin_planar_2link
@@ -82,11 +83,11 @@ def test_cost_form_matches_direct_evaluation():
             args = (model, q, qdp, refs, w, t, N, Nu)
             prob = pomptc.assemble_qp(*args)
             z0 = np.zeros(prob.n_variables)
-            off = pomptc.direct_cost(*args, z0)
+            off = oracles.direct_cost(*args, z0)
             for _ in range(5):
                 z = rng.normal(scale=0.1, size=prob.n_variables)
                 lhs = prob.objective(z) - prob.objective(z0)
-                rhs = pomptc.direct_cost(*args, z) - off
+                rhs = oracles.direct_cost(*args, z) - off
                 assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
 
 
@@ -106,8 +107,8 @@ def test_pose_weight_outside_task_rows_is_ignored():
     for name in ("S", "G", "H", "w"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
     z = rng.normal(size=a.n_variables)
-    assert pomptc.direct_cost(model, q, qdp, refs, w, 0.01, 4, 3, z) \
-        == pomptc.direct_cost(model, q, qdp, refs, w_other, 0.01, 4, 3, z)
+    assert oracles.direct_cost(model, q, qdp, refs, w, 0.01, 4, 3, z) \
+        == oracles.direct_cost(model, q, qdp, refs, w_other, 0.01, 4, 3, z)
 
 
 def test_assembly_walks_the_chain_once(monkeypatch):
@@ -142,7 +143,7 @@ def test_constraints_sound_and_complete():
     for _ in range(200):
         z = rng.normal(scale=0.02, size=prob.n_variables)
         delta = z.reshape(Nu, model.mpc_dof)
-        q_traj, qd_traj = kin.predict_joint_trajectory(
+        q_traj, qd_traj = oracles.predict_joint_trajectory(
             q[mask], qdp[mask], delta, t, N)
         acc = delta / t
         inside = (np.all(q_traj <= lim.q_upper[mask] + 1e-12)

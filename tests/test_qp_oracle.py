@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from conftest import hand_qp, random_qp
 from mmtrack import qp_oracle
 from mmtrack.pomptc import QpProblem
@@ -29,7 +30,7 @@ def test_exact_matches_brute_force():
     for _ in range(25):
         p = random_qp(rng, N=3, Nu=1, m_prime=1)  # 10 constraints
         z = qp_oracle.solve_reference(p)
-        zb = qp_oracle.brute_force(p)
+        zb = oracles.brute_force(p)
         assert p.objective(z) == pytest.approx(p.objective(zb), abs=1e-8)
         np.testing.assert_allclose(z, zb, atol=1e-7)
 
@@ -70,14 +71,14 @@ def test_infeasible_raises_with_certificate():
         qp_oracle.solve_reference(p)
     assert exc.value.certificate_row in (0, 1)
     with pytest.raises(qp_oracle.InfeasibleProblem):
-        qp_oracle.brute_force(p)
+        oracles.brute_force(p)
 
 
 def test_brute_force_size_guard():
     rng = np.random.default_rng(5)
     p = random_qp(rng, N=3, Nu=2, m_prime=2)  # 40 constraints
     with pytest.raises(ValueError, match="12"):
-        qp_oracle.brute_force(p)
+        oracles.brute_force(p)
 
 
 def test_non_spd_rejected():
