@@ -13,7 +13,9 @@ zero (the component is then clamped and its row leaves the residual) or
 where a clamped row's gradient crosses zero (the component re-enters the
 residual at exactly zero).  Along every accepted step each residual
 component decays monotonically, so hT h is non-increasing and the
-per-component finite-time bound is preserved.
+per-component finite-time bound is preserved.  A solve starts at z0 (0,
+or the warm start) with the slacks max(0, w - H z0): a row that z0
+satisfies starts free with r = 0, a row that it violates clamped.
 
 Segments and blocks.  Between two events the free set is fixed, and
 since h is stepped and accepted on its own, v moves by exactly
@@ -26,10 +28,13 @@ and Hf are the clamped and the free rows of H.  So each segment factors
 only the nz x nz matrix S + xi Hc'Hc; while no row is clamped this is
 the factor of S that the convexity check computes.  A segment is
 integrated in blocks: h alone is stepped through a block of accepted
-steps, each written into the next row of one (block, nfree) buffer,
+steps, each written into the next row of one (block, nlive) buffer,
 then one multi-column solve with the segment's factor (no inverse is
 formed) gives v after every step of the block, and the events are
-looked for in those columns.  Step halving, the return of dt to
+looked for in those columns.  Only the nlive components of h that are
+not exactly zero at the segment's start are stepped: a zero is a fixed
+point of h <- h - mu dt Li(h), and the derived slacks make most slack
+rows of a warm start exactly zero.  Step halving, the return of dt to
 ode_step, the convergence test and the finiteness check all act on h:
 a step whose h'h is not finite raises, and a step that does not lower
 h'h is halved, so h'h strictly decreases along accepted steps
@@ -224,6 +229,7 @@ def _first_event(V, Hc, wc, nz):
 def solve(problem, params: FtcndParams, warm_start=None):
     """Integrate the neural dynamics until the residual settles.
 
+    ``warm_start`` is the z (length nz) to start from; None means zero.
     Returns (z_star, FtcndDiagnostics).  The reported residual is the
     projected optimality residual: free components of N v + D, with
     clamped slack rows counted as zero while their gradients stay
@@ -243,17 +249,12 @@ def solve(problem, params: FtcndParams, warm_start=None):
     if info:
         raise ValueError("QP must be strictly convex (S positive definite)")
 
-    if warm_start is not None:
-        v = np.array(warm_start, float, copy=True)
-        if v.shape != (nz + nc,):
-            raise ValueError(f"warm start must have length {nz + nc}")
-        v[nz:] = np.maximum(v[nz:], 0.0)
-    else:
-        v = np.concatenate([np.zeros(nz), np.maximum(0.0, w)])
-
+    z0 = np.zeros(nz) if warm_start is None else np.asarray(warm_start, float)
+    if z0.shape != (nz,):
+        raise ValueError(f"warm start must have length {nz}")
+    v = np.concatenate([z0, np.maximum(0.0, w - H @ z0)])
     resid = residual(problem, v, xi)
     clamped = (v[nz:] <= 0.0) & (resid[nz:] > 0.0)
-    v[nz:][clamped] = 0.0
 
     free = np.concatenate([np.arange(nz), nz + np.flatnonzero(~clamped)])
     h = resid[free]
@@ -280,7 +281,9 @@ def solve(problem, params: FtcndParams, warm_start=None):
             diag.factorizations += 1
             if diag.factorizations > 1:   # the first starts from h above
                 h = residual(problem, v, xi)[free]
-                F = float(h @ h)
+            live = np.flatnonzero(h)
+            h = h[live]
+            F = float(h @ h)
             gate = 2.0 * free.size * max(eps * eps, 1e-300)
             v_seg, h_seg = v[free], h
             block = 2
@@ -288,11 +291,11 @@ def solve(problem, params: FtcndParams, warm_start=None):
 
         # Step the residual alone for up to `block` accepted steps, into Hb.
         n0, h_start = len(diag.time_history), h
-        Hb = np.empty((block, free.size))
+        Hb = np.empty((block, live.size))
         steps = []              # (dt, halvings so far) of each step
         j, settled = 0, False
         while j < block and time < params.max_time:
-            if F <= gate and float(np.abs(h).max()) <= eps:
+            if F <= gate and float(np.abs(h).max(initial=0.0)) <= eps:
                 settled = True
                 break
             h_new = li_activation(h, lam, zeta, kappa, out=Hb[j])
@@ -320,8 +323,9 @@ def solve(problem, params: FtcndParams, warm_start=None):
             # Column j is v[free] after j steps of the block (0: its start).
             V = np.empty((free.size, j + 1))
             V[:, 0] = v[free]
-            V[:, 1:] = v_seg[:, None] + _reduced_solve(
-                L, Hf, (Hb[:j] - h_seg).T, nz, xi)
+            B = np.zeros((free.size, j))
+            B[live] = (Hb[:j] - h_seg).T
+            V[:, 1:] = v_seg[:, None] + _reduced_solve(L, Hf, B, nz, xi)
             diag.block_solves += 1
             split = _first_event(V, Hc, wc, nz)
             if split is not None:

@@ -1,13 +1,16 @@
 """Deterministic closed-loop simulator for the two-layer controller.
 
 The loop runs at two rates: every ``control_period`` the predictive
-layer assembles the tracking QP and the neural solver (warm-started)
-returns the joint-velocity increment, which is integrated into the
-desired kinematic trajectory; every ``torque_period`` the sliding-mode
-layer computes a torque and the arm plant is advanced by fixed-step
-RK4.  The base follows the script exogenously; its linear acceleration
-enters the plant as an inertial pseudo-torque and, when compensation is
-enabled, the same term is fed forward by the controller.
+layer assembles the tracking QP and the neural solver returns the
+joint-velocity increment, which is integrated into the desired
+kinematic trajectory (the first solve is cold; each later one starts
+at 3 z_j - 3 z_{j-1} + z_{j-2}, the quadratic extrapolation of the last
+three solutions, or at z_j, then 2 z_j - z_{j-1}, while fewer exist);
+every ``torque_period`` the sliding-mode layer computes a torque and
+the arm plant is advanced by fixed-step RK4.  The base follows the
+script exogenously; its linear acceleration enters the plant as an
+inertial pseudo-torque and, when compensation is enabled, the same term
+is fed forward by the controller.
 """
 from __future__ import annotations
 
@@ -28,6 +31,8 @@ FAILURE_BUDGET = 3
 # Trace rows per batch of the pose and error columns, which bounds the
 # derivation's temporaries whatever the trace length.
 POSE_BLOCK_ROWS = 256
+# Warm-start weights of the last 1, 2 or 3 solutions, newest first.
+_PREDICTOR = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0))
 # The keys that each kind of base motion and disturbance reads.
 _BASE_MOTION_KEYS = {"static": ("pose",), "tilt": ("angle",),
                      "sinusoid": ("axis", "amplitude", "frequency", "phase")}
@@ -409,7 +414,7 @@ def run_closed_loop(model: RobotModel, params: ControllerParams,
 
     compensate = params.compensate_base and controller == "nftsm"
     qdot_prev = np.zeros(m)
-    warm = None
+    warm, past = None, []   # past: the last three solutions, newest first
     failures = 0
 
     row = 1
@@ -423,12 +428,13 @@ def run_closed_loop(model: RobotModel, params: ControllerParams,
                                      params.weights, tc, params.horizon,
                                      params.control_horizon)
         z, diag = ftcnd.solve(problem, params.ftcnd, warm_start=warm)
+        past = [z] + past[:2]
+        warm = sum(c * z_k for c, z_k in zip(_PREDICTOR[len(past) - 1], past))
         failures = 0 if diag.converged else failures + 1
         if failures > FAILURE_BUDGET:
             raise SimulationError(
                 f"solver failed {failures} consecutive control steps "
                 f"(t = {t_j:.3f} s)")
-        warm = diag.final_state.v
         # The solver columns hold this step's result on its torque rows.
         step_rows = slice(row, row + spc)
         tr.solver_h_inf[step_rows] = diag.h_inf_history[-1]

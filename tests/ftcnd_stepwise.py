@@ -41,17 +41,12 @@ def solve(problem, params, warm_start=None):
         raise ValueError("QP must be strictly convex (S positive definite)")
 
     xi = params.xi
-    Nmat, _, v0 = lift(problem, xi)
-    if warm_start is not None:
-        v = np.array(warm_start, float, copy=True)
-        if v.shape != (nz + nc,):
-            raise ValueError(f"warm start must have length {nz + nc}")
-        v[nz:] = np.maximum(v[nz:], 0.0)
-    else:
-        v = v0.copy()
-
+    Nmat, _, _ = lift(problem, xi)
+    z0 = np.zeros(nz) if warm_start is None else np.asarray(warm_start, float)
+    if z0.shape != (nz,):
+        raise ValueError(f"warm start must have length {nz}")
+    v = np.concatenate([z0, np.maximum(0.0, w - H @ z0)])
     clamped = (v[nz:] <= 0.0) & (residual(problem, v, xi)[nz:] > 0.0)
-    v[nz:][clamped] = 0.0
 
     diag = FtcndDiagnostics(converged=False, converge_time=math.inf,
                             bound_t_f=0.0, iterations=0)

@@ -4,8 +4,9 @@ regenerate the stored file.
     PYTHONPATH=src python tests/golden.py --diff
 
 prints, for every case, the largest |dq| and |dtau| of the current code
-against ``tests/data/golden_traces.npz`` and writes nothing.  It exits 1
-when a case has another shape or exceeds Q_TOL or TAU_TOL, else 0.
+against ``tests/data/golden_traces.npz`` and the run's total FTCND
+iterations, and writes nothing.  It exits 1 when a case has another
+shape or exceeds Q_TOL or TAU_TOL, else 0; the iterations only inform.
 
     PYTHONPATH=src python tests/golden.py
 
@@ -20,10 +21,11 @@ import dataclasses
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
-from mmtrack import sim
+from mmtrack import ftcnd, sim
 from mmtrack.model import load_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -46,15 +48,24 @@ CASES = (
 
 
 def run_case(config, controller):
-    """q and tau of a DURATION-second run at every control-step row."""
+    """q and tau of a DURATION-second run at every control-step row, and
+    the run's total FTCND iterations."""
     text = (ROOT / "configs" / f"{config}.yaml").read_text(encoding="utf-8")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")   # the shipped configs set r3 = 1
         model, params, script = load_scenario(text)
     script = dataclasses.replace(script, duration=DURATION)
-    trace = sim.run_closed_loop(model, params, script, controller=controller)
+    iterations, solve = [], ftcnd.solve
+
+    def counting(*args, **kwargs):
+        z, diag = solve(*args, **kwargs)
+        iterations.append(diag.iterations)
+        return z, diag
+    with mock.patch.object(ftcnd, "solve", counting):
+        trace = sim.run_closed_loop(model, params, script,
+                                    controller=controller)
     spc = round(script.control_period / script.torque_period)
-    return trace.q[::spc], trace.tau[::spc]
+    return trace.q[::spc], trace.tau[::spc], sum(iterations)
 
 
 def key(config, controller, column):
@@ -63,13 +74,13 @@ def key(config, controller, column):
 
 def diff(cases=CASES):
     """Print the largest |dq| and |dtau| of each case against the stored
-    traces; return 1 if any case has another shape or exceeds Q_TOL or
-    TAU_TOL, else 0."""
+    traces, and its FTCND iterations; return 1 if any case has another
+    shape or exceeds Q_TOL or TAU_TOL, else 0."""
     with np.load(GOLDEN_PATH) as data:
         golden = dict(data)
     status = 0
     for config, controller in cases:
-        q, tau = run_case(config, controller)
+        q, tau, iterations = run_case(config, controller)
         q_ref = golden[key(config, controller, "q")]
         tau_ref = golden[key(config, controller, "tau")]
         if q.shape != q_ref.shape or tau.shape != tau_ref.shape:
@@ -80,7 +91,8 @@ def diff(cases=CASES):
         dq = np.max(np.abs(q - q_ref))
         dtau = np.max(np.abs(tau - tau_ref))
         print(f"{config} / {controller}: max |dq| = {dq:.3g}, "
-              f"max |dtau| = {dtau:.3g}", flush=True)
+              f"max |dtau| = {dtau:.3g}, FTCND iterations = {iterations}",
+              flush=True)
         if not (dq <= Q_TOL and dtau <= TAU_TOL):
             status = 1
     return status
@@ -89,7 +101,7 @@ def diff(cases=CASES):
 def regenerate():
     arrays = {}
     for config, controller in CASES:
-        q, tau = run_case(config, controller)
+        q, tau, _ = run_case(config, controller)
         arrays[key(config, controller, "q")] = q
         arrays[key(config, controller, "tau")] = tau
         print(f"{config} / {controller}: {len(q)} rows", flush=True)

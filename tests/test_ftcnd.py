@@ -235,11 +235,52 @@ def test_warm_start_converges_immediately():
     rng = np.random.default_rng(3)
     p = random_qp(rng, N=3, Nu=2, m_prime=2)
     params = FtcndParams(ode_step=1e-3)
-    _, diag = ftcnd.solve(p, params)
-    z2, diag2 = ftcnd.solve(p, params, warm_start=diag.final_state.v)
+    z, _ = ftcnd.solve(p, params)
+    z2, diag2 = ftcnd.solve(p, params, warm_start=z)
     assert diag2.converged
     assert diag2.iterations == 0
     assert diag2.converge_time == 0.0
+
+
+def test_cold_and_warm_starts_converge_to_the_penalized_optimum():
+    # Each QP from three starts: cold, an arbitrary z ~ N(0, 1), and the
+    # cold answer perturbed by N(0, 0.05^2).  The slacks are derived from
+    # the start, so none of them meets the event budget 100 + 10 nc.
+    rng = np.random.default_rng(11)
+    params = FtcndParams(ode_step=1e-3)
+    for p in solver_batch_problems(seed=11):
+        z_ref = qp_oracle.solve_reference(p, penalized=True, xi=params.xi)
+
+        def solve(warm=None):
+            z, diag = ftcnd.solve(p, params, warm_start=warm)
+            assert diag.converged
+            assert diag.projection_events + diag.release_events \
+                < 100 + 10 * p.n_constraints
+            np.testing.assert_allclose(z, z_ref, rtol=0, atol=1e-6)
+            return z
+        z_cold = solve()
+        solve(rng.normal(size=p.n_variables))
+        solve(z_cold + rng.normal(scale=0.05, size=p.n_variables))
+
+
+def test_an_exact_zero_is_a_fixed_point_of_the_step():
+    # The solver steps only the non-zero components of h: h - mu dt Li(h)
+    # must map +0.0 and -0.0 to exactly 0.
+    params = FtcndParams()
+    h = np.array([0.0, -0.0])
+    step = h - params.mu * params.ode_step * ftcnd.li_activation(
+        h, params.lam, params.zeta, params.kappa)
+    assert np.all(step == 0.0)
+
+
+def test_start_at_the_solution_takes_no_step():
+    # With G = 0 the cold start z = 0 is the optimum and no row binds:
+    # every free residual component is exactly zero, none is stepped.
+    p = dataclasses.replace(hand_qp(), G=[0.0])
+    z, diag = ftcnd.solve(p, FtcndParams())
+    assert z.tolist() == [0.0]
+    assert diag.converged and diag.iterations == 0
+    assert diag.h_inf_history == [0.0]
 
 
 def test_warm_start_length_checked():
@@ -295,7 +336,7 @@ def test_one_residual_per_segment_plus_the_final_one(monkeypatch):
         return pomptc.assemble_qp(model, q0, np.zeros_like(q0), refs,
                                   params.weights, tc, N,
                                   params.control_horizon)
-    _, cold = ftcnd.solve(problem(0), params.ftcnd)
+    z_cold, _ = ftcnd.solve(problem(0), params.ftcnd)
     calls = []
     residual = ftcnd.residual
 
@@ -304,6 +345,6 @@ def test_one_residual_per_segment_plus_the_final_one(monkeypatch):
         return residual(*args)
     monkeypatch.setattr(ftcnd, "residual", counting)
     _, diag = ftcnd.solve(problem(1), params.ftcnd,
-                          warm_start=cold.final_state.v)
+                          warm_start=z_cold)
     assert diag.converged and diag.iterations > 0
     assert len(calls) == diag.factorizations + 1

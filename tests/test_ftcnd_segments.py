@@ -46,7 +46,21 @@ def nominal_warm_solves():
         mp.setattr(ftcnd, "solve", recording_solve)
         sim.run_closed_loop(model, params, script)
     assert len(calls) >= 3
+    # The slacks derived from a warm start zero most of the residual, and
+    # the solver steps none of those exact zeros: the stepwise oracle,
+    # which steps every component, checks that skip on these solves.
+    assert max(np.count_nonzero(initial_free_residual(*call) == 0.0)
+               for call in calls) > 100
     return calls
+
+
+def initial_free_residual(problem, params, z0):
+    """The residual components that a solve from ``z0`` starts free."""
+    nz = problem.n_variables
+    v = np.concatenate([z0, np.maximum(0.0, problem.w - problem.H @ z0)])
+    resid = ftcnd.residual(problem, v, params.xi)
+    return resid[np.concatenate([np.ones(nz, bool),
+                                 (v[nz:] > 0.0) | (resid[nz:] <= 0.0)])]
 
 
 def assert_same_run(problem, params, warm_start=None):
@@ -102,28 +116,27 @@ def test_matches_stepwise_through_halvings_and_an_event(ode_step):
 
 
 def test_equal_residual_settles_where_stepwise_does():
-    # Dyadic data make every residual component exactly 1 at the warm
-    # start, so all 14 components follow the same Li dynamics and stay
-    # equal: h'h is nfree max|h|^2 up to rounding, the edge of the h'h
-    # gate in front of the convergence test.  With epsilon_h set to
+    # A cold start with every row clamped (w < 0): r = 1/2 in every row,
+    # and the dyadic data make every residual component S 0 + G + xi H'r
+    # exactly 1, so all 14 components follow the same Li dynamics and
+    # stay equal: h'h is nfree max|h|^2 up to rounding, the edge of the
+    # h'h gate in front of the convergence test.  With epsilon_h set to
     # max|h| after step k, where the rounded h'h exceeds nfree
     # epsilon_h^2, both solvers must settle at step k.
-    H = np.random.default_rng(0).integers(-2, 3, size=(12, 2)) / 2.0
-    w = np.full(12, 8.0)
-    problem = QpProblem(S=np.diag([2.0, 4.0]), G=1.0 - H.sum(axis=0), H=H,
-                        w=w, t=0.0, N=1, Nu=1, m_prime=2)
-    warm = np.concatenate([np.zeros(2), w + 0.25])
+    H = np.random.default_rng(0).integers(-2, 3, size=(84, 14)) / 2.0
     xi = 4.0
-    assert np.all(ftcnd.residual(problem, warm, xi) == 1.0)
-    _, ref = ftcnd_stepwise.solve(problem, FtcndParams(xi=xi),
-                                  warm_start=warm)
+    problem = QpProblem(S=np.diag(np.tile([2.0, 4.0], 7)),
+                        G=1.0 - 2.0 * H.sum(axis=0), H=H, w=np.full(84, -0.5),
+                        t=0.0, N=2, Nu=2, m_prime=7)
+    assert np.all(ftcnd.residual(problem, np.zeros(98), xi)[:14] == 1.0)
+    _, ref = ftcnd_stepwise.solve(problem, FtcndParams(xi=xi))
     edges = [k for k, (h_inf, F) in enumerate(zip(ref.h_inf_history,
                                                   ref.f_history))
              if F > 14 * h_inf ** 2]
     assert len(edges) >= 10
     for k in edges:
         params = FtcndParams(xi=xi, epsilon_h=ref.h_inf_history[k])
-        diag = assert_same_run(problem, params, warm)
+        diag = assert_same_run(problem, params)
         assert diag.converged and diag.iterations == k
         assert diag.projection_events == diag.release_events == 0
 

@@ -15,7 +15,7 @@ def golden():
 
 @pytest.mark.parametrize("config,controller", CASES)
 def test_closed_loop_matches_golden_trace(golden, config, controller):
-    q, tau = run_case(config, controller)
+    q, tau, _ = run_case(config, controller)
     q_ref = golden[key(config, controller, "q")]
     tau_ref = golden[key(config, controller, "tau")]
     assert q.shape == q_ref.shape and tau.shape == tau_ref.shape
@@ -29,7 +29,9 @@ def test_diff_prints_each_case_and_writes_nothing(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1
     match = re.fullmatch(r"nominal_circle / nftsm: max \|dq\| = (\S+), "
-                         r"max \|dtau\| = (\S+)", lines[0])
+                         r"max \|dtau\| = (\S+), FTCND iterations = (\d+)",
+                         lines[0])
     assert match, lines[0]
     assert float(match[1]) <= Q_TOL and float(match[2]) <= TAU_TOL
+    assert int(match[3]) > 0
     assert GOLDEN_PATH.stat().st_mtime_ns == stamp
