@@ -16,8 +16,6 @@ import numpy as np
 from . import ftcnd, pomptc, qp_oracle, sim
 from .model import ConfigError, load_scenario
 
-_CONTROLLERS = ("nftsm", "pd", "nftsm-no-taub")
-
 # Exit 2; a diverging plant ends in LinAlgError once M stops factoring.
 _SOLVER_FAILURES = (sim.SimulationError, ftcnd.FtcndIntegrationError,
                     pomptc.SingularConfigurationError, np.linalg.LinAlgError)
@@ -178,10 +176,10 @@ def cmd_compare(args) -> int:
     if len(controllers) < 2:
         print("compare needs at least two controllers", file=sys.stderr)
         return 1
-    unknown = [c for c in controllers if c not in _CONTROLLERS]
+    unknown = [c for c in controllers if c not in sim.CONTROLLERS]
     if unknown:
         print(f"unknown controller(s): {', '.join(unknown)}; choose from "
-              f"{', '.join(_CONTROLLERS)}", file=sys.stderr)
+              f"{', '.join(sim.CONTROLLERS)}", file=sys.stderr)
         return 1
     try:
         model, params, script = _load_config(args.config)
@@ -192,8 +190,9 @@ def cmd_compare(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        traces = {name: sim.run_closed_loop(model, params, script,
-                                            controller=name)
+        plan = sim.plan(model, params, script)
+        traces = {name: sim.track(model, params, script, plan,
+                                  controller=name)
                   for name in controllers}
     except _SOLVER_FAILURES as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
@@ -235,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a closed-loop scenario")
     p.add_argument("--config", required=True, help="scenario YAML file")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--controller", default="nftsm", choices=_CONTROLLERS)
+    p.add_argument("--controller", default="nftsm", choices=sim.CONTROLLERS)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("solve-qp", help="solve a standalone QP file")

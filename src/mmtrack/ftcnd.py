@@ -122,19 +122,13 @@ class FtcndDiagnostics:
     final_state: NeuralState | None = None
 
 
-def signed_power(h, p):
-    """Lip^p: sign(h) |h|^p elementwise, zero at zero."""
-    h = np.asarray(h, float)
-    return np.sign(h) * np.abs(h) ** p
-
-
 def li_activation(h, lam: float, zeta: float, kappa: float, out=None):
     """Li function: odd, monotone, with a fractional-power term that
     drives the residual to zero in finite time; written to ``out`` if given."""
     if not 0.0 < kappa < 1.0:
         raise ValueError("kappa must lie strictly inside (0, 1)")
     h = np.asarray(h, float)
-    # = signed_power(h, kappa) + signed_power(h, 1/kappa) up to a zero sign.
+    # sign(h) |h|^kappa + sign(h) |h|^(1/kappa), save that h = -0 gives -0.
     a = np.abs(h)
     y = np.copysign(a ** kappa + a ** (1.0 / kappa), h, out=out)
     y *= 0.5 * lam

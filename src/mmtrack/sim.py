@@ -1,20 +1,23 @@
 """Deterministic closed-loop simulator for the two-layer controller.
 
-The loop runs at two rates: every ``control_period`` the predictive
-layer assembles the tracking QP and the neural solver returns the
-joint-velocity increment, which is integrated into the desired
-kinematic trajectory (the first solve is cold; each later one starts
-at 3 z_j - 3 z_{j-1} + z_{j-2}, the quadratic extrapolation of the last
-three solutions, or at z_j, then 2 z_j - z_{j-1}, while fewer exist);
-every ``torque_period`` the sliding-mode layer computes a torque and
-the arm plant is advanced by fixed-step RK4.  The base follows the
-script exogenously; its linear acceleration enters the plant as an
-inertial pseudo-torque and, when compensation is enabled, the same term
-is fed forward by the controller.
+:func:`plan`, the kinematic layer, runs at the control rate: the
+predictive layer assembles the tracking QP from the desired trajectory,
+never from the plant, and the neural solver's joint-velocity increment
+is integrated into that trajectory (the first solve is cold; each later
+one starts at 3 z_j - 3 z_{j-1} + z_{j-2}, the quadratic extrapolation
+of the last three solutions, or at z_j, then 2 z_j - z_{j-1}, while
+fewer exist).  :func:`track`, the dynamic layer, runs at the torque
+rate: a torque law of :data:`CONTROLLERS` computes a torque and the arm
+plant takes a fixed RK4 step, so one plan serves every torque law.  The
+script's time functions take arrays of times; each loop reads the
+script before it starts.  The base follows the script exogenously; its
+linear acceleration enters the plant as an inertial pseudo-torque and,
+when compensation is enabled, the same term is fed forward.
 """
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -23,6 +26,8 @@ from . import dynamics, ftcnd, kinematics as kin, nftsm, pomptc
 from .kinematics import Pose
 from .model import ControllerParams, RobotModel, _known_keys
 
+# The torque laws of :func:`track`.
+CONTROLLERS = ("nftsm", "pd", "nftsm-no-taub")
 _AXIS_NAMES = {"x": 0, "y": 1, "z": 2, "yaw": 3, "pitch": 4, "roll": 5}
 # Most torque-rate rows a run may record (about 0.7 GB for 13 DOFs).
 MAX_TRACE_ROWS = 1_000_000
@@ -84,7 +89,8 @@ def _sinusoid_bounded(om, phase, peak, duration, name):
 
 def _base_motion(spec: dict, duration: float):
     """Base generalized position, velocity and acceleration (q, v, a) as
-    a function of time t in [0, duration], from ``base_motion``."""
+    a function of times t in [0, duration] (a scalar or an array; each
+    result has shape ``np.shape(t) + (6,)``), from ``base_motion``."""
     kind = _kind(spec, "static", _BASE_MOTION_KEYS, "base_motion")
     if kind in ("static", "tilt"):
         pose = np.zeros(6)
@@ -92,7 +98,9 @@ def _base_motion(spec: dict, duration: float):
             pose[:] = _as_vector(spec.get("pose", 0.0), 6, "base_motion.pose")
         else:
             pose[4] = _number(spec.get("angle", 0.21), "base_motion.angle")
-        return lambda t: (pose.copy(), np.zeros(6), np.zeros(6))
+        zero = np.zeros(6)
+        return lambda t: tuple(np.broadcast_to(x, np.shape(t) + (6,)).copy()
+                               for x in (pose, zero, zero))
     axis = spec.get("axis", "x")
     idx = _AXIS_NAMES.get(axis, axis) if isinstance(axis, str) else axis
     if isinstance(idx, bool) or idx not in range(6):
@@ -106,10 +114,10 @@ def _base_motion(spec: dict, duration: float):
     _sinusoid_bounded(om, ph, A * om * om, duration, "base_motion.frequency")
 
     def state(t):
-        q, v, a = np.zeros(6), np.zeros(6), np.zeros(6)
-        q[idx] = A * math.sin(om * t + ph)
-        v[idx] = A * om * math.cos(om * t + ph)
-        a[idx] = -A * om * om * math.sin(om * t + ph)
+        q, v, a = np.zeros((3,) + np.shape(t) + (6,))
+        q[..., idx] = A * np.sin(om * t + ph)
+        v[..., idx] = A * om * np.cos(om * t + ph)
+        a[..., idx] = -A * om * om * np.sin(om * t + ph)
         return q, v, a
     return state
 
@@ -172,23 +180,26 @@ def _reference(spec: dict, duration: float):
 
 
 def _disturbance(spec: dict, duration: float):
-    """External joint torque as a function of (time, n) for times in
-    [0, duration], from ``disturbance``."""
+    """External joint torque as a function of (times, n) for times t in
+    [0, duration] (a scalar or an array; the result has shape
+    ``np.shape(t) + (n,)``), from ``disturbance``."""
     kind = _kind(spec, "none", _DISTURBANCE_KEYS, "disturbance")
     if kind == "none":
-        return lambda t, n: np.zeros(n)
+        return lambda t, n: np.zeros(np.shape(t) + (n,))
     if kind == "step":
         t_on = _number(spec.get("time", 0.0), "disturbance.time")
         value = spec.get("value", 0.0)
-        return lambda t, n: _as_vector(value, n, "disturbance.value") \
-            if t >= t_on else np.zeros(n)
+        # A select, not a product: the torque before t_on is +0, never -0.
+        return lambda t, n: np.where(
+            np.asarray(t)[..., None] >= t_on,
+            _as_vector(value, n, "disturbance.value"), 0.0)
     amplitude = spec.get("amplitude", 0.0)
     om = 2.0 * math.pi * _number(spec.get("frequency", 1.0),
                                  "disturbance.frequency")
     ph = _number(spec.get("phase", 0.0), "disturbance.phase")
     _sinusoid_bounded(om, ph, 0.0, duration, "disturbance.frequency")
-    return lambda t, n: _as_vector(amplitude, n, "disturbance.amplitude") \
-        * math.sin(om * t + ph)
+    return lambda t, n: np.sin(om * np.asarray(t) + ph)[..., None] \
+        * _as_vector(amplitude, n, "disturbance.amplitude")
 
 
 @dataclass(frozen=True)
@@ -196,10 +207,12 @@ class ScenarioScript:
     """Validated scenario: timing, reference, base motion, disturbance.
 
     Construction resolves each ``kind`` once into a time function
-    (``dataclasses.replace`` resolves them again): ``base_state(t)``,
+    (``dataclasses.replace`` resolves them again): ``base_state(times)``,
     ``reference_path(times, initial_pose)`` and
-    ``disturbance_torque(t, n)``, built by :func:`_base_motion`,
-    :func:`_reference` and :func:`_disturbance`.
+    ``disturbance_torque(times, n)``, built by :func:`_base_motion`,
+    :func:`_reference` and :func:`_disturbance`.  Each takes a scalar
+    time or an array of times, and row i of its result at ``times`` is
+    its result at ``times[i]``, bit for bit.
     """
 
     duration: float = 10.0
@@ -266,14 +279,6 @@ class ScenarioScript:
         out["initial_q"] = list(self.initial_q) if self.initial_q else None
         return out
 
-    def reference_pose(self, t: float, initial_pose: Pose) -> Pose:
-        return Pose.from_vector(self.reference_path(t, initial_pose))
-
-    def __reduce__(self):
-        # Pickle the fields only: the time functions are closures.
-        return ScenarioScript, tuple(getattr(self, f.name)
-                                     for f in fields(self))
-
 
 _POSE = ("x", "y", "z", "yaw", "pitch", "roll")
 
@@ -300,9 +305,9 @@ class SimTrace:
     """Column-oriented record of one closed-loop run (torque-rate rows).
 
     The fields, in this order, are the trace.csv column groups: the one
-    declaration of the file's columns.  The loop stores the fields up to
-    ``tau_d`` and from ``solver_h_inf`` on; :func:`pose_columns` derives
-    the pose and error fields from ``time`` and ``q`` after the loop.
+    declaration of the file's columns.  :func:`track` stores the fields
+    up to ``tau_d`` and from ``solver_h_inf`` on; :func:`pose_columns`
+    derives the pose and error fields from ``time`` and ``q`` at its end.
     """
 
     time: np.ndarray = _columns()
@@ -354,24 +359,6 @@ class SimTrace:
     def to_csv(self, path):
         write_csv(path, self.column_names(), self.as_matrix())
 
-    @staticmethod
-    def from_csv(path) -> "SimTrace":
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip().split(",")
-        m = sum(1 for h in header if h.startswith("q_"))
-        n = sum(1 for h in header if h.startswith("tau_")
-                and not h.startswith(("tau_b", "tau_d")))
-        layout = SimTrace.layout(m, n)
-        if header != [c for _, cols, _ in layout for c in cols]:
-            raise ValueError(f"{path}: header does not match the trace columns")
-        mat = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        out, at = {}, 0
-        for name, cols, width in layout:
-            block = mat[:, at:at + len(cols)]
-            out[name] = block[:, 0] if width is None else block
-            at += len(cols)
-        return SimTrace(**out)
-
 
 def pd_baseline_torque(terms: dynamics.DynamicsTerms, e1, e2,
                        kp: float, kd: float) -> np.ndarray:
@@ -379,54 +366,42 @@ def pd_baseline_torque(terms: dynamics.DynamicsTerms, e1, e2,
     return terms.G - kp * e1 - kd * e2
 
 
-def run_closed_loop(model: RobotModel, params: ControllerParams,
-                    script: ScenarioScript,
-                    controller: str = "nftsm") -> SimTrace:
-    """Run the scripted scenario and return the full trace.
+# A run's desired arm trajectory, by control step j: ``q_md`` (J + 1, n)
+# at each step's start and the run's end, ``qd_md`` and ``qdd_md``
+# (J, n) held over the step, and ``solver`` (J, 3) the step's final
+# max|h|, converge time and finite-time bound; ``initial_pose`` is the
+# pose the reference path starts from.
+Plan = namedtuple("Plan", "initial_pose q_md qd_md qdd_md solver")
 
-    ``controller`` selects the torque law: "nftsm" (with base
-    compensation per params), "nftsm-no-taub" (compensation forced off),
-    or "pd" (gravity-compensated PD baseline).  The run is fully
-    deterministic for a given configuration.
-    """
-    if controller not in ("nftsm", "pd", "nftsm-no-taub"):
-        raise ValueError(f"unknown controller {controller!r}")
-    n = model.arm_joint_count
-    m = model.total_dof
-    b = model.base_dof_count
-    tc, tt = script.control_period, script.torque_period
-    spc = round(tc / tt)
+
+def plan(model: RobotModel, params: ControllerParams,
+         script: ScenarioScript) -> Plan:
+    """The kinematic layer: one warm FTCND solve of the tracking QP per
+    control step, integrated into the desired arm trajectory.  Raises
+    :class:`SimulationError` once more than ``FAILURE_BUDGET``
+    consecutive solves fail to converge."""
+    n, b = model.arm_joint_count, model.base_dof_count
+    tc = script.control_period
     n_control = round(script.duration / tc)
-    n_rows = n_control * spc + 1
+    q_md = np.zeros((n_control + 1, n))
+    if script.initial_q is not None:
+        q_md[0] = script.initial_q[-n:]
+    qd_md, qdd_md = np.zeros((2, n_control, n))
+    solver = np.zeros((n_control, 3))
+    base = script.base_state(np.arange(n_control + 1) * tc)[0][:, :b]
+    initial_pose = kin.forward_kinematics(
+        model, np.concatenate([base[0], q_md[0]]))
 
-    q_arm = np.zeros(n) if script.initial_q is None \
-        else np.array(script.initial_q[-n:], float)
-    qd_arm = np.zeros(n)
-    q_md = q_arm.copy()
-
-    def full_q(q_b, arm):
-        return np.concatenate([q_b[:b], arm]) if b else np.asarray(arm, float)
-
-    tr = SimTrace.zeros(n_rows, m, n)
-    q_b0, v_b0, _ = script.base_state(0.0)
-    tr.q[0], tr.qdot[0] = full_q(q_b0, q_arm), full_q(v_b0, qd_arm)
-    initial_pose = kin.forward_kinematics(model, tr.q[0])
-
-    compensate = params.compensate_base and controller == "nftsm"
-    qdot_prev = np.zeros(m)
+    qdot_prev = np.zeros(model.total_dof)
     warm, past = None, []   # past: the last three solutions, newest first
     failures = 0
-
-    row = 1
     for j in range(n_control):
         t_j = j * tc
-        q_bj, _, _ = script.base_state(t_j)
-        q_full_md = full_q(q_bj, q_md)
         refs = script.reference_path(
             t_j + np.arange(1, params.horizon + 1) * tc, initial_pose)
-        problem = pomptc.assemble_qp(model, q_full_md, qdot_prev, refs,
-                                     params.weights, tc, params.horizon,
-                                     params.control_horizon)
+        problem = pomptc.assemble_qp(
+            model, np.concatenate([base[j], q_md[j]]), qdot_prev, refs,
+            params.weights, tc, params.horizon, params.control_horizon)
         z, diag = ftcnd.solve(problem, params.ftcnd, warm_start=warm)
         past = [z] + past[:2]
         warm = sum(c * z_k for c, z_k in zip(_PREDICTOR[len(past) - 1], past))
@@ -435,82 +410,111 @@ def run_closed_loop(model: RobotModel, params: ControllerParams,
             raise SimulationError(
                 f"solver failed {failures} consecutive control steps "
                 f"(t = {t_j:.3f} s)")
-        # The solver columns hold this step's result on its torque rows.
-        step_rows = slice(row, row + spc)
-        tr.solver_h_inf[step_rows] = diag.h_inf_history[-1]
-        tr.solver_converge_time[step_rows] = diag.converge_time
-        tr.solver_bound[step_rows] = diag.bound_t_f
-
+        solver[j] = diag.h_inf_history[-1], diag.converge_time, diag.bound_t_f
         dq = pomptc.extract_first_increment(z, model)
-        qdot_cmd = qdot_prev + dq
-        qd_md = qdot_cmd[model.arm_slice]
-        qdd_md = dq[model.arm_slice] / tc
-        q_md_start = q_md.copy()
-        if b:
-            # Base-frame gravity and acceleration of each torque step.
-            base = [script.base_state(t_j + k * tt) for k in range(spc)]
-            R_bT = np.swapaxes(kin.rotation_rpy(
-                np.array([q_b[5:2:-1] for q_b, _, _ in base])), -1, -2)
-            g_steps = R_bT @ model.gravity
-            a_steps = (R_bT @ np.array([a_b[:3] for _, _, a_b in base])
-                       [..., None])[..., 0]
+        qdot_prev = qdot_prev + dq
+        qd_md[j] = qdot_prev[model.arm_slice]
+        qdd_md[j] = dq[model.arm_slice] / tc
+        q_md[j + 1] = q_md[j] + tc * qd_md[j]
+    return Plan(initial_pose, q_md, qd_md, qdd_md, solver)
 
-        for k in range(spc):
-            t = t_j + k * tt
-            g_base, a_base = (g_steps[k], a_steps[k]) if b else (None, None)
-            e1 = q_arm - (q_md_start + k * tt * qd_md)
-            e2 = qd_arm - qd_md
-            terms0 = dynamics.dynamics_terms(model, q_arm, qd_arm,
-                                             gravity=g_base, a_b=a_base)
-            if controller == "pd":
-                tau = pd_baseline_torque(terms0, e1, e2, params.pd_kp,
-                                         params.pd_kd)
-                s_now = nftsm.sliding_surface(e1, e2, params.nftsm)
-            else:
-                tau, s_now = nftsm.control_torque(terms0, e1, e2, qdd_md,
-                                                  params.nftsm)
-            tau_cmd = tau + terms0.tau_b if compensate else tau
-            tau_d = script.disturbance_torque(t, n)
-            tau_in = tau_cmd + tau_d
 
-            def accel(qa, qda):
-                terms = dynamics.dynamics_terms(model, qa, qda,
-                                                gravity=g_base, a_b=a_base)
-                return dynamics.forward_dynamics(terms, tau_in - terms.tau_b)
+def track(model: RobotModel, params: ControllerParams,
+          script: ScenarioScript, plan: Plan,
+          controller: str = "nftsm") -> SimTrace:
+    """The dynamic layer: the full trace of the arm plant, at rest at
+    ``plan.q_md[0]``, tracking the plan under the torque law
+    ``controller``: "nftsm" (with base compensation per params),
+    "nftsm-no-taub" (compensation forced off), or "pd"
+    (gravity-compensated PD baseline)."""
+    if controller not in CONTROLLERS:
+        raise ValueError(f"unknown controller {controller!r}")
+    n, m, b = model.arm_joint_count, model.total_dof, model.base_dof_count
+    tc, tt = script.control_period, script.torque_period
+    spc = round(tc / tt)
+    n_steps = len(plan.qd_md) * spc
 
-            k1a = dynamics.forward_dynamics(terms0, tau_in - terms0.tau_b)
-            k2v = qd_arm + 0.5 * tt * k1a
-            k2a = accel(q_arm + 0.5 * tt * qd_arm, k2v)
-            k3v = qd_arm + 0.5 * tt * k2a
-            k3a = accel(q_arm + 0.5 * tt * k2v, k3v)
-            k4v = qd_arm + tt * k3a
-            k4a = accel(q_arm + tt * k3v, k4v)
-            q_arm = q_arm + tt / 6.0 * (qd_arm + 2 * k2v + 2 * k3v + k4v)
-            qd_arm = qd_arm + tt / 6.0 * (k1a + 2 * k2a + 2 * k3a + k4a)
+    # The script, the plan's solver columns and the base frame of every
+    # torque step, before the loop; a step starts at j tc + k tt.
+    starts = ((np.arange(len(plan.qd_md)) * tc)[:, None]
+              + np.arange(spc) * tt).ravel()
+    tr = SimTrace.zeros(n_steps + 1, m, n)
+    tr.time[1:] = starts + tt
+    q_b, v_b, a_b = script.base_state(tr.time)
+    tr.q[:, :b], tr.qdot[:, :b] = q_b[:, :b], v_b[:, :b]
+    tr.qddot[1:, :b] = a_b[1:, :b]
+    tr.q[0, b:] = plan.q_md[0]
+    tr.tau_d[1:] = script.disturbance_torque(starts, n)
+    (tr.solver_h_inf[1:], tr.solver_converge_time[1:],
+     tr.solver_bound[1:]) = np.repeat(plan.solver, spc, axis=0).T
+    g_steps = a_steps = [None] * n_steps
+    if b:
+        q_b, _, a_b = script.base_state(starts)
+        R_bT = np.swapaxes(kin.rotation_rpy(q_b[:, 5:2:-1]), -1, -2)
+        g_steps = R_bT @ model.gravity
+        a_steps = (R_bT @ a_b[:, :3, None])[..., 0]
 
-            t_next = t + tt
-            q_bn, v_bn, a_bn = script.base_state(t_next)
-            tr.time[row] = t_next
-            tr.q[row] = full_q(q_bn, q_arm)
-            tr.qdot[row] = full_q(v_bn, qd_arm)
-            tr.qddot[row] = full_q(a_bn, k1a)
-            tr.tau[row] = tau_cmd
-            tr.tau_b[row] = terms0.tau_b
-            tr.tau_d[row] = tau_d
-            tr.sliding_V[row] = 0.5 * s_now @ s_now
-            row += 1
+    compensate = params.compensate_base and controller == "nftsm"
+    q_arm, qd_arm = plan.q_md[0], np.zeros(n)
+    for i in range(n_steps):
+        j, k = divmod(i, spc)
+        g_base, a_base = g_steps[i], a_steps[i]
+        qd_md = plan.qd_md[j]
+        e1 = q_arm - (plan.q_md[j] + k * tt * qd_md)
+        e2 = qd_arm - qd_md
+        terms0 = dynamics.dynamics_terms(model, q_arm, qd_arm,
+                                         gravity=g_base, a_b=a_base)
+        if controller == "pd":
+            tau = pd_baseline_torque(terms0, e1, e2, params.pd_kp,
+                                     params.pd_kd)
+            s_now = nftsm.sliding_surface(e1, e2, params.nftsm)
+        else:
+            tau, s_now = nftsm.control_torque(terms0, e1, e2, plan.qdd_md[j],
+                                              params.nftsm)
+        tau_cmd = tau + terms0.tau_b if compensate else tau
+        tau_in = tau_cmd + tr.tau_d[i + 1]
 
-        q_md = q_md_start + tc * qd_md
-        qdot_prev = qdot_cmd
+        def accel(qa, qda):
+            terms = dynamics.dynamics_terms(model, qa, qda,
+                                            gravity=g_base, a_b=a_base)
+            return dynamics.forward_dynamics(terms, tau_in - terms.tau_b)
+
+        k1a = dynamics.forward_dynamics(terms0, tau_in - terms0.tau_b)
+        k2v = qd_arm + 0.5 * tt * k1a
+        k2a = accel(q_arm + 0.5 * tt * qd_arm, k2v)
+        k3v = qd_arm + 0.5 * tt * k2a
+        k3a = accel(q_arm + 0.5 * tt * k2v, k3v)
+        k4v = qd_arm + tt * k3a
+        k4a = accel(q_arm + tt * k3v, k4v)
+        q_arm = q_arm + tt / 6.0 * (qd_arm + 2 * k2v + 2 * k3v + k4v)
+        qd_arm = qd_arm + tt / 6.0 * (k1a + 2 * k2a + 2 * k3a + k4a)
+
+        row = i + 1
+        tr.q[row, b:], tr.qdot[row, b:], tr.qddot[row, b:] = \
+            q_arm, qd_arm, k1a
+        tr.tau[row] = tau_cmd
+        tr.tau_b[row] = terms0.tau_b
+        tr.sliding_V[row] = 0.5 * s_now @ s_now
 
     # V̇ is the backward difference of V between torque steps.
     tr.sliding_Vdot[2:] = np.diff(tr.sliding_V[1:]) / tt
-    for start in range(0, n_rows, POSE_BLOCK_ROWS):
+    for start in range(0, n_steps + 1, POSE_BLOCK_ROWS):
         rows = slice(start, start + POSE_BLOCK_ROWS)
         (tr.pose[rows], tr.pose_ref[rows], tr.err_pos[rows],
          tr.err_ori[rows], tr.err_rotvec[rows]) = pose_columns(
-            model, script, initial_pose, tr.time[rows], tr.q[rows])
+            model, script, plan.initial_pose, tr.time[rows], tr.q[rows])
     return tr
+
+
+def run_closed_loop(model: RobotModel, params: ControllerParams,
+                    script: ScenarioScript,
+                    controller: str = "nftsm") -> SimTrace:
+    """The full, deterministic trace of the scripted scenario:
+    :func:`track` of :func:`plan`.  The whole plan comes first, so a plan
+    past the failure budget raises :class:`SimulationError` before the
+    plant takes a step, even where the plant would diverge earlier."""
+    return track(model, params, script, plan(model, params, script),
+                 controller)
 
 
 def pose_columns(model: RobotModel, script: ScenarioScript,
@@ -518,10 +522,11 @@ def pose_columns(model: RobotModel, script: ScenarioScript,
     """The pose, pose_ref, err_pos, err_ori and err_rotvec columns of
     trace rows at ``time`` (T,) with joint vectors ``q`` (T, m), in batch.
 
-    Row by row they equal :func:`kinematics.forward_kinematics`,
-    :meth:`ScenarioScript.reference_pose`, :func:`kinematics.pose_error`
-    and :func:`kinematics.rotation_vector` of ``R_ref' R``, where R and
-    R_ref are rebuilt from the wrapped Euler angles.
+    Row by row they equal :func:`kinematics.forward_kinematics`, the
+    :class:`Pose` of ``script.reference_path``,
+    :func:`kinematics.pose_error` and :func:`kinematics.rotation_vector`
+    of ``R_ref' R``, where R and R_ref are rebuilt from the wrapped
+    Euler angles.
     """
     _, _, R_ee, p_ee = kin.chain_frames(model, q)
     pose = Pose(p_ee, kin.euler_zyx(R_ee))

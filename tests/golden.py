@@ -4,9 +4,11 @@ regenerate the stored file.
     PYTHONPATH=src python tests/golden.py --diff
 
 prints, for every case, the largest |dq| and |dtau| of the current code
-against ``tests/data/golden_traces.npz`` and the run's total FTCND
-iterations, and writes nothing.  It exits 1 when a case has another
-shape or exceeds Q_TOL or TAU_TOL, else 0; the iterations only inform.
+against ``tests/data/golden_traces.npz`` and the total FTCND iterations
+of its config's plan, and writes nothing.  Each config is planned once,
+and each of its controllers tracks that plan.  It exits 1 when a case
+has another shape or exceeds Q_TOL or TAU_TOL, else 0; the iterations
+only inform.
 
     PYTHONPATH=src python tests/golden.py
 
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 import warnings
 from pathlib import Path
@@ -47,9 +50,10 @@ CASES = (
 )
 
 
-def run_case(config, controller):
-    """q and tau of a DURATION-second run at every control-step row, and
-    the run's total FTCND iterations."""
+@functools.cache
+def plan_case(config):
+    """The model, parameters and DURATION-second script of ``config``,
+    its plan, and the plan's total FTCND iterations."""
     text = (ROOT / "configs" / f"{config}.yaml").read_text(encoding="utf-8")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")   # the shipped configs set r3 = 1
@@ -62,10 +66,17 @@ def run_case(config, controller):
         iterations.append(diag.iterations)
         return z, diag
     with mock.patch.object(ftcnd, "solve", counting):
-        trace = sim.run_closed_loop(model, params, script,
-                                    controller=controller)
+        plan = sim.plan(model, params, script)
+    return model, params, script, plan, sum(iterations)
+
+
+def run_case(config, controller):
+    """q and tau at every control-step row of the config's plan tracked
+    by ``controller``, and the plan's total FTCND iterations."""
+    model, params, script, plan, iterations = plan_case(config)
+    trace = sim.track(model, params, script, plan, controller=controller)
     spc = round(script.control_period / script.torque_period)
-    return trace.q[::spc], trace.tau[::spc], sum(iterations)
+    return trace.q[::spc], trace.tau[::spc], iterations
 
 
 def key(config, controller, column):

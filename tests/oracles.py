@@ -15,6 +15,10 @@ active sets of a tiny QP for ``qp_oracle.solve_reference``; ``lift``
 forms the dense matrix N of the slack lift that ``ftcnd.solve`` only
 factors in reduced form; ``is_representation_singular`` reads the
 singularity test of ``kinematics.linearization``.
+
+``reference_pose`` is the scripted reference one time at a time, and
+``trace_from_csv`` reads a ``trace.csv`` back into a ``SimTrace``: the
+library only writes one.
 """
 from __future__ import annotations
 
@@ -26,6 +30,7 @@ from mmtrack import kinematics as kin
 from mmtrack.dynamics import com_jacobians
 from mmtrack.kinematics import Pose
 from mmtrack.qp_oracle import InfeasibleProblem
+from mmtrack.sim import SimTrace
 
 _CS_STEP = 1e-20
 
@@ -179,3 +184,28 @@ def lift(problem, xi: float):
     D = np.concatenate([G - xi * H.T @ w, -xi * w])
     v0 = np.concatenate([np.zeros(S.shape[0]), np.maximum(0.0, w)])
     return N, D, v0
+
+
+def reference_pose(script, t: float, initial_pose):
+    """The script's reference :class:`Pose` at the time ``t``."""
+    return Pose.from_vector(script.reference_path(t, initial_pose))
+
+
+def trace_from_csv(path) -> SimTrace:
+    """The :class:`SimTrace` that ``SimTrace.to_csv`` wrote to ``path``;
+    a header other than the trace columns raises ``ValueError``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+    m = sum(1 for h in header if h.startswith("q_"))
+    n = sum(1 for h in header if h.startswith("tau_")
+            and not h.startswith(("tau_b", "tau_d")))
+    layout = SimTrace.layout(m, n)
+    if header != [c for _, cols, _ in layout for c in cols]:
+        raise ValueError(f"{path}: header does not match the trace columns")
+    mat = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    out, at = {}, 0
+    for name, cols, width in layout:
+        block = mat[:, at:at + len(cols)]
+        out[name] = block[:, 0] if width is None else block
+        at += len(cols)
+    return SimTrace(**out)

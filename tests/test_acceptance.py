@@ -71,7 +71,8 @@ def nominal_trace():
 @pytest.fixture(scope="module")
 def base_sinusoid_traces():
     model, params, script = load_config("base_sinusoid.yaml")
-    traces = {c: sim.run_closed_loop(model, params, script, controller=c)
+    plan = sim.plan(model, params, script)
+    traces = {c: sim.track(model, params, script, plan, controller=c)
               for c in ("nftsm", "nftsm-no-taub", "pd")}
     return model, traces
 
@@ -79,7 +80,8 @@ def base_sinusoid_traces():
 @pytest.fixture(scope="module")
 def base_tilt_traces():
     model, params, script = load_config("base_tilt.yaml")
-    traces = {c: sim.run_closed_loop(model, params, script, controller=c)
+    plan = sim.plan(model, params, script)
+    traces = {c: sim.track(model, params, script, plan, controller=c)
               for c in ("nftsm", "pd")}
     return model, traces
 

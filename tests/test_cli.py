@@ -10,7 +10,7 @@ import pytest
 
 from conftest import hand_qp
 import mmtrack
-from mmtrack import cli, pomptc
+from mmtrack import cli, ftcnd, pomptc
 
 SHORT_CONFIG = """
 robot:
@@ -322,3 +322,18 @@ def test_compare_writes_side_by_side(short_config, tmp_path, capsys):
     head = (out / "errors.csv").read_text().splitlines()[0]
     assert head == "time,nftsm_pos_err,pd_pos_err,nftsm_ori_err,pd_ori_err"
     assert "steady_pos_err" in captured.out
+
+
+def test_compare_plans_once_for_all_controllers(short_config, tmp_path,
+                                                monkeypatch):
+    solves, solve = [], ftcnd.solve
+
+    def counting(*args, **kwargs):
+        solves.append(1)
+        return solve(*args, **kwargs)
+    monkeypatch.setattr(ftcnd, "solve", counting)
+    rc = cli.main(["compare", "--config", str(short_config),
+                   "--controllers", "nftsm,pd", "--out", str(tmp_path / "o")])
+    assert rc == 0
+    # 0.2 s at the default control period of 0.01 s: one solve per step.
+    assert len(solves) == 20

@@ -27,11 +27,6 @@ def test_params_validation():
         FtcndParams(ode_step=0.0)
 
 
-def test_signed_power():
-    np.testing.assert_allclose(ftcnd.signed_power([-8.0, 0.0, 8.0], 1 / 3),
-                               [-2.0, 0.0, 2.0], atol=1e-12)
-
-
 def test_li_activation_values():
     # lam = 1, zeta = 30, kappa = 0.8: omega(1) = 0.5*(1+1) + 15 = 16.
     assert ftcnd.li_activation(1.0, 1.0, 30.0, 0.8) == pytest.approx(16.0)

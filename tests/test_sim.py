@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import pickle
 import warnings
 from pathlib import Path
 
@@ -8,6 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
+import oracles
 from mmtrack import cli, dynamics, ftcnd, kinematics as kin, nftsm, sim
 from mmtrack.kinematics import Pose
 from mmtrack.model import builtin_planar_2link, load_scenario
@@ -92,11 +92,11 @@ def test_base_state_sinusoid_and_tilt():
 def test_reference_pose_auto_circle():
     s = ScenarioScript()
     p0 = Pose([0.5, 0.2, 0.4], [0.1, 0.0, -0.2])
-    ref0 = s.reference_pose(0.0, p0)
+    ref0 = oracles.reference_pose(s, 0.0, p0)
     np.testing.assert_allclose(ref0.position, p0.position, atol=1e-15)
     np.testing.assert_allclose(ref0.orientation, p0.orientation, atol=1e-15)
     # Quarter revolution at rate 2 pi / 10.
-    ref = s.reference_pose(2.5, p0)
+    ref = oracles.reference_pose(s, 2.5, p0)
     center = p0.position - [0.1, 0.0, 0.0]
     np.testing.assert_allclose(ref.position, center + [0.0, 0.1, 0.0],
                                atol=1e-12)
@@ -112,6 +112,42 @@ def test_disturbance_torque_kinds():
     assert s2.disturbance_torque(0.25, 3) == pytest.approx(
         [0.5, 0.5, 0.5], abs=1e-12)
     assert np.all(ScenarioScript().disturbance_torque(1.0, 4) == 0.0)
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "static", "pose": [0.1, -0.2, 0.0, 0.3, -0.4, 0.5]},
+    {"kind": "tilt", "angle": -0.21},
+    {"kind": "sinusoid", "axis": "yaw", "amplitude": -0.08,
+     "frequency": 0.7, "phase": 0.4}])
+def test_base_state_rows_are_the_scalar_calls(spec):
+    s = ScenarioScript(duration=2.0, base_motion=spec)
+    times = np.arange(2001) * 1e-3
+    batch = s.base_state(times)
+    for got in batch:
+        assert got.shape == (len(times), 6)
+    for i, t in enumerate(times):
+        for got, want in zip(batch, s.base_state(t)):
+            assert np.array_equal(got[i].view(np.uint64),
+                                  want.view(np.uint64))
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "none"},
+    {"kind": "step", "time": 0.2, "value": [-1.0, 2.0, 0.0]},
+    {"kind": "sinusoid", "amplitude": [0.5, -1.0, 0.0], "frequency": 2.0,
+     "phase": 0.3}])
+def test_disturbance_rows_are_the_scalar_calls(spec):
+    s = ScenarioScript(duration=2.0, disturbance=spec)
+    times = np.arange(2001) * 1e-3
+    batch = s.disturbance_torque(times, 3)
+    assert batch.shape == (len(times), 3)
+    for i, t in enumerate(times):
+        assert np.array_equal(batch[i].view(np.uint64),
+                              s.disturbance_torque(t, 3).view(np.uint64))
+    if spec["kind"] == "step":
+        # Before t_on every entry is +0, the negative one included.
+        before = batch[times < 0.2]
+        assert np.all(before == 0.0) and not np.signbit(before).any()
 
 
 def test_pd_baseline_formula_and_validation():
@@ -134,11 +170,49 @@ def test_run_raises_once_failure_budget_is_exceeded(monkeypatch):
     script = dataclasses.replace(script, duration=0.1)
     # Every solve fails to converge: the fourth consecutive failure
     # exceeds the budget of three, a budget of ten is never hit.
-    with pytest.raises(sim.SimulationError, match="4 consecutive"):
-        sim.run_closed_loop(model, params, script)
+    # The whole plan comes first: the plant never takes a step.
+    with monkeypatch.context() as mp:
+        mp.setattr(dynamics, "dynamics_terms", lambda *a, **k: pytest.fail(
+            "the plant ran before the plan failed"))
+        with pytest.raises(sim.SimulationError, match="4 consecutive"):
+            sim.run_closed_loop(model, params, script)
     monkeypatch.setattr(sim, "FAILURE_BUDGET", 10)
     trace = sim.run_closed_loop(model, params, script)
     assert np.isinf(trace.solver_converge_time[1:]).all()
+
+
+def counted(fn, name, calls):
+    """``fn``, appending ``name`` to ``calls`` at each call."""
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+    return counting
+
+
+def test_one_plan_tracked_by_each_controller_is_the_closed_loop(
+        monkeypatch):
+    model, params, script = load_config("base_sinusoid")
+    script = dataclasses.replace(script, duration=0.2)
+    expect = {c: sim.run_closed_loop(model, params, script, controller=c)
+              for c in sim.CONTROLLERS}
+    calls = []
+    monkeypatch.setattr(ftcnd, "solve", counted(ftcnd.solve, "solve", calls))
+    # The script's time functions, counted on this (frozen) instance.
+    for name in ("base_state", "disturbance_torque"):
+        object.__setattr__(script, name,
+                           counted(getattr(script, name), name, calls))
+    plan = sim.plan(model, params, script)
+    planned = len(calls)
+    traces = {c: sim.track(model, params, script, plan, controller=c)
+              for c in sim.CONTROLLERS}
+    for c in sim.CONTROLLERS:
+        assert np.array_equal(traces[c].as_matrix(), expect[c].as_matrix())
+    control_steps = round(script.duration / script.control_period)
+    assert calls[:planned] == ["base_state"] + ["solve"] * control_steps
+    # Each track reads the base twice (row ends and step starts) and the
+    # disturbance once, whatever the number of torque steps.
+    assert calls[planned:] == ["base_state", "disturbance_torque",
+                               "base_state"] * len(sim.CONTROLLERS)
 
 
 def test_run_rejects_unknown_controller():
@@ -170,7 +244,7 @@ def test_trace_csv_round_trip(tmp_path):
     trace = sim.run_closed_loop(model, params, script)
     path = tmp_path / "trace.csv"
     trace.to_csv(path)
-    back = SimTrace.from_csv(path)
+    back = oracles.trace_from_csv(path)
     # 17 significant digits round-trips doubles exactly.
     assert np.array_equal(trace.as_matrix(), back.as_matrix())
     assert back.q.shape == trace.q.shape
@@ -223,7 +297,7 @@ def per_row_pose_columns(model, script, initial_pose, time, q):
     rows = []
     for t, q_row in zip(time, q):
         pose = kin.forward_kinematics(model, q_row)
-        ref = script.reference_pose(t, initial_pose)
+        ref = oracles.reference_pose(script, t, initial_pose)
         R = kin.rotation_rpy(pose.orientation[::-1])
         R_ref = kin.rotation_rpy(ref.orientation[::-1])
         rows.append(np.concatenate([
@@ -416,7 +490,7 @@ def test_from_csv_rejects_a_foreign_header(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text("time,q_0,tau_0\n0,1,2\n", encoding="utf-8")
     with pytest.raises(ValueError, match="header"):
-        SimTrace.from_csv(path)
+        oracles.trace_from_csv(path)
 
 
 def test_forward_kinematics_once_per_run(monkeypatch):
@@ -435,7 +509,7 @@ def test_forward_kinematics_once_per_run(monkeypatch):
     assert len(calls) == 1
 
 
-def test_replace_and_pickle_resolve_the_time_functions_again():
+def test_replace_resolves_the_time_functions_again():
     s = ScenarioScript()
     tilted = dataclasses.replace(s, base_motion={"kind": "tilt",
                                                  "angle": 0.3})
@@ -445,9 +519,6 @@ def test_replace_and_pickle_resolve_the_time_functions_again():
                                                   "value": 2.0})
     np.testing.assert_array_equal(stepped.disturbance_torque(0.0, 3),
                                   [2.0, 2.0, 2.0])
-    # A pickled script is rebuilt from its fields.
-    back = pickle.loads(pickle.dumps(tilted))
-    assert back == tilted and back.base_state(0.5)[0][4] == 0.3
 
 
 # The arm joint whose lower limit the pinned-limit run sets just below
