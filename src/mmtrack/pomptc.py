@@ -154,31 +154,34 @@ def assemble_qp(model: RobotModel, q, qdot_prev, pose_refs,
     B = kin.pose_error(pose_now, Pose.from_vector(pose_refs))[:, rows] \
         + np.outer(steps, J @ qdp)
 
-    S = np.kron(U.T @ U, J.T @ Wp @ J) + np.kron(I1.T @ I1, Wv)
+    S = _kron(U.T @ U, J.T @ Wp @ J) + _kron(I1.T @ I1, Wv)
     diag = np.arange(Nu)
     S.reshape(Nu, mp, Nu, mp)[diag, :, diag, :] += Wa    # + kron(I, Wa)
     S = S + S.T           # S is twice the quadratic form; exactly symmetric
     G = 2.0 * ((U.T @ B @ Wp @ J).ravel()
-               + np.kron(I1.sum(axis=0), Wv @ qdp))
+               + np.outer(I1.sum(axis=0), Wv @ qdp).ravel())
 
-    # Constraints, six blocks: q upper/lower, qdot upper/lower,
-    # acceleration upper/lower.
+    # Constraints, six blocks: q upper/lower (kron(U, I) maps z to
+    # q(j+i) - q(j)), qdot upper/lower (kron(I1, I) maps z to
+    # qdot(j+i) - qdot_prev), acceleration upper/lower (the identity).
     lim = model.limits
     qm = q[mask]
-    Imp = np.eye(mp)
-    T_q = np.kron(U, Imp)                     # maps z to q(j+i) - q(j)
-    A_vel = np.kron(I1, Imp)                  # maps z to qdot(j+i) - qdot_prev
-    drift = np.outer(steps, qdp).ravel()
-    q_up = np.tile(lim.q_upper[mask], N) - np.tile(qm, N) - drift
-    q_lo = np.tile(qm, N) + drift - np.tile(lim.q_lower[mask], N)
-    v_up = np.tile(lim.qdot_upper[mask] - qdp, Nu)
-    v_lo = np.tile(qdp - lim.qdot_lower[mask], Nu)
-    a_up = np.tile(t * lim.qddot_upper[mask], Nu)
-    a_lo = np.tile(-t * lim.qddot_lower[mask], Nu)
-    Iz = np.eye(mp * Nu)
-    H = np.vstack([T_q, -T_q, A_vel, -A_vel, Iz, -Iz])
-    w = np.concatenate([q_up, q_lo, v_up, v_lo, a_up, a_lo])
+    eye = np.eye(Nu)
+    H = _kron(np.vstack([U, -U, I1, -I1, eye, -eye]), np.eye(mp))
+    drift = np.outer(steps, qdp)
+    w = np.concatenate([
+        lim.q_upper[mask] - qm - drift, qm + drift - lim.q_lower[mask],
+        np.repeat([lim.qdot_upper[mask] - qdp, qdp - lim.qdot_lower[mask],
+                   t * lim.qddot_upper[mask], -t * lim.qddot_lower[mask]],
+                  Nu, axis=0)]).ravel()
     return QpProblem(S=S, G=G, H=H, w=w, t=t, N=N, Nu=Nu, m_prime=mp)
+
+
+def _kron(A, B):
+    """np.kron of two matrices, as one broadcast product: the same
+    products, without np.kron's general-rank overhead."""
+    return (A[:, None, :, None] * B[None, :, None, :]).reshape(
+        A.shape[0] * B.shape[0], A.shape[1] * B.shape[1])
 
 
 def extract_first_increment(z_star, model: RobotModel) -> np.ndarray:

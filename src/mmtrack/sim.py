@@ -3,16 +3,18 @@
 :func:`plan`, the kinematic layer, runs at the control rate: the
 predictive layer assembles the tracking QP from the desired trajectory,
 never from the plant, and the neural solver's joint-velocity increment
-is integrated into that trajectory (the first solve is cold; each later
-one starts at 3 z_j - 3 z_{j-1} + z_{j-2}, the quadratic extrapolation
-of the last three solutions, or at z_j, then 2 z_j - z_{j-1}, while
-fewer exist).  :func:`track`, the dynamic layer, runs at the torque
-rate: a torque law of :data:`CONTROLLERS` computes a torque and the arm
-plant takes a fixed RK4 step, so one plan serves every torque law.  The
-script's time functions take arrays of times; each loop reads the
-script before it starts.  The base follows the script exogenously; its
-linear acceleration enters the plant as an inertial pseudo-torque and,
-when compensation is enabled, the same term is fed forward.
+is integrated into that trajectory.  The first solve is cold; each
+later one starts from a polynomial extrapolation of the last solutions
+(:func:`warm_start`), of the order, up to 4, whose extrapolation from
+the older solutions came closest to the solution just computed.
+:func:`track`, the dynamic layer, runs at the torque rate: a torque law
+of :data:`CONTROLLERS` computes a torque and the arm plant takes a
+fixed RK4 step, so one plan serves every torque law.  The script's time
+functions take arrays of times; each loop reads the script before it
+starts, :func:`plan` every step's reference window in one call.  The
+base follows the script exogenously; its linear acceleration enters the
+plant as an inertial pseudo-torque and, when compensation is enabled,
+the same term is fed forward.
 """
 from __future__ import annotations
 
@@ -36,8 +38,18 @@ FAILURE_BUDGET = 3
 # Trace rows per batch of the pose and error columns, which bounds the
 # derivation's temporaries whatever the trace length.
 POSE_BLOCK_ROWS = 256
-# Warm-start weights of the last 1, 2 or 3 solutions, newest first.
-_PREDICTOR = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0))
+# Highest order of the warm start's polynomial extrapolation.
+_MAX_ORDER = 4
+# Applied to the last _MAX_ORDER + 2 solutions, newest first: row p
+# (p = 0 .. _MAX_ORDER) is the newest solution minus its order-p
+# extrapolation from the p + 1 solutions before it (the backward
+# difference of order p + 1), and row _MAX_ORDER + 1 + p is the order-p
+# extrapolation of the next solution from the last p + 1.
+_PREDICTOR = np.array(
+    [[(-1) ** i * math.comb(p + 1, i) for i in range(_MAX_ORDER + 2)]
+     for p in range(_MAX_ORDER + 1)]
+    + [[(-1) ** i * math.comb(p + 1, i + 1) for i in range(_MAX_ORDER + 2)]
+       for p in range(_MAX_ORDER + 1)], float)
 # The keys that each kind of base motion and disturbance reads.
 _BASE_MOTION_KEYS = {"static": ("pose",), "tilt": ("angle",),
                      "sinusoid": ("axis", "amplitude", "frequency", "phase")}
@@ -238,6 +250,9 @@ class ScenarioScript:
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("control_period must be an integer multiple "
                              "of torque_period")
+        if round(self.duration / self.control_period) == 0:
+            raise ValueError("duration must be at least half a "
+                             "control_period: the run has no control step")
         object.__setattr__(self, "reference_path",
                            _reference(self.reference, self.duration))
         object.__setattr__(self, "base_state",
@@ -374,6 +389,20 @@ def pd_baseline_torque(terms: dynamics.DynamicsTerms, e1, e2,
 Plan = namedtuple("Plan", "initial_pose q_md qd_md qdd_md solver")
 
 
+def warm_start(past) -> np.ndarray:
+    """The next solve's start from ``past`` (k, nz), the last k (1 to
+    _MAX_ORDER + 2) solutions, newest first: the polynomial extrapolation
+    of the order, at most min(k - 2, _MAX_ORDER), that came closest in
+    the 2-norm to the newest solution when applied to the older ones
+    (the lowest such order on a tie, and the newest solution itself
+    while k = 1)."""
+    k = len(past)
+    rows = _PREDICTOR[:, :k] @ past
+    errors = np.einsum("ij,ij->i", rows[:k - 1], rows[:k - 1])
+    order = int(np.argmin(errors)) if k > 1 else 0
+    return rows[_MAX_ORDER + 1 + order]
+
+
 def plan(model: RobotModel, params: ControllerParams,
          script: ScenarioScript) -> Plan:
     """The kinematic layer: one warm FTCND solve of the tracking QP per
@@ -391,25 +420,26 @@ def plan(model: RobotModel, params: ControllerParams,
     base = script.base_state(np.arange(n_control + 1) * tc)[0][:, :b]
     initial_pose = kin.forward_kinematics(
         model, np.concatenate([base[0], q_md[0]]))
+    # Step j's reference window is at j tc + (1 .. N) tc.
+    refs = script.reference_path(
+        (np.arange(n_control) * tc)[:, None]
+        + np.arange(1, params.horizon + 1) * tc, initial_pose)
 
     qdot_prev = np.zeros(model.total_dof)
-    warm, past = None, []   # past: the last three solutions, newest first
+    warm, past = None, []   # past: the last solutions, newest first
     failures = 0
     for j in range(n_control):
-        t_j = j * tc
-        refs = script.reference_path(
-            t_j + np.arange(1, params.horizon + 1) * tc, initial_pose)
         problem = pomptc.assemble_qp(
-            model, np.concatenate([base[j], q_md[j]]), qdot_prev, refs,
+            model, np.concatenate([base[j], q_md[j]]), qdot_prev, refs[j],
             params.weights, tc, params.horizon, params.control_horizon)
         z, diag = ftcnd.solve(problem, params.ftcnd, warm_start=warm)
-        past = [z] + past[:2]
-        warm = sum(c * z_k for c, z_k in zip(_PREDICTOR[len(past) - 1], past))
+        past = [z] + past[:_MAX_ORDER + 1]
+        warm = warm_start(np.array(past))
         failures = 0 if diag.converged else failures + 1
         if failures > FAILURE_BUDGET:
             raise SimulationError(
                 f"solver failed {failures} consecutive control steps "
-                f"(t = {t_j:.3f} s)")
+                f"(t = {j * tc:.3f} s)")
         solver[j] = diag.h_inf_history[-1], diag.converge_time, diag.bound_t_f
         dq = pomptc.extract_first_increment(z, model)
         qdot_prev = qdot_prev + dq

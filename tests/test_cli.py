@@ -189,6 +189,23 @@ def test_simulate_unbounded_duration_exits_1_without_traceback(tmp_path,
     assert "duration" in proc.stderr
 
 
+@pytest.mark.parametrize("command", [["simulate"],
+                                     ["compare", "--controllers", "nftsm,pd"]])
+def test_run_without_a_control_step_exits_1_without_traceback(tmp_path,
+                                                              command):
+    text = (Path(__file__).resolve().parent.parent / "configs"
+            / "nominal_circle.yaml").read_text(encoding="utf-8")
+    assert "  duration: 10.0\n" in text
+    path = tmp_path / "short.yaml"
+    path.write_text(text.replace("  duration: 10.0\n", "  duration: 0.004\n"),
+                    encoding="utf-8")
+    proc = run_cli(*command, "--config", str(path),
+                   "--out", str(tmp_path / "out"))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "duration" in proc.stderr
+
+
 def test_simulate_solver_failure_exits_2_without_traceback(tmp_path):
     path = tmp_path / "slow.yaml"
     path.write_text(NON_CONVERGING_CONFIG, encoding="utf-8")

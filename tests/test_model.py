@@ -107,6 +107,8 @@ def test_load_scenario_rejects_bad_kappa():
     ("scenario:\n  duration: .inf\n", "duration"),
     ("scenario:\n  duration: .nan\n", "duration"),
     ("scenario:\n  duration: 1.0e+9\n", "duration"),
+    ("scenario:\n  duration: 0.004\n  control_period: 0.01\n",
+     "scenario: duration must be at least half a control_period"),
     ("scenario:\n  control_period: .nan\n", "control_period"),
     ("scenario:\n  torque_period: .inf\n", "torque_period"),
     ("scenario:\n  torque_period: 1.0e-9\n  control_period: 1.0e-9\n",
@@ -180,7 +182,8 @@ def test_load_scenario_rejects_bad_kappa():
      "^scenario: base_motion.amplitude: unknown key$"),
 ], ids=["horizon", "horizon_fraction", "control_horizon_fraction",
         "waypoint_time", "initial_q", "base_motion", "pose",
-        "duration_inf", "duration_nan", "duration_huge", "control_period_nan",
+        "duration_inf", "duration_nan", "duration_huge",
+        "duration_no_control_step", "control_period_nan",
         "torque_period_inf", "rows_over_cap", "circle_center",
         "circle_center_nan", "radius_inf", "angular_rate_list",
         "waypoint_pose_nan", "initial_q_nan", "base_axis_range",

@@ -128,32 +128,46 @@ def test_assembly_walks_the_chain_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_constraints_sound_and_complete():
-    # A point satisfying Hz <= w must roll out within the box, and a
-    # rollout violating the box must violate Hz <= w.
-    model = builtin_panda_on_base()
+@pytest.mark.parametrize("builtin", [builtin_panda_on_base,
+                                     builtin_planar_2link])
+@pytest.mark.parametrize("N, Nu", [(3, 3), (5, 2), (4, 1)])
+def test_constraints_sound_and_complete(builtin, N, Nu):
+    # Each of the six row blocks of Hz <= w (angle, velocity and
+    # acceleration, upper and lower) is violated exactly when the rolled
+    # out trajectory leaves that side of its box.  Each case draws the
+    # MPC joints' angles and velocities anywhere within their limits and
+    # increments from a tenth of the acceleration limit to 30 times it, so
+    # that every block is met both ways.
+    model = builtin()
     rng = np.random.default_rng(33)
-    q, qdp = random_state(model, rng, scale=0.05)
-    N = Nu = 3
-    t = 0.01
-    prob = pomptc.assemble_qp(model, q, qdp, random_refs(model, q, rng, N),
-                              make_weights(model), t, N, Nu)
     lim = model.limits
     mask = model.actuated_by_mpc
+    t = 0.01
+    sizes = np.array([N, N, Nu, Nu, Nu, Nu]) * model.mpc_dof
+    seen = [set() for _ in sizes]
     for _ in range(200):
-        z = rng.normal(scale=0.02, size=prob.n_variables)
-        delta = z.reshape(Nu, model.mpc_dof)
+        q, qdp = random_state(model, rng)
+        q[mask] = rng.uniform(lim.q_lower[mask], lim.q_upper[mask])
+        qdp[mask] = rng.uniform(lim.qdot_lower[mask], lim.qdot_upper[mask])
+        prob = pomptc.assemble_qp(model, q, qdp,
+                                  random_refs(model, q, rng, N),
+                                  make_weights(model), t, N, Nu)
+        delta = rng.normal(size=(Nu, model.mpc_dof)) * t \
+            * lim.qddot_upper[mask] * 10 ** rng.uniform(-1, 1.5)
         q_traj, qd_traj = oracles.predict_joint_trajectory(
             q[mask], qdp[mask], delta, t, N)
         acc = delta / t
-        inside = (np.all(q_traj <= lim.q_upper[mask] + 1e-12)
-                  and np.all(q_traj >= lim.q_lower[mask] - 1e-12)
-                  and np.all(qd_traj <= lim.qdot_upper[mask] + 1e-12)
-                  and np.all(qd_traj >= lim.qdot_lower[mask] - 1e-12)
-                  and np.all(acc <= lim.qddot_upper[mask] + 1e-12)
-                  and np.all(acc >= lim.qddot_lower[mask] - 1e-12))
-        feasible = prob.violation(z) <= 1e-10
-        assert inside == feasible
+        outside = [q_traj - lim.q_upper[mask], lim.q_lower[mask] - q_traj,
+                   qd_traj - lim.qdot_upper[mask],
+                   lim.qdot_lower[mask] - qd_traj,
+                   acc - lim.qddot_upper[mask], lim.qddot_lower[mask] - acc]
+        rows = np.split(prob.H @ delta.ravel() - prob.w,
+                        np.cumsum(sizes)[:-1])
+        for k in range(6):
+            violated = rows[k].max() > 1e-9
+            assert violated == (outside[k].max() > 1e-9), k
+            seen[k].add(violated)
+    assert all(s == {True, False} for s in seen), seen
 
 
 def test_translation_invariance():

@@ -132,6 +132,26 @@ def test_base_state_rows_are_the_scalar_calls(spec):
 
 
 @pytest.mark.parametrize("spec", [
+    {"kind": "circle", "radius": 0.1, "angular_rate": 0.7},
+    {"kind": "circle", "radius": 0.05, "angular_rate": -1.3,
+     "center": [0.4, -0.1, 0.6], "orientation": [0.2, -0.3, 1.0]},
+    {"kind": "waypoints", "points": [
+        {"time": 0.1, "pose": [0.5, 0.0, 0.4, 0.1, 0.0, 0.0]},
+        {"time": 0.9, "pose": [0.4, 0.2, 0.5, -0.2, 0.3, 3.0]}]}])
+def test_reference_rows_are_the_scalar_calls(spec):
+    # sim.plan reads every control step's window at once, as a
+    # (steps, horizon) array of times.
+    s = ScenarioScript(duration=2.0, reference=spec)
+    p0 = Pose([0.5, 0.2, 0.4], [0.1, 0.0, -0.2])
+    times = (np.arange(200) * 0.01)[:, None] + np.arange(1, 6) * 0.01
+    batch = s.reference_path(times, p0)
+    assert batch.shape == times.shape + (6,)
+    for j, row in enumerate(times):
+        assert np.array_equal(batch[j].view(np.uint64),
+                              s.reference_path(row, p0).view(np.uint64))
+
+
+@pytest.mark.parametrize("spec", [
     {"kind": "none"},
     {"kind": "step", "time": 0.2, "value": [-1.0, 2.0, 0.0]},
     {"kind": "sinusoid", "amplitude": [0.5, -1.0, 0.0], "frequency": 2.0,
@@ -148,6 +168,51 @@ def test_disturbance_rows_are_the_scalar_calls(spec):
         # Before t_on every entry is +0, the negative one included.
         before = batch[times < 0.2]
         assert np.all(before == 0.0) and not np.signbit(before).any()
+
+
+def extrapolate(past, order):
+    """The order-``order`` extrapolation of the next row after ``past``
+    (newest first), from the polynomial through its last order + 1
+    rows: the oracle of sim.warm_start."""
+    x = -np.arange(order + 1.0)
+    fit = np.polyfit(x, past[:order + 1], order)
+    return np.polyval(fit, 1.0) if order else past[0]
+
+
+@pytest.mark.parametrize("degree", range(5))
+def test_warm_start_continues_a_polynomial(degree):
+    # Once the history is long enough to measure an order >= degree,
+    # the warm start is the next point to rounding.
+    rng = np.random.default_rng(degree)
+    coef = rng.normal(size=(degree + 1, 7))
+    points = np.array([np.polyval(coef, k) for k in np.arange(12.0)])
+    for k in range(degree + 2, len(points)):
+        past = points[k - 1::-1][:sim._MAX_ORDER + 2]
+        np.testing.assert_allclose(sim.warm_start(past), points[k],
+                                   rtol=0, atol=1e-9 * np.abs(past).max())
+
+
+def test_warm_start_takes_the_order_that_erred_least():
+    rng = np.random.default_rng(3)
+    np.testing.assert_array_equal(sim.warm_start(np.ones((1, 4))),
+                                  np.ones(4))
+    chosen = set()
+    for _ in range(300):
+        k = rng.integers(2, sim._MAX_ORDER + 3)
+        # Noisy polynomials of random degree, so that every order wins.
+        coef = rng.normal(size=(rng.integers(1, 6), 5))
+        past = np.array([np.polyval(coef, -x) for x in np.arange(k)]) \
+            + rng.normal(scale=10 ** rng.uniform(-8, -1), size=(k, 5))
+        # Order p's error: the newest row minus its extrapolation from
+        # the p + 1 rows before it.
+        errors = [np.linalg.norm(past[0] - extrapolate(past[1:], p))
+                  for p in range(k - 1)]
+        order = int(np.argmin(errors))
+        chosen.add(order)
+        np.testing.assert_allclose(sim.warm_start(past),
+                                   extrapolate(past, order),
+                                   rtol=1e-9, atol=1e-9)
+    assert chosen == set(range(sim._MAX_ORDER + 1))
 
 
 def test_pd_baseline_formula_and_validation():
@@ -198,7 +263,7 @@ def test_one_plan_tracked_by_each_controller_is_the_closed_loop(
     calls = []
     monkeypatch.setattr(ftcnd, "solve", counted(ftcnd.solve, "solve", calls))
     # The script's time functions, counted on this (frozen) instance.
-    for name in ("base_state", "disturbance_torque"):
+    for name in ("base_state", "reference_path", "disturbance_torque"):
         object.__setattr__(script, name,
                            counted(getattr(script, name), name, calls))
     plan = sim.plan(model, params, script)
@@ -208,11 +273,16 @@ def test_one_plan_tracked_by_each_controller_is_the_closed_loop(
     for c in sim.CONTROLLERS:
         assert np.array_equal(traces[c].as_matrix(), expect[c].as_matrix())
     control_steps = round(script.duration / script.control_period)
-    assert calls[:planned] == ["base_state"] + ["solve"] * control_steps
+    # The plan reads the base and every reference window once.
+    assert calls[:planned] == (["base_state", "reference_path"]
+                               + ["solve"] * control_steps)
     # Each track reads the base twice (row ends and step starts) and the
-    # disturbance once, whatever the number of torque steps.
+    # disturbance once, whatever the number of torque steps, and the
+    # reference once per POSE_BLOCK_ROWS rows (here one block).
+    assert len(traces["pd"].time) <= sim.POSE_BLOCK_ROWS
     assert calls[planned:] == ["base_state", "disturbance_torque",
-                               "base_state"] * len(sim.CONTROLLERS)
+                               "base_state", "reference_path"] \
+        * len(sim.CONTROLLERS)
 
 
 def test_run_rejects_unknown_controller():
@@ -613,9 +683,10 @@ def test_plant_angle_holds_a_pinned_limit(pinned_run):
 
 @pytest.mark.parametrize("run", ["pinned_run", "offset_run"])
 def test_predicted_warm_starts_keep_the_solves_short(run, request):
-    # Each solve starts from the quadratic extrapolation of the last three
-    # solutions.  The loop's former warm start, the previous solve's final
-    # neural state, gives a median of 146 on both runs.
+    # Each solve starts from the polynomial extrapolation, of order up to
+    # 4, that best predicted the last solution.  The loop's former warm
+    # start, the previous solve's final neural state, gives a median of
+    # 146 on both runs.
     *_, diags = request.getfixturevalue(run)
     assert np.median([d.iterations for d in diags]) <= 90
 
