@@ -13,9 +13,10 @@ zero (the component is then clamped and its row leaves the residual) or
 where a clamped row's gradient crosses zero (the component re-enters the
 residual at exactly zero).  Along every accepted step each residual
 component decays monotonically, so hT h is non-increasing and the
-per-component finite-time bound is preserved.  A solve starts at z0 (0,
-or the warm start) with the slacks max(0, w - H z0): a row that z0
-satisfies starts free with r = 0, a row that it violates clamped.
+per-component finite-time bound is preserved.  A start z gets the
+slacks max(0, w - H z): a row that z satisfies starts free with r = 0,
+a row that it violates clamped.  A solve starts at z0 (0, or the warm
+start) or at the end of z0's first segment (below).
 
 Segments and blocks.  Between two events the free set is fixed, and
 since h is stepped and accepted on its own, v moves by exactly
@@ -49,6 +50,18 @@ released, and a new segment starts.  The first block of a segment is 2
 steps; each block that ends without an event doubles the next, up to a
 cap.  The iterates, events and histories are those of a solver that
 solves for v and checks events after every step, up to rounding.
+
+The start.  A segment from z0 would end where h = 0 with z0's rows C
+clamped, at v - N_red^-1 h, whose z part is
+z_N = (S + xi Hc'Hc)^-1 (xi Hc'wc - G): one penalized active-set Newton
+step (Nocedal & Wright 2006, sections 16.5 and 17.1), one solve with
+the factor that the segment needs anyway (that of S while C is empty).
+z_N's slacks are derived by the same rule, and the solve starts from
+whichever of z0 and z_N has the smaller max|h| (z0 on a tie), reusing
+the factor when that start clamps C.  A start that passes the test
+returns at 0 iterations; from any other the integration runs as above.
+The step is taken once: repeating it to a fixed point would leave FTCND
+only to certify answers.
 """
 from __future__ import annotations
 
@@ -116,6 +129,7 @@ class FtcndDiagnostics:
     release_events: int = 0
     step_halvings: int = 0
     factorizations: int = 0     # one per segment
+    endpoint_start: bool = False    # started at the first segment's end
     block_solves: int = 0       # one multi-column solve per block
     constraint_violation: float = 0.0
     equality_residual: float = 0.0
@@ -181,6 +195,16 @@ def _reduced_solve(L, Hf, B, nz: int, xi: float):
     return np.concatenate([Xz, Bf / xi - Hf @ Xz])
 
 
+def _derived_start(problem, z, xi: float):
+    """(v, h, clamped) of a start at z: the slacks max(0, w - H z) clamp
+    the rows that z violates, and h is the free part of N v + D."""
+    nz = problem.n_variables
+    v = np.concatenate([z, np.maximum(0.0, problem.w - problem.H @ z)])
+    resid = residual(problem, v, xi)
+    clamped = (v[nz:] <= 0.0) & (resid[nz:] > 0.0)
+    return v, resid[np.concatenate([np.ones(nz, bool), ~clamped])], clamped
+
+
 def _first_event(V, Hc, wc, nz):
     """First step of a block that ends at an event, as (k, theta,
     release_hit): step k runs from column k to k + 1 of V and is cut at
@@ -223,7 +247,9 @@ def _first_event(V, Hc, wc, nz):
 def solve(problem, params: FtcndParams, warm_start=None):
     """Integrate the neural dynamics until the residual settles.
 
-    ``warm_start`` is the z (length nz) to start from; None means zero.
+    ``warm_start`` is the z0 (length nz) to start from; None means zero.
+    The solve starts at z0, or at the end of z0's first segment when its
+    residual is smaller (``endpoint_start``; see the module docstring).
     Returns (z_star, FtcndDiagnostics).  The reported residual is the
     projected optimality residual: free components of N v + D, with
     clamped slack rows counted as zero while their gradients stay
@@ -246,13 +272,20 @@ def solve(problem, params: FtcndParams, warm_start=None):
     z0 = np.zeros(nz) if warm_start is None else np.asarray(warm_start, float)
     if z0.shape != (nz,):
         raise ValueError(f"warm start must have length {nz}")
-    v = np.concatenate([z0, np.maximum(0.0, w - H @ z0)])
-    resid = residual(problem, v, xi)
-    clamped = (v[nz:] <= 0.0) & (resid[nz:] > 0.0)
-
-    free = np.concatenate([np.arange(nz), nz + np.flatnonzero(~clamped)])
-    h = resid[free]
-    diag = FtcndDiagnostics(bound_t_f=finite_time_bound(h, mu, kappa))
+    v, h, clamped = _derived_start(problem, z0, xi)
+    Hc, wc = H[clamped], w[clamped]
+    L = _factor(S + xi * (Hc.T @ Hc)) if Hc.size else L_S
+    # The first segment's endpoint, where h would reach 0 with the rows
+    # of z0 clamped: one block-eliminated Newton step.
+    v_n, h_n, clamped_n = _derived_start(
+        problem, dpotrs(L, xi * (Hc.T @ wc) - problem.G, lower=1)[0], xi)
+    endpoint = bool(np.abs(h_n).max() < np.abs(h).max())
+    if endpoint:
+        if (clamped_n != clamped).any():
+            L = None
+        v, h, clamped = v_n, h_n, clamped_n
+    diag = FtcndDiagnostics(bound_t_f=finite_time_bound(h, mu, kappa),
+                            endpoint_start=endpoint)
 
     time = 0.0
     dt = params.ode_step
@@ -271,9 +304,10 @@ def solve(problem, params: FtcndParams, warm_start=None):
             clamped_idx = np.flatnonzero(clamped)
             free = np.concatenate([np.arange(nz), nz + free_rows])
             Hc, wc, Hf = H[clamped_idx], w[clamped_idx], H[free_rows]
-            L = _factor(S + xi * (Hc.T @ Hc)) if clamped_idx.size else L_S
+            if L is None:
+                L = _factor(S + xi * (Hc.T @ Hc)) if clamped_idx.size else L_S
             diag.factorizations += 1
-            if diag.factorizations > 1:   # the first starts from h above
+            if h is None:
                 h = residual(problem, v, xi)[free]
             live = np.flatnonzero(h)
             h = h[live]
@@ -352,7 +386,7 @@ def solve(problem, params: FtcndParams, warm_start=None):
                         clamped[rel] = False
                         diag.release_events += rel.size
                         events += rel.size
-                need_refactor = True
+                need_refactor, L, h = True, None, None
                 continue
             diag.iterations += j
             v[free] = V[:, -1]
@@ -369,7 +403,7 @@ def solve(problem, params: FtcndParams, warm_start=None):
                     clamped[stuck] = False
                     diag.release_events += stuck.size
                     events += stuck.size
-                    need_refactor = True
+                    need_refactor, L, h = True, None, None
                     continue
             diag.converged = True
             diag.converge_time = time

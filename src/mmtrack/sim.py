@@ -4,9 +4,12 @@
 predictive layer assembles the tracking QP from the desired trajectory,
 never from the plant, and the neural solver's joint-velocity increment
 is integrated into that trajectory.  The first solve is cold; each
-later one starts from a polynomial extrapolation of the last solutions
-(:func:`warm_start`), of the order, up to 4, whose extrapolation from
-the older solutions came closest to the solution just computed.
+later one is warm-started from a polynomial extrapolation of the last
+solutions (:func:`warm_start`), of the order, up to 4, whose
+extrapolation from the older solutions came closest to the solution
+just computed.  The solver moves either start one Newton step on when
+that lowers its residual (see :mod:`ftcnd`); on the shipped configs
+every solve does, and settles there without a step.
 :func:`track`, the dynamic layer, runs at the torque rate: a torque law
 of :data:`CONTROLLERS` computes a torque and the arm plant takes a
 fixed RK4 step, so one plan serves every torque law.  The script's time

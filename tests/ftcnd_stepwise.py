@@ -3,6 +3,8 @@
 The plainest form of the integration: the reduced matrix N_red is
 gathered from the dense lift (``oracles.lift``) and factored, and each
 accepted step makes one ``cho_solve`` and one pair of event checks.  The
+start is chosen by the library's rule, z0 or the end of its first
+segment, v - N_red^-1 h, here from a dense solve of the reduced lift.  The
 residual N v + D is read from ``ftcnd.residual``, as in the library, so
 that both see the same exact zeros.  The library solver never forms N:
 it factors the nz x nz Schur complement S + xi Hc'Hc, steps the residual
@@ -21,6 +23,18 @@ from mmtrack.ftcnd import (_EVENT_TOL, FtcndDiagnostics, FtcndIntegrationError,
                            NeuralState, _factor, finite_time_bound,
                            li_activation, residual)
 from oracles import lift
+
+
+def derived_start(problem, z, xi):
+    """(v, clamped, free, h) of a start at z: the slacks max(0, w - H z),
+    the rows that z violates (clamped), the indices of v left free, and
+    the free components h of N v + D."""
+    nz = problem.n_variables
+    v = np.concatenate([z, np.maximum(0.0, problem.w - problem.H @ z)])
+    resid = residual(problem, v, xi)
+    clamped = (v[nz:] <= 0.0) & (resid[nz:] > 0.0)
+    free = np.concatenate([np.arange(nz), nz + np.flatnonzero(~clamped)])
+    return v, clamped, free, resid[free]
 
 
 def solve(problem, params, warm_start=None):
@@ -45,13 +59,19 @@ def solve(problem, params, warm_start=None):
     z0 = np.zeros(nz) if warm_start is None else np.asarray(warm_start, float)
     if z0.shape != (nz,):
         raise ValueError(f"warm start must have length {nz}")
-    v = np.concatenate([z0, np.maximum(0.0, w - H @ z0)])
-    clamped = (v[nz:] <= 0.0) & (residual(problem, v, xi)[nz:] > 0.0)
+    v, clamped, free, h = derived_start(problem, z0, xi)
+    # The end of the first segment, v[free] - N_red^-1 h, from the dense
+    # lift; the solve starts there when its residual is smaller.
+    v_n = v.copy()
+    v_n[free] -= np.linalg.solve(Nmat[np.ix_(free, free)], h)
+    start_n = derived_start(problem, v_n[:nz], xi)
+    endpoint = np.max(np.abs(start_n[3])) < np.max(np.abs(h))
+    if endpoint:
+        v, clamped, free, h = start_n
 
     diag = FtcndDiagnostics(converged=False, converge_time=math.inf,
-                            bound_t_f=0.0, iterations=0)
-    free = np.concatenate([np.arange(nz), nz + np.flatnonzero(~clamped)])
-    h = residual(problem, v, xi)[free]
+                            bound_t_f=0.0, iterations=0,
+                            endpoint_start=bool(endpoint))
     diag.bound_t_f = finite_time_bound(h, params.mu, params.kappa)
 
     time = 0.0

@@ -22,8 +22,9 @@ scenario:
   initial_q: [0.3, 1.0]
 """
 
-# The solver gets 1e-4 s of virtual time per solve: every control step
-# fails to converge, so the fourth one exhausts the failure budget.
+# The solver gets 1e-4 s of virtual time per solve, and no start passes
+# epsilon_h = 1e-300: every control step fails to converge, so the
+# fourth one exhausts the failure budget.
 NON_CONVERGING_CONFIG = """
 robot:
   builtin: planar_2link
@@ -35,6 +36,7 @@ scenario:
   initial_q: [0.3, 1.0]
 ftcnd:
   max_time: 1.0e-4
+  epsilon_h: 1.0e-300
 """
 
 BAD_LIMITS_CONFIG = """

@@ -1,6 +1,4 @@
 import dataclasses
-import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,12 +6,9 @@ import pytest
 import ftcnd_stepwise
 import oracles
 from conftest import hand_qp, random_qp, solver_batch_problems
-from mmtrack import ftcnd, kinematics as kin, pomptc, qp_oracle
+from mmtrack import ftcnd, qp_oracle
 from mmtrack.ftcnd import FtcndParams
-from mmtrack.model import load_scenario
 from mmtrack.pomptc import QpProblem
-
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_params_validation():
@@ -177,12 +172,16 @@ def test_coarse_step_converges_with_strict_descent(solve, ode_step):
     # min 1/2 z^2 - 4 z  s.t.  z <= 100 (six copies of the row): no row
     # is active, and near h = 0 a coarse step overshoots.  A step that
     # does not lower h'h must be halved; accepting it flips h to about
-    # -h over and over and never settles.
+    # -h over and over and never settles.  From z = 200 every row
+    # clamps, and the solve starts at their endpoint 3004/31, where none
+    # does: it integrates from there (from z = 0 the endpoint z = 4
+    # would take no step).
     problem = QpProblem(S=np.array([[1.0]]), G=np.array([-4.0]),
                         H=np.ones((6, 1)), w=np.full(6, 100.0),
                         t=0.01, N=1, Nu=1, m_prime=1)
-    z, diag = solve(problem, FtcndParams(ode_step=ode_step))
-    assert diag.converged
+    z, diag = solve(problem, FtcndParams(ode_step=ode_step),
+                    warm_start=np.array([200.0]))
+    assert diag.converged and diag.endpoint_start and diag.iterations > 0
     assert np.all(np.diff(diag.f_history) < 0.0)
     assert z[0] == pytest.approx(4.0, abs=1e-8)
 
@@ -314,32 +313,48 @@ def test_non_spd_problem_rejected():
 
 
 def test_one_residual_per_segment_plus_the_final_one(monkeypatch):
-    # A warm solve of the nominal QP: one residual at the start (the
-    # clamp test, the bound and the first segment share it), one per
-    # later segment, and the final one.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")   # the shipped configs set r3 = 1
-        model, params, script = load_scenario(
-            (CONFIGS / "nominal_circle.yaml").read_text(encoding="utf-8"))
-    q0 = np.zeros(model.total_dof)             # a static base at the origin
-    q0[model.arm_slice] = script.initial_q[-model.arm_joint_count:]
-    p0 = kin.forward_kinematics(model, q0)
-    tc, N = script.control_period, params.horizon
-
-    def problem(j):
-        refs = script.reference_path((j + np.arange(1, N + 1)) * tc, p0)
-        return pomptc.assemble_qp(model, q0, np.zeros_like(q0), refs,
-                                  params.weights, tc, N,
-                                  params.control_horizon)
-    z_cold, _ = ftcnd.solve(problem(0), params.ftcnd)
+    # Solves from the cold answer plus N(0, 0.05^2) that still integrate:
+    # one residual at z0 (the clamp test, the bound and a first segment
+    # from z0 share it), one at the endpoint (shared likewise when the
+    # solve starts there), one per later segment, and the final one.
+    # The endpoint's is the one that the start adds.
+    rng = np.random.default_rng(0)
+    params = FtcndParams(ode_step=1e-3)
     calls = []
     residual = ftcnd.residual
 
     def counting(*args):
         calls.append(1)
         return residual(*args)
-    monkeypatch.setattr(ftcnd, "residual", counting)
-    _, diag = ftcnd.solve(problem(1), params.ftcnd,
-                          warm_start=z_cold)
-    assert diag.converged and diag.iterations > 0
-    assert len(calls) == diag.factorizations + 1
+    integrated = 0
+    for p in solver_batch_problems()[:10]:
+        z_cold, _ = ftcnd.solve(p, params)
+        warm = z_cold + rng.normal(scale=0.05, size=p.n_variables)
+        calls.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(ftcnd, "residual", counting)
+            _, diag = ftcnd.solve(p, params, warm_start=warm)
+        assert diag.converged
+        if diag.iterations:
+            integrated += 1
+            assert len(calls) == diag.factorizations + 2
+    assert integrated >= 5
+
+
+def test_cold_and_perturbed_starts_on_the_criterion_batch():
+    # Each of the 200 QPs of criterion 1 cold and from its cold answer
+    # plus N(0, 0.05^2): the start, z0 or the endpoint of z0's first
+    # segment, does not change the penalized optimum.  Both starts occur.
+    rng = np.random.default_rng(5)
+    params = FtcndParams(ode_step=1e-3)
+    starts = set()
+    for p in solver_batch_problems():
+        z_ref = qp_oracle.solve_reference(p, penalized=True, xi=params.xi)
+        z_cold, diag = ftcnd.solve(p, params)
+        warm = z_cold + rng.normal(scale=0.05, size=p.n_variables)
+        z_warm, diag_warm = ftcnd.solve(p, params, warm_start=warm)
+        for z, d in ((z_cold, diag), (z_warm, diag_warm)):
+            assert d.converged
+            np.testing.assert_allclose(z, z_ref, rtol=0, atol=1e-6)
+            starts.add(d.endpoint_start)
+    assert starts == {False, True}

@@ -230,10 +230,11 @@ def test_pd_baseline_formula_and_validation():
 
 def test_run_raises_once_failure_budget_is_exceeded(monkeypatch):
     doc = TWOLINK_REG.replace("radius: 0.0", "radius: 0.05\n    angular_rate: 3.0") \
-        + "ftcnd:\n  max_time: 1.0e-4\n"
+        + "ftcnd:\n  max_time: 1.0e-4\n  epsilon_h: 1.0e-300\n"
     model, params, script = load_quiet(doc)
     script = dataclasses.replace(script, duration=0.1)
-    # Every solve fails to converge: the fourth consecutive failure
+    # Every solve fails to converge: no start passes epsilon_h = 1e-300,
+    # and max_time stops the steps.  The fourth consecutive failure
     # exceeds the budget of three, a budget of ten is never hit.
     # The whole plan comes first: the plant never takes a step.
     with monkeypatch.context() as mp:
@@ -689,6 +690,23 @@ def test_predicted_warm_starts_keep_the_solves_short(run, request):
     # 146 on both runs.
     *_, diags = request.getfixturevalue(run)
     assert np.median([d.iterations for d in diags]) <= 90
+
+
+def test_every_nominal_plan_solve_starts_at_the_endpoint(monkeypatch):
+    # Each solve of 2 s of nominal_circle starts at the endpoint of its
+    # first segment, one Newton step from the warm start.
+    model, params, script = load_config("nominal_circle")
+    script = dataclasses.replace(script, duration=2.0)
+    diags, solve = [], ftcnd.solve
+
+    def recording(*args, **kwargs):
+        z, diag = solve(*args, **kwargs)
+        diags.append(diag)
+        return z, diag
+    monkeypatch.setattr(ftcnd, "solve", recording)
+    sim.plan(model, params, script)
+    assert len(diags) == round(script.duration / script.control_period)
+    assert all(d.converged and d.endpoint_start for d in diags)
 
 
 def test_offset_start_converges_in_finite_time(offset_run):
