@@ -58,10 +58,13 @@ step (Nocedal & Wright 2006, sections 16.5 and 17.1), one solve with
 the factor that the segment needs anyway (that of S while C is empty).
 z_N's slacks are derived by the same rule, and the solve starts from
 whichever of z0 and z_N has the smaller max|h| (z0 on a tie), reusing
-the factor when that start clamps C.  A start that passes the test
-returns at 0 iterations; from any other the integration runs as above.
-The step is taken once: repeating it to a fixed point would leave FTCND
-only to certify answers.
+the factor when that start clamps C.  The start meets the convergence
+test before any segment is set up.  One that passes returns at 0
+iterations and 0 factorizations: its v, h and max|h| are final, and
+neither the free and clamped row sets nor a second residual are made.
+From any other start the integration runs as above.  The step is taken
+once: repeating it to a fixed point would leave FTCND only to certify
+answers.
 """
 from __future__ import annotations
 
@@ -128,7 +131,11 @@ class FtcndDiagnostics:
     projection_events: int = 0
     release_events: int = 0
     step_halvings: int = 0
-    factorizations: int = 0     # one per segment
+    # Integrated segments, each with one factor: made for it, or reused
+    # (S's, or the Newton step's while the start keeps z0's rows C).  The
+    # convexity check's factor of S and a Newton-step factor that no
+    # segment uses are not counted.
+    factorizations: int = 0
     endpoint_start: bool = False    # started at the first segment's end
     block_solves: int = 0       # one multi-column solve per block
     constraint_violation: float = 0.0
@@ -195,6 +202,19 @@ def _reduced_solve(L, Hf, B, nz: int, xi: float):
     return np.concatenate([Xz, Bf / xi - Hf @ Xz])
 
 
+def _free_part(resid, clamped):
+    """The free components of N v + D: every z row, and the slack rows
+    that are not clamped."""
+    return resid[np.concatenate([np.ones(resid.size - clamped.size, bool),
+                                 ~clamped])]
+
+
+def _settled(h, F, gate, eps: float):
+    """The convergence test of h with F = h'h: F <= gate, then
+    max|h| <= eps."""
+    return F <= gate and float(np.abs(h).max(initial=0.0)) <= eps
+
+
 def _derived_start(problem, z, xi: float):
     """(v, h, clamped) of a start at z: the slacks max(0, w - H z) clamp
     the rows that z violates, and h is the free part of N v + D."""
@@ -202,7 +222,7 @@ def _derived_start(problem, z, xi: float):
     v = np.concatenate([z, np.maximum(0.0, problem.w - problem.H @ z)])
     resid = residual(problem, v, xi)
     clamped = (v[nz:] <= 0.0) & (resid[nz:] > 0.0)
-    return v, resid[np.concatenate([np.ones(nz, bool), ~clamped])], clamped
+    return v, _free_part(resid, clamped), clamped
 
 
 def _first_event(V, Hc, wc, nz):
@@ -279,22 +299,29 @@ def solve(problem, params: FtcndParams, warm_start=None):
     # of z0 clamped: one block-eliminated Newton step.
     v_n, h_n, clamped_n = _derived_start(
         problem, dpotrs(L, xi * (Hc.T @ wc) - problem.G, lower=1)[0], xi)
-    endpoint = bool(np.abs(h_n).max() < np.abs(h).max())
+    h_max, h_max_n = float(np.abs(h).max()), float(np.abs(h_n).max())
+    endpoint = h_max_n < h_max
     if endpoint:
         if (clamped_n != clamped).any():
             L = None
-        v, h, clamped = v_n, h_n, clamped_n
-    diag = FtcndDiagnostics(bound_t_f=finite_time_bound(h, mu, kappa),
-                            endpoint_start=endpoint)
+        v, h, clamped, h_max = v_n, h_n, clamped_n, h_max_n
+    F = float(h @ h)
+    eps = params.epsilon_h
+    # The h'h gate per free component (see the module docstring).
+    gate_per_row = 2.0 * max(eps * eps, 1e-300)
+    diag = FtcndDiagnostics(bound_t_f=finite_time_bound(h_max, mu, kappa),
+                            endpoint_start=endpoint, h_inf_history=[h_max],
+                            f_history=[F], time_history=[0.0])
+    if _settled(h, F, gate_per_row * h.size, eps):
+        # A derived start clamps only rows with r > 0, so the release
+        # test of the settled branch below cannot fire here: the start
+        # is final, and no segment is set up.
+        diag.converged, diag.converge_time = True, 0.0
+        return _finish(problem, v, h, 0.0, xi, diag)
 
     time = 0.0
     dt = params.ode_step
-    eps = params.epsilon_h
     need_refactor = True
-    F = float(h @ h)
-    diag.time_history.append(time)
-    diag.h_inf_history.append(float(np.max(np.abs(h))))
-    diag.f_history.append(F)
     max_events = 100 + 10 * nc
     events = 0
 
@@ -312,7 +339,7 @@ def solve(problem, params: FtcndParams, warm_start=None):
             live = np.flatnonzero(h)
             h = h[live]
             F = float(h @ h)
-            gate = 2.0 * free.size * max(eps * eps, 1e-300)
+            gate = gate_per_row * free.size
             v_seg, h_seg = v[free], h
             block = 2
             need_refactor = False
@@ -323,7 +350,7 @@ def solve(problem, params: FtcndParams, warm_start=None):
         steps = []              # (dt, halvings so far) of each step
         j, settled = 0, False
         while j < block and time < params.max_time:
-            if F <= gate and float(np.abs(h).max(initial=0.0)) <= eps:
+            if _settled(h, F, gate, eps):
                 settled = True
                 break
             h_new = li_activation(h, lam, zeta, kappa, out=Hb[j])
@@ -409,12 +436,17 @@ def solve(problem, params: FtcndParams, warm_start=None):
             diag.converge_time = time
             break
 
+    return _finish(problem, v, _free_part(residual(problem, v, xi), clamped),
+                   time, xi, diag)
+
+
+def _finish(problem, v, h, time, xi: float, diag):
+    """(z, diag) of a solve that ends at v, with h the free part of its
+    N v + D."""
+    nz = problem.n_variables
     z = v[:nz].copy()
     diag.constraint_violation = problem.violation(z)
-    resid = residual(problem, v, xi)
-    free = np.concatenate([np.arange(nz), nz + np.flatnonzero(~clamped)])
-    diag.equality_residual = float(np.max(np.abs(resid[nz:][~clamped]))
-                                   / xi) if (~clamped).any() else 0.0
-    diag.final_state = NeuralState(v=v, h=resid[free], virtual_time=time)
+    diag.equality_residual = float(np.abs(h[nz:]).max(initial=0.0)) / xi
+    diag.final_state = NeuralState(v=v, h=h, virtual_time=time)
     return z, diag
 

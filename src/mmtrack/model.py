@@ -20,17 +20,35 @@ class ConfigError(ValueError):
 
 
 class _Loader(yaml.SafeLoader):
-    """SafeLoader that rejects a repeated key instead of keeping the last."""
+    """SafeLoader that rejects a repeated key, naming its path, instead of
+    keeping the last."""
 
-    def construct_mapping(self, node, deep=False):
-        own = [k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]
-        mapping = super().construct_mapping(node, deep=deep)
-        keys = [self.construct_object(k) for k in own]
-        for i, key in enumerate(keys):
-            if key in keys[:i]:
-                raise ConfigError(f"{key}: repeated key (line "
-                                  f"{own[i].start_mark.line + 1})")
-        return mapping
+    def construct_document(self, node):
+        # The composed tree is walked before construction, so that each
+        # mapping's path is known; a node that aliases share, or that
+        # contains itself, is checked once.
+        stack, seen = [(node, "")], set()
+        while stack:
+            inner, path = stack.pop()
+            if id(inner) in seen:
+                continue
+            seen.add(id(inner))
+            if isinstance(inner, yaml.SequenceNode):
+                stack.extend((child, path) for child in inner.value)
+            elif isinstance(inner, yaml.MappingNode):
+                keys = []
+                for key_node, child in inner.value:
+                    if key_node.tag == "tag:yaml.org,2002:merge":
+                        stack.append((child, path))
+                        continue
+                    key = self.construct_object(key_node, deep=True)
+                    if key in keys:
+                        raise ConfigError(
+                            f"{path}{key}: repeated key (line "
+                            f"{key_node.start_mark.line + 1})")
+                    keys.append(key)
+                    stack.append((child, f"{path}{key}."))
+        return super().construct_document(node)
 
 
 # What converting a malformed value raises; YAML integers are unbounded.
@@ -402,7 +420,10 @@ def _section(doc, key, defaults):
         raise ConfigError(f"{key}: expected a mapping")
     _known_keys(user, sec, f"{key}.")
     for k, v in user.items():
-        if isinstance(v, dict) and isinstance(sec.get(k), dict):
+        # A nested default (a scenario's reference, base motion or
+        # disturbance) is merged only into a mapping of its own kind.
+        if isinstance(v, dict) and isinstance(sec.get(k), dict) \
+                and v.get("kind", sec[k].get("kind")) == sec[k].get("kind"):
             merged = dict(sec[k])
             merged.update(v)
             sec[k] = merged

@@ -53,7 +53,10 @@ _PREDICTOR = np.array(
      for p in range(_MAX_ORDER + 1)]
     + [[(-1) ** i * math.comb(p + 1, i + 1) for i in range(_MAX_ORDER + 2)]
        for p in range(_MAX_ORDER + 1)], float)
-# The keys that each kind of base motion and disturbance reads.
+# The keys that each kind of reference, base motion and disturbance reads.
+_REFERENCE_KEYS = {"circle": ("center", "radius", "angular_rate",
+                              "orientation"),
+                   "waypoints": ("points",)}
 _BASE_MOTION_KEYS = {"static": ("pose",), "tilt": ("angle",),
                      "sinusoid": ("axis", "amplitude", "frequency", "phase")}
 _DISTURBANCE_KEYS = {"none": (), "step": ("time", "value"),
@@ -142,7 +145,7 @@ def _reference(spec: dict, duration: float):
     (any shape; the result has shape ``times.shape + (6,)``) as a
     function of (times, initial pose), from ``reference``.  The angles
     are not wrapped yet: :class:`Pose` wraps them."""
-    kind = spec.get("kind", "circle")
+    kind = _kind(spec, "circle", _REFERENCE_KEYS, "reference")
     if kind == "circle":
         r = _number(spec.get("radius", 0.0), "reference.radius")
         if r < 0:
@@ -172,8 +175,6 @@ def _reference(spec: dict, duration: float):
             return np.concatenate([pos, np.broadcast_to(o, pos.shape)],
                                   axis=-1)
         return circle
-    if kind != "waypoints":
-        raise ValueError(f"reference.kind: unknown kind {kind!r}")
     pts = spec.get("points")
     if not isinstance(pts, list) or not pts:
         raise ValueError("reference.points must be a non-empty list")
@@ -181,6 +182,8 @@ def _reference(spec: dict, duration: float):
                for p in pts):
         raise ValueError("reference.points: every point needs a "
                          "time and a pose")
+    for p in pts:
+        _known_keys(p, ("time", "pose"), "reference.points.")
     times = np.array([_number(p["time"], "reference.points.time")
                       for p in pts])
     if np.any(np.diff(times) <= 0):

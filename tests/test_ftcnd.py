@@ -126,30 +126,39 @@ def test_reduced_solve_matches_dense_lift(clamp):
 
 def test_final_state_matches_lift_residual():
     # final_state.h and equality_residual are read from N v + D, with the
-    # clamped slacks (exactly zero at the end) left out.
+    # clamped slacks (exactly zero at the end) left out: both after an
+    # integration and at a start that passes the test at once, as the
+    # cold answer does when it is the warm start.
     rng = np.random.default_rng(5)
     params = FtcndParams(ode_step=1e-3)
-    events = 0
+    events = settled = 0
     for _ in range(20):
         p = random_qp(rng)
         nz = p.n_variables
-        _, diag = ftcnd.solve(p, params)
-        events += diag.projection_events
-        v, h = diag.final_state.v, diag.final_state.h
-        N, D, _ = oracles.lift(p, params.xi)
-        full = N @ v + D
-        scale = float(np.max(np.abs(N) @ np.abs(v) + np.abs(D)))
-        np.testing.assert_allclose(ftcnd.residual(p, v, params.xi), full,
-                                   rtol=0, atol=1e-12 * scale)
-        free_rows = v[nz:] != 0.0
-        assert h.size == nz + np.count_nonzero(free_rows)
-        np.testing.assert_allclose(
-            h, np.concatenate([full[:nz], full[nz:][free_rows]]),
-            rtol=0, atol=1e-12 * scale)
-        assert diag.equality_residual == pytest.approx(
-            np.max(np.abs(full[nz:][free_rows])) / params.xi,
-            rel=0, abs=1e-12 * scale)
-    assert events > 0
+        z_cold, diag_cold = ftcnd.solve(p, params)
+        events += diag_cold.projection_events
+        z_warm, diag_warm = ftcnd.solve(p, params, warm_start=z_cold)
+        assert diag_warm.converged and diag_warm.iterations == 0
+        assert diag_warm.factorizations == diag_warm.block_solves == 0
+        for z, diag in ((z_cold, diag_cold), (z_warm, diag_warm)):
+            settled += diag.iterations == 0
+            assert diag.constraint_violation == p.violation(z)
+            v, h = diag.final_state.v, diag.final_state.h
+            np.testing.assert_array_equal(v[:nz], z)
+            N, D, _ = oracles.lift(p, params.xi)
+            full = N @ v + D
+            scale = float(np.max(np.abs(N) @ np.abs(v) + np.abs(D)))
+            np.testing.assert_allclose(ftcnd.residual(p, v, params.xi),
+                                       full, rtol=0, atol=1e-12 * scale)
+            free_rows = v[nz:] != 0.0
+            assert h.size == nz + np.count_nonzero(free_rows)
+            np.testing.assert_allclose(
+                h, np.concatenate([full[:nz], full[nz:][free_rows]]),
+                rtol=0, atol=1e-12 * scale)
+            assert diag.equality_residual == pytest.approx(
+                np.max(np.abs(full[nz:][free_rows]), initial=0.0)
+                / params.xi, rel=0, abs=1e-12 * scale)
+    assert events > 0 and settled >= 20
 
 
 def test_solve_never_forms_the_lift(monkeypatch):

@@ -173,7 +173,18 @@ def test_load_scenario_rejects_bad_kappa():
      "initial_q: expected a finite number"),
     ("robot: {builtin: planar_2link}\n",
      r"^robot: repeated key \(line 4\)$"),
-    ("ftcnd: {mu: 3.0, mu: 7.0}\n", r"^mu: repeated key \(line 4\)$"),
+    ("ftcnd: {mu: 3.0, mu: 7.0}\n",
+     r"^ftcnd.mu: repeated key \(line 4\)$"),
+    ("scenario:\n  reference: {radius: 0.2, radius: 0.3}\n",
+     r"^scenario.reference.radius: repeated key \(line 5\)$"),
+    ("scenario:\n  reference: {kind: circle, radus: 0.2}\n",
+     "^scenario: reference.radus: unknown key$"),
+    ("scenario:\n  reference:\n    kind: waypoints\n    radius: 0.2\n"
+     "    points:\n      - {time: 0, pose: [0, 0, 0, 0, 0, 0]}\n",
+     "^scenario: reference.radius: unknown key$"),
+    ("scenario:\n  reference:\n    kind: waypoints\n    points:\n"
+     "      - {time: 0, pose: [0, 0, 0, 0, 0, 0], speed: 1}\n",
+     "^scenario: reference.points.speed: unknown key$"),
     ("scenario:\n  base_motion: {kind: sinusoid, amplitdue: 0.1}\n",
      "^scenario: base_motion.amplitdue: unknown key$"),
     ("scenario:\n  disturbance: {kind: step, valu: 1.0}\n",
@@ -198,6 +209,8 @@ def test_load_scenario_rejects_bad_kappa():
         "compensate_base_int", "duration_int_overflow",
         "pose_weight_int_overflow", "radius_int_overflow",
         "initial_q_int_overflow", "repeated_robot", "repeated_ftcnd_key",
+        "repeated_reference_key", "reference_misspelled_key",
+        "waypoints_circle_key", "waypoint_point_key",
         "base_motion_misspelled_key", "disturbance_misspelled_key",
         "tilt_sinusoid_key"])
 def test_load_scenario_rejects_malformed_values(section, match):
@@ -288,6 +301,27 @@ scenario:
     assert params2.ftcnd == params.ftcnd
     assert params2.nftsm == params.nftsm
     assert script2 == script
+
+
+def test_waypoints_reference_carries_only_its_own_keys():
+    # The default reference is a circle: its keys are not merged into a
+    # reference of another kind, and a round trip keeps the waypoints.
+    points = [{"time": 0.0, "pose": [0.3, 0.0, 0.5, 0.0, 0.0, 0.0]},
+              {"time": 1.0, "pose": [0.4, 0.1, 0.5, 0.0, 0.0, 0.0]}]
+    doc = MINIMAL + """
+scenario:
+  duration: 1.0
+  reference:
+    kind: waypoints
+    points:
+      - {time: 0.0, pose: [0.3, 0.0, 0.5, 0.0, 0.0, 0.0]}
+      - {time: 1.0, pose: [0.4, 0.1, 0.5, 0.0, 0.0, 0.0]}
+"""
+    model, params, script = load_scenario(doc)
+    assert script.reference == {"kind": "waypoints", "points": points}
+    text = serialize_scenario(model, params, script)
+    assert load_scenario(text)[2] == script
+    assert yaml.safe_load(text)["scenario"]["reference"] == script.reference
 
 
 @functools.lru_cache(maxsize=None)
