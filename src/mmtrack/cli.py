@@ -18,7 +18,8 @@ from .model import ConfigError, load_scenario
 
 # Exit 2; a diverging plant ends in LinAlgError once M stops factoring.
 _SOLVER_FAILURES = (sim.SimulationError, ftcnd.FtcndIntegrationError,
-                    pomptc.SingularConfigurationError, np.linalg.LinAlgError)
+                    pomptc.SingularConfigurationError, np.linalg.LinAlgError,
+                    qp_oracle.InfeasibleProblem)
 
 _PANELS = {
     "path": (["pose_x", "pose_y", "pose_z", "ref_x", "ref_y", "ref_z"],
@@ -94,17 +95,9 @@ def _write_outputs(out_dir: Path, trace, model, script):
 
 
 def cmd_simulate(args) -> int:
-    try:
-        model, params, script = _load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        trace = sim.run_closed_loop(model, params, script,
-                                    controller=args.controller)
-    except _SOLVER_FAILURES as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 2
+    model, params, script = _load_config(args.config)
+    trace = sim.run_closed_loop(model, params, script,
+                                controller=args.controller)
     metrics = _write_outputs(Path(args.out), trace, model, script)
     print(f"wrote {args.out}/trace.csv ({len(trace.time)} rows)")
     print(json.dumps(metrics, indent=2, sort_keys=True))
@@ -130,9 +123,6 @@ def cmd_solve_qp(args) -> int:
         except ValueError as exc:
             print(f"invalid problem: {exc}", file=sys.stderr)
             return 1
-        except ftcnd.FtcndIntegrationError as exc:
-            print(f"solver failure: {exc}", file=sys.stderr)
-            return 2
         if not diag.converged:
             print("ftcnd did not converge within max_time", file=sys.stderr)
             return 2
@@ -144,9 +134,6 @@ def cmd_solve_qp(args) -> int:
     if args.solver in ("oracle", "both"):
         try:
             z = qp_oracle.solve_reference(problem)
-        except qp_oracle.InfeasibleProblem as exc:
-            print(f"solver failure: {exc}", file=sys.stderr)
-            return 2
         except ValueError as exc:
             print(f"invalid problem: {exc}", file=sys.stderr)
             return 1
@@ -181,22 +168,13 @@ def cmd_compare(args) -> int:
         print(f"unknown controller(s): {', '.join(unknown)}; choose from "
               f"{', '.join(sim.CONTROLLERS)}", file=sys.stderr)
         return 1
-    try:
-        model, params, script = _load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+    model, params, script = _load_config(args.config)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        plan = sim.plan(model, params, script)
-        traces = {name: sim.track(model, params, script, plan,
-                                  controller=name)
-                  for name in controllers}
-    except _SOLVER_FAILURES as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 2
+    plan = sim.plan(model, params, script)
+    traces = {name: sim.track(model, params, script, plan, controller=name)
+              for name in controllers}
 
     settle = min(2.0, script.duration / 2.0)
     summary = {}
@@ -255,7 +233,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except _SOLVER_FAILURES as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

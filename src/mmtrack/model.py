@@ -375,16 +375,12 @@ class ControllerParams:
     nftsm: "object"             # nftsm.NftsmParams
     pd_kp: float
     pd_kd: float
-    compensate_base: bool
 
     def __post_init__(self):
         for key, gain in (("kp", self.pd_kp), ("kd", self.pd_kd)):
             if not 0.0 < gain < math.inf:
                 raise ConfigError(f"pd.{key}: expected a finite positive "
                                   f"number, got {gain!r}")
-        if not isinstance(self.compensate_base, bool):
-            raise ConfigError("nftsm.compensate_base: expected true or "
-                              f"false, got {self.compensate_base!r}")
 
 
 # Defaults of the sections without a parameter dataclass; ftcnd and
@@ -412,24 +408,13 @@ def _known_keys(mapping, allowed, path):
 
 
 def _section(doc, key, defaults):
-    sec = dict(defaults)
-    user = doc.get(key, {})
+    user = doc.get(key)
     if user is None:
         user = {}
     if not isinstance(user, dict):
         raise ConfigError(f"{key}: expected a mapping")
-    _known_keys(user, sec, f"{key}.")
-    for k, v in user.items():
-        # A nested default (a scenario's reference, base motion or
-        # disturbance) is merged only into a mapping of its own kind.
-        if isinstance(v, dict) and isinstance(sec.get(k), dict) \
-                and v.get("kind", sec[k].get("kind")) == sec[k].get("kind"):
-            merged = dict(sec[k])
-            merged.update(v)
-            sec[k] = merged
-        else:
-            sec[k] = v
-    return sec
+    _known_keys(user, defaults, f"{key}.")
+    return defaults | user
 
 
 def _weight_matrix(value, size, path):
@@ -484,6 +469,9 @@ def _build_robot(sec):
         try:
             model = replace(model, actuated_by_mpc=np.asarray(
                 sec["actuated_by_mpc"], dtype=bool))
+            if model.actuated_by_mpc[:model.base_dof_count].any():
+                raise ValueError("a base DOF is marked, but the base "
+                                 "follows scenario.base_motion")
         except _BAD_VALUE as exc:
             raise ConfigError(f"robot.actuated_by_mpc: {exc}") from None
     return model
@@ -505,6 +493,10 @@ def load_scenario(config_document: str):
         doc = yaml.load(config_document, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"parse failure: {exc}") from None
+    except RecursionError:
+        # PyYAML composes and constructs nested nodes recursively.
+        raise ConfigError("parse failure: the document is nested too "
+                          "deeply") from None
     if doc is None:
         doc = {}
     if not isinstance(doc, dict):
@@ -539,9 +531,7 @@ def load_scenario(config_document: str):
     except _BAD_VALUE as exc:
         raise ConfigError(f"ftcnd: {exc}") from None
 
-    nf = _section(doc, "nftsm", _field_defaults(_nftsm.NftsmParams)
-                  | {"compensate_base": True})
-    compensate_base = nf.pop("compensate_base")
+    nf = _section(doc, "nftsm", _field_defaults(_nftsm.NftsmParams))
     try:
         nftsm_params = _nftsm.NftsmParams(
             **{k: float(v) for k, v in nf.items()})
@@ -555,8 +545,7 @@ def load_scenario(config_document: str):
         raise ConfigError(f"pd: {exc}") from None
     params = ControllerParams(
         weights=weights, horizon=horizon, control_horizon=control_horizon,
-        ftcnd=ftcnd_params, nftsm=nftsm_params, pd_kp=pd_kp, pd_kd=pd_kd,
-        compensate_base=compensate_base)
+        ftcnd=ftcnd_params, nftsm=nftsm_params, pd_kp=pd_kp, pd_kd=pd_kd)
 
     # The scenario defaults are ScenarioScript's own.
     sc = _section(doc, "scenario", _sim.ScenarioScript().to_config())
@@ -586,8 +575,7 @@ def serialize_scenario(model: RobotModel, params: ControllerParams,
             "control_horizon": params.control_horizon,
         },
         "ftcnd": asdict(params.ftcnd),
-        "nftsm": asdict(params.nftsm)
-        | {"compensate_base": params.compensate_base},
+        "nftsm": asdict(params.nftsm),
         "pd": {"kp": params.pd_kp, "kd": params.pd_kd},
         "scenario": script.to_config(),
     }

@@ -16,8 +16,8 @@ fixed RK4 step, so one plan serves every torque law.  The script's time
 functions take arrays of times; each loop reads the script before it
 starts, :func:`plan` every step's reference window in one call.  The
 base follows the script exogenously; its linear acceleration enters the
-plant as an inertial pseudo-torque and, when compensation is enabled,
-the same term is fed forward.
+plant as an inertial pseudo-torque, and the "nftsm" torque law feeds
+the same term forward.
 """
 from __future__ import annotations
 
@@ -53,14 +53,21 @@ _PREDICTOR = np.array(
      for p in range(_MAX_ORDER + 1)]
     + [[(-1) ** i * math.comb(p + 1, i + 1) for i in range(_MAX_ORDER + 2)]
        for p in range(_MAX_ORDER + 1)], float)
-# The keys that each kind of reference, base motion and disturbance reads.
-_REFERENCE_KEYS = {"circle": ("center", "radius", "angular_rate",
-                              "orientation"),
-                   "waypoints": ("points",)}
-_BASE_MOTION_KEYS = {"static": ("pose",), "tilt": ("angle",),
-                     "sinusoid": ("axis", "amplitude", "frequency", "phase")}
-_DISTURBANCE_KEYS = {"none": (), "step": ("time", "value"),
-                     "sinusoid": ("amplitude", "frequency", "phase")}
+# Each kind of reference, base motion and disturbance, with the keys it
+# reads and their defaults; a section's first kind is its default.
+_KINDS = {
+    "reference": {
+        "circle": {"center": "auto", "radius": 0.1,
+                   "angular_rate": 2 * math.pi / 10.0, "orientation": "auto"},
+        "waypoints": {"points": None}},
+    "base_motion": {
+        "static": {"pose": 0.0}, "tilt": {"angle": 0.21},
+        "sinusoid": {"axis": "x", "amplitude": 0.1, "frequency": 0.5,
+                     "phase": 0.0}},
+    "disturbance": {
+        "none": {}, "step": {"time": 0.0, "value": 0.0},
+        "sinusoid": {"amplitude": 0.0, "frequency": 1.0, "phase": 0.0}},
+}
 
 
 class SimulationError(RuntimeError):
@@ -87,14 +94,19 @@ def _as_vector(value, length, name):
     return arr
 
 
-def _kind(spec, default, kinds, name):
-    """``spec``'s kind; an unknown kind, or a key that the kind does not
-    read, raises naming ``name.kind`` or ``name.<key>``."""
-    kind = spec.get("kind", default)
+def _kind(spec, name):
+    """The kind of the ``name`` section ``spec`` and the spec with that
+    kind's defaults filled in; a spec that is not a mapping, an unknown
+    kind, or a key that the kind does not read raises naming ``name``,
+    ``name.kind`` or ``name.<key>``."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"{name}: expected a mapping")
+    kinds = _KINDS[name]
+    kind = spec.get("kind", next(iter(kinds)))
     if not isinstance(kind, str) or kind not in kinds:
         raise ValueError(f"{name}.kind: unknown kind {kind!r}")
-    _known_keys(spec, ("kind",) + kinds[kind], f"{name}.")
-    return kind
+    _known_keys(spec, ("kind", *kinds[kind]), f"{name}.")
+    return kind, kinds[kind] | spec
 
 
 def _sinusoid_bounded(om, phase, peak, duration, name):
@@ -109,26 +121,25 @@ def _base_motion(spec: dict, duration: float):
     """Base generalized position, velocity and acceleration (q, v, a) as
     a function of times t in [0, duration] (a scalar or an array; each
     result has shape ``np.shape(t) + (6,)``), from ``base_motion``."""
-    kind = _kind(spec, "static", _BASE_MOTION_KEYS, "base_motion")
+    kind, spec = _kind(spec, "base_motion")
     if kind in ("static", "tilt"):
         pose = np.zeros(6)
         if kind == "static":
-            pose[:] = _as_vector(spec.get("pose", 0.0), 6, "base_motion.pose")
+            pose[:] = _as_vector(spec["pose"], 6, "base_motion.pose")
         else:
-            pose[4] = _number(spec.get("angle", 0.21), "base_motion.angle")
+            pose[4] = _number(spec["angle"], "base_motion.angle")
         zero = np.zeros(6)
         return lambda t: tuple(np.broadcast_to(x, np.shape(t) + (6,)).copy()
                                for x in (pose, zero, zero))
-    axis = spec.get("axis", "x")
+    axis = spec["axis"]
     idx = _AXIS_NAMES.get(axis, axis) if isinstance(axis, str) else axis
     if isinstance(idx, bool) or idx not in range(6):
         raise ValueError(f"base_motion.axis: unknown axis {axis!r}; expected "
                          f"one of {', '.join(_AXIS_NAMES)} or 0-5")
     idx = int(idx)
-    A = _number(spec.get("amplitude", 0.1), "base_motion.amplitude")
-    om = 2.0 * math.pi * _number(spec.get("frequency", 0.5),
-                                 "base_motion.frequency")
-    ph = _number(spec.get("phase", 0.0), "base_motion.phase")
+    A = _number(spec["amplitude"], "base_motion.amplitude")
+    om = 2.0 * math.pi * _number(spec["frequency"], "base_motion.frequency")
+    ph = _number(spec["phase"], "base_motion.phase")
     _sinusoid_bounded(om, ph, A * om * om, duration, "base_motion.frequency")
 
     def state(t):
@@ -145,12 +156,12 @@ def _reference(spec: dict, duration: float):
     (any shape; the result has shape ``times.shape + (6,)``) as a
     function of (times, initial pose), from ``reference``.  The angles
     are not wrapped yet: :class:`Pose` wraps them."""
-    kind = _kind(spec, "circle", _REFERENCE_KEYS, "reference")
+    kind, spec = _kind(spec, "reference")
     if kind == "circle":
-        r = _number(spec.get("radius", 0.0), "reference.radius")
+        r = _number(spec["radius"], "reference.radius")
         if r < 0:
             raise ValueError("reference.radius must be non-negative")
-        center, ori = spec.get("center", "auto"), spec.get("orientation", "auto")
+        center, ori = spec["center"], spec["orientation"]
         center = None if isinstance(center, str) else np.asarray(center, float)
         ori = None if isinstance(ori, str) else np.asarray(ori, float)
         for name, value in (("center", center), ("orientation", ori)):
@@ -162,7 +173,7 @@ def _reference(spec: dict, duration: float):
         if not math.isfinite(2.0 * r if center is None
                              else np.abs(center).max() + r):
             raise ValueError("reference.radius: the circle overflows")
-        om = _number(spec.get("angular_rate", 0.0), "reference.angular_rate")
+        om = _number(spec["angular_rate"], "reference.angular_rate")
         _sinusoid_bounded(om, 0.0, 0.0, duration, "reference.angular_rate")
 
         def circle(t, initial_pose):
@@ -175,7 +186,7 @@ def _reference(spec: dict, duration: float):
             return np.concatenate([pos, np.broadcast_to(o, pos.shape)],
                                   axis=-1)
         return circle
-    pts = spec.get("points")
+    pts = spec["points"]
     if not isinstance(pts, list) or not pts:
         raise ValueError("reference.points must be a non-empty list")
     if not all(isinstance(p, dict) and "time" in p and "pose" in p
@@ -201,20 +212,19 @@ def _disturbance(spec: dict, duration: float):
     """External joint torque as a function of (times, n) for times t in
     [0, duration] (a scalar or an array; the result has shape
     ``np.shape(t) + (n,)``), from ``disturbance``."""
-    kind = _kind(spec, "none", _DISTURBANCE_KEYS, "disturbance")
+    kind, spec = _kind(spec, "disturbance")
     if kind == "none":
         return lambda t, n: np.zeros(np.shape(t) + (n,))
     if kind == "step":
-        t_on = _number(spec.get("time", 0.0), "disturbance.time")
-        value = spec.get("value", 0.0)
+        t_on = _number(spec["time"], "disturbance.time")
+        value = spec["value"]
         # A select, not a product: the torque before t_on is +0, never -0.
         return lambda t, n: np.where(
             np.asarray(t)[..., None] >= t_on,
             _as_vector(value, n, "disturbance.value"), 0.0)
-    amplitude = spec.get("amplitude", 0.0)
-    om = 2.0 * math.pi * _number(spec.get("frequency", 1.0),
-                                 "disturbance.frequency")
-    ph = _number(spec.get("phase", 0.0), "disturbance.phase")
+    amplitude = spec["amplitude"]
+    om = 2.0 * math.pi * _number(spec["frequency"], "disturbance.frequency")
+    ph = _number(spec["phase"], "disturbance.phase")
     _sinusoid_bounded(om, ph, 0.0, duration, "disturbance.frequency")
     return lambda t, n: np.sin(om * np.asarray(t) + ph)[..., None] \
         * _as_vector(amplitude, n, "disturbance.amplitude")
@@ -224,6 +234,8 @@ def _disturbance(spec: dict, duration: float):
 class ScenarioScript:
     """Validated scenario: timing, reference, base motion, disturbance.
 
+    ``reference``, ``base_motion`` and ``disturbance`` are mappings whose
+    missing keys, ``kind`` included, default to the :data:`_KINDS` entry.
     Construction resolves each ``kind`` once into a time function
     (``dataclasses.replace`` resolves them again): ``base_state(times)``,
     ``reference_path(times, initial_pose)`` and
@@ -236,11 +248,9 @@ class ScenarioScript:
     duration: float = 10.0
     control_period: float = 0.01
     torque_period: float = 0.001
-    reference: dict = field(default_factory=lambda: {
-        "kind": "circle", "center": "auto", "radius": 0.1,
-        "angular_rate": 2 * math.pi / 10.0, "orientation": "auto"})
-    base_motion: dict = field(default_factory=lambda: {"kind": "static"})
-    disturbance: dict = field(default_factory=lambda: {"kind": "none"})
+    reference: dict = field(default_factory=dict)
+    base_motion: dict = field(default_factory=dict)
+    disturbance: dict = field(default_factory=dict)
     initial_q: tuple | None = None
 
     def __post_init__(self):
@@ -268,31 +278,28 @@ class ScenarioScript:
 
     @staticmethod
     def from_config(sec: dict, model: RobotModel) -> "ScenarioScript":
-        for key in ("reference", "base_motion", "disturbance"):
-            if not isinstance(sec[key], dict):
-                raise ValueError(f"{key}: expected a mapping")
-        init = sec.get("initial_q")
+        init = sec["initial_q"]
         if init is not None:
             init = tuple(_number(x, "initial_q") for x in (
                 init if isinstance(init, (list, tuple)) else [init]))
-            if len(init) not in (model.arm_joint_count, model.total_dof):
+            if len(init) != model.arm_joint_count:
                 raise ValueError(
-                    f"initial_q: expected {model.arm_joint_count} (arm) or "
-                    f"{model.total_dof} (full) entries, got {len(init)}")
+                    f"initial_q: expected the {model.arm_joint_count} arm "
+                    f"angles, got {len(init)} entries")
         script = ScenarioScript(
             duration=float(sec["duration"]),
             control_period=float(sec["control_period"]),
             torque_period=float(sec["torque_period"]),
-            reference=dict(sec["reference"]),
-            base_motion=dict(sec["base_motion"]),
-            disturbance=dict(sec["disturbance"]),
+            reference=sec["reference"],
+            base_motion=sec["base_motion"],
+            disturbance=sec["disturbance"],
             initial_q=init,
         )
-        if script.base_motion["kind"] != "static" and model.base_dof_count < 6:
+        if _kind(script.base_motion, "base_motion")[0] != "static" \
+                and model.base_dof_count < 6:
             raise ValueError("base_motion: model has no base DOFs to move")
-        for key in ("value", "amplitude"):
-            _as_vector(script.disturbance.get(key, 0.0),
-                       model.arm_joint_count, f"disturbance.{key}")
+        # A disturbance vector must have one entry per arm joint.
+        script.disturbance_torque(0.0, model.arm_joint_count)
         return script
 
     def to_config(self) -> dict:
@@ -420,7 +427,7 @@ def plan(model: RobotModel, params: ControllerParams,
     n_control = round(script.duration / tc)
     q_md = np.zeros((n_control + 1, n))
     if script.initial_q is not None:
-        q_md[0] = script.initial_q[-n:]
+        q_md[0] = script.initial_q
     qd_md, qdd_md = np.zeros((2, n_control, n))
     solver = np.zeros((n_control, 3))
     base = script.base_state(np.arange(n_control + 1) * tc)[0][:, :b]
@@ -460,8 +467,8 @@ def track(model: RobotModel, params: ControllerParams,
           controller: str = "nftsm") -> SimTrace:
     """The dynamic layer: the full trace of the arm plant, at rest at
     ``plan.q_md[0]``, tracking the plan under the torque law
-    ``controller``: "nftsm" (with base compensation per params),
-    "nftsm-no-taub" (compensation forced off), or "pd"
+    ``controller``: "nftsm" (with base compensation),
+    "nftsm-no-taub" (compensation off), or "pd"
     (gravity-compensated PD baseline)."""
     if controller not in CONTROLLERS:
         raise ValueError(f"unknown controller {controller!r}")
@@ -490,7 +497,7 @@ def track(model: RobotModel, params: ControllerParams,
         g_steps = R_bT @ model.gravity
         a_steps = (R_bT @ a_b[:, :3, None])[..., 0]
 
-    compensate = params.compensate_base and controller == "nftsm"
+    compensate = controller == "nftsm"
     q_arm, qd_arm = plan.q_md[0], np.zeros(n)
     for i in range(n_steps):
         j, k = divmod(i, spc)

@@ -130,11 +130,11 @@ SHORT = "scenario: {duration: 0.02}\n"
     (ARM + SHORT + "ftcnd: {mu: .nan}", "nftsm", "mu"),
     (ARM + SHORT + "nftsm: {delta: .inf}", "nftsm", "delta"),
     (ARM + SHORT + "pd: {kp: 0}", "pd", "pd.kp"),
-    (ARM + SHORT + "nftsm: {compensate_base: 'false'}", "nftsm",
-     "nftsm.compensate_base"),
+    (ARM + SHORT + "nftsm: {compensate_base: true}", "nftsm",
+     "nftsm.compensate_base: unknown key"),
 ], ids=["ftcnd_key", "nftsm_key", "scenario_key", "robot_key",
         "pomptc_key", "top_key", "ftcnd_nan", "nftsm_inf", "pd_zero",
-        "compensate_base_string"])
+        "compensate_base_removed"])
 def test_simulate_config_probe_exits_1(tmp_path, capsys, doc, controller,
                                        key):
     path = tmp_path / "bad.yaml"
@@ -166,6 +166,17 @@ def test_simulate_malformed_value_exits_without_traceback(tmp_path):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert "initial_q" in proc.stderr
+
+
+def test_simulate_deeply_nested_config_exits_1_without_traceback(tmp_path):
+    path = tmp_path / "deep.yaml"
+    path.write_text("robot: " + "[" * 5000 + "]" * 5000 + "\n",
+                    encoding="utf-8")
+    proc = run_cli("simulate", "--config", str(path),
+                   "--out", str(tmp_path / "out"))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("config error: parse failure")
 
 
 def test_simulate_all_false_mpc_mask_exits_1(tmp_path, capsys):

@@ -79,7 +79,6 @@ def test_load_scenario_defaults():
     assert params.ftcnd == FtcndParams()
     with pytest.warns(UserWarning, match="r3"):
         assert params.nftsm == NftsmParams()
-    assert params.compensate_base is True
 
 
 def test_load_scenario_rejects_bad_horizon():
@@ -161,16 +160,17 @@ def test_load_scenario_rejects_bad_kappa():
     ("pd: {kd: -25}\n", "pd.kd: expected a finite positive number"),
     ("pd: {kp: .inf}\n", "pd.kp: expected a finite positive number"),
     ("pd: {kd: .nan}\n", "pd.kd: expected a finite positive number"),
-    ("nftsm: {compensate_base: 'false'}\n",
-     "nftsm.compensate_base: expected true or false"),
-    ("nftsm: {compensate_base: 0}\n",
-     "nftsm.compensate_base: expected true or false"),
+    ("nftsm: {compensate_base: true}\n",
+     "^nftsm.compensate_base: unknown key$"),
     (f"scenario: {{duration: {BIG_INT}}}\n", "scenario: int too large"),
     (f"pomptc: {{pose_weight: {BIG_INT}}}\n", "pomptc: int too large"),
     (f"scenario: {{reference: {{radius: {BIG_INT}}}}}\n",
      "reference.radius: expected a finite number"),
     (f"scenario: {{initial_q: [{BIG_INT}]}}\n",
      "initial_q: expected a finite number"),
+    ("scenario:\n  initial_q: [0.5, 0.3, 0.2, 0.1, 0.1, 0.1,"
+     " 0.0, -0.78, 0.0, -2.35, 0.0, 1.57, 0.78]\n",
+     "^scenario: initial_q: expected the 7 arm angles, got 13 entries$"),
     ("robot: {builtin: planar_2link}\n",
      r"^robot: repeated key \(line 4\)$"),
     ("ftcnd: {mu: 3.0, mu: 7.0}\n",
@@ -205,10 +205,10 @@ def test_load_scenario_rejects_bad_kappa():
         "nftsm_key", "scenario_key", "pomptc_key", "pd_key", "top_key",
         "ftcnd_nan", "ftcnd_inf", "kappa_nan", "nftsm_inf", "nftsm_nan",
         "nftsm_minus_inf", "ftcnd_int_overflow", "pd_zero", "pd_negative",
-        "pd_inf", "pd_nan", "compensate_base_string",
-        "compensate_base_int", "duration_int_overflow",
-        "pose_weight_int_overflow", "radius_int_overflow",
-        "initial_q_int_overflow", "repeated_robot", "repeated_ftcnd_key",
+        "pd_inf", "pd_nan", "compensate_base_removed",
+        "duration_int_overflow", "pose_weight_int_overflow",
+        "radius_int_overflow", "initial_q_int_overflow",
+        "initial_q_full_length", "repeated_robot", "repeated_ftcnd_key",
         "repeated_reference_key", "reference_misspelled_key",
         "waypoints_circle_key", "waypoint_point_key",
         "base_motion_misspelled_key", "disturbance_misspelled_key",
@@ -236,6 +236,24 @@ def test_load_scenario_rejects_all_false_mpc_mask():
     with pytest.raises(ConfigError,
                        match="robot.actuated_by_mpc: .* no true entry"):
         load_scenario(text)
+
+
+@pytest.mark.parametrize("base", [[True] * 6, [False] * 5 + [True]],
+                         ids=["all", "roll"])
+def test_load_scenario_rejects_base_entries_of_the_mpc_mask(base):
+    # The base follows scenario.base_motion: a plan for it is never
+    # carried out.
+    mask = str(base + [True] * 7).lower()
+    with pytest.raises(ConfigError,
+                       match="^robot.actuated_by_mpc: a base DOF is marked"):
+        load_scenario(f"robot: {{builtin: panda_on_base, "
+                      f"actuated_by_mpc: {mask}}}\n")
+
+
+def test_load_scenario_rejects_deep_nesting():
+    # PyYAML composes nested nodes recursively.
+    with pytest.raises(ConfigError, match="^parse failure: .* too deeply$"):
+        load_scenario("robot: " + "[" * 5000 + "]" * 5000)
 
 
 def test_load_scenario_rejects_missing_robot():

@@ -592,6 +592,40 @@ def test_replace_resolves_the_time_functions_again():
                                   [2.0, 2.0, 2.0])
 
 
+@pytest.mark.parametrize("section, spec", [
+    ("reference", {"kind": "circle", "radius": 0.2}),
+    ("reference", {"angular_rate": -1.0}),
+    ("base_motion", {"kind": "sinusoid"}),
+    ("base_motion", {"kind": "tilt"}),
+    ("disturbance", {"kind": "step", "value": 1.0}),
+    ("disturbance", {"kind": "sinusoid", "amplitude": 0.5})],
+    ids=["circle_radius", "circle_rate", "base_sinusoid", "tilt", "step",
+         "disturbance_sinusoid"])
+def test_partial_specs_mean_the_same_to_loader_and_script(section, spec):
+    # Each kind declares its defaults once: a partial spec gives the same
+    # time functions through load_scenario as through ScenarioScript.
+    _, _, loaded = load_quiet("robot: {builtin: panda_on_base}\n"
+                              + yaml.safe_dump({"scenario": {section: spec}}))
+    direct = ScenarioScript(**{section: spec})
+    times = np.arange(1001) * 0.01
+    p0 = Pose([0.5, 0.2, 0.4], [0.1, 0.0, -0.2])
+    for got, want in [
+            (loaded.reference_path(times, p0),
+             direct.reference_path(times, p0)),
+            *zip(loaded.base_state(times), direct.base_state(times)),
+            (loaded.disturbance_torque(times, 7),
+             direct.disturbance_torque(times, 7))]:
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_script_circle_defaults_are_the_documented_ones():
+    # A circle of radius 0.1 m about the start's -x side, one turn in 10 s.
+    p0 = Pose([0.5, 0.2, 0.4], [0.1, 0.0, -0.2])
+    s = ScenarioScript(reference={"kind": "circle"})
+    np.testing.assert_allclose(s.reference_path(2.5, p0)[:3],
+                               [0.4, 0.3, 0.4], atol=1e-12)
+
+
 # The arm joint whose lower limit the pinned-limit run sets just below
 # its start (-0.78 rad in nominal_circle).
 PINNED_JOINT = 1
