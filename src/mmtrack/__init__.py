@@ -8,12 +8,12 @@ compensation.
 """
 from .model import (ConfigError, ControllerParams, JointLimits, JointSpec,
                     RobotModel, builtin_panda_on_base, builtin_planar_2link,
-                    load_scenario, serialize_scenario)
+                    load_scenario)
 
 __all__ = [
     "ConfigError", "ControllerParams", "JointLimits", "JointSpec",
     "RobotModel", "builtin_panda_on_base", "builtin_planar_2link",
-    "load_scenario", "serialize_scenario",
+    "load_scenario",
 ]
 
 __version__ = "0.1.0"

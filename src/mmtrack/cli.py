@@ -78,11 +78,13 @@ def _load_config(path: str):
     return result
 
 
-def _write_outputs(out_dir: Path, trace, model, script):
+def _write_outputs(out_dir: Path, plan, trace, model, script):
     out_dir.mkdir(parents=True, exist_ok=True)
+    sim.write_csv(out_dir / "steps.csv", sim.STEP_COLUMNS, plan.steps)
     trace.to_csv(out_dir / "trace.csv")
     settle = min(2.0, script.duration / 2.0)
-    metrics = sim.error_metrics(trace, settle, model=model)
+    metrics = sim.error_metrics(trace, settle, model=model) \
+        | sim.plan_metrics(plan)
     (out_dir / "metrics.json").write_text(
         json.dumps(metrics, indent=2, sort_keys=True) + "\n",
         encoding="utf-8")
@@ -96,9 +98,9 @@ def _write_outputs(out_dir: Path, trace, model, script):
 
 def cmd_simulate(args) -> int:
     model, params, script = _load_config(args.config)
-    trace = sim.run_closed_loop(model, params, script,
-                                controller=args.controller)
-    metrics = _write_outputs(Path(args.out), trace, model, script)
+    plan = sim.plan(model, params, script)
+    trace = sim.track(model, params, script, plan, controller=args.controller)
+    metrics = _write_outputs(Path(args.out), plan, trace, model, script)
     print(f"wrote {args.out}/trace.csv ({len(trace.time)} rows)")
     print(json.dumps(metrics, indent=2, sort_keys=True))
     return 0
@@ -173,6 +175,7 @@ def cmd_compare(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     plan = sim.plan(model, params, script)
+    sim.write_csv(out_dir / "steps.csv", sim.STEP_COLUMNS, plan.steps)
     traces = {name: sim.track(model, params, script, plan, controller=name)
               for name in controllers}
 
@@ -180,7 +183,8 @@ def cmd_compare(args) -> int:
     summary = {}
     for name, trace in traces.items():
         trace.to_csv(out_dir / f"trace_{name}.csv")
-        summary[name] = sim.error_metrics(trace, settle, model=model)
+        summary[name] = sim.error_metrics(trace, settle, model=model) \
+            | sim.plan_metrics(plan)
 
     head = ["time"] + [f"{c}_pos_err" for c in controllers] \
         + [f"{c}_ori_err" for c in controllers]

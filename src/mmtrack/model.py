@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -555,28 +555,3 @@ def load_scenario(config_document: str):
         raise ConfigError(f"scenario: {exc}") from None
     return model, params, script
 
-
-def serialize_scenario(model: RobotModel, params: ControllerParams,
-                       script) -> str:
-    """Emit a YAML document that :func:`load_scenario` parses back to an
-    equal (model, params, script) triple."""
-    doc = {
-        "robot": {
-            "builtin": model.name,
-            "limits": {name: getattr(model.limits, name).tolist()
-                       for name in _LIMIT_NAMES},
-            "actuated_by_mpc": model.actuated_by_mpc.tolist(),
-        },
-        "pomptc": {
-            "pose_weight": params.weights.pose.tolist(),
-            "velocity_weight": params.weights.velocity.tolist(),
-            "accel_weight": params.weights.accel.tolist(),
-            "horizon": params.horizon,
-            "control_horizon": params.control_horizon,
-        },
-        "ftcnd": asdict(params.ftcnd),
-        "nftsm": asdict(params.nftsm),
-        "pd": {"kp": params.pd_kp, "kd": params.pd_kd},
-        "scenario": script.to_config(),
-    }
-    return yaml.safe_dump(doc, sort_keys=False)

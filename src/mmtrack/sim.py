@@ -17,7 +17,8 @@ functions take arrays of times; each loop reads the script before it
 starts, :func:`plan` every step's reference window in one call.  The
 base follows the script exogenously; its linear acceleration enters the
 plant as an inertial pseudo-torque, and the "nftsm" torque law feeds
-the same term forward.
+the same term forward.  The plan keeps a row of :data:`STEP_COLUMNS`
+per control step (steps.csv), the trace one per torque step (trace.csv).
 """
 from __future__ import annotations
 
@@ -41,6 +42,14 @@ FAILURE_BUDGET = 3
 # Trace rows per batch of the pose and error columns, which bounds the
 # derivation's temporaries whatever the trace length.
 POSE_BLOCK_ROWS = 256
+# Convergence ball (m, rad) and finite-time bound slack (s) of the metrics.
+THRESHOLD = 0.01
+# ``Plan.steps`` columns: start time, FtcndDiagnostics scalars, final max|h|.
+STEP_COLUMNS = ("time", "converged", "iterations", "endpoint_start",
+                "projection_events", "release_events", "step_halvings",
+                "factorizations", "block_solves", "converge_time",
+                "bound_t_f", "constraint_violation", "equality_residual",
+                "h_inf")
 # Highest order of the warm start's polynomial extrapolation.
 _MAX_ORDER = 4
 # Applied to the last _MAX_ORDER + 2 solutions, newest first: row p
@@ -92,6 +101,18 @@ def _as_vector(value, length, name):
         raise ValueError(f"{name}: expected a finite scalar or "
                          f"length-{length} vector")
     return arr
+
+
+def _arm_angles(init, model):
+    """``initial_q`` as None or a tuple of the model's arm angles; any
+    other length or a non-number raises naming ``initial_q``."""
+    if init is not None:
+        init = tuple(_number(x, "initial_q") for x in (
+            init if isinstance(init, (list, tuple)) else [init]))
+        if len(init) != model.arm_joint_count:
+            raise ValueError(f"initial_q: expected the {model.arm_joint_count}"
+                             f" arm angles, got {len(init)} entries")
+    return init
 
 
 def _kind(spec, name):
@@ -278,14 +299,6 @@ class ScenarioScript:
 
     @staticmethod
     def from_config(sec: dict, model: RobotModel) -> "ScenarioScript":
-        init = sec["initial_q"]
-        if init is not None:
-            init = tuple(_number(x, "initial_q") for x in (
-                init if isinstance(init, (list, tuple)) else [init]))
-            if len(init) != model.arm_joint_count:
-                raise ValueError(
-                    f"initial_q: expected the {model.arm_joint_count} arm "
-                    f"angles, got {len(init)} entries")
         script = ScenarioScript(
             duration=float(sec["duration"]),
             control_period=float(sec["control_period"]),
@@ -293,7 +306,7 @@ class ScenarioScript:
             reference=sec["reference"],
             base_motion=sec["base_motion"],
             disturbance=sec["disturbance"],
-            initial_q=init,
+            initial_q=_arm_angles(sec["initial_q"], model),
         )
         if _kind(script.base_motion, "base_motion")[0] != "static" \
                 and model.base_dof_count < 6:
@@ -334,7 +347,7 @@ class SimTrace:
 
     The fields, in this order, are the trace.csv column groups: the one
     declaration of the file's columns.  :func:`track` stores the fields
-    up to ``tau_d`` and from ``solver_h_inf`` on; :func:`pose_columns`
+    up to ``tau_d`` and the sliding-mode ones; :func:`pose_columns`
     derives the pose and error fields from ``time`` and ``q`` at its end.
     """
 
@@ -350,9 +363,6 @@ class SimTrace:
     err_pos: np.ndarray = _columns(_POSE[:3])
     err_ori: np.ndarray = _columns(_POSE[3:])     # wrapped Euler difference
     err_rotvec: np.ndarray = _columns(_POSE[:3])  # rotation-vector error
-    solver_h_inf: np.ndarray = _columns()
-    solver_converge_time: np.ndarray = _columns()
-    solver_bound: np.ndarray = _columns()
     sliding_V: np.ndarray = _columns()
     sliding_Vdot: np.ndarray = _columns()
 
@@ -396,10 +406,9 @@ def pd_baseline_torque(terms: dynamics.DynamicsTerms, e1, e2,
 
 # A run's desired arm trajectory, by control step j: ``q_md`` (J + 1, n)
 # at each step's start and the run's end, ``qd_md`` and ``qdd_md``
-# (J, n) held over the step, and ``solver`` (J, 3) the step's final
-# max|h|, converge time and finite-time bound; ``initial_pose`` is the
-# pose the reference path starts from.
-Plan = namedtuple("Plan", "initial_pose q_md qd_md qdd_md solver")
+# (J, n) held over the step, and ``steps`` a row of STEP_COLUMNS per
+# step; ``initial_pose`` is the pose the reference path starts from.
+Plan = namedtuple("Plan", "initial_pose q_md qd_md qdd_md steps")
 
 
 def warm_start(past) -> np.ndarray:
@@ -426,10 +435,11 @@ def plan(model: RobotModel, params: ControllerParams,
     tc = script.control_period
     n_control = round(script.duration / tc)
     q_md = np.zeros((n_control + 1, n))
-    if script.initial_q is not None:
-        q_md[0] = script.initial_q
+    # The script does not know the model, so its arm angles (None: the
+    # zero configuration) are checked here.
+    q_md[0] = _arm_angles(script.initial_q, model) or 0.0
     qd_md, qdd_md = np.zeros((2, n_control, n))
-    solver = np.zeros((n_control, 3))
+    steps = np.zeros((n_control, len(STEP_COLUMNS)))
     base = script.base_state(np.arange(n_control + 1) * tc)[0][:, :b]
     initial_pose = kin.forward_kinematics(
         model, np.concatenate([base[0], q_md[0]]))
@@ -453,13 +463,14 @@ def plan(model: RobotModel, params: ControllerParams,
             raise SimulationError(
                 f"solver failed {failures} consecutive control steps "
                 f"(t = {j * tc:.3f} s)")
-        solver[j] = diag.h_inf_history[-1], diag.converge_time, diag.bound_t_f
+        row = vars(diag) | {"time": j * tc, "h_inf": diag.h_inf_history[-1]}
+        steps[j] = [row[name] for name in STEP_COLUMNS]
         dq = pomptc.extract_first_increment(z, model)
         qdot_prev = qdot_prev + dq
         qd_md[j] = qdot_prev[model.arm_slice]
         qdd_md[j] = dq[model.arm_slice] / tc
         q_md[j + 1] = q_md[j] + tc * qd_md[j]
-    return Plan(initial_pose, q_md, qd_md, qdd_md, solver)
+    return Plan(initial_pose, q_md, qd_md, qdd_md, steps)
 
 
 def track(model: RobotModel, params: ControllerParams,
@@ -477,8 +488,8 @@ def track(model: RobotModel, params: ControllerParams,
     spc = round(tc / tt)
     n_steps = len(plan.qd_md) * spc
 
-    # The script, the plan's solver columns and the base frame of every
-    # torque step, before the loop; a step starts at j tc + k tt.
+    # The script and the base frame of every torque step, before the
+    # loop; a step starts at j tc + k tt.
     starts = ((np.arange(len(plan.qd_md)) * tc)[:, None]
               + np.arange(spc) * tt).ravel()
     tr = SimTrace.zeros(n_steps + 1, m, n)
@@ -488,8 +499,6 @@ def track(model: RobotModel, params: ControllerParams,
     tr.qddot[1:, :b] = a_b[1:, :b]
     tr.q[0, b:] = plan.q_md[0]
     tr.tau_d[1:] = script.disturbance_torque(starts, n)
-    (tr.solver_h_inf[1:], tr.solver_converge_time[1:],
-     tr.solver_bound[1:]) = np.repeat(plan.solver, spc, axis=0).T
     g_steps = a_steps = [None] * n_steps
     if b:
         q_b, _, a_b = script.base_state(starts)
@@ -581,15 +590,19 @@ def pose_columns(model: RobotModel, script: ScenarioScript,
             kin.rotation_vector(np.swapaxes(R_ref, -1, -2) @ R))
 
 
+def plan_metrics(plan: Plan) -> dict:
+    """The count of solves past their finite-time bound + THRESHOLD."""
+    col = dict(zip(STEP_COLUMNS, plan.steps.T))
+    return {"solver_bound_violations": int(np.count_nonzero(
+        col["converge_time"] > col["bound_t_f"] + THRESHOLD))}
+
+
 def error_metrics(trace: SimTrace, settle_window: float,
-                  model: RobotModel | None = None,
-                  pos_threshold: float = 0.01,
-                  ori_threshold: float = 0.01,
-                  bound_margin: float = 0.01) -> dict:
+                  model: RobotModel | None = None) -> dict:
     """Summary metrics of one trace.
 
     Steady-state errors are max-norms over the final ``settle_window``
-    seconds; convergence times mark the first entry into the threshold
+    seconds; convergence times mark the first entry into the THRESHOLD
     ball that is never left.  Constraint violation (needs ``model``)
     covers q, qdot, and the discrete acceleration of the recorded
     velocities against the model limits.
@@ -602,22 +615,16 @@ def error_metrics(trace: SimTrace, settle_window: float,
     pos_norm = np.max(np.abs(trace.err_pos), axis=1)
     ori_norm = np.max(np.abs(trace.err_ori), axis=1)
 
-    def conv_time(norm, threshold):
-        above = norm > threshold
-        if above.any():
-            last = np.max(np.flatnonzero(above))
-            if last + 1 >= len(t):
-                return math.inf
-            return float(t[last + 1])
-        return float(t[0])
+    def conv_time(norm):
+        above = np.flatnonzero(norm > THRESHOLD)
+        k = above[-1] + 1 if above.size else 0
+        return float(t[k]) if k < len(t) else math.inf
 
     out = {
         "steady_state_pos_err": float(np.max(pos_norm[tail])),
         "steady_state_ori_err": float(np.max(ori_norm[tail])),
-        "convergence_time_pos": conv_time(pos_norm, pos_threshold),
-        "convergence_time_ori": conv_time(ori_norm, ori_threshold),
-        "solver_bound_violations": int(np.count_nonzero(
-            trace.solver_converge_time > trace.solver_bound + bound_margin)),
+        "convergence_time_pos": conv_time(pos_norm),
+        "convergence_time_ori": conv_time(ori_norm),
         "max_abs_torque": float(np.max(np.abs(trace.tau), initial=0.0)),
     }
     if model is not None:

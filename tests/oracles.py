@@ -16,15 +16,18 @@ forms the dense matrix N of the slack lift that ``ftcnd.solve`` only
 factors in reduced form; ``is_representation_singular`` reads the
 singularity test of ``kinematics.linearization``.
 
-``reference_pose`` is the scripted reference one time at a time, and
-``trace_from_csv`` reads a ``trace.csv`` back into a ``SimTrace``: the
-library only writes one.
+``reference_pose`` is the scripted reference one time at a time,
+``trace_from_csv`` reads a ``trace.csv`` back into a ``SimTrace``, and
+``serialize_scenario`` writes a loaded scenario back as YAML: the
+library only writes a trace and only reads a scenario.
 """
 from __future__ import annotations
 
 import itertools
+from dataclasses import asdict
 
 import numpy as np
+import yaml
 
 from mmtrack import kinematics as kin
 from mmtrack.dynamics import com_jacobians
@@ -209,3 +212,28 @@ def trace_from_csv(path) -> SimTrace:
         out[name] = block[:, 0] if width is None else block
         at += len(cols)
     return SimTrace(**out)
+
+
+def serialize_scenario(model, params, script) -> str:
+    """A YAML document that ``load_scenario`` parses back to an equal
+    (model, params, script) triple, with every default spelled out."""
+    doc = {
+        "robot": {
+            "builtin": model.name,
+            "limits": {name: limit.tolist()
+                       for name, limit in asdict(model.limits).items()},
+            "actuated_by_mpc": model.actuated_by_mpc.tolist(),
+        },
+        "pomptc": {
+            "pose_weight": params.weights.pose.tolist(),
+            "velocity_weight": params.weights.velocity.tolist(),
+            "accel_weight": params.weights.accel.tolist(),
+            "horizon": params.horizon,
+            "control_horizon": params.control_horizon,
+        },
+        "ftcnd": asdict(params.ftcnd),
+        "nftsm": asdict(params.nftsm),
+        "pd": {"kp": params.pd_kp, "kd": params.pd_kd},
+        "scenario": script.to_config(),
+    }
+    return yaml.safe_dump(doc, sort_keys=False)

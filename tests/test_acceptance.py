@@ -130,8 +130,7 @@ def test_criterion_3_lyapunov_monotonicity(solver_batch, capsys):
 
 def test_criterion_4_tracking_reproduction(nominal_trace, capsys):
     model, trace, wall = nominal_trace
-    metrics = sim.error_metrics(trace, settle_window=2.0, model=model,
-                                pos_threshold=0.01, ori_threshold=0.01)
+    metrics = sim.error_metrics(trace, settle_window=2.0, model=model)
     ok = (metrics["convergence_time_pos"] <= 3.0
           and metrics["convergence_time_ori"] <= 3.0
           and metrics["steady_state_pos_err"] <= 1e-3

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import hand_qp
 import mmtrack
-from mmtrack import cli, ftcnd, pomptc
+from mmtrack import cli, ftcnd, pomptc, sim
 
 SHORT_CONFIG = """
 robot:
@@ -71,6 +71,20 @@ def test_simulate_success(tmp_path, short_config, capsys):
     plots = sorted(p.name for p in out.glob("plot_*.py"))
     assert len(plots) == 7
     assert "plot_position_error.py" in plots
+
+
+def test_simulate_twice_writes_identical_records(tmp_path, short_config):
+    # trace.csv has one row per torque step and steps.csv one per control
+    # step; both are deterministic to the byte.
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert cli.main(["simulate", "--config", str(short_config),
+                         "--out", str(out)]) == 0
+    for name in ("trace.csv", "steps.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    lines = (outs[0] / "steps.csv").read_text().splitlines()
+    assert lines[0] == ",".join(sim.STEP_COLUMNS)
+    assert len(lines) == 1 + 20     # 0.2 s of 0.01 s control steps
 
 
 def test_simulate_missing_config(tmp_path, capsys):
@@ -347,8 +361,11 @@ def test_compare_writes_side_by_side(short_config, tmp_path, capsys):
     assert rc == 0
     assert (out / "trace_nftsm.csv").exists()
     assert (out / "trace_pd.csv").exists()
+    # One plan serves both controllers: one steps.csv.
+    assert sorted(p.name for p in out.glob("steps*.csv")) == ["steps.csv"]
     summary = json.loads((out / "summary.json").read_text())
     assert set(summary) == {"nftsm", "pd"}
+    assert summary["nftsm"]["solver_bound_violations"] == 0
     head = (out / "errors.csv").read_text().splitlines()[0]
     assert head == "time,nftsm_pos_err,pd_pos_err,nftsm_ori_err,pd_ori_err"
     assert "steady_pos_err" in captured.out

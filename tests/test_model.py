@@ -10,11 +10,12 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracles import serialize_scenario
 from mmtrack.ftcnd import FtcndParams
 from mmtrack.kinematics import Pose
 from mmtrack.model import (ConfigError, JointLimits, JointSpec,
                            builtin_panda_on_base, builtin_planar_2link,
-                           load_scenario, serialize_scenario)
+                           load_scenario)
 from mmtrack.nftsm import NftsmParams
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"

@@ -243,8 +243,9 @@ def test_run_raises_once_failure_budget_is_exceeded(monkeypatch):
         with pytest.raises(sim.SimulationError, match="4 consecutive"):
             sim.run_closed_loop(model, params, script)
     monkeypatch.setattr(sim, "FAILURE_BUDGET", 10)
-    trace = sim.run_closed_loop(model, params, script)
-    assert np.isinf(trace.solver_converge_time[1:]).all()
+    steps = sim.plan(model, params, script).steps
+    assert not steps[:, sim.STEP_COLUMNS.index("converged")].any()
+    assert np.isinf(steps[:, sim.STEP_COLUMNS.index("converge_time")]).all()
 
 
 def counted(fn, name, calls):
@@ -301,13 +302,25 @@ def test_run_is_deterministic():
 
 def test_zero_radius_regulation_holds_pose():
     model, params, script = load_quiet(TWOLINK_REG)
-    trace = sim.run_closed_loop(model, params, script)
+    plan = sim.plan(model, params, script)
+    trace = sim.track(model, params, script, plan)
     assert len(trace.time) == round(script.duration / script.torque_period) + 1
     metrics = sim.error_metrics(trace, 0.2, model=model)
     assert metrics["steady_state_pos_err"] <= 1e-6
     assert metrics["steady_state_ori_err"] <= 1e-6
     assert metrics["max_constraint_violation"] <= 1e-9
-    assert metrics["solver_bound_violations"] == 0
+    assert sim.plan_metrics(plan) == {"solver_bound_violations": 0}
+
+
+def test_plan_metrics_count_solves_past_their_bound():
+    # One row per control step: a solve counts once, not once per
+    # torque step, and only past its bound plus THRESHOLD.
+    steps = np.zeros((4, len(sim.STEP_COLUMNS)))
+    steps[:, sim.STEP_COLUMNS.index("bound_t_f")] = 1.0
+    steps[:, sim.STEP_COLUMNS.index("converge_time")] = [
+        0.5, 1.0 + sim.THRESHOLD, 1.0 + 2 * sim.THRESHOLD, math.inf]
+    plan = sim.Plan(None, None, None, None, steps)
+    assert sim.plan_metrics(plan) == {"solver_bound_violations": 2}
 
 
 def test_trace_csv_round_trip(tmp_path):
@@ -334,9 +347,7 @@ def synthetic_trace(err_fn, duration=8.0, dt=0.01):
         pose=np.zeros((T, 6)), pose_ref=np.zeros((T, 6)),
         err_pos=np.column_stack([err, np.zeros(T), np.zeros(T)]),
         err_ori=zeros3.copy(), err_rotvec=zeros3.copy(),
-        solver_h_inf=np.zeros(T), solver_converge_time=np.zeros(T),
-        solver_bound=np.zeros(T), sliding_V=np.zeros(T),
-        sliding_Vdot=np.zeros(T))
+        sliding_V=np.zeros(T), sliding_Vdot=np.zeros(T))
 
 
 def test_error_metrics_convergence_time():
@@ -501,8 +512,7 @@ PANDA_TRACE_HEADER = (
     "pose_x,pose_y,pose_z,pose_yaw,pose_pitch,pose_roll,"
     "ref_x,ref_y,ref_z,ref_yaw,ref_pitch,ref_roll,"
     "err_pos_x,err_pos_y,err_pos_z,err_ori_yaw,err_ori_pitch,err_ori_roll,"
-    "err_rotvec_x,err_rotvec_y,err_rotvec_z,"
-    "solver_h_inf,solver_converge_time,solver_bound,sliding_V,sliding_Vdot")
+    "err_rotvec_x,err_rotvec_y,err_rotvec_z,sliding_V,sliding_Vdot")
 
 
 def test_call_contract_of_the_closed_loop(monkeypatch, tmp_path):
@@ -662,8 +672,8 @@ def offset_center(doc, model, script):
 
 
 def counted_run(model, params, script):
-    """The trace of one run, and the diagnostics of every ftcnd.solve
-    call it made."""
+    """The plan and the trace of one run, and the diagnostics of every
+    ftcnd.solve call it made."""
     diags, solve = [], ftcnd.solve
 
     def counting(*args, **kwargs):
@@ -672,8 +682,8 @@ def counted_run(model, params, script):
         return z, diag
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ftcnd, "solve", counting)
-        trace = sim.run_closed_loop(model, params, script)
-    return trace, diags
+        plan = sim.plan(model, params, script)
+    return plan, sim.track(model, params, script, plan), diags
 
 
 @pytest.fixture(scope="module")
@@ -689,7 +699,7 @@ def offset_run():
 
 
 def test_one_warm_solve_per_control_step_on_a_pinned_limit(pinned_run):
-    model, script, trace, diags = pinned_run
+    model, script, _, trace, diags = pinned_run
     assert len(diags) == round(script.duration / script.control_period)
     assert all(d.converged for d in diags)
     # The angle rows bind: the warm solves violate them.
@@ -698,7 +708,7 @@ def test_one_warm_solve_per_control_step_on_a_pinned_limit(pinned_run):
 
 def test_max_constraint_violation_is_the_excess_past_the_pinned_limit(
         pinned_run):
-    model, _, trace, _ = pinned_run
+    model, _, _, trace, _ = pinned_run
     j = model.base_dof_count + PINNED_JOINT
     excess = np.max(model.limits.q_lower[j] - trace.q[:, j])
     assert excess > 0.0
@@ -711,7 +721,7 @@ def test_max_constraint_violation_is_the_excess_past_the_pinned_limit(
     "of 5e4 a binding angle limit does not hold (the plant runs 0.036 rad "
     "past it in 1 s)"))
 def test_plant_angle_holds_a_pinned_limit(pinned_run):
-    model, _, trace, _ = pinned_run
+    model, _, _, trace, _ = pinned_run
     j = model.base_dof_count + PINNED_JOINT
     assert trace.q[:, j].min() >= model.limits.q_lower[j] - 1e-3
 
@@ -744,7 +754,7 @@ def test_every_nominal_plan_solve_starts_at_the_endpoint(monkeypatch):
 
 
 def test_offset_start_converges_in_finite_time(offset_run):
-    model, script, trace, diags = offset_run
+    model, script, _, trace, diags = offset_run
     assert len(diags) == round(script.duration / script.control_period)
     assert np.max(np.abs(trace.err_pos[0])) == pytest.approx(0.02, abs=1e-12)
     metrics = sim.error_metrics(trace, 0.5, model=model)
@@ -752,9 +762,34 @@ def test_offset_start_converges_in_finite_time(offset_run):
 
 
 def test_sliding_Vdot_is_the_backward_difference_of_V(offset_run):
-    _, script, trace, _ = offset_run
+    _, script, _, trace, _ = offset_run
     assert np.all(trace.sliding_Vdot[:2] == 0.0)
     np.testing.assert_array_equal(
         trace.sliding_Vdot[2:],
         np.diff(trace.sliding_V[1:]) / script.torque_period)
     assert np.any(trace.sliding_Vdot != 0.0)
+
+
+def test_plan_steps_record_each_solve(offset_run):
+    # The offset start integrates some solves, so the counters differ
+    # from step to step; each row is that step's diagnostics.
+    _, script, plan, _, diags = offset_run
+    assert plan.steps.shape == (len(diags), len(sim.STEP_COLUMNS))
+    assert max(d.iterations for d in diags) > 0
+    for j, (row, diag) in enumerate(zip(plan.steps, diags)):
+        want = {name: getattr(diag, name, None) for name in sim.STEP_COLUMNS}
+        want.update(time=j * script.control_period,
+                    h_inf=diag.h_inf_history[-1])
+        assert dict(zip(sim.STEP_COLUMNS, row.tolist())) == want
+
+
+@pytest.mark.parametrize("how", ["direct", "replace"])
+def test_plan_names_initial_q_of_the_wrong_length(how):
+    # A script does not know the model, so plan checks the arm angles.
+    model, params, script = load_config("nominal_circle")
+    wrong = dict(duration=0.01, initial_q=(0.0,) * model.total_dof)
+    script = ScenarioScript(**wrong) if how == "direct" \
+        else dataclasses.replace(script, **wrong)
+    with pytest.raises(ValueError, match=r"^initial_q: expected the 7 arm "
+                       r"angles, got 13 entries$"):
+        sim.plan(model, params, script)
