@@ -5,51 +5,27 @@ the linear optimality system N v + D = 0, v = [z; phi], and integrated
 as N vdot = -mu * Omega(N v + D) with the Li activation.  Because
 hdot = N vdot, the residual h obeys the decoupled scalar dynamics
 hdot_i = -mu * omega(h_i), which is what yields the finite-time bound.
+That law is followed exactly: with T(s) the time in which it brings
+|h| = s to 0 and Phi its inverse (``FlowMap``), a component is
+h_i(t) = sign(h_i0) Phi(T(|h_i0|) - t) until its zero time, 0 after.
 
-Treating phi as a free variable would collapse the lift to the
-unconstrained problem; the slack non-negativity is enforced here by
-exact projection events: integration steps are split where a slack hits
-zero (the component is then clamped and its row leaves the residual) or
-where a clamped row's gradient crosses zero (the component re-enters the
-residual at exactly zero).  Along every accepted step each residual
-component decays monotonically, so hT h is non-increasing and the
-per-component finite-time bound is preserved.  A start z gets the
-slacks max(0, w - H z): a row that z satisfies starts free with r = 0,
-a row that it violates clamped.  A solve starts at z0 (0, or the warm
-start) or at the end of z0's first segment (below).
-
-Segments and blocks.  Between two events the free set is fixed, and
-since h is stepped and accepted on its own, v moves by exactly
-N_red^-1 (h_k - h_0) after k steps, N_red being N without the clamped
-rows and columns.  N is never formed: with r = H z + phi - w the
-residual is N v + D = [S z + G + xi H'r; xi r], and as the slack block
-of N_red is xi I, block elimination reduces N_red x = b to
-(S + xi Hc'Hc) x_z = b_z - Hf' b_f and x_f = b_f / xi - Hf x_z, where Hc
-and Hf are the clamped and the free rows of H.  So each segment factors
-only the nz x nz matrix S + xi Hc'Hc; while no row is clamped this is
-the factor of S that the convexity check computes.  A segment is
-integrated in blocks: h alone is stepped through a block of accepted
-steps, each written into the next row of one (block, nlive) buffer,
-then one multi-column solve with the segment's factor (no inverse is
-formed) gives v after every step of the block, and the events are
-looked for in those columns.  Only the nlive components of h that are
-not exactly zero at the segment's start are stepped: a zero is a fixed
-point of h <- h - mu dt Li(h), and the derived slacks make most slack
-rows of a warm start exactly zero.  Step halving, the return of dt to
-ode_step, the convergence test and the finiteness check all act on h:
-a step whose h'h is not finite raises, and a step that does not lower
-h'h is halved, so h'h strictly decreases along accepted steps
-(accepting an equal value would let a coarse step flip h to about -h
-over and over).  The test max|h| <= eps runs only once h'h <= 2 nfree
-max(eps^2, 1e-300), which max|h| <= eps implies with room for the
-rounding of h'h.  At the first step with an event the block is cut: its
-crossing fraction theta is computed as for a single step, h, the
-virtual time, dt, the counters and the histories are rolled back to
-that step, the step is taken up to theta, the slack is clamped or
-released, and a new segment starts.  The first block of a segment is 2
-steps; each block that ends without an event doubles the next, up to a
-cap.  The iterates, events and histories are those of a solver that
-solves for v and checks events after every step, up to rounding.
+Events keep the slacks non-negative: a free slack that hits zero
+clamps its row (its component leaves h); a clamped row whose gradient
+g = Hc z - wc falls below -max(_EVENT_TOL, epsilon_h) is released (its
+component enters h at xi g), though not within the segment after the
+event that clamped it, lest the two cycle.  Other components keep their
+zero times.  A start z gets the slacks max(0, w - H z), so a row that z
+violates starts clamped.  Between two events v = v_end + N_red^-1 h,
+N_red being N without the clamped rows and columns and v_end the
+segment's end, where h = 0.  N is never formed: N v + D =
+[S z + G + xi H'r; xi r] with r = H z + phi - w, and as the slack block
+of N_red is xi I, N_red x = b reduces to (S + xi Hc'Hc) x_z =
+b_z - Hf' b_f and x_f = b_f / xi - Hf x_z, Hc and Hf the clamped and
+free rows of H.  The path is sampled every ode_step, the resolution of
+event detection, a block at a time (one Phi call, one multi-column
+solve); events found between samples are refined by Newton's method on
+the exact path.  The first sample with max|h| <= epsilon_h is replaced
+by the segment's end, where the solve converges if N v + D agrees.
 
 The start.  A segment from z0 would end where h = 0 with z0's rows C
 clamped, at v - N_red^-1 h, whose z part is
@@ -58,13 +34,8 @@ step (Nocedal & Wright 2006, sections 16.5 and 17.1), one solve with
 the factor that the segment needs anyway (that of S while C is empty).
 z_N's slacks are derived by the same rule, and the solve starts from
 whichever of z0 and z_N has the smaller max|h| (z0 on a tie), reusing
-the factor when that start clamps C.  The start meets the convergence
-test before any segment is set up.  One that passes returns at 0
-iterations and 0 factorizations: its v, h and max|h| are final, and
-neither the free and clamped row sets nor a second residual are made.
-From any other start the integration runs as above.  The step is taken
-once: repeating it to a fixed point would leave FTCND only to certify
-answers.
+the factor when that start clamps C.  A start with max|h| <= epsilon_h
+is final: 0 iterations, 0 factorizations, no second residual.
 """
 from __future__ import annotations
 
@@ -74,24 +45,22 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
+from .flow import flow_map
+
 _TIKHONOV = 1e-10
 _EVENT_TOL = 1e-14
-# Steps per block: 2 after each factorization, doubled after every block
-# that ends without an event, up to this cap, which bounds the block's
-# memory (a 50 s solve at 1e-4 would otherwise stack 2^18 columns);
-# past 64 columns a wider solve saves little per column.
-_MAX_BLOCK = 64
+# Samples per block: _FIRST_BLOCK after each event, doubled after every
+# block without one, up to _MAX_BLOCK, which bounds the block's memory.
+_FIRST_BLOCK, _MAX_BLOCK = 16, 256
 
 
 class FtcndIntegrationError(RuntimeError):
-    """Raised when the ODE state becomes non-finite (step too large)."""
+    """Raised when the residual is not finite (it overflows)."""
 
 
 @dataclass(frozen=True)
 class FtcndParams:
-    """Gains and integration settings of the neural-dynamics solver.
-    From ``ode_step`` ~ 0.02 (default gains) steps near convergence
-    overshoot, and the step count depends on rounding."""
+    """Gains and integration settings of the neural-dynamics solver."""
 
     xi: float = 5.0
     mu: float = 5.0
@@ -124,18 +93,14 @@ class FtcndDiagnostics:
     converged: bool = False
     converge_time: float = math.inf
     bound_t_f: float = 0.0
-    iterations: int = 0
+    iterations: int = 0         # samples of the path
     h_inf_history: list = field(default_factory=list)
     f_history: list = field(default_factory=list)
     time_history: list = field(default_factory=list)
     projection_events: int = 0
     release_events: int = 0
-    step_halvings: int = 0
-    # Integrated segments, each with one factor: made for it, or reused
-    # (S's, or the Newton step's while the start keeps z0's rows C).  The
-    # convexity check's factor of S and a Newton-step factor that no
-    # segment uses are not counted.
-    factorizations: int = 0
+    step_halvings: int = 0      # always 0: the flow is not stepped
+    factorizations: int = 0     # segments; a factor is made or reused
     endpoint_start: bool = False    # started at the first segment's end
     block_solves: int = 0       # one multi-column solve per block
     constraint_violation: float = 0.0
@@ -209,12 +174,6 @@ def _free_part(resid, clamped):
                                  ~clamped])]
 
 
-def _settled(h, F, gate, eps: float):
-    """The convergence test of h with F = h'h: F <= gate, then
-    max|h| <= eps."""
-    return F <= gate and float(np.abs(h).max(initial=0.0)) <= eps
-
-
 def _derived_start(problem, z, xi: float):
     """(v, h, clamped) of a start at z: the slacks max(0, w - H z) clamp
     the rows that z violates, and h is the free part of N v + D."""
@@ -225,47 +184,33 @@ def _derived_start(problem, z, xi: float):
     return v, _free_part(resid, clamped), clamped
 
 
-def _first_event(V, Hc, wc, nz):
-    """First step of a block that ends at an event, as (k, theta,
-    release_hit): step k runs from column k to k + 1 of V and is cut at
-    the fraction theta.  None when no step of the block needs a cut.
-
-    Events are a free slack going negative, or a clamped row's gradient
-    g = Hc z - wc crossing from >= 0 to < 0; theta is the smallest
-    crossing fraction of either kind.
-    """
-    phi = V[nz:]
-    candidates = (phi[:, 1:] < 0.0).any(axis=0)
-    going_neg = np.zeros((0, candidates.size), bool)
-    if wc.size:
-        g = Hc @ V[:nz] - wc[:, None]
-        going_neg = (g[:, 1:] < 0.0) & (g[:, :-1] >= 0.0)
-        candidates |= going_neg.any(axis=0)
-    for k in np.flatnonzero(candidates):
-        theta = 1.0
-        phi_old, phi_new = phi[:, k], phi[:, k + 1]
-        crossing = phi_new < 0.0
-        if crossing.any():
-            th = phi_old[crossing] / (phi_old[crossing] - phi_new[crossing])
-            theta = min(theta, float(np.min(th)))
-        release_hit = False
-        rows = going_neg[:, k]
-        if rows.any():
-            g_old, g_new = g[rows, k], g[rows, k + 1]
-            th_min = float(np.min(g_old / (g_old - g_new)))
-            if th_min <= theta:
-                theta = th_min
-                release_hit = True
-        theta = min(max(theta, 0.0), 1.0)
-        # A crossing fraction that rounds to 1 is no cut: the step is
-        # taken whole, and the next candidate step is examined.
-        if theta < 1.0:
-            return int(k), theta, release_hit
-    return None
+def _first_event(V, Hc, wc, nz, tol=0.0):
+    """First interval of a block with an event, as (k, row, release):
+    from row k to k + 1 of V (v[free] at consecutive samples), row the
+    crossing component of least linear crossing fraction (a clamped row
+    wins a tie), by its index in v[free], or in Hc when ``release``;
+    None if none.  Events are a free slack going below -tol, or a
+    clamped row's g = Hc z - wc crossing from >= 0 to < 0."""
+    phi, g = V[:, nz:], V[:, :nz] @ Hc.T - wc
+    candidates = phi[1:].min(axis=1, initial=0.0) < -tol
+    if g.size and g.min() < 0.0:
+        candidates |= ((g[1:] < 0.0) & (g[:-1] >= 0.0)).any(axis=1)
+    hits = np.flatnonzero(candidates)
+    if not hits.size:
+        return None
+    k, best = int(hits[0]), (math.inf,)
+    for values, rows, release in (
+            (phi, phi[k + 1] < -tol, False),
+            (g, (g[k + 1] < 0.0) & (g[k] >= 0.0), True)):
+        for i in np.flatnonzero(rows):
+            th = values[k, i] / (values[k, i] - values[k + 1, i])
+            if th < best[0] or (release and th == best[0]):
+                best = (th, int(i) + (0 if release else nz), release)
+    return (k, *best[1:])
 
 
 def solve(problem, params: FtcndParams, warm_start=None):
-    """Integrate the neural dynamics until the residual settles.
+    """Follow the neural dynamics until the residual settles.
 
     ``warm_start`` is the z0 (length nz) to start from; None means zero.
     The solve starts at z0, or at the end of z0's first segment when its
@@ -280,10 +225,8 @@ def solve(problem, params: FtcndParams, warm_start=None):
     """
     problem.check_finite()
     S, H, w = problem.S, problem.H, problem.w
-    nz = problem.n_variables
-    nc = problem.n_constraints
-    xi = params.xi
-    mu, lam, zeta, kappa = params.mu, params.lam, params.zeta, params.kappa
+    nz, nc = problem.n_variables, problem.n_constraints
+    xi, mu, kappa = params.xi, params.mu, params.kappa
     # The factor of S is the segment factor while no row is clamped.
     L_S, info = dpotrf(S, lower=1, clean=0)
     if info:
@@ -307,134 +250,192 @@ def solve(problem, params: FtcndParams, warm_start=None):
         v, h, clamped, h_max = v_n, h_n, clamped_n, h_max_n
     F = float(h @ h)
     eps = params.epsilon_h
-    # The h'h gate per free component (see the module docstring).
-    gate_per_row = 2.0 * max(eps * eps, 1e-300)
     diag = FtcndDiagnostics(bound_t_f=finite_time_bound(h_max, mu, kappa),
                             endpoint_start=endpoint, h_inf_history=[h_max],
                             f_history=[F], time_history=[0.0])
-    if _settled(h, F, gate_per_row * h.size, eps):
+    if h_max <= eps:
         # A derived start clamps only rows with r > 0, so the release
         # test of the settled branch below cannot fire here: the start
         # is final, and no segment is set up.
         diag.converged, diag.converge_time = True, 0.0
         return _finish(problem, v, h, 0.0, xi, diag)
+    if not math.isfinite(F):
+        raise FtcndIntegrationError("non-finite neural state")
 
-    time = 0.0
-    dt = params.ode_step
-    need_refactor = True
-    max_events = 100 + 10 * nc
-    events = 0
+    flow = flow_map(mu, params.lam, params.zeta, kappa)
+    lam, zeta = 0.5 * params.lam, 0.5 * params.zeta
+    time, dt = 0.0, params.ode_step
+    shift = max(_EVENT_TOL, eps)    # release below g = -shift
+    # The live components of h (lift indices, latest zero time first),
+    # their values at the segment's start and their zero times.
+    comp, h_comp, t_zero = np.empty(0, np.intp), np.empty(0), np.empty(0)
 
-    while time < params.max_time and events <= max_events:
+    def add(rows, r):               # components entering h now, at r
+        nonlocal comp, h_comp, t_zero
+        rows, r = rows[r != 0.0], r[r != 0.0]
+        t = np.append(t_zero, time + flow.time_to_zero(np.abs(r)))
+        o = np.argsort(-t)
+        comp, h_comp, t_zero = (np.append(comp, rows)[o],
+                                np.append(h_comp, r)[o], t[o])
+
+    def release(rows):              # each enters h at xi (H z - w)
+        clamped[rows] = False
+        add(nz + rows, xi * (H[rows] @ v[:nz] - w[rows]))
+        diag.release_events += rows.size
+
+    def crossing(row, is_release, lo, hi, times, cols):
+        """(s, h, v[free]) where the row's value e falls through 0 in
+        (lo, hi] on the exact path: from s(e) interpolated through v[free]
+        at ``times`` (``cols``), Newton steps on e's second-order expansion
+        bracketed by bisection, the last (below 4e-5 of the time scale
+        1 / (mu max Li')) taken along the expansion by h and v alike."""
+        def value(M):               # e + c at the columns of M
+            return (Hc[row] @ M[:nz] if is_release else M[row]).tolist()
+        c = wc[row] if is_release else 0.0
+        e = dict(zip(times, (x - c for x in value(cols))))
+        s = lo + e[lo] / (e[lo] - e[hi]) * (hi - lo)
+        if len(set(e.values())) == len(e) > 2:
+            q = sum(t * math.prod(ej / (ej - ei) for ej in e.values()
+                                  if ej != ei) for t, ei in e.items())
+            s = q if lo < q < hi else s
+        for _ in range(100):        # columns h, hdot, hddot at s
+            na = int(np.count_nonzero(t_live > s))
+            D = np.zeros((live.size, 3))
+            h_s = np.copysign(flow.level(t_live[:na] - s), h_comp[:na],
+                              out=D[:na, 0])
+            a = np.maximum(np.abs(h_s), 1e-300)     # Li, Li' share powers
+            ak, ak1 = a ** kappa, a ** (1.0 / kappa)
+            D[:na, 1] = np.copysign(mu * (lam * (ak + ak1) + zeta * a), -h_s)
+            dli = lam * (kappa * ak + ak1 / kappa) / a + zeta
+            np.multiply(D[:na, 1], -mu * dli, out=D[:na, 2])
+            B = np.zeros((free.size, 3))
+            B[live] = D
+            X = _reduced_solve(L, Hf, B, nz, xi)
+            X[:, 0] += v_end
+            e, e1, e2 = value(X)
+            lo, hi = (s, hi) if e >= c else (lo, s)
+            disc = e1 * e1 + 2.0 * (c - e) * e2
+            step = (math.inf if not e1 else (c - e) / e1 if disc < 0.0 else
+                    2.0 * (c - e) / (e1 + math.copysign(disc ** 0.5, e1)))
+            if abs(step) * mu * dli.max(initial=0.0) <= 4e-5:
+                d = np.array([1.0, step, 0.5 * step * step])
+                return s + step, D @ d, X @ d
+            s = s + step if lo < s + step < hi else 0.5 * (lo + hi)
+        return s, D[:, 0], X[:, 0]
+
+    add(np.concatenate([np.arange(nz), nz + np.flatnonzero(~clamped)]), h)
+    need_refactor, projected = True, np.zeros(nc, bool)
+    while (time < params.max_time and diag.projection_events
+           + diag.release_events <= 100 + 10 * nc):
         if need_refactor:
             free_rows = np.flatnonzero(~clamped)
             clamped_idx = np.flatnonzero(clamped)
             free = np.concatenate([np.arange(nz), nz + free_rows])
-            Hc, wc, Hf = H[clamped_idx], w[clamped_idx], H[free_rows]
+            Hc, Hf = H.take(clamped_idx, axis=0), H.take(free_rows, axis=0)
+            wc = w.take(clamped_idx) - shift
+            wc[projected[clamped_idx]], projected[:] = -math.inf, False
             if L is None:
                 L = _factor(S + xi * (Hc.T @ Hc)) if clamped_idx.size else L_S
             diag.factorizations += 1
-            if h is None:
-                h = residual(problem, v, xi)[free]
-            live = np.flatnonzero(h)
-            h = h[live]
-            F = float(h @ h)
-            gate = gate_per_row * free.size
-            v_seg, h_seg = v[free], h
-            block = 2
+            # Keep the components still free and not yet at 0 (they lead).
+            pos = np.full(nz + nc, -1)
+            pos[free] = np.arange(free.size)
+            keep = (pos[comp] >= 0) & (t_zero > time)
+            comp, h_comp, t_zero = comp[keep], h_comp[keep], t_zero[keep]
+            live, t_live = pos[comp], t_zero - time     # places in v[free]
+            t_seg, n_grid, v_end, block = time, 0, None, _FIRST_BLOCK
             need_refactor = False
 
-        # Step the residual alone for up to `block` accepted steps, into Hb.
-        n0, h_start = len(diag.time_history), h
-        Hb = np.empty((block, live.size))
-        steps = []              # (dt, halvings so far) of each step
-        j, settled = 0, False
-        while j < block and time < params.max_time:
-            if _settled(h, F, gate, eps):
-                settled = True
-                break
-            h_new = li_activation(h, lam, zeta, kappa, out=Hb[j])
-            h_new *= -mu * dt
-            h_new += h
-            F_new = float(h_new @ h_new)
-            if not math.isfinite(F_new):
-                raise FtcndIntegrationError("non-finite neural state")
-            if F_new >= F:
-                dt *= 0.5
-                diag.step_halvings += 1
-                if dt < 1e-300:
-                    raise FtcndIntegrationError("step size underflow")
-                continue
-            h, F = h_new, F_new
-            time += dt
-            j += 1
-            diag.time_history.append(time)
-            diag.f_history.append(F)
-            steps.append((dt, diag.step_halvings))
-            dt = min(dt * 2.0, params.ode_step)
-
-        if j:
-            diag.h_inf_history.extend(np.abs(Hb[:j]).max(axis=1).tolist())
-            # Column j is v[free] after j steps of the block (0: its start).
-            V = np.empty((free.size, j + 1))
-            V[:, 0] = v[free]
-            B = np.zeros((free.size, j))
-            B[live] = (Hb[:j] - h_seg).T
-            V[:, 1:] = v_seg[:, None] + _reduced_solve(L, Hf, B, nz, xi)
-            diag.block_solves += 1
-            split = _first_event(V, Hc, wc, nz)
-            if split is not None:
-                k, theta, release_hit = split
-                dt, diag.step_halvings = steps[k]
-                v[free] = V[:, k] + theta * (V[:, k + 1] - V[:, k])
-                h_prev = Hb[k - 1] if k else h_start
-                dh = -mu * dt * li_activation(h_prev, lam, zeta, kappa)
-                h = h_prev + theta * dh
-                F = float(h @ h)
-                time = diag.time_history[n0 + k - 1] + theta * dt
-                diag.iterations += k + 1
-                for hist, value in ((diag.time_history, time),
-                                    (diag.h_inf_history,
-                                     float(np.abs(h).max())),
-                                    (diag.f_history, F)):
-                    del hist[n0 + k:]
-                    hist.append(value)
-                phi = v[nz:]
-                hit = np.flatnonzero((~clamped) & (phi <= _EVENT_TOL))
-                if hit.size:
-                    phi[hit] = 0.0
-                    clamped[hit] = True
-                    diag.projection_events += hit.size
-                    events += hit.size
-                if release_hit:
-                    g_now = Hc @ v[:nz] - wc
-                    rel = clamped_idx[g_now <= _EVENT_TOL]
-                    if rel.size:
-                        clamped[rel] = False
-                        diag.release_events += rel.size
-                        events += rel.size
-                need_refactor, L, h = True, None, None
-                continue
-            diag.iterations += j
-            v[free] = V[:, -1]
-            block = min(2 * block, _MAX_BLOCK)
-
-        if settled:
-            # Reduced system converged; release clamped rows whose
-            # gradient turned negative (rare: only reachable from a warm
-            # start), otherwise done.
-            if clamped.any():
-                g = H[clamped] @ v[:nz] - w[clamped]
-                stuck = np.flatnonzero(clamped)[g < -max(_EVENT_TOL, eps)]
-                if stuck.size:
-                    clamped[stuck] = False
-                    diag.release_events += stuck.size
-                    events += stuck.size
-                    need_refactor, L, h = True, None, None
-                    continue
-            diag.converged = True
-            diag.converge_time = time
+        # The block's samples: grid samples while max|h| > eps, then the
+        # segment's end, none past max_time.  Row j of V is v[free] after
+        # j samples (0: before); a first block also gives v_end.
+        s = dt * np.arange(n_grid + 1, n_grid + block + 1)
+        na = int(np.count_nonzero(t_live > s[0]))
+        Hb = flow.level(t_live[:na, None] - s)
+        n = int(np.count_nonzero(Hb[0] > eps)) if na else 0
+        if n < block:
+            s = np.append(s[:n], t_live[0] if live.size else 0.0)
+            Hb = Hb[:, :n + 1]
+            Hb[:, n] = 0.0
+        m = int(np.count_nonzero(t_seg + s <= params.max_time))
+        if not m:
             break
+        settled, s, Hb = n < block and m == s.size, s[:m], Hb[:, :m]
+        h_inf = Hb[0].tolist() if na else [0.0] * m
+        np.copysign(Hb, h_comp[:na, None], out=Hb)
+        B = np.zeros((free.size, m + (v_end is None)))
+        B[live[:na], :m] = Hb
+        if v_end is None:
+            B[live, m] = h_comp
+        X = _reduced_solve(L, Hf, B, nz, xi)
+        if v_end is None:
+            v_end = v[free] - X[:, m]
+        V = np.empty((m + 1, free.size))
+        V[0] = v[free]
+        np.add(v_end, X[:, :m].T, out=V[1:])
+        diag.block_solves += 1
+        split = _first_event(V, Hc, wc, nz)
+        k = m if split is None else split[0]
+        diag.iterations += k
+        diag.time_history += (t_seg + s[:k]).tolist()
+        diag.h_inf_history += h_inf[:k]
+        diag.f_history += np.einsum("ij,ij->j", Hb[:, :k], Hb[:, :k]).tolist()
+        if split is None:
+            v[free], time, n_grid = V[-1], t_seg + s[-1], n_grid + m
+            block = min(2 * block, _MAX_BLOCK)
+            if not settled:
+                continue
+            # h = 0: release the clamped rows whose gradient turned negative
+            # (held at the last event, or from a warm start), or stop if N v
+            # + D agrees; if Phi lost carried values, h starts anew from it.
+            comp, h_comp, t_zero = comp[:0], h_comp[:0], t_zero[:0]
+            stuck = clamped_idx[Hc @ v[:nz] - w.take(clamped_idx) < -shift]
+            if stuck.size:
+                release(stuck)
+                L = None
+            else:
+                h = _free_part(residual(problem, v, xi), clamped)
+                if np.abs(h).max() <= eps:
+                    diag.converged, diag.converge_time = True, time
+                    return _finish(problem, v, h, time, xi, diag)
+                add(free, h)
+            need_refactor = True
+            continue
+
+        # An event between rows k and k + 1, refined on the exact path
+        # (again for any row that the refined point shows crossed first).
+        _, row, is_release = split
+        times, j = np.append(n_grid * dt, s), max(0, min(k - 1, m - 3))
+        s_e, h_comp, v_e = crossing(row, is_release, times[k], times[k + 1],
+                                    times[j:j + 4].tolist(), V[j:j + 4].T)
+        for _ in range(free.size + wc.size):
+            if not ((v_e[nz:] < -_EVENT_TOL).any()
+                    or (Hc @ v_e[:nz] < wc - _EVENT_TOL).any()):
+                break
+            W = np.vstack([V[k], v_e])
+            earlier = _first_event(W, Hc, wc - _EVENT_TOL, nz, _EVENT_TOL)
+            if earlier is None or earlier[1:] == (row, is_release):
+                break
+            _, row, is_release = earlier
+            s_e, h_comp, v_e = crossing(row, is_release, times[k], s_e,
+                                        [times[k], s_e], W.T)
+        time = t_seg + s_e
+        diag.iterations += 1
+        diag.time_history.append(time)
+        diag.h_inf_history.append(abs(float(h_comp[0])) if h_comp.size else 0.)
+        diag.f_history.append(float(h_comp @ h_comp))
+        v[free] = v_e
+        phi = v[nz:]
+        if not is_release:
+            phi[free_rows[row - nz]] = 0.0
+        hit = np.flatnonzero(~clamped & (phi <= _EVENT_TOL))
+        phi[hit], clamped[hit], projected[hit] = 0.0, True, True
+        diag.projection_events += hit.size
+        if is_release:
+            g_now = Hc @ v[:nz] - wc
+            g_now[row] = -math.inf
+            release(clamped_idx[g_now <= _EVENT_TOL])
+        need_refactor, L = True, None
 
     return _finish(problem, v, _free_part(residual(problem, v, xi), clamped),
                    time, xi, diag)
@@ -449,4 +450,3 @@ def _finish(problem, v, h, time, xi: float, diag):
     diag.equality_residual = float(np.abs(h[nz:]).max(initial=0.0)) / xi
     diag.final_state = NeuralState(v=v, h=h, virtual_time=time)
     return z, diag
-

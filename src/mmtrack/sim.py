@@ -46,10 +46,9 @@ POSE_BLOCK_ROWS = 256
 THRESHOLD = 0.01
 # ``Plan.steps`` columns: start time, FtcndDiagnostics scalars, final max|h|.
 STEP_COLUMNS = ("time", "converged", "iterations", "endpoint_start",
-                "projection_events", "release_events", "step_halvings",
-                "factorizations", "block_solves", "converge_time",
-                "bound_t_f", "constraint_violation", "equality_residual",
-                "h_inf")
+                "projection_events", "release_events", "factorizations",
+                "block_solves", "converge_time", "bound_t_f",
+                "constraint_violation", "equality_residual", "h_inf")
 # Highest order of the warm start's polynomial extrapolation.
 _MAX_ORDER = 4
 # Applied to the last _MAX_ORDER + 2 solutions, newest first: row p

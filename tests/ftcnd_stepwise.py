@@ -1,16 +1,22 @@
-"""Step-by-step FTCND integration: the reference for ``mmtrack.ftcnd.solve``.
+"""Sample-by-sample FTCND on the exact flow: the reference for
+``mmtrack.ftcnd.solve``.
 
-The plainest form of the integration: the reduced matrix N_red is
-gathered from the dense lift (``oracles.lift``) and factored, and each
-accepted step makes one ``cho_solve`` and one pair of event checks.  The
-start is chosen by the library's rule, z0 or the end of its first
-segment, v - N_red^-1 h, here from a dense solve of the reduced lift.  The
-residual N v + D is read from ``ftcnd.residual``, as in the library, so
-that both see the same exact zeros.  The library solver never forms N:
-it factors the nz x nz Schur complement S + xi Hc'Hc, steps the residual
-alone and solves for ``v`` once per block of steps; it must reproduce
-this loop's iterations, events, halvings and histories
-(``tests/test_ftcnd_segments.py``).
+The plainest form of the same integration.  Each segment gathers the
+reduced matrix N_red from the dense lift (``oracles.lift``) and factors
+it, reads its residual h from ``ftcnd.residual`` and each live
+component's time to zero from ``FlowMap.time_to_zero``, and then takes
+one sample at a time on the ode_step grid: h_i = sign(h_i0) Phi(T_i - s),
+v = v_seg + N_red^-1 (h - h_seg) by ``cho_solve``, and the event checks
+between this sample and the last.  A sample with max|h| <= epsilon_h is
+replaced by the segment's end, where h = 0.  A crossing is located by
+``brentq`` on the row's value along the exact path, the earliest one of
+all crossing rows.  The start is chosen by the library's rule, z0 or the
+end of its first segment, here from a dense solve of the reduced lift.
+
+The library solver never forms N, samples a block at a time, follows
+each residual component across events instead of reading h again, and
+refines a crossing by Newton's method; it must reproduce this loop's
+samples, events and histories (``tests/test_ftcnd_segments.py``).
 """
 from __future__ import annotations
 
@@ -18,10 +24,11 @@ import math
 
 import numpy as np
 from scipy.linalg import cho_solve
+from scipy.optimize import brentq
 
 from mmtrack.ftcnd import (_EVENT_TOL, FtcndDiagnostics, FtcndIntegrationError,
-                           NeuralState, _factor, finite_time_bound,
-                           li_activation, residual)
+                           NeuralState, _factor, finite_time_bound, flow_map,
+                           residual)
 from oracles import lift
 
 
@@ -38,13 +45,9 @@ def derived_start(problem, z, xi):
 
 
 def solve(problem, params, warm_start=None):
-    """Integrate the neural dynamics until the residual settles.
+    """Follow the neural dynamics until the residual settles.
 
-    Returns (z_star, FtcndDiagnostics).  The reported residual is the
-    projected optimality residual: free components of N v + D, with
-    clamped slack rows counted as zero while their gradients stay
-    non-negative.  Non-convergence within max_time returns the best
-    iterate with ``converged=False``.
+    Returns (z_star, FtcndDiagnostics), as ``ftcnd.solve`` does.
     """
     S, H, w = problem.S, problem.H, problem.w
     nz = problem.n_variables
@@ -54,7 +57,7 @@ def solve(problem, params, warm_start=None):
     except np.linalg.LinAlgError:
         raise ValueError("QP must be strictly convex (S positive definite)")
 
-    xi = params.xi
+    xi, eps, dt = params.xi, params.epsilon_h, params.ode_step
     Nmat, _, _ = lift(problem, xi)
     z0 = np.zeros(nz) if warm_start is None else np.asarray(warm_start, float)
     if z0.shape != (nz,):
@@ -69,119 +72,149 @@ def solve(problem, params, warm_start=None):
     if endpoint:
         v, clamped, free, h = start_n
 
-    diag = FtcndDiagnostics(converged=False, converge_time=math.inf,
-                            bound_t_f=0.0, iterations=0,
-                            endpoint_start=bool(endpoint))
-    diag.bound_t_f = finite_time_bound(h, params.mu, params.kappa)
-
-    time = 0.0
-    dt = params.ode_step
-    eps = params.epsilon_h
-    need_refactor = True
-    fac = None
-    slack_local = np.zeros(0, dtype=int)
-    F = float(h @ h)
-    diag.time_history.append(time)
+    diag = FtcndDiagnostics(endpoint_start=bool(endpoint),
+                            bound_t_f=finite_time_bound(h, params.mu,
+                                                        params.kappa))
+    diag.time_history.append(0.0)
     diag.h_inf_history.append(float(np.max(np.abs(h))))
-    diag.f_history.append(F)
+    diag.f_history.append(float(h @ h))
+    if not math.isfinite(diag.f_history[0]):
+        raise FtcndIntegrationError("non-finite neural state")
+    flow = flow_map(params.mu, params.lam, params.zeta, params.kappa)
+    shift = max(_EVENT_TOL, eps)
+    time = 0.0
     max_events = 100 + 10 * nc
     events = 0
+    new_segment = diag.h_inf_history[0] > eps
+    projected = np.zeros(nc, bool)      # rows clamped at the last event
 
-    while time < params.max_time and events <= max_events:
-        if need_refactor:
-            free = np.concatenate([np.arange(nz),
-                                   nz + np.flatnonzero(~clamped)])
-            fac = (_factor(Nmat[np.ix_(free, free)]), True)
-            h = residual(problem, v, xi)[free]
-            F = float(h @ h)
-            slack_local = np.arange(nz, free.size)
-            need_refactor = False
-
-        h_inf = float(np.max(np.abs(h)))
-        if h_inf <= eps:
-            # Reduced system converged; release clamped rows whose
-            # gradient turned negative (rare: only reachable from a warm
-            # start), otherwise done.
-            if clamped.any():
-                g = H[clamped] @ v[:nz] - w[clamped]
-                stuck = np.flatnonzero(clamped)[g < -max(_EVENT_TOL, eps)]
-                if stuck.size:
-                    clamped[stuck] = False
-                    diag.release_events += stuck.size
-                    events += stuck.size
-                    need_refactor = True
-                    continue
-            diag.converged = True
-            diag.converge_time = time
-            break
-
-        dh = -params.mu * dt * li_activation(h, params.lam, params.zeta,
-                                             params.kappa)
-        h_new = h + dh
-        F_new = float(h_new @ h_new)
-        if not math.isfinite(F_new):
-            raise FtcndIntegrationError("non-finite neural state")
-        if F_new >= F:
-            dt *= 0.5
-            diag.step_halvings += 1
-            if dt < 1e-300:
-                raise FtcndIntegrationError("step size underflow")
-            continue
-
-        dv = cho_solve(fac, dh)
-        # Events: a free slack hitting zero, or a clamped row's gradient
-        # crossing zero; split the step exactly at the first event.
-        theta = 1.0
-        phi_old = v[free[slack_local]]
-        phi_new = phi_old + dv[slack_local]
-        crossing = np.flatnonzero(phi_new < 0.0)
-        if crossing.size:
-            th = phi_old[crossing] / (phi_old[crossing] - phi_new[crossing])
-            theta = min(theta, float(np.min(th)))
+    while new_segment and time < params.max_time and events <= max_events:
+        free = np.concatenate([np.arange(nz), nz + np.flatnonzero(~clamped)])
+        slack = free[nz:] - nz              # the constraint row of each
         clamped_idx = np.flatnonzero(clamped)
-        release_hit = False
-        if clamped_idx.size:
-            Hc = H[clamped_idx]
-            g_old = Hc @ v[:nz] - w[clamped_idx]
-            g_new = g_old + Hc @ dv[:nz]
-            going_neg = (g_new < 0.0) & (g_old >= 0.0)
-            if going_neg.any():
-                th = g_old[going_neg] / (g_old[going_neg] - g_new[going_neg])
-                th_min = float(np.min(th))
-                if th_min <= theta:
-                    theta = th_min
-                    release_hit = True
+        fac = (_factor(Nmat[np.ix_(free, free)]), True)
+        h_seg = residual(problem, v, xi)[free]
+        v_seg, t_seg = v[free].copy(), time
+        live = np.flatnonzero(h_seg)
+        t_zero = flow.time_to_zero(np.abs(h_seg[live]))
+        t_end = float(t_zero.max(initial=0.0))
 
-        theta = min(max(theta, 0.0), 1.0)
-        v[free] += theta * dv
-        h = h + theta * dh
-        F = float(h @ h)
-        time += theta * dt
-        diag.iterations += 1
-        diag.time_history.append(time)
-        diag.h_inf_history.append(float(np.max(np.abs(h))))
-        diag.f_history.append(F)
+        def h_at(s):
+            h_s = np.zeros(free.size)
+            h_s[live] = np.copysign(flow.level(t_zero - s), h_seg[live])
+            return h_s
 
-        if theta < 1.0:
+        def path(s):
+            h_s = h_at(s)
+            return h_s, v_seg + cho_solve(fac, h_s - h_seg)
+
+        # A row clamped at the last event is not released before this
+        # segment's end.
+        no_release = projected[clamped_idx]
+        projected[:] = False
+
+        def values(v_s):
+            """Free slacks, then clamped rows' g + shift (+inf for a row
+            that may not be released)."""
+            g = H[clamped_idx] @ v_s[:nz] - w[clamped_idx] + shift
+            g[no_release] = math.inf
+            return v_s[nz:], g
+
+        diag.factorizations += 1
+        s_prev, k = 0.0, 0
+        g_new = values(v_seg)[1]
+        new_segment = past_max_time = False
+        while True:
+            k += 1
+            s = k * dt
+            h_k = h_at(s)
+            if float(np.abs(h_k).max(initial=0.0)) <= eps:
+                s, h_k = t_end, h_at(t_end)     # the segment's end
+            if t_seg + s > params.max_time:     # no sample past max_time
+                past_max_time = True
+                break
+            v_k = v_seg + cho_solve(fac, h_k - h_seg)
+            g_old = g_new
+            phi_new, g_new = values(v_k)
+            proj = np.flatnonzero(phi_new < 0.0)
+            rel = np.flatnonzero((g_new < 0.0) & (g_old >= 0.0))
+            if not (proj.size or rel.size):
+                diag.iterations += 1
+                time = t_seg + s
+                diag.time_history.append(time)
+                diag.h_inf_history.append(float(np.abs(h_k).max()))
+                diag.f_history.append(float(h_k @ h_k))
+                v[free] = v_k
+                if s == t_end:
+                    break
+                s_prev = s
+                continue
+            # The earliest crossing on the exact path; a clamped row
+            # wins a tie.
+            roots = []
+            for rows, is_release in ((proj, False), (rel, True)):
+                for r in rows:
+                    # The row's value b'v - c; N_red is symmetric, so
+                    # b'N_red^-1 (h - h_seg) = a'(h - h_seg), a = N_red^-1 b.
+                    b = np.zeros(free.size)
+                    if is_release:
+                        i = clamped_idx[r]
+                        b[:nz], c = H[i], w[i] - shift
+                    else:
+                        b[nz + r], c = 1.0, 0.0
+                    a = cho_solve(fac, b)
+
+                    def e(t, a=a, e0=b @ v_seg - c):
+                        return e0 + a @ (h_at(t) - h_seg)
+                    root = s_prev if e(s_prev) <= 0.0 else brentq(
+                        e, s_prev, s, xtol=1e-300,
+                        rtol=4 * np.finfo(float).eps, maxiter=1000)
+                    roots.append((root, not is_release, r, is_release))
+            s_e, _, r, is_release = min(roots)
+            h_e, v_e = path(s_e)
+            diag.iterations += 1
+            time = t_seg + s_e
+            diag.time_history.append(time)
+            diag.h_inf_history.append(float(np.abs(h_e).max()))
+            diag.f_history.append(float(h_e @ h_e))
+            v[free] = v_e
             phi = v[nz:]
+            if not is_release:
+                phi[slack[r]] = 0.0
             hit = np.flatnonzero((~clamped) & (phi <= _EVENT_TOL))
-            if hit.size:
-                phi[hit] = 0.0
-                clamped[hit] = True
-                diag.projection_events += hit.size
-                events += hit.size
-            if release_hit:
-                g_now = H[clamped_idx] @ v[:nz] - w[clamped_idx]
-                rel = clamped_idx[g_now <= _EVENT_TOL]
-                if rel.size:
-                    clamped[rel] = False
-                    diag.release_events += rel.size
-                    events += rel.size
-            need_refactor = True
+            phi[hit] = 0.0
+            clamped[hit] = projected[hit] = True
+            diag.projection_events += hit.size
+            events += hit.size
+            if is_release:
+                g_now = values(v[free])[1]
+                g_now[r] = -math.inf
+                out = clamped_idx[g_now <= _EVENT_TOL]
+                clamped[out] = False
+                diag.release_events += out.size
+                events += out.size
+            new_segment = True
+            break
+        if past_max_time:
+            break
+        if new_segment:
             continue
+        # The segment ended with h = 0: release clamped rows whose
+        # gradient turned negative, otherwise done.
+        if clamped.any():
+            g = H[clamped] @ v[:nz] - w[clamped]
+            stuck = np.flatnonzero(clamped)[g < -shift]
+            if stuck.size:
+                clamped[stuck] = False
+                diag.release_events += stuck.size
+                events += stuck.size
+                new_segment = True
+                continue
+        diag.converged = True
+        diag.converge_time = time
 
-        dt = min(dt * 2.0, params.ode_step)
-
+    if diag.h_inf_history[0] <= eps:
+        diag.converged, diag.converge_time = True, 0.0
     z = v[:nz].copy()
     diag.constraint_violation = problem.violation(z)
     resid = residual(problem, v, xi)
@@ -189,6 +222,4 @@ def solve(problem, params, warm_start=None):
     diag.equality_residual = float(np.max(np.abs(resid[nz:][~clamped]))
                                    / xi) if (~clamped).any() else 0.0
     diag.final_state = NeuralState(v=v, h=resid[free], virtual_time=time)
-    if not diag.converged:
-        diag.converge_time = math.inf
     return z, diag

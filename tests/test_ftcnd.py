@@ -1,7 +1,9 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 import ftcnd_stepwise
 import oracles
@@ -89,6 +91,56 @@ def test_scalar_ode_reaches_zero_within_bound():
             t += dt
         assert abs(h) <= 1e-12
         assert t <= bound
+
+
+FLOW_GAINS = [(5.0, 1.0, 30.0, 0.8), (5.0, 2.5, 0.1, 0.7),
+              (3.0, 0.7, 1.0, 0.6)]
+FLOW_LEVELS = np.geomspace(1e-12, 1e6, 37)
+
+
+def quad_time_to_zero(s, mu, lam, zeta, kappa):
+    """T(s), the integral of 1 / (mu omega(u)) over [0, s], by quad in
+    x = log u; below x0 the integrand is 2 e^((1 - kappa) x) / (mu lam)
+    up to a relative (zeta / lam) e^-40, and is integrated in closed form."""
+    x1 = math.log(s)
+    x0 = x1 - 40.0 / (1.0 - kappa)
+    edges = np.linspace(x0, x1, 41)
+
+    def f(x):
+        u = math.exp(x)
+        return u / (mu * float(ftcnd.li_activation(u, lam, zeta, kappa)))
+    return (2.0 * math.exp((1.0 - kappa) * x0) / (mu * lam * (1.0 - kappa))
+            + sum(quad(f, a, b, epsabs=0.0, epsrel=1e-13)[0]
+                  for a, b in zip(edges[:-1], edges[1:])))
+
+
+@pytest.mark.parametrize("gains", FLOW_GAINS)
+def test_flow_map_matches_quadrature(gains):
+    # T against quadrature, and Phi at the quadrature's T: both within
+    # 1e-10 relative for |h| from 1e-12 to 1e6.
+    flow = ftcnd.flow_map(*gains)
+    t_ref = np.array([quad_time_to_zero(s, *gains) for s in FLOW_LEVELS])
+    np.testing.assert_allclose(flow.time_to_zero(FLOW_LEVELS), t_ref,
+                               rtol=1e-10, atol=0)
+    np.testing.assert_allclose(flow.level(t_ref), FLOW_LEVELS, rtol=1e-10,
+                               atol=0)
+
+
+@pytest.mark.parametrize("gains", FLOW_GAINS)
+def test_level_inverts_time_to_zero_and_is_monotone(gains):
+    flow = ftcnd.flow_map(*gains)
+    s = np.geomspace(1e-300, 1e30, 20001)
+    t = flow.time_to_zero(s)
+    np.testing.assert_allclose(flow.level(t[(s > 1e-12) & (s < 1e6)]),
+                               s[(s > 1e-12) & (s < 1e6)], rtol=1e-10)
+    # T rises strictly while T_inf - T is resolved, then stays at T_inf.
+    assert np.all(np.diff(t) >= 0.0) and t[-1] <= flow.t_inf
+    assert np.all(np.diff(t[s < 1e6]) > 0.0)
+    # Phi on a dense grid of its whole argument range, and 0 from 0 down.
+    tau = np.linspace(0.0, flow.t_inf, 200001)[1:-1]
+    assert np.all(np.diff(flow.level(tau)) > 0.0)
+    zero_or_less = np.array([0.0, -0.0, -1.0, -1e300])
+    assert flow.level(zero_or_less).tolist() == [0.0] * 4
 
 
 def test_lift_structure_hand_instance():
@@ -179,12 +231,11 @@ def test_solve_never_forms_the_lift(monkeypatch):
 @pytest.mark.parametrize("ode_step", [2.0 ** -6, 2.0 ** -5, 0.02])
 def test_coarse_step_converges_with_strict_descent(solve, ode_step):
     # min 1/2 z^2 - 4 z  s.t.  z <= 100 (six copies of the row): no row
-    # is active, and near h = 0 a coarse step overshoots.  A step that
-    # does not lower h'h must be halved; accepting it flips h to about
-    # -h over and over and never settles.  From z = 200 every row
-    # clamps, and the solve starts at their endpoint 3004/31, where none
-    # does: it integrates from there (from z = 0 the endpoint z = 4
-    # would take no step).
+    # is active.  Where an Euler step of this size would overshoot h = 0
+    # and flip it over and over, the exact flow's samples only shrink h.
+    # From z = 200 every row clamps, and the solve starts at their
+    # endpoint 3004/31, where none does: it integrates from there (from
+    # z = 0 the endpoint z = 4 would take no step).
     problem = QpProblem(S=np.array([[1.0]]), G=np.array([-4.0]),
                         H=np.ones((6, 1)), w=np.full(6, 100.0),
                         t=0.01, N=1, Nu=1, m_prime=1)
@@ -266,14 +317,14 @@ def test_cold_and_warm_starts_converge_to_the_penalized_optimum():
         solve(z_cold + rng.normal(scale=0.05, size=p.n_variables))
 
 
-def test_an_exact_zero_is_a_fixed_point_of_the_step():
-    # The solver steps only the non-zero components of h: h - mu dt Li(h)
-    # must map +0.0 and -0.0 to exactly 0.
+def test_an_exact_zero_stays_zero_on_the_flow():
+    # The solver follows only the non-zero components of h: a component
+    # at 0 has zero time 0, and Phi is exactly 0 from there on, as it is
+    # for any component past its zero time.
     params = FtcndParams()
-    h = np.array([0.0, -0.0])
-    step = h - params.mu * params.ode_step * ftcnd.li_activation(
-        h, params.lam, params.zeta, params.kappa)
-    assert np.all(step == 0.0)
+    flow = ftcnd.flow_map(params.mu, params.lam, params.zeta, params.kappa)
+    assert flow.time_to_zero(np.array([5e-324]))[0] < 1e-60
+    assert flow.level(-params.ode_step * np.arange(3.0)).tolist() == [0.0] * 3
 
 
 def test_start_at_the_solution_takes_no_step():
@@ -321,12 +372,12 @@ def test_non_spd_problem_rejected():
 
 
 
-def test_one_residual_per_segment_plus_the_final_one(monkeypatch):
+def test_three_residuals_per_solve(monkeypatch):
     # Solves from the cold answer plus N(0, 0.05^2) that still integrate:
     # one residual at z0 (the clamp test, the bound and a first segment
     # from z0 share it), one at the endpoint (shared likewise when the
-    # solve starts there), one per later segment, and the final one.
-    # The endpoint's is the one that the start adds.
+    # solve starts there) and the final one.  A later segment reads none:
+    # its components continue on the flow, a released row's is xi r.
     rng = np.random.default_rng(0)
     params = FtcndParams(ode_step=1e-3)
     calls = []
@@ -335,7 +386,7 @@ def test_one_residual_per_segment_plus_the_final_one(monkeypatch):
     def counting(*args):
         calls.append(1)
         return residual(*args)
-    integrated = 0
+    integrated = segments = 0
     for p in solver_batch_problems()[:10]:
         z_cold, _ = ftcnd.solve(p, params)
         warm = z_cold + rng.normal(scale=0.05, size=p.n_variables)
@@ -346,8 +397,9 @@ def test_one_residual_per_segment_plus_the_final_one(monkeypatch):
         assert diag.converged
         if diag.iterations:
             integrated += 1
-            assert len(calls) == diag.factorizations + 2
-    assert integrated >= 5
+            segments += diag.factorizations > 1
+            assert len(calls) == 3
+    assert integrated >= 5 and segments >= 3
 
 
 def test_cold_and_perturbed_starts_on_the_criterion_batch():
@@ -367,3 +419,46 @@ def test_cold_and_perturbed_starts_on_the_criterion_batch():
             np.testing.assert_allclose(z, z_ref, rtol=0, atol=1e-6)
             starts.add(d.endpoint_start)
     assert starts == {False, True}
+
+
+def test_random_warm_starts_release_below_the_tolerance():
+    # 400 random QPs, each from z ~ N(0, 1): a clamped row is released
+    # mid-segment only once its gradient falls below -max(_EVENT_TOL,
+    # epsilon_h), as at a segment's end, so that a released row's slack
+    # grows.  Every solve converges to the penalized optimum without
+    # spending its event budget 100 + 10 nc.
+    rng = np.random.default_rng(400)
+    params = FtcndParams(ode_step=1e-3)
+    releases = 0
+    for _ in range(400):
+        p = random_qp(rng)
+        z, diag = ftcnd.solve(p, params,
+                              warm_start=rng.normal(size=p.n_variables))
+        assert diag.converged
+        assert diag.projection_events + diag.release_events \
+            < 100 + 10 * p.n_constraints
+        np.testing.assert_allclose(
+            z, qp_oracle.solve_reference(p, penalized=True, xi=params.xi),
+            rtol=0, atol=1e-6)
+        releases += diag.release_events
+    assert releases > 0
+
+
+@pytest.mark.parametrize("kappa", [0.3, 0.1])
+def test_small_kappa_converges_at_a_settled_residual(kappa):
+    # kappa = 0.3: a released row's component is gone almost at once, and
+    # its slack's free path can fall at once; without the rule that a row
+    # clamped at an event waits for the next segment's end to be released,
+    # some of these solves spent their event budget cycling.
+    # kappa = 0.1: T(|h|) of a |h| near 40 lies within an ulp of T_inf, so
+    # Phi cannot give back the values carried across events, and v may end
+    # a segment away from the flow's h = 0; a solve reports convergence
+    # only where N v + D itself has max|h| <= epsilon_h.
+    params = FtcndParams(kappa=kappa)
+    for p in solver_batch_problems():
+        z, diag = ftcnd.solve(p, params)
+        assert diag.converged
+        assert np.abs(diag.final_state.h).max() <= params.epsilon_h
+        np.testing.assert_allclose(
+            z, qp_oracle.solve_reference(p, penalized=True, xi=params.xi),
+            rtol=0, atol=1e-6)

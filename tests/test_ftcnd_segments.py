@@ -1,9 +1,11 @@
-"""The segmented FTCND solver against the step-by-step reference loop.
+"""The block-sampled FTCND solver against the sample-by-sample loop.
 
-``ftcnd.solve`` steps the residual alone and solves for v once per block
-of steps; ``ftcnd_stepwise.solve`` solves and checks events after every
-step.  Both must take the same steps and meet the same events; their
-iterates differ only by rounding.
+``ftcnd.solve`` samples the exact flow a block at a time, follows each
+residual component across events and refines crossings by Newton's
+method; ``ftcnd_stepwise.solve`` solves and checks events after every
+sample, reads h again at each segment and locates crossings by
+``brentq``.  Both must take the same samples and meet the same events;
+their iterates differ only by rounding.
 """
 import math
 
@@ -35,8 +37,8 @@ def perturbed_warm_solves():
             calls.append((problem, params, warm))
     assert len(calls) >= 20
     # The slacks derived from a warm start zero most of the residual, and
-    # the solver steps none of those exact zeros: the stepwise oracle,
-    # which steps every component, checks that skip on these solves.
+    # neither solver samples those exact zeros: the stepwise loop finds
+    # them again in each segment's residual, the solver drops them once.
     assert max(np.count_nonzero(initial_free_residual(*call) == 0.0)
                for call in calls) > 100
     return calls
@@ -55,9 +57,9 @@ def assert_same_run(problem, params, warm_start=None):
     z, diag = ftcnd.solve(problem, params, warm_start=warm_start)
     z_ref, ref = ftcnd_stepwise.solve(problem, params, warm_start=warm_start)
     assert (diag.iterations, diag.projection_events, diag.release_events,
-            diag.step_halvings, diag.converged) == \
+            diag.converged) == \
         (ref.iterations, ref.projection_events, ref.release_events,
-         ref.step_halvings, ref.converged)
+         ref.converged)
     assert diag.endpoint_start == ref.endpoint_start
     assert len(diag.time_history) == len(ref.time_history)
     assert len(diag.h_inf_history) == len(ref.h_inf_history)
@@ -94,20 +96,33 @@ def test_matches_stepwise_on_cold_panda_size_qps():
 
 
 @pytest.mark.parametrize("ode_step", [2.0 ** -5, 2.0 ** -4])
-def test_matches_stepwise_through_halvings_and_an_event(ode_step):
+def test_matches_stepwise_through_an_event(ode_step):
     # min 1/2 z^2 - 4 z  s.t.  z <= 1 (the other five rows are slack),
-    # with dyadic data and steps.  At these steps a halving precedes
-    # nearly every accepted step, and the slack of z <= 1 hits zero
-    # inside a block, so the cut must roll dt and the halving count back
-    # to the event step.  The counts are not on a rounding edge: a
-    # one-ulp change of G leaves them as they are.
+    # with dyadic data and coarse samples.  The slack of z <= 1 hits
+    # zero between two samples of the first block, so the crossing is
+    # refined on the curved path; the second segment ends at its Newton
+    # endpoint, z = 1 + 3 / (1 + xi).
     H = np.array([[1.0], [-1.0], [1.0], [1.0], [1.0], [1.0]])
     problem = QpProblem(S=np.array([[1.0]]), G=np.array([-4.0]), H=H,
                         w=np.array([1.0, 8.0, 8.0, 8.0, 8.0, 8.0]),
                         t=0.01, N=1, Nu=1, m_prime=1)
-    diag = assert_same_run(problem, FtcndParams(ode_step=ode_step))
+    params = FtcndParams(ode_step=ode_step)
+    diag = assert_same_run(problem, params)
     assert diag.converged and diag.projection_events == 1
-    assert diag.step_halvings >= diag.iterations
+    assert diag.factorizations == 2 and diag.step_halvings == 0
+    assert np.all(np.diff(diag.f_history) < 0.0)
+    z = diag.final_state.v[0]
+    assert z == pytest.approx(1.0 + 3.0 / (1.0 + params.xi), abs=1e-14)
+
+
+@pytest.mark.parametrize("ode_step", [0.02, 0.05, 0.1])
+def test_coarse_samples_keep_the_stepwise_counts(ode_step):
+    # Far coarser samples than the default: the sample counts follow the
+    # flow, not the rounding of a step, so both solvers take the same
+    # samples and events on each of the first 60 criterion-1 QPs.
+    params = FtcndParams(ode_step=ode_step)
+    for problem in solver_batch_problems()[:60]:
+        assert_same_run(problem, params)
 
 
 def test_equal_residual_settles_where_stepwise_does():
@@ -117,10 +132,10 @@ def test_equal_residual_settles_where_stepwise_does():
     # the dyadic data.  z_N violates each row z_i <= w_i by 1/4: the solve
     # starts there with every row clamped, and every residual component
     # S z_N + G + xi H'r is exactly 1, so all 14 components follow the
-    # same Li dynamics and stay equal: h'h is nfree max|h|^2 up to
-    # rounding, the edge of the h'h gate in front of the convergence
-    # test.  With epsilon_h set to max|h| after step k, where the rounded
-    # h'h exceeds nfree epsilon_h^2, both solvers must settle at step k.
+    # same path and stay equal.  With epsilon_h set to max|h| at sample
+    # k, exactly on the edge of the test max|h| <= epsilon_h, both solvers
+    # must end the segment in place of sample k; the samples where the
+    # rounded h'h exceeds nfree max|h|^2 are checked.
     xi, S = 4.0, 4.0 * np.eye(14)
     z_n = np.tile([2.0, 3.0], 7)
     problem = QpProblem(S=S, G=-S @ z_n,
@@ -139,6 +154,7 @@ def test_equal_residual_settles_where_stepwise_does():
         params = FtcndParams(xi=xi, epsilon_h=ref.h_inf_history[k])
         diag = assert_same_run(problem, params)
         assert diag.converged and diag.iterations == k
+        assert diag.h_inf_history[-1] == diag.f_history[-1] == 0.0
         assert diag.projection_events == diag.release_events == 0
 
 
@@ -160,3 +176,15 @@ def test_event_free_warm_solve_factors_once(perturbed_warm_solves):
         assert diag.endpoint_start and diag.factorizations == 1
         assert diag.block_solves <= math.ceil(math.log2(diag.iterations)) + 1
     assert event_free >= 5
+
+
+def test_max_time_stops_where_stepwise_does():
+    # No sample is taken past max_time: both solvers stop on the same
+    # sample, unconverged, whether a segment is under way or would end.
+    params = FtcndParams(ode_step=1e-3, max_time=0.0235)
+    stopped = 0
+    for problem in solver_batch_problems()[:20]:
+        diag = assert_same_run(problem, params)
+        stopped += not diag.converged
+        assert diag.time_history[-1] <= params.max_time
+    assert stopped >= 15
