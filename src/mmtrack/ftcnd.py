@@ -9,33 +9,33 @@ That law is followed exactly: with T(s) the time in which it brings
 |h| = s to 0 and Phi its inverse (``FlowMap``), a component is
 h_i(t) = sign(h_i0) Phi(T(|h_i0|) - t) until its zero time, 0 after.
 
-Events keep the slacks non-negative: a free slack that hits zero
-clamps its row (its component leaves h); a clamped row whose gradient
-g = Hc z - wc falls below -max(_EVENT_TOL, epsilon_h) is released (its
-component enters h at xi g), though not within the segment after the
-event that clamped it, lest the two cycle.  Other components keep their
-zero times.  A start z gets the slacks max(0, w - H z), so a row that z
-violates starts clamped.  Between two events v = v_end + N_red^-1 h,
-N_red being N without the clamped rows and columns and v_end the
-segment's end, where h = 0.  N is never formed: N v + D =
-[S z + G + xi H'r; xi r] with r = H z + phi - w, and as the slack block
-of N_red is xi I, N_red x = b reduces to (S + xi Hc'Hc) x_z =
-b_z - Hf' b_f and x_f = b_f / xi - Hf x_z, Hc and Hf the clamped and
-free rows of H.  The path is sampled every ode_step, the resolution of
-event detection, a block at a time (one Phi call, one multi-column
-solve); events found between samples are refined by Newton's method on
-the exact path.  The first sample with max|h| <= epsilon_h is replaced
-by the segment's end, where the solve converges if N v + D agrees.
+Events keep the slacks non-negative: a free slack that hits zero clamps
+its row (its component leaves h); a clamped row whose gradient
+g = Hc z - wc falls through -max(_EVENT_TOL, epsilon_h) is released (its
+component enters h at xi g), though not in the segment after the event
+that clamped it, lest they cycle; a g already below waits for the
+segment's end.  Other components keep their zero times.  Between two
+events v = v_end + N_red^-1 h, N_red being N without the clamped rows
+and columns and v_end the segment's end, where h = 0.  N is never
+formed: N v + D = [S z + G + xi H'r; xi r] with r = H z + phi - w, and
+as the slack block of N_red is xi I, N_red x = b reduces to
+(S + xi Hc'Hc) x_z = b_z - Hf' b_f and x_f = b_f / xi - Hf x_z, Hc and
+Hf the clamped and free rows of H.  The path is sampled every ode_step,
+the resolution of event detection, a block at a time (one Phi call, one
+multi-column solve); events found between samples are refined by
+Newton's method on the exact path.  The first sample with
+max|h| <= epsilon_h is replaced by the segment's end, where the solve
+converges if N v + D agrees.
 
-The start.  A segment from z0 would end where h = 0 with z0's rows C
-clamped, at v - N_red^-1 h, whose z part is
-z_N = (S + xi Hc'Hc)^-1 (xi Hc'wc - G): one penalized active-set Newton
-step (Nocedal & Wright 2006, sections 16.5 and 17.1), one solve with
-the factor that the segment needs anyway (that of S while C is empty).
-z_N's slacks are derived by the same rule, and the solve starts from
-whichever of z0 and z_N has the smaller max|h| (z0 on a tie), reusing
-the factor when that start clamps C.  A start with max|h| <= epsilon_h
-is final: 0 iterations, 0 factorizations, no second residual.
+The start.  A start z gets the slacks max(0, w - H z), clamping the rows
+C that z violates.  A segment from z0 would end where h = 0, at
+v - N_red^-1 h, whose z part z_N = (S + xi Hc'Hc)^-1 (xi Hc'wc - G) is
+one penalized active-set Newton step (Nocedal & Wright 2006, sections
+16.5 and 17.1), one solve with the factor the segment needs anyway (S's
+while C is empty).  The solve starts from whichever of z0 and z_N has
+the smaller max|h| (z0 on a tie), reusing the factor when that start
+clamps C; one with max|h| <= epsilon_h is final: 0 iterations, 0
+factorizations, no second residual.
 """
 from __future__ import annotations
 
@@ -431,8 +431,8 @@ def solve(problem, params: FtcndParams, warm_start=None):
         hit = np.flatnonzero(~clamped & (phi <= _EVENT_TOL))
         phi[hit], clamped[hit], projected[hit] = 0.0, True, True
         diag.projection_events += hit.size
-        if is_release:
-            g_now = Hc @ v[:nz] - wc
+        if is_release:              # with the rows that crossed alike
+            g_now = np.where(Hc @ V[k, :nz] >= wc, Hc @ v[:nz] - wc, math.inf)
             g_now[row] = -math.inf
             release(clamped_idx[g_now <= _EVENT_TOL])
         need_refactor, L = True, None

@@ -189,7 +189,7 @@ def solve(problem, params, warm_start=None):
             if is_release:
                 g_now = values(v[free])[1]
                 g_now[r] = -math.inf
-                out = clamped_idx[g_now <= _EVENT_TOL]
+                out = clamped_idx[(g_now <= _EVENT_TOL) & (g_old >= 0.0)]
                 clamped[out] = False
                 diag.release_events += out.size
                 events += out.size

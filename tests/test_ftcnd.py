@@ -444,12 +444,14 @@ def test_random_warm_starts_release_below_the_tolerance():
     assert releases > 0
 
 
-@pytest.mark.parametrize("kappa", [0.3, 0.1])
+@pytest.mark.parametrize("kappa", [0.3, 0.2, 0.1])
 def test_small_kappa_converges_at_a_settled_residual(kappa):
     # kappa = 0.3: a released row's component is gone almost at once, and
     # its slack's free path can fall at once; without the rule that a row
     # clamped at an event waits for the next segment's end to be released,
     # some of these solves spent their event budget cycling.
+    # kappa = 0.2: a release that took along every clamped row with g <= 0,
+    # held rows whose g was already negative included, cycled on QP 17.
     # kappa = 0.1: T(|h|) of a |h| near 40 lies within an ulp of T_inf, so
     # Phi cannot give back the values carried across events, and v may end
     # a segment away from the flow's h = 0; a solve reports convergence
