@@ -28,14 +28,12 @@ max|h| <= epsilon_h is replaced by the segment's end, where the solve
 converges if N v + D agrees.
 
 The start.  A start z gets the slacks max(0, w - H z), clamping the rows
-C that z violates.  A segment from z0 would end where h = 0, at
-v - N_red^-1 h, whose z part z_N = (S + xi Hc'Hc)^-1 (xi Hc'wc - G) is
-one penalized active-set Newton step (Nocedal & Wright 2006, sections
-16.5 and 17.1), one solve with the factor the segment needs anyway (S's
-while C is empty).  The solve starts from whichever of z0 and z_N has
-the smaller max|h| (z0 on a tie), reusing the factor when that start
-clamps C; one with max|h| <= epsilon_h is final: 0 iterations, 0
-factorizations, no second residual.
+C that z violates (H z > w).  A solve from z0 starts where a segment
+from z0 would end, at z_N = (S + xi Hc'Hc)^-1 (xi Hc'wc - G): one
+penalized active-set Newton step (Nocedal & Wright 2006, sections 16.5
+and 17.1), solved with S's factor while C is empty, and the factor
+reused when z_N clamps C again.  A start with max|h| <= epsilon_h is
+final: 0 iterations, 0 factorizations, no second residual.
 """
 from __future__ import annotations
 
@@ -101,7 +99,6 @@ class FtcndDiagnostics:
     release_events: int = 0
     step_halvings: int = 0      # always 0: the flow is not stepped
     factorizations: int = 0     # segments; a factor is made or reused
-    endpoint_start: bool = False    # started at the first segment's end
     block_solves: int = 0       # one multi-column solve per block
     constraint_violation: float = 0.0
     equality_residual: float = 0.0
@@ -212,9 +209,8 @@ def _first_event(V, Hc, wc, nz, tol=0.0):
 def solve(problem, params: FtcndParams, warm_start=None):
     """Follow the neural dynamics until the residual settles.
 
-    ``warm_start`` is the z0 (length nz) to start from; None means zero.
-    The solve starts at z0, or at the end of z0's first segment when its
-    residual is smaller (``endpoint_start``; see the module docstring).
+    ``warm_start`` is a finite z0 of length nz (None means zero); the
+    solve starts at the Newton endpoint of the rows that z0 violates.
     Returns (z_star, FtcndDiagnostics).  The reported residual is the
     projected optimality residual: free components of N v + D, with
     clamped slack rows counted as zero while their gradients stay
@@ -235,23 +231,21 @@ def solve(problem, params: FtcndParams, warm_start=None):
     z0 = np.zeros(nz) if warm_start is None else np.asarray(warm_start, float)
     if z0.shape != (nz,):
         raise ValueError(f"warm start must have length {nz}")
-    v, h, clamped = _derived_start(problem, z0, xi)
+    if not np.isfinite(z0).all():
+        raise ValueError("warm start must be finite")
+    # Start at the Newton endpoint of the rows that z0 violates.
+    clamped = H @ z0 > w
     Hc, wc = H[clamped], w[clamped]
     L = _factor(S + xi * (Hc.T @ Hc)) if Hc.size else L_S
-    # The first segment's endpoint, where h would reach 0 with the rows
-    # of z0 clamped: one block-eliminated Newton step.
-    v_n, h_n, clamped_n = _derived_start(
+    v, h, clamped_n = _derived_start(
         problem, dpotrs(L, xi * (Hc.T @ wc) - problem.G, lower=1)[0], xi)
-    h_max, h_max_n = float(np.abs(h).max()), float(np.abs(h_n).max())
-    endpoint = h_max_n < h_max
-    if endpoint:
-        if (clamped_n != clamped).any():
-            L = None
-        v, h, clamped, h_max = v_n, h_n, clamped_n, h_max_n
+    if (clamped_n != clamped).any():
+        clamped, L = clamped_n, None
+    h_max = float(np.abs(h).max())
     F = float(h @ h)
     eps = params.epsilon_h
     diag = FtcndDiagnostics(bound_t_f=finite_time_bound(h_max, mu, kappa),
-                            endpoint_start=endpoint, h_inf_history=[h_max],
+                            h_inf_history=[h_max],
                             f_history=[F], time_history=[0.0])
     if h_max <= eps:
         # A derived start clamps only rows with r > 0, so the release

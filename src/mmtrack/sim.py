@@ -4,12 +4,10 @@
 predictive layer assembles the tracking QP from the desired trajectory,
 never from the plant, and the neural solver's joint-velocity increment
 is integrated into that trajectory.  The first solve is cold; each
-later one is warm-started from a polynomial extrapolation of the last
-solutions (:func:`warm_start`), of the order, up to 4, whose
-extrapolation from the older solutions came closest to the solution
-just computed.  The solver moves either start one Newton step on when
-that lowers its residual (see :mod:`ftcnd`); on the shipped configs
-every solve does, and settles there without a step.
+later one is warm-started from the cubic extrapolation of the last four
+solutions (:func:`warm_start`), which picks the rows that the solver's
+Newton step clamps (see :mod:`ftcnd`); on the shipped configs every
+solve settles there without a step.
 :func:`track`, the dynamic layer, runs at the torque rate: a torque law
 of :data:`CONTROLLERS` computes a torque and the arm plant takes a
 fixed RK4 step, so one plan serves every torque law.  The script's time
@@ -45,22 +43,13 @@ POSE_BLOCK_ROWS = 256
 # Convergence ball (m, rad) and finite-time bound slack (s) of the metrics.
 THRESHOLD = 0.01
 # ``Plan.steps`` columns: start time, FtcndDiagnostics scalars, final max|h|.
-STEP_COLUMNS = ("time", "converged", "iterations", "endpoint_start",
-                "projection_events", "release_events", "factorizations",
-                "block_solves", "converge_time", "bound_t_f",
-                "constraint_violation", "equality_residual", "h_inf")
-# Highest order of the warm start's polynomial extrapolation.
-_MAX_ORDER = 4
-# Applied to the last _MAX_ORDER + 2 solutions, newest first: row p
-# (p = 0 .. _MAX_ORDER) is the newest solution minus its order-p
-# extrapolation from the p + 1 solutions before it (the backward
-# difference of order p + 1), and row _MAX_ORDER + 1 + p is the order-p
-# extrapolation of the next solution from the last p + 1.
-_PREDICTOR = np.array(
-    [[(-1) ** i * math.comb(p + 1, i) for i in range(_MAX_ORDER + 2)]
-     for p in range(_MAX_ORDER + 1)]
-    + [[(-1) ** i * math.comb(p + 1, i + 1) for i in range(_MAX_ORDER + 2)]
-       for p in range(_MAX_ORDER + 1)], float)
+STEP_COLUMNS = ("time", "converged", "iterations", "projection_events",
+                "release_events", "factorizations", "block_solves",
+                "converge_time", "bound_t_f", "constraint_violation",
+                "equality_residual", "h_inf")
+# The warm start's weights of the last k solutions, newest first: the
+# extrapolation of order k - 1.
+_EXTRAPOLATION = ([1.0], [2.0, -1.0], [3.0, -3.0, 1.0], [4.0, -6.0, 4.0, -1.0])
 # Each kind of reference, base motion and disturbance, with the keys it
 # reads and their defaults; a section's first kind is its default.
 _KINDS = {
@@ -411,17 +400,10 @@ Plan = namedtuple("Plan", "initial_pose q_md qd_md qdd_md steps")
 
 
 def warm_start(past) -> np.ndarray:
-    """The next solve's start from ``past`` (k, nz), the last k (1 to
-    _MAX_ORDER + 2) solutions, newest first: the polynomial extrapolation
-    of the order, at most min(k - 2, _MAX_ORDER), that came closest in
-    the 2-norm to the newest solution when applied to the older ones
-    (the lowest such order on a tie, and the newest solution itself
-    while k = 1)."""
-    k = len(past)
-    rows = _PREDICTOR[:, :k] @ past
-    errors = np.einsum("ij,ij->i", rows[:k - 1], rows[:k - 1])
-    order = int(np.argmin(errors)) if k > 1 else 0
-    return rows[_MAX_ORDER + 1 + order]
+    """The next solve's start from ``past`` (k, nz), the last k (1 to 4)
+    solutions, newest first: their polynomial extrapolation of order
+    k - 1."""
+    return _EXTRAPOLATION[len(past) - 1] @ past
 
 
 def plan(model: RobotModel, params: ControllerParams,
@@ -455,7 +437,7 @@ def plan(model: RobotModel, params: ControllerParams,
             model, np.concatenate([base[j], q_md[j]]), qdot_prev, refs[j],
             params.weights, tc, params.horizon, params.control_horizon)
         z, diag = ftcnd.solve(problem, params.ftcnd, warm_start=warm)
-        past = [z] + past[:_MAX_ORDER + 1]
+        past = [z] + past[:len(_EXTRAPOLATION) - 1]
         warm = warm_start(np.array(past))
         failures = 0 if diag.converged else failures + 1
         if failures > FAILURE_BUDGET:

@@ -10,8 +10,8 @@ v = v_seg + N_red^-1 (h - h_seg) by ``cho_solve``, and the event checks
 between this sample and the last.  A sample with max|h| <= epsilon_h is
 replaced by the segment's end, where h = 0.  A crossing is located by
 ``brentq`` on the row's value along the exact path, the earliest one of
-all crossing rows.  The start is chosen by the library's rule, z0 or the
-end of its first segment, here from a dense solve of the reduced lift.
+all crossing rows.  The start follows the library's rule, the end of
+z0's first segment, here from a dense solve of the reduced lift.
 
 The library solver never forms N, samples a block at a time, follows
 each residual component across events instead of reading h again, and
@@ -62,18 +62,15 @@ def solve(problem, params, warm_start=None):
     z0 = np.zeros(nz) if warm_start is None else np.asarray(warm_start, float)
     if z0.shape != (nz,):
         raise ValueError(f"warm start must have length {nz}")
+    if not np.isfinite(z0).all():
+        raise ValueError("warm start must be finite")
     v, clamped, free, h = derived_start(problem, z0, xi)
-    # The end of the first segment, v[free] - N_red^-1 h, from the dense
-    # lift; the solve starts there when its residual is smaller.
-    v_n = v.copy()
-    v_n[free] -= np.linalg.solve(Nmat[np.ix_(free, free)], h)
-    start_n = derived_start(problem, v_n[:nz], xi)
-    endpoint = np.max(np.abs(start_n[3])) < np.max(np.abs(h))
-    if endpoint:
-        v, clamped, free, h = start_n
+    # The solve starts at the end of z0's first segment, v[free] -
+    # N_red^-1 h, from the dense lift.
+    v[free] -= np.linalg.solve(Nmat[np.ix_(free, free)], h)
+    v, clamped, free, h = derived_start(problem, v[:nz], xi)
 
-    diag = FtcndDiagnostics(endpoint_start=bool(endpoint),
-                            bound_t_f=finite_time_bound(h, params.mu,
+    diag = FtcndDiagnostics(bound_t_f=finite_time_bound(h, params.mu,
                                                         params.kappa))
     diag.time_history.append(0.0)
     diag.h_inf_history.append(float(np.max(np.abs(h))))

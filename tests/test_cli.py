@@ -321,13 +321,31 @@ def test_solve_qp_overflowing_problem_exits_2(tmp_path, capsys):
     assert "solver failure: non-finite neural state" in captured.err
 
 
-def test_solve_qp_malformed_file(tmp_path, capsys):
+def test_solve_qp_unconverged_exits_2(tmp_path, capsys, monkeypatch):
+    # 1e-4 s of virtual time is too little for the cold hand QP.
     path = tmp_path / "problem.txt"
-    path.write_text("not a problem\n", encoding="utf-8")
-    rc = cli.main(["solve-qp", "--problem", str(path)])
+    path.write_text(pomptc.problem_to_text(hand_qp()), encoding="utf-8")
+    params = ftcnd.FtcndParams(max_time=1e-4)
+    monkeypatch.setattr(cli.ftcnd, "FtcndParams", lambda: params)
+    rc = cli.main(["solve-qp", "--problem", str(path), "--solver", "ftcnd"])
     captured = capsys.readouterr()
-    assert rc == 1
-    assert "malformed" in captured.err
+    assert rc == 2
+    assert "ftcnd did not converge within max_time" in captured.err
+    assert "ftcnd z*" not in captured.out
+
+
+def test_solve_qp_malformed_file(tmp_path, capsys):
+    # A header that is not one, and a file without its last row (w).
+    path = tmp_path / "problem.txt"
+    for text, match in (
+            ("not a problem\n", "malformed header"),
+            (pomptc.problem_to_text(hand_qp()).rsplit("\n", 2)[0] + "\n",
+             "expected 9 data rows, got 8")):
+        path.write_text(text, encoding="utf-8")
+        rc = cli.main(["solve-qp", "--problem", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert f"malformed problem file: {match}" in captured.err
 
 
 def test_solve_qp_missing_file(tmp_path, capsys):

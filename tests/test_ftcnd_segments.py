@@ -60,7 +60,6 @@ def assert_same_run(problem, params, warm_start=None):
             diag.converged) == \
         (ref.iterations, ref.projection_events, ref.release_events,
          ref.converged)
-    assert diag.endpoint_start == ref.endpoint_start
     assert len(diag.time_history) == len(ref.time_history)
     assert len(diag.h_inf_history) == len(ref.h_inf_history)
     if ref.converged and ref.iterations == 0:
@@ -97,22 +96,26 @@ def test_matches_stepwise_on_cold_panda_size_qps():
 
 @pytest.mark.parametrize("ode_step", [2.0 ** -5, 2.0 ** -4])
 def test_matches_stepwise_through_an_event(ode_step):
-    # min 1/2 z^2 - 4 z  s.t.  z <= 1 (the other five rows are slack),
-    # with dyadic data and coarse samples.  The slack of z <= 1 hits
-    # zero between two samples of the first block, so the crossing is
-    # refined on the curved path; the second segment ends at its Newton
-    # endpoint, z = 1 + 3 / (1 + xi).
-    H = np.array([[1.0], [-1.0], [1.0], [1.0], [1.0], [1.0]])
-    problem = QpProblem(S=np.array([[1.0]]), G=np.array([-4.0]), H=H,
-                        w=np.array([1.0, 8.0, 8.0, 8.0, 8.0, 8.0]),
-                        t=0.01, N=1, Nu=1, m_prime=1)
+    # min 1/2 |z|^2 - 4 z1 + 1/2 z2  s.t.  z1 - z2 <= 1, z2 <= 1 (the
+    # other ten rows are slack), with dyadic data and coarse samples.
+    # The cold solve starts at the Newton endpoint (4, -1/2) with the
+    # first row clamped; on the way to that row's endpoint the slack of
+    # z2 <= 1 hits zero between two samples, so the crossing is refined
+    # on the curved path, and the second segment ends at the endpoint of
+    # both rows, z = (193, 84) / 82 for xi = 5.
+    H = np.vstack([[[1.0, -1.0], [0.0, 1.0]],
+                   np.tile(np.vstack([np.eye(2), -np.eye(2)]), (3, 1))[:10]])
+    problem = QpProblem(S=np.eye(2), G=np.array([-4.0, 0.5]), H=H,
+                        w=np.concatenate([[1.0, 1.0], np.full(10, 8.0)]),
+                        t=0.01, N=1, Nu=1, m_prime=2)
     params = FtcndParams(ode_step=ode_step)
     diag = assert_same_run(problem, params)
     assert diag.converged and diag.projection_events == 1
     assert diag.factorizations == 2 and diag.step_halvings == 0
     assert np.all(np.diff(diag.f_history) < 0.0)
-    z = diag.final_state.v[0]
-    assert z == pytest.approx(1.0 + 3.0 / (1.0 + params.xi), abs=1e-14)
+    z = diag.final_state.v[:2]
+    np.testing.assert_allclose(z, np.array([193.0, 84.0]) / 82.0,
+                               rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("ode_step", [0.02, 0.05, 0.1])
@@ -145,7 +148,7 @@ def test_equal_residual_settles_where_stepwise_does():
     v_n = np.concatenate([z_n, np.zeros(84)])
     assert np.all(ftcnd.residual(problem, v_n, xi)[:14] == 1.0)
     _, ref = ftcnd_stepwise.solve(problem, FtcndParams(xi=xi))
-    assert ref.endpoint_start and ref.h_inf_history[0] == 1.0
+    assert ref.h_inf_history[0] == 1.0
     edges = [k for k, (h_inf, F) in enumerate(zip(ref.h_inf_history,
                                                   ref.f_history))
              if F > 14 * h_inf ** 2]
@@ -173,7 +176,7 @@ def test_event_free_warm_solve_factors_once(perturbed_warm_solves):
         if diag.projection_events or diag.release_events:
             continue
         event_free += 1
-        assert diag.endpoint_start and diag.factorizations == 1
+        assert diag.factorizations == 1
         assert diag.block_solves <= math.ceil(math.log2(diag.iterations)) + 1
     assert event_free >= 5
 

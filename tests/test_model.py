@@ -176,6 +176,8 @@ def test_load_scenario_rejects_bad_kappa():
      r"^robot: repeated key \(line 4\)$"),
     ("ftcnd: {mu: 3.0, mu: 7.0}\n",
      r"^ftcnd.mu: repeated key \(line 4\)$"),
+    ("ftcnd: {<<: {mu: 3.0, mu: 7.0}}\n",
+     r"^ftcnd.mu: repeated key \(line 4\)$"),
     ("scenario:\n  reference: {radius: 0.2, radius: 0.3}\n",
      r"^scenario.reference.radius: repeated key \(line 5\)$"),
     ("scenario:\n  reference: {kind: circle, radus: 0.2}\n",
@@ -210,6 +212,7 @@ def test_load_scenario_rejects_bad_kappa():
         "duration_int_overflow", "pose_weight_int_overflow",
         "radius_int_overflow", "initial_q_int_overflow",
         "initial_q_full_length", "repeated_robot", "repeated_ftcnd_key",
+        "repeated_merged_key",
         "repeated_reference_key", "reference_misspelled_key",
         "waypoints_circle_key", "waypoint_point_key",
         "base_motion_misspelled_key", "disturbance_misspelled_key",
@@ -227,6 +230,14 @@ def test_load_scenario_rejects_malformed_values(section, match):
 def test_load_scenario_rejects_unknown_robot_keys(robot, match):
     with pytest.raises(ConfigError, match=f"^{match}$"):
         load_scenario(f"robot: {robot}\n")
+
+
+def test_load_scenario_merges_a_mapping():
+    # A merge key supplies the keys that its mapping does not set.
+    with pytest.warns(UserWarning, match="r3"):
+        _, params, _ = load_scenario(
+            MINIMAL + "ftcnd: {<<: {mu: 3.0, xi: 2.0}, mu: 4.0}\n")
+    assert (params.ftcnd.mu, params.ftcnd.xi) == (4.0, 2.0)
 
 
 def test_load_scenario_rejects_all_false_mpc_mask():
