@@ -65,14 +65,15 @@ print("wrote", {png!r})
 
 
 def _load_config(path: str):
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {path}")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path}: {exc}") from None
     # Route parameter warnings (e.g. r3 = 1) to stdout: warnings on a
     # success path must not land on the error stream.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = load_scenario(p.read_text(encoding="utf-8"))
+        result = load_scenario(text)
     for item in caught:
         print(f"warning: {item.message}")
     return result

@@ -19,9 +19,18 @@ class ConfigError(ValueError):
     """Raised when a scenario document is malformed or inconsistent."""
 
 
-class _Loader(yaml.SafeLoader):
-    """SafeLoader that rejects a repeated key, naming its path, instead of
-    keeping the last."""
+if yaml.__with_libyaml__:
+    class _Events(yaml.composer.Composer, yaml.CSafeLoader):
+        def __init__(self, stream):
+            yaml.CSafeLoader.__init__(self, stream)
+            yaml.composer.Composer.__init__(self)
+else:
+    _Events = yaml.SafeLoader
+
+
+class _Loader(_Events):
+    """libyaml's parser (when PyYAML has it) under PyYAML's Python composer;
+    rejects a repeated key, naming its path, instead of keeping the last."""
 
     def construct_document(self, node):
         # The composed tree is walked before construction, so that each
@@ -491,10 +500,12 @@ def load_scenario(config_document: str):
 
     try:
         doc = yaml.load(config_document, Loader=_Loader)
-    except yaml.YAMLError as exc:
+    except ConfigError:
+        raise
+    except (yaml.YAMLError, ValueError) as exc:
         raise ConfigError(f"parse failure: {exc}") from None
     except RecursionError:
-        # PyYAML composes and constructs nested nodes recursively.
+        # The Python composer recurses per level; libyaml's C one would crash.
         raise ConfigError("parse failure: the document is nested too "
                           "deeply") from None
     if doc is None:

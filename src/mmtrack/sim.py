@@ -572,10 +572,13 @@ def pose_columns(model: RobotModel, script: ScenarioScript,
 
 
 def plan_metrics(plan: Plan) -> dict:
-    """The count of solves past their finite-time bound + THRESHOLD."""
+    """The solves past bound_t_f + THRESHOLD, and the solver's extremes."""
     col = dict(zip(STEP_COLUMNS, plan.steps.T))
     return {"solver_bound_violations": int(np.count_nonzero(
-        col["converge_time"] > col["bound_t_f"] + THRESHOLD))}
+        col["converge_time"] > col["bound_t_f"] + THRESHOLD)),
+        "max_iterations": int(col["iterations"].max(initial=0)),
+        "settled_solves": int(np.count_nonzero(col["iterations"] == 0)),
+        "max_qp_violation": float(col["constraint_violation"].max(initial=0))}
 
 
 def error_metrics(trace: SimTrace, settle_window: float,

@@ -183,14 +183,32 @@ def test_simulate_malformed_value_exits_without_traceback(tmp_path):
 
 
 def test_simulate_deeply_nested_config_exits_1_without_traceback(tmp_path):
+    # libyaml's C composer crashes the interpreter at this depth; the
+    # Python composer that the loader uses ends in RecursionError.
     path = tmp_path / "deep.yaml"
-    path.write_text("robot: " + "[" * 5000 + "]" * 5000 + "\n",
+    path.write_text("robot: " + "[" * 200_000 + "]" * 200_000 + "\n",
                     encoding="utf-8")
     proc = run_cli("simulate", "--config", str(path),
                    "--out", str(tmp_path / "out"))
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("config error: parse failure")
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"robot: \xff\n", "config error: config file"),
+    (b"robot: 1" + b"0" * 5000 + b"\n", "config error: parse failure"),
+], ids=["non_utf8", "integer_past_digit_limit"])
+def test_simulate_unreadable_config_exits_1_without_traceback(
+        tmp_path, content, message):
+    path = tmp_path / "bad.yaml"
+    path.write_bytes(content)
+    proc = run_cli("simulate", "--config", str(path),
+                   "--out", str(tmp_path / "out"))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(message)
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_all_false_mpc_mask_exits_1(tmp_path, capsys):

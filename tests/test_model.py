@@ -14,8 +14,8 @@ from oracles import serialize_scenario
 from mmtrack.ftcnd import FtcndParams
 from mmtrack.kinematics import Pose
 from mmtrack.model import (ConfigError, JointLimits, JointSpec,
-                           builtin_panda_on_base, builtin_planar_2link,
-                           load_scenario)
+                           _Loader, builtin_panda_on_base,
+                           builtin_planar_2link, load_scenario)
 from mmtrack.nftsm import NftsmParams
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -194,6 +194,12 @@ def test_load_scenario_rejects_bad_kappa():
      "^scenario: disturbance.valu: unknown key$"),
     ("scenario:\n  base_motion: {kind: tilt, amplitude: 0.1}\n",
      "^scenario: base_motion.amplitude: unknown key$"),
+    # int() refuses more than 4 300 digits; libyaml reads UTF-8, in which
+    # a lone surrogate has no encoding.
+    ("scenario: {duration: 1" + "0" * 5000 + "}\n",
+     "^parse failure: .*5001 digits"),
+    ("scenario: {reference: {kind: \ud800}}\n",
+     "^parse failure: .*surrogates not allowed$"),
 ], ids=["horizon", "horizon_fraction", "control_horizon_fraction",
         "waypoint_time", "initial_q", "base_motion", "pose",
         "duration_inf", "duration_nan", "duration_huge",
@@ -216,7 +222,7 @@ def test_load_scenario_rejects_bad_kappa():
         "repeated_reference_key", "reference_misspelled_key",
         "waypoints_circle_key", "waypoint_point_key",
         "base_motion_misspelled_key", "disturbance_misspelled_key",
-        "tilt_sinusoid_key"])
+        "tilt_sinusoid_key", "integer_past_digit_limit", "lone_surrogate"])
 def test_load_scenario_rejects_malformed_values(section, match):
     with pytest.raises(ConfigError, match=match):
         load_scenario(MINIMAL + section)
@@ -263,7 +269,9 @@ def test_load_scenario_rejects_base_entries_of_the_mpc_mask(base):
 
 
 def test_load_scenario_rejects_deep_nesting():
-    # PyYAML composes nested nodes recursively.
+    # PyYAML's Python composer recurses per level, so the depth ends in
+    # RecursionError; test_cli runs a depth that crashes libyaml's C
+    # composer in a subprocess.
     with pytest.raises(ConfigError, match="^parse failure: .* too deeply$"):
         load_scenario("robot: " + "[" * 5000 + "]" * 5000)
 
@@ -367,6 +375,23 @@ def _fuzz_seeds():
         docs[path.stem] = yaml.safe_load(text)
         docs[path.stem + "_full"] = yaml.safe_load(full)
     return docs
+
+
+def _loader_cases():
+    cases = {path.stem: path.read_text(encoding="utf-8")
+             for path in sorted(CONFIG_DIR.glob("*.yaml"))}
+    cases.update({f"seed_{name}": yaml.safe_dump(doc)
+                  for name, doc in _fuzz_seeds().items()})
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_loader_cases()))
+def test_loader_reads_what_the_python_loader_reads(name):
+    # libyaml's events, composed and constructed in Python, give the
+    # document that PyYAML's pure-Python loader gives.
+    text = _loader_cases()[name]
+    assert yaml.load(text, Loader=_Loader) == yaml.load(
+        text, Loader=yaml.SafeLoader)
 
 
 def _keys(node):

@@ -293,18 +293,27 @@ def test_zero_radius_regulation_holds_pose():
     assert metrics["steady_state_pos_err"] <= 1e-6
     assert metrics["steady_state_ori_err"] <= 1e-6
     assert metrics["max_constraint_violation"] <= 1e-9
-    assert sim.plan_metrics(plan) == {"solver_bound_violations": 0}
+    assert sim.plan_metrics(plan) == {
+        "solver_bound_violations": 0, "max_iterations": 0,
+        "settled_solves": 50, "max_qp_violation": 0.0}
 
 
 def test_plan_metrics_count_solves_past_their_bound():
     # One row per control step: a solve counts once, not once per
-    # torque step, and only past its bound plus THRESHOLD.
+    # torque step, and only past its bound plus THRESHOLD.  The same
+    # rows give the most iterations, the settled (0-iteration) solves
+    # and the largest QP violation.
     steps = np.zeros((4, len(sim.STEP_COLUMNS)))
     steps[:, sim.STEP_COLUMNS.index("bound_t_f")] = 1.0
     steps[:, sim.STEP_COLUMNS.index("converge_time")] = [
         0.5, 1.0 + sim.THRESHOLD, 1.0 + 2 * sim.THRESHOLD, math.inf]
+    steps[:, sim.STEP_COLUMNS.index("iterations")] = [0, 3, 0, 7]
+    steps[:, sim.STEP_COLUMNS.index("constraint_violation")] = [
+        0.0, 0.25, 0.5, 0.0]
     plan = sim.Plan(None, None, None, None, steps)
-    assert sim.plan_metrics(plan) == {"solver_bound_violations": 2}
+    assert sim.plan_metrics(plan) == {
+        "solver_bound_violations": 2, "max_iterations": 7,
+        "settled_solves": 2, "max_qp_violation": 0.5}
 
 
 def test_trace_csv_round_trip(tmp_path):
