@@ -108,12 +108,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_solve_qp(args) -> int:
-    path = Path(args.problem)
-    if not path.exists():
-        print(f"problem file not found: {args.problem}", file=sys.stderr)
-        return 1
     try:
-        problem = pomptc.problem_from_text(path.read_text(encoding="utf-8"))
+        problem = pomptc.problem_from_text(
+            Path(args.problem).read_text(encoding="utf-8"))
+    except OSError as exc:
+        print(f"problem file {args.problem}: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, IndexError) as exc:
         print(f"malformed problem file: {exc}", file=sys.stderr)
         return 1

@@ -27,11 +27,10 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 from .kinematics import axis_skew, joint_frames
 from .model import RobotModel
 
-# v @ _SKEW[d] is the skew matrix K(v) (d = 1), or for v = [a; adot] the
-# block skew [[K(a), 0], [K(adot), K(a)]] (d = 2), flattened row by row.
-_SKEW = {d: np.array([np.kron(np.eye(d, k=-b), axis_skew(e)).ravel()
-                      for b in range(d) for e in np.eye(3)])
-         for d in (1, 2)}
+# [a; adot] @ _SKEW is the block skew [[K(a), 0], [K(adot), K(a)]],
+# flattened row by row.
+_SKEW = np.array([np.kron(np.eye(2, k=-b), axis_skew(e)).ravel()
+                  for b in range(2) for e in np.eye(3)])
 
 
 @dataclass(frozen=True)
@@ -45,25 +44,24 @@ class DynamicsTerms:
     tau_b: np.ndarray
 
 
-def com_jacobians(model: RobotModel, q_m, qdot_m=None):
-    """Translational COM Jacobians Jc in the base frame, (..., n, 3, n), or
-    with ``qdot_m`` (..., n, 6, n), [Jc; Jcdot] along axis -2, Jcdot being
-    the rate along ``qdot_m``; ``q_m`` holds arm angles in its last axis
-    with any leading batch shape (complex-safe without ``qdot_m``).  Column
-    k of link i, axis_k x (com_i - o_k), and its rate are one matmul of
-    the (block) axis skews, laid out in memory as [joint k, axis, link i]."""
+def com_jacobians(model: RobotModel, q_m, qdot_m):
+    """[Jc; Jcdot] along axis -2, (..., n, 6, n): the translational COM
+    Jacobians Jc in the base frame and their rate Jcdot along ``qdot_m``
+    (broadcast to ``q_m``); ``q_m`` holds arm angles in its last axis
+    with any leading batch shape, and may be complex.  Column k of link
+    i, axis_k x (com_i - o_k), and its rate are one matmul of the block
+    axis skews, laid out in memory as [joint k, axis, link i]."""
     start = model.base_dof_count
     tab = model.fixed_transforms
-    d = 1 if qdot_m is None else 2
     F = joint_frames(model, q_m, start, qdot_m)
-    # [axes; coms; origins] of every frame, each [value; rate] when d = 2.
-    p = (tab.points[d - 1] @ F[..., :3, :].swapaxes(-1, -2)).reshape(
-        F.shape[:-2] + (3, 3 * d))
+    # [axes; coms; origins] of every frame, each [value; rate].
+    p = (tab.points @ F[..., :3, :].swapaxes(-1, -2)).reshape(
+        F.shape[:-2] + (3, 6))
     axes, coms, origins = p[..., 0, :], p[..., 1, :], p[..., 2, :]
-    skews = (axes @ _SKEW[d]).reshape(axes.shape + (3 * d,))
+    skews = (axes @ _SKEW).reshape(axes.shape + (6,))
     columns = skews @ (coms.swapaxes(-1, -2)[..., None, :, :]
-                       - origins[..., None])    # (..., k, 3d, i)
-    if tab.slides[start]:
+                       - origins[..., None])    # (..., k, 6, i)
+    if tab.slides:
         columns = np.where(tab.revolute[start:, None, None], columns,
                            axes[..., None])
     return (columns * tab.links).swapaxes(-1, -3)

@@ -1,10 +1,12 @@
-"""The exact flow of the scalar law hdot = -mu omega(h) that every
-residual component of ``mmtrack.ftcnd`` obeys, omega being the Li
-activation on h >= 0.  T(s), the time in which the law brings |h| = s
-to 0, is the integral of 1 / (mu omega) over [0, s]; its inverse Phi
-gives the path of a component, h(t) = sign(h0) Phi(T(|h0|) - t).  Both
-are tabulated once per gain set, on first use, as quintic Hermite
-interpolants of exact values, slopes and curvatures.
+"""The scalar law hdot = -mu Li(h) that every residual component of
+``mmtrack.ftcnd`` obeys, and its exact flow.  The Li activation is odd,
+on s = |h| Li(s) = lam / 2 (s^kappa + s^(1/kappa)) + zeta / 2 s;
+``FlowMap.li`` gives it and its slope, ``FlowMap.bound`` the
+finite-time bound on the time to 0.  T(s), the time in which the
+law brings |h| = s to 0, is the integral of 1 / (mu Li) over [0, s];
+its inverse Phi gives the path of a component, h(t) = sign(h0)
+Phi(T(|h0|) - t).  Both are tabulated once per gain set, on first use,
+as quintic Hermite interpolants of exact values, slopes and curvatures.
 """
 from __future__ import annotations
 
@@ -52,15 +54,18 @@ def _interpolate(table, arg):
 
 
 class FlowMap:
-    """The flow of hdot = -mu omega(h), omega the Li function on h >= 0:
-    ``time_to_zero`` is T(s), the integral of 1 / (mu omega) over [0, s],
-    ``level`` its inverse Phi.  T is tabulated against x = log s, Phi
-    against sigma = log(T / (T_inf - T)); in both, every term of omega
-    being a power of s, it is linear beyond the nodes (to 1e-16 at the
-    ends).  Gauss-Legendre sums give T and T_inf - T at the nodes, both
-    monotone, and Newton's method the nodes of Phi."""
+    """The law hdot = -mu Li(h) of a gain set and its flow: ``li`` is Li
+    and Li' on |h|, ``time_to_zero`` T(s), the integral of 1 / (mu Li)
+    over [0, s], ``level`` its inverse Phi.  T is tabulated against
+    x = log s from the form s / Li(s), which stays finite where
+    s^(1/kappa) overflows, and Phi against sigma = log(T / (T_inf - T));
+    in both, every term of Li being a power of s, it is linear beyond
+    the nodes (to 1e-16 at the ends).  Gauss-Legendre sums give T and
+    T_inf - T at the nodes, both monotone, and Newton's method the nodes
+    of Phi."""
 
     def __init__(self, mu: float, lam: float, zeta: float, kappa: float):
+        self.mu, self.lam, self.zeta, self.kappa = mu, lam, zeta, kappa
         q = 1.0 / kappa - 1.0
         gx, gw = np.polynomial.legendre.leggauss(12)
         gx = 0.5 + 0.5 * gx
@@ -107,6 +112,21 @@ class FlowMap:
         r = math.exp(s[0] - (xs[0] + 800.0) * d1[0])
         self._floor = max(self.t_inf * r / (1.0 + r), 1e-300 * self.t_inf)
         self._ceil = self.t_inf * (1.0 - 2.0 ** -52)   # T(s) of a huge s
+
+    def li(self, h):
+        """(Li, Li') at |h|, elementwise, with |h| floored at 1e-300, where
+        Li' is finite: Li(s) = lam / 2 (s^kappa + s^(1/kappa)) + zeta / 2 s."""
+        lam, zeta, kappa = 0.5 * self.lam, 0.5 * self.zeta, self.kappa
+        a = np.maximum(np.abs(h), 1e-300)       # Li, Li' share powers
+        ak, ak1 = a ** kappa, a ** (1.0 / kappa)
+        return (lam * (ak + ak1) + zeta * a,
+                lam * (kappa * ak + ak1 / kappa) / a + zeta)
+
+    def bound(self, h_max: float) -> float:
+        """The finite-time bound 2 h_max^(1-kappa) / (lam mu (1-kappa)) on
+        T(h_max), from Li(s) >= lam / 2 s^kappa."""
+        e = 1.0 - self.kappa
+        return 2.0 * h_max ** e / (self.lam * self.mu * e)
 
     def time_to_zero(self, s):
         """T(s) for s > 0, elementwise."""

@@ -5,8 +5,9 @@ the linear optimality system N v + D = 0, v = [z; phi], and integrated
 as N vdot = -mu * Omega(N v + D) with the Li activation.  Because
 hdot = N vdot, the residual h obeys the decoupled scalar dynamics
 hdot_i = -mu * omega(h_i), which is what yields the finite-time bound.
-That law is followed exactly: with T(s) the time in which it brings
-|h| = s to 0 and Phi its inverse (``FlowMap``), a component is
+The law is ``mmtrack.flow``'s (``FlowMap``: omega, its slope, the bound
+and the exact flow), and it is followed exactly: with T(s) the time in
+which it brings |h| = s to 0 and Phi its inverse, a component is
 h_i(t) = sign(h_i0) Phi(T(|h_i0|) - t) until its zero time, 0 after.
 
 Events keep the slacks non-negative: a free slack that hits zero clamps
@@ -79,11 +80,10 @@ class FtcndParams:
 
 @dataclass
 class NeuralState:
-    """Augmented variable v = [z; phi] and its residual h at a virtual time."""
+    """Augmented variable v = [z; phi] and its residual h."""
 
     v: np.ndarray
     h: np.ndarray
-    virtual_time: float
 
 
 @dataclass
@@ -103,34 +103,6 @@ class FtcndDiagnostics:
     constraint_violation: float = 0.0
     equality_residual: float = 0.0
     final_state: NeuralState | None = None
-
-
-def li_activation(h, lam: float, zeta: float, kappa: float, out=None):
-    """Li function: odd, monotone, with a fractional-power term that
-    drives the residual to zero in finite time; written to ``out`` if given."""
-    if not 0.0 < kappa < 1.0:
-        raise ValueError("kappa must lie strictly inside (0, 1)")
-    h = np.asarray(h, float)
-    # sign(h) |h|^kappa + sign(h) |h|^(1/kappa), save that h = -0 gives -0.
-    a = np.abs(h)
-    y = np.copysign(a ** kappa + a ** (1.0 / kappa), h, out=out)
-    y *= 0.5 * lam
-    y += 0.5 * zeta * h
-    return y
-
-
-def finite_time_bound(h0, mu: float, kappa: float) -> float:
-    """Upper bound on the virtual time to drive the residual to zero:
-    2 |h_max(0)|^(1-kappa) / (mu (1-kappa))."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    if not 0.0 < kappa < 1.0:
-        raise ValueError("kappa must lie strictly inside (0, 1)")
-    h0 = np.atleast_1d(np.asarray(h0, float))
-    if h0.size == 0:
-        return 0.0
-    hmax = float(np.max(np.abs(h0)))
-    return 2.0 * hmax ** (1.0 - kappa) / (mu * (1.0 - kappa))
 
 
 def residual(problem, v, xi: float):
@@ -222,7 +194,7 @@ def solve(problem, params: FtcndParams, warm_start=None):
     problem.check_finite()
     S, H, w = problem.S, problem.H, problem.w
     nz, nc = problem.n_variables, problem.n_constraints
-    xi, mu, kappa = params.xi, params.mu, params.kappa
+    xi, mu = params.xi, params.mu
     # The factor of S is the segment factor while no row is clamped.
     L_S, info = dpotrf(S, lower=1, clean=0)
     if info:
@@ -244,7 +216,8 @@ def solve(problem, params: FtcndParams, warm_start=None):
     h_max = float(np.abs(h).max())
     F = float(h @ h)
     eps = params.epsilon_h
-    diag = FtcndDiagnostics(bound_t_f=finite_time_bound(h_max, mu, kappa),
+    flow = flow_map(mu, params.lam, params.zeta, params.kappa)
+    diag = FtcndDiagnostics(bound_t_f=flow.bound(h_max),
                             h_inf_history=[h_max],
                             f_history=[F], time_history=[0.0])
     if h_max <= eps:
@@ -252,12 +225,10 @@ def solve(problem, params: FtcndParams, warm_start=None):
         # test of the settled branch below cannot fire here: the start
         # is final, and no segment is set up.
         diag.converged, diag.converge_time = True, 0.0
-        return _finish(problem, v, h, 0.0, xi, diag)
+        return _finish(problem, v, h, xi, diag)
     if not math.isfinite(F):
         raise FtcndIntegrationError("non-finite neural state")
 
-    flow = flow_map(mu, params.lam, params.zeta, kappa)
-    lam, zeta = 0.5 * params.lam, 0.5 * params.zeta
     time, dt = 0.0, params.ode_step
     shift = max(_EVENT_TOL, eps)    # release below g = -shift
     # The live components of h (lift indices, latest zero time first),
@@ -297,10 +268,8 @@ def solve(problem, params: FtcndParams, warm_start=None):
             D = np.zeros((live.size, 3))
             h_s = np.copysign(flow.level(t_live[:na] - s), h_comp[:na],
                               out=D[:na, 0])
-            a = np.maximum(np.abs(h_s), 1e-300)     # Li, Li' share powers
-            ak, ak1 = a ** kappa, a ** (1.0 / kappa)
-            D[:na, 1] = np.copysign(mu * (lam * (ak + ak1) + zeta * a), -h_s)
-            dli = lam * (kappa * ak + ak1 / kappa) / a + zeta
+            li, dli = flow.li(h_s)
+            D[:na, 1] = np.copysign(mu * li, -h_s)
             np.multiply(D[:na, 1], -mu * dli, out=D[:na, 2])
             B = np.zeros((free.size, 3))
             B[live] = D
@@ -391,7 +360,7 @@ def solve(problem, params: FtcndParams, warm_start=None):
                 h = _free_part(residual(problem, v, xi), clamped)
                 if np.abs(h).max() <= eps:
                     diag.converged, diag.converge_time = True, time
-                    return _finish(problem, v, h, time, xi, diag)
+                    return _finish(problem, v, h, xi, diag)
                 add(free, h)
             need_refactor = True
             continue
@@ -432,15 +401,15 @@ def solve(problem, params: FtcndParams, warm_start=None):
         need_refactor, L = True, None
 
     return _finish(problem, v, _free_part(residual(problem, v, xi), clamped),
-                   time, xi, diag)
+                   xi, diag)
 
 
-def _finish(problem, v, h, time, xi: float, diag):
+def _finish(problem, v, h, xi: float, diag):
     """(z, diag) of a solve that ends at v, with h the free part of its
     N v + D."""
     nz = problem.n_variables
     z = v[:nz].copy()
     diag.constraint_violation = problem.violation(z)
     diag.equality_residual = float(np.abs(h[nz:]).max(initial=0.0)) / xi
-    diag.final_state = NeuralState(v=v, h=h, virtual_time=time)
+    diag.final_state = NeuralState(v=v, h=h)
     return z, diag

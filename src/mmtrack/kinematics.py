@@ -3,14 +3,15 @@ horizon discretization used by the predictive layer.
 
 Orientation convention is Z-Y-X throughout: a pose orientation vector
 ``[yaw, pitch, roll]`` corresponds to ``R = Rz(yaw) @ Ry(pitch) @ Rx(roll)``.
-The transform helpers and the plain chain kernel accept complex inputs.
+The transform helpers and the chain kernel accept complex inputs.
 
 The one chain kernel, :func:`joint_frames`, builds the local transform
-of every joint at once and forms the joint frames as their prefix
-products, in ceil(log2 k) batched matrix products for k joints; given
-joint rates it does so on 8 x 8 dual blocks [[L, Ldot], [0, L]], which
-carry the frames' time rates (forward-mode differentiation in block
-form).  :func:`chain_frames` adds the EE frame.
+of every joint at once from one stacked table and forms the joint
+frames as their prefix products, in ceil(log2 k) batched matrix
+products for k joints; given joint rates it does so on 8 x 8 dual
+blocks [[L, Ldot], [0, L]], which carry the frames' time rates
+(forward-mode differentiation in block form).  :func:`chain_frames`
+adds the EE frame.
 """
 from __future__ import annotations
 
@@ -115,35 +116,34 @@ def joint_frames(model: RobotModel, q, start: int = 0, qdot=None):
     Walks the chain from the frame of joint ``start``'s parent
     (``start = model.base_dof_count`` gives the arm in the base frame);
     ``q`` holds the k joint values in its last axis, with any leading
-    batch shape, and may be complex without ``qdot``.  The local
-    transforms ``L = T0 + sin q T1 + (1 - cos q) T2`` (plus ``q T3`` if
-    the chain slides) come from the stacked table T of
+    batch shape, and may be complex.  The local transforms
+    ``L = T0 + sin q T1 + (1 - cos q) T2 + q T3`` are one matmul of
+    their coefficients (1, sin q, cos q, q) with the ``plain`` table of
     ``model.fixed_transforms``, and the dual blocks [[L, Ldot], [0, L]],
-    ``Ldot = qdot (cos q T1 + sin q T2 + T3)``, from one matmul of their
-    coefficients with its ``dual`` table.  The frames are the prefix
-    products ``F[s:] = F[:-s] @ F[s:]``, s = 1, 2, 4, ... < k; a product
-    of dual blocks, [[A B, A Bdot + Adot B], [0, A B]], is the product rule.
+    ``Ldot = qdot (cos q T1 + sin q T2 + T3)``, one of those coefficients
+    and qdot times each with its ``dual`` table.  The frames are the
+    prefix products ``F[s:] = F[:-s] @ F[s:]``, s = 1, 2, 4, ... < k; a
+    product of dual blocks, [[A B, A Bdot + Adot B], [0, A B]], is the
+    product rule, so the plain frames are the dual frames' diagonal
+    blocks.
     """
     q = np.asarray(q)
     tab = model.fixed_transforms
     k = model.total_dof - start
     if q.ndim == 0 or q.shape[-1] != k:
         raise ValueError(f"expected {k} joint values, got shape {q.shape}")
-    if qdot is None:
-        T = tab.local[:, start:]
-        q = q[..., None, None]
-        F = T[0] + np.sin(q) * T[1] + (1.0 - np.cos(q)) * T[2]
-        if tab.slides[start]:
-            F += q * T[3]
-    else:
-        qdot = np.asarray(qdot, float)
-        x = np.empty(q.shape + (2, 4))  # (1, sin q, cos q, q) x (1, qdot)
-        x[..., 0, 0], x[..., 0, 3] = 1.0, q
-        np.sin(q, out=x[..., 0, 1])
-        np.cos(q, out=x[..., 0, 2])
-        np.multiply(x[..., 0, :], qdot[..., None], out=x[..., 1, :])
-        F = (x.reshape(q.shape + (1, 8)) @ tab.dual[start:]).reshape(
-            q.shape + (8, 8))
+    d = 1 if qdot is None else 2
+    # (1, sin q, cos q, q), and with qdot, qdot times each.
+    x = np.empty(q.shape + (d, 4), np.result_type(q, float))
+    x[..., 0, 0], x[..., 0, 3] = 1.0, q
+    np.sin(q, out=x[..., 0, 1])
+    np.cos(q, out=x[..., 0, 2])
+    if qdot is not None:
+        np.multiply(x[..., 0, :], np.asarray(qdot, float)[..., None],
+                    out=x[..., 1, :])
+    T = tab.plain if qdot is None else tab.dual
+    F = (x.reshape(q.shape + (1, 4 * d)) @ T[start:]).reshape(
+        q.shape + (4 * d, 4 * d))
     s = 1
     while s < k:
         F[..., s:, :, :] = F[..., :-s, :, :] @ F[..., s:, :, :]
@@ -151,14 +151,15 @@ def joint_frames(model: RobotModel, q, start: int = 0, qdot=None):
     return F
 
 
-def chain_frames(model: RobotModel, q, start: int = 0):
+def chain_frames(model: RobotModel, q):
     """Rotation and origin of every joint frame, plus the EE frame.
 
-    Same walk as :func:`joint_frames`.  Returns (rotations, origins, R_ee,
-    p_ee) of shapes (..., k, 3, 3), (..., k, 3), (..., 3, 3) and (..., 3):
-    views of the joint frames and of the last one times the EE offset.
+    Same walk as :func:`joint_frames`, over the whole chain.  Returns
+    (rotations, origins, R_ee, p_ee) of shapes (..., m, 3, 3), (..., m, 3),
+    (..., 3, 3) and (..., 3): views of the joint frames and of the last
+    one times the EE offset.
     """
-    F = joint_frames(model, q, start)
+    F = joint_frames(model, q)
     ee = F[..., -1, :, :] @ model.fixed_transforms.ee
     return F[..., :3, :3], F[..., :3, 3], ee[..., :3, :3], ee[..., :3, 3]
 

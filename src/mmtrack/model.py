@@ -208,33 +208,34 @@ class RobotModel:
     @cached_property
     def fixed_transforms(self) -> "ChainTables":
         """Constant chain tables, stacked over the joints and derived on
-        first use.  ``local`` (4, m, 4, 4) holds the terms T0 .. T3 of
-        joint k's local transform ``T0 + sin q T1 + (1 - cos q) T2 + q T3``:
-        the origin transform; R0 K and R0 K @ K (origin rotation R0, axis
-        skew K) if revolute; the slide R0 axis if prismatic.  ``dual``
-        (m, 8, 64) holds the blocks [[L, Ldot], [0, L]], one row per
-        coefficient (1, sin q, cos q, q) and qdot times each.  ``slides[s]``
-        tells whether joints s .. m - 1 include a prismatic one.  Also the
-        4 x 4 EE offset ``ee``, ``axes``, the ``revolute`` mask, the arm's
-        ``points`` (n, 3d, 4d), rows picking [axis; COM; origin] out of the
-        top rows of F (d = 1) or [F | Fdot] (d = 2), ``links`` (n, 1, n), 1
-        at [k, 0, i] where arm link i moves with joint k <= i, and
-        ``rotor``, diag(rotor_inertia)."""
+        first use.  Joint k's local transform is
+        ``L = T0 + sin q T1 + (1 - cos q) T2 + q T3``, T0 the origin
+        transform, T1 and T2 R0 K and R0 K @ K (origin rotation R0, axis
+        skew K) if revolute, T3 the slide R0 axis if prismatic.  ``plain``
+        (m, 4, 16) holds the rows [T0 + T2, T1, -T2, T3] that the
+        coefficients (1, sin q, cos q, q) weigh into L, and ``dual``
+        (m, 8, 64) the blocks [[L, Ldot], [0, L]], one row per coefficient
+        and qdot times each.  ``slides`` tells whether an arm joint is
+        prismatic.  Also the 4 x 4 EE offset ``ee``, ``axes``, the
+        ``revolute`` mask, the arm's ``points`` (n, 6, 8), rows picking
+        [axis; COM; origin], each [value; rate], out of the top rows of
+        [F | Fdot], ``links`` (n, 1, n), 1 at [k, 0, i] where arm link i
+        moves with joint k <= i, and ``rotor``, diag(rotor_inertia)."""
         from .kinematics import axis_skew, rotation_rpy
         m, n = self.total_dof, self.arm_joint_count
         R0 = np.array([rotation_rpy(j.origin_rpy) for j in self.joints])
         K = np.array([axis_skew(j.axis) for j in self.joints])
         axes = np.array([j.axis for j in self.joints])
         revolute = np.array([j.kind == "revolute" for j in self.joints])
-        local = np.zeros((4, m, 4, 4))
-        local[:3, :, :3, :3] = [R0, R0 @ K, R0 @ (K @ K)]
-        local[1:3] *= revolute[:, None, None]
-        local[0, :, :3, 3] = [j.origin_xyz for j in self.joints]
-        local[3, :, :3, 3] = (R0 @ axes[:, :, None])[..., 0] \
-            * ~revolute[:, None]
-        local[0, :, 3, 3] = 1.0
-        T0, T1, T2, T3 = local      # L = (T0 + T2) + sin T1 - cos T2 + q T3
+        T = np.zeros((4, m, 4, 4))
+        T[:3, :, :3, :3] = [R0, R0 @ K, R0 @ (K @ K)]
+        T[1:3] *= revolute[:, None, None]
+        T[0, :, :3, 3] = [j.origin_xyz for j in self.joints]
+        T[3, :, :3, 3] = (R0 @ axes[:, :, None])[..., 0] * ~revolute[:, None]
+        T[0, :, 3, 3] = 1.0
+        T0, T1, T2, T3 = T          # L = (T0 + T2) + sin T1 - cos T2 + q T3
         terms = np.array([[T0 + T2, T1, -T2, T3], [T3, T2, T1, 0.0 * T3]])
+        plain = terms[0].swapaxes(0, 1).reshape(m, 4, 16)
         dual = np.einsum("rab,rcmij->mrcaibj", [np.eye(2), np.eye(2, k=1)],
                          terms).reshape(m, 8, 64)
         ee = np.block([[rotation_rpy(self.ee_offset_rpy),
@@ -243,19 +244,17 @@ class RobotModel:
         rows[:, 0, :3] = axes[self.base_dof_count:]
         rows[:, 1, :3] = self.link_com_offsets
         rows[:, 1:, 3] = 1.0
-        points = tuple(
-            _freeze(np.einsum("krj,bc->krbcj", rows, np.eye(d)).reshape(
-                n, 3 * d, 4 * d)) for d in (1, 2))
-        slides = tuple(not revolute[s:].all() for s in range(m + 1))
-        return ChainTables(_freeze(local), _freeze(dual), slides,
+        points = np.einsum("krj,bc->krbcj", rows, np.eye(2)).reshape(n, 6, 8)
+        return ChainTables(_freeze(plain), _freeze(dual),
+                           not revolute[self.base_dof_count:].all(),
                            _freeze(ee), _freeze(axes),
-                           _freeze(revolute, dtype=bool), points,
+                           _freeze(revolute, dtype=bool), _freeze(points),
                            _freeze(np.triu(np.ones((n, n)))[:, None]),
                            _freeze(np.diag(self.rotor_inertia)))
 
 
 ChainTables = namedtuple(
-    "ChainTables", "local dual slides ee axes revolute points links rotor")
+    "ChainTables", "plain dual slides ee axes revolute points links rotor")
 
 
 def _base_joints():

@@ -582,14 +582,14 @@ def plan_metrics(plan: Plan) -> dict:
 
 
 def error_metrics(trace: SimTrace, settle_window: float,
-                  model: RobotModel | None = None) -> dict:
-    """Summary metrics of one trace.
+                  model: RobotModel) -> dict:
+    """Summary metrics of one trace of ``model``.
 
     Steady-state errors are max-norms over the final ``settle_window``
     seconds; convergence times mark the first entry into the THRESHOLD
-    ball that is never left.  Constraint violation (needs ``model``)
-    covers q, qdot, and the discrete acceleration of the recorded
-    velocities against the model limits.
+    ball that is never left.  Constraint violation covers q, qdot, and
+    the discrete acceleration of the recorded velocities against the
+    model limits.
     """
     t = trace.time
     duration = t[-1] - t[0]
@@ -604,20 +604,17 @@ def error_metrics(trace: SimTrace, settle_window: float,
         k = above[-1] + 1 if above.size else 0
         return float(t[k]) if k < len(t) else math.inf
 
-    out = {
+    lim = model.limits
+    acc = np.diff(trace.qdot, axis=0) / np.diff(t)[:, None]
+    return {
         "steady_state_pos_err": float(np.max(pos_norm[tail])),
         "steady_state_ori_err": float(np.max(ori_norm[tail])),
         "convergence_time_pos": conv_time(pos_norm),
         "convergence_time_ori": conv_time(ori_norm),
         "max_abs_torque": float(np.max(np.abs(trace.tau), initial=0.0)),
-    }
-    if model is not None:
-        lim = model.limits
-        dt = np.diff(t)
-        acc = np.diff(trace.qdot, axis=0) / dt[:, None]
-        out["max_constraint_violation"] = max(
+        "max_constraint_violation": max(
             float(np.max(excess, initial=0.0)) for excess in (
                 trace.q - lim.q_upper, lim.q_lower - trace.q,
                 trace.qdot - lim.qdot_upper, lim.qdot_lower - trace.qdot,
-                acc - lim.qddot_upper, lim.qddot_lower - acc))
-    return out
+                acc - lim.qddot_upper, lim.qddot_lower - acc)),
+    }

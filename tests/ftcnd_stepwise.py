@@ -27,8 +27,7 @@ from scipy.linalg import cho_solve
 from scipy.optimize import brentq
 
 from mmtrack.ftcnd import (_EVENT_TOL, FtcndDiagnostics, FtcndIntegrationError,
-                           NeuralState, _factor, finite_time_bound, flow_map,
-                           residual)
+                           NeuralState, _factor, flow_map, residual)
 from oracles import lift
 
 
@@ -70,14 +69,14 @@ def solve(problem, params, warm_start=None):
     v[free] -= np.linalg.solve(Nmat[np.ix_(free, free)], h)
     v, clamped, free, h = derived_start(problem, v[:nz], xi)
 
-    diag = FtcndDiagnostics(bound_t_f=finite_time_bound(h, params.mu,
-                                                        params.kappa))
+    flow = flow_map(params.mu, params.lam, params.zeta, params.kappa)
+    h_max = float(np.max(np.abs(h)))
+    diag = FtcndDiagnostics(bound_t_f=flow.bound(h_max))
     diag.time_history.append(0.0)
-    diag.h_inf_history.append(float(np.max(np.abs(h))))
+    diag.h_inf_history.append(h_max)
     diag.f_history.append(float(h @ h))
     if not math.isfinite(diag.f_history[0]):
         raise FtcndIntegrationError("non-finite neural state")
-    flow = flow_map(params.mu, params.lam, params.zeta, params.kappa)
     shift = max(_EVENT_TOL, eps)
     time = 0.0
     max_events = 100 + 10 * nc
@@ -218,5 +217,5 @@ def solve(problem, params, warm_start=None):
     free = np.concatenate([np.arange(nz), nz + np.flatnonzero(~clamped)])
     diag.equality_residual = float(np.max(np.abs(resid[nz:][~clamped]))
                                    / xi) if (~clamped).any() else 0.0
-    diag.final_state = NeuralState(v=v, h=resid[free], virtual_time=time)
+    diag.final_state = NeuralState(v=v, h=resid[free])
     return z, diag

@@ -4,8 +4,9 @@
 Jacobians and the bias vector ``C(q, qdot) qdot`` from one dual pass.
 Here M is the mass-weighted einsum ``sum_i m_i Jc_i^T Jc_i``, dM/dq
 comes from a batched complex step (one imaginary perturbation per
-joint), and C is the Christoffel Coriolis matrix built from dM/dq, so
-that q' (Mdot - 2C) q' vanishes identically.
+joint) of the joint-by-joint walk's COM Jacobians (``chain_stepwise``),
+and C is the Christoffel Coriolis matrix built from dM/dq, so that
+q' (Mdot - 2C) q' vanishes identically.
 
 The other oracles are the literal forms of what the library computes
 in closed form or never forms: ``direct_cost`` rolls the horizon
@@ -29,8 +30,8 @@ from dataclasses import asdict
 import numpy as np
 import yaml
 
+from chain_stepwise import com_jacobians
 from mmtrack import kinematics as kin
-from mmtrack.dynamics import com_jacobians
 from mmtrack.kinematics import Pose
 from mmtrack.qp_oracle import InfeasibleProblem
 from mmtrack.sim import SimTrace

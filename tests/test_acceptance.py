@@ -158,14 +158,11 @@ def test_criterion_5_constraint_satisfaction(nominal_trace,
 
 def test_criterion_6_controller_ordering(base_sinusoid_traces,
                                          base_tilt_traces, capsys):
-    model, sin_traces = base_sinusoid_traces
-    _, tilt_traces = base_tilt_traces
+    def steady(model, traces):
+        return {c: sim.error_metrics(t, 2.0, model)["steady_state_pos_err"]
+                for c, t in traces.items()}
 
-    def steady(trace):
-        return sim.error_metrics(trace, 2.0)["steady_state_pos_err"]
-
-    s = {c: steady(t) for c, t in sin_traces.items()}
-    g = {c: steady(t) for c, t in tilt_traces.items()}
+    s, g = steady(*base_sinusoid_traces), steady(*base_tilt_traces)
     ok = (s["nftsm"] < s["pd"]
           and s["nftsm"] < s["nftsm-no-taub"]
           and g["nftsm"] < g["pd"])

@@ -1,14 +1,14 @@
 """The prefix-product chain kernel against the joint-by-joint walk.
 
-``kinematics.chain_frames`` builds all local transforms at once and
-multiplies them in ceil(log2 k) batched steps (``joint_frames``), then
+``kinematics.joint_frames`` builds all local transforms at once and
+multiplies them in ceil(log2 k) batched steps, and ``chain_frames``
 applies the EE offset; ``chain_stepwise`` walks the joints one by one
-with elementary rotations.  Frames, COM
-Jacobians, pose and dynamics terms must agree to 1e-14 (the dynamics
-terms to 1e-14 of their own scale when that exceeds 1: G reaches tens
-of N m).  The dual frames [[F, Fdot], [0, F]] must carry the plain
-frames, and the COM Jacobian rates of the dual pass must match the
-complex step of the walk along qdot.  Besides the built-in robots, a
+with elementary rotations.  Frames, COM Jacobians, pose and dynamics
+terms must agree to 1e-14 (the dynamics terms to 1e-14 of their own
+scale when that exceeds 1: G reaches tens of N m).  The dual frames
+[[F, Fdot], [0, F]] must carry the plain frames, bit for bit in the
+top-left block, and the COM Jacobian rates of the dual pass must match
+the complex step of the walk along qdot.  Besides the built-in robots, a
 user-built one with a prismatic arm joint covers the slide term of the
 kernel and the prismatic Jacobian column, which no built-in arm
 reaches.
@@ -71,11 +71,14 @@ def test_chain_frames_match_stepwise_walk(make_model, complex_step, shape):
         q = random_q(m, rng, shape)
         if complex_step:
             q = q + 1e-20j * rng.normal(size=q.shape)
-        for start in (0, m.base_dof_count):
-            for new, ref in zip(kin.chain_frames(m, q[..., start:], start),
-                                chain_stepwise.chain_frames(m, q[..., start:],
-                                                            start)):
-                assert_close(new, ref)
+        for new, ref in zip(kin.chain_frames(m, q),
+                            chain_stepwise.chain_frames(m, q)):
+            assert_close(new, ref)
+        start = m.base_dof_count
+        F = kin.joint_frames(m, q[..., start:], start)
+        R, o, _, _ = chain_stepwise.chain_frames(m, q[..., start:], start)
+        assert_close(F[..., :3, :3], R)
+        assert_close(F[..., :3, 3], o)
 
 
 @pytest.mark.parametrize("make_model", MODELS)
@@ -86,15 +89,19 @@ def test_com_jacobians_match_stepwise_walk(make_model, complex_step, shape):
     rng = np.random.default_rng(22)
     for _ in range(20):
         q_m = random_q(m, rng, shape)[..., m.arm_slice]
+        qd = rng.uniform(-2, 2, q_m.shape)
         if complex_step:
             q_m = q_m + 1e-20j * rng.normal(size=q_m.shape)
-        assert_close(dyn.com_jacobians(m, q_m),
+        assert_close(dyn.com_jacobians(m, q_m, qd)[..., :3, :],
                      chain_stepwise.com_jacobians(m, q_m))
 
 
 @pytest.mark.parametrize("make_model", MODELS)
 @pytest.mark.parametrize("shape", [(), (2, 3)], ids=["single", "batched"])
 def test_dual_frames_carry_the_plain_frames(make_model, shape):
+    # One coefficient vector (1, sin q, cos q, q) weighs the plain and
+    # the dual table: the plain sums are the top-left dual ones less
+    # exact zeros, so they agree bit for bit.
     m = make_model()
     rng = np.random.default_rng(25)
     for _ in range(20):
@@ -104,7 +111,8 @@ def test_dual_frames_carry_the_plain_frames(make_model, shape):
             plain = kin.joint_frames(m, q[..., start:], start)
             dual = kin.joint_frames(m, q[..., start:], start, qd[..., start:])
             assert dual.shape == plain.shape[:-2] + (8, 8)
-            assert_close(dual[..., :4, :4], plain)
+            assert np.array_equal(dual[..., :4, :4].view(np.uint64),
+                                  plain.view(np.uint64))
             assert_close(dual[..., 4:, 4:], plain)
             assert not dual[..., 4:, :4].any()
 
@@ -121,13 +129,11 @@ def test_dual_com_jacobian_rates_match_complex_step_and_differences(
     for _ in range(20):
         q = random_q(m, rng, shape)[..., m.arm_slice]
         qd = rng.uniform(-2, 2, q.shape)
-        both = dyn.com_jacobians(m, q, qd)
-        Jc, Jcdot = both[..., :3, :], both[..., 3:, :]
-        assert_close(Jc, dyn.com_jacobians(m, q))
+        Jcdot = dyn.com_jacobians(m, q, qd)[..., 3:, :]
         cs = chain_stepwise.com_jacobians(m, q + 1e-20j * qd).imag / 1e-20
         assert_close(Jcdot, cs, atol=1e-12 * np.max(np.abs(cs)))
-        fd = (dyn.com_jacobians(m, q + h * qd)
-              - dyn.com_jacobians(m, q - h * qd)) / (2 * h)
+        fd = (dyn.com_jacobians(m, q + h * qd, qd)[..., :3, :]
+              - dyn.com_jacobians(m, q - h * qd, qd)[..., :3, :]) / (2 * h)
         np.testing.assert_allclose(Jcdot, fd, rtol=0, atol=1e-6)
 
 

@@ -367,10 +367,20 @@ def test_solve_qp_malformed_file(tmp_path, capsys):
 
 
 def test_solve_qp_missing_file(tmp_path, capsys):
-    rc = cli.main(["solve-qp", "--problem", str(tmp_path / "none.txt")])
+    path = tmp_path / "none.txt"
+    rc = cli.main(["solve-qp", "--problem", str(path)])
     captured = capsys.readouterr()
     assert rc == 1
-    assert "not found" in captured.err
+    assert captured.err.startswith(f"problem file {path}: ")
+    assert "No such file or directory" in captured.err
+
+
+def test_solve_qp_on_a_directory_exits_1_without_traceback(tmp_path):
+    # An OSError other than a missing file is a problem-file error too.
+    proc = run_cli("solve-qp", "--problem", str(tmp_path))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"problem file {tmp_path}: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_compare_needs_two_controllers(short_config, tmp_path, capsys):

@@ -121,16 +121,17 @@ def test_com_jacobians_vs_finite_differences():
     offsets = m.link_com_offsets
 
     def coms(q):
-        R, o, _, _ = kin.chain_frames(m, q, m.base_dof_count)
-        return np.einsum("ixy,iy->ix", R, offsets) + o
+        F = kin.joint_frames(m, q, m.base_dof_count)
+        return np.einsum("ixy,iy->ix", F[:, :3, :3], offsets) + F[:, :3, 3]
 
     rng = np.random.default_rng(8)
     eps = 1e-6
     for _ in range(10):
-        q = rng.uniform(-1.5, 1.5, 7)
+        q, qd = rng.uniform(-1.5, 1.5, 7), rng.uniform(-2, 2, 7)
         fd = np.stack([(coms(q + eps * e) - coms(q - eps * e)) / (2 * eps)
                        for e in np.eye(7)], axis=-1)
-        np.testing.assert_allclose(dyn.com_jacobians(m, q), fd, atol=1e-8)
+        np.testing.assert_allclose(dyn.com_jacobians(m, q, qd)[:, :3], fd,
+                                   atol=1e-8)
 
 
 def base_torque(m, q, a_b):

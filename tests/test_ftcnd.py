@@ -24,78 +24,53 @@ def test_params_validation():
         FtcndParams(ode_step=0.0)
 
 
-def test_li_activation_values():
-    # lam = 1, zeta = 30, kappa = 0.8: omega(1) = 0.5*(1+1) + 15 = 16.
-    assert ftcnd.li_activation(1.0, 1.0, 30.0, 0.8) == pytest.approx(16.0)
-    assert ftcnd.li_activation(0.0, 1.0, 30.0, 0.8) == 0.0
-    h = np.array([0.3, 1.7, 0.01])
-    np.testing.assert_allclose(ftcnd.li_activation(-h, 1.0, 30.0, 0.8),
-                               -ftcnd.li_activation(h, 1.0, 30.0, 0.8),
-                               atol=1e-15)
-    with pytest.raises(ValueError):
-        ftcnd.li_activation(1.0, 1.0, 30.0, 1.2)
-
-
-def _li_sign_form(h, lam, zeta, kappa):
-    """The Li function written with sign(h), as li_activation computed it
-    before it used copysign."""
-    s, a = np.sign(h), np.abs(h)
-    return 0.5 * lam * (s * a ** kappa + s * a ** (1.0 / kappa)) \
-        + 0.5 * zeta * h
-
-
-@pytest.mark.parametrize("lam, zeta, kappa",
-                         [(1.0, 30.0, 0.8), (2.5, 0.1, 0.3), (0.7, 1.0, 0.5)])
-def test_li_activation_equals_sign_form_bit_for_bit(lam, zeta, kappa):
-    # copysign(x + y, h) = sign(h) x + sign(h) y in every rounding; only
-    # the sign of a zero result may differ (h = -0.0 gives -0.0).
-    rng = np.random.default_rng(3)
-    special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-308,
-                        1e-300, -1e-300, 1e300, -1e300])
-    for h in (special, rng.normal(size=245),
-              rng.normal(size=245) * 10.0 ** rng.uniform(-200, 200, 245)):
-        with np.errstate(over="ignore", under="ignore"):
-            ref = _li_sign_form(h, lam, zeta, kappa)
-            out = np.full_like(h, np.nan)
-            plain = ftcnd.li_activation(h, lam, zeta, kappa)
-            assert ftcnd.li_activation(h, lam, zeta, kappa, out=out) is out
-        nonzero = ref != 0.0
-        for got in (plain, out):
-            assert np.array_equal(got, ref)
-            assert np.array_equal(got[nonzero].view(np.uint64),
-                                  ref[nonzero].view(np.uint64))
-    assert ftcnd.li_activation(-0.25, lam, zeta, kappa) \
-        == _li_sign_form(-0.25, lam, zeta, kappa)
-
-
-def test_finite_time_bound_values():
-    # 2 |h|^(1-kappa) / (mu (1-kappa)) with |h| = 1, mu = 5, kappa = 0.8.
-    assert ftcnd.finite_time_bound(1.0, 5.0, 0.8) == pytest.approx(2.0)
-    assert ftcnd.finite_time_bound(0.0, 5.0, 0.8) == 0.0
-    assert ftcnd.finite_time_bound(np.zeros(0), 5.0, 0.8) == 0.0
-    b1 = ftcnd.finite_time_bound([0.1, -0.7], 5.0, 0.8)
-    b2 = ftcnd.finite_time_bound([0.2, -1.4], 5.0, 0.8)
-    assert b2 == pytest.approx(2.0 ** 0.2 * b1)
-    with pytest.raises(ValueError):
-        ftcnd.finite_time_bound(1.0, -5.0, 0.8)
-
-
-def test_scalar_ode_reaches_zero_within_bound():
-    # Integrate hdot = -mu omega(h) directly; the settling time must not
-    # exceed the printed bound, for both initial signs.
-    for h0 in (1.0, -1.0, 0.25):
-        bound = ftcnd.finite_time_bound(h0, 5.0, 0.8)
-        h, t, dt = float(h0), 0.0, 1e-5
-        while abs(h) > 1e-12 and t < 10.0:
-            h -= 5.0 * dt * ftcnd.li_activation(h, 1.0, 30.0, 0.8)
-            t += dt
-        assert abs(h) <= 1e-12
-        assert t <= bound
-
-
 FLOW_GAINS = [(5.0, 1.0, 30.0, 0.8), (5.0, 2.5, 0.1, 0.7),
               (3.0, 0.7, 1.0, 0.6)]
 FLOW_LEVELS = np.geomspace(1e-12, 1e6, 37)
+
+
+def test_li_activation_values():
+    # lam = 1, zeta = 30, kappa = 0.8: Li(1) = 0.5*(1+1) + 15 = 16 and
+    # Li'(1) = 0.5*(0.8 + 1.25) + 15; Li and Li' are of |h|, and |h| is
+    # floored at 1e-300.
+    li, dli = ftcnd.flow_map(5.0, 1.0, 30.0, 0.8).li(np.array([1.0, -1.0]))
+    assert li.tolist() == [16.0, 16.0]
+    assert dli.tolist() == pytest.approx([16.025, 16.025], rel=1e-14)
+    li, dli = ftcnd.flow_map(5.0, 2.0, 1.0, 0.5).li(np.array([4.0, 0.0]))
+    # Li(4) = 2 + 16 + 2 at lam = 2, zeta = 1, kappa = 0.5.
+    assert li[0] == pytest.approx(20.0, rel=1e-14) and 0.0 < li[1] < 1e-149
+    assert dli[0] == pytest.approx(0.25 + 8.0 + 0.5, rel=1e-14)
+    assert dli[1] == pytest.approx(0.5e150, rel=1e-12)
+
+
+@pytest.mark.parametrize("gains", FLOW_GAINS)
+def test_li_slope_matches_central_differences(gains):
+    flow = ftcnd.flow_map(*gains)
+    s = np.geomspace(1e-6, 1e3, 28)
+    d = 1e-6 * s
+    li, dli = flow.li(s)
+    fd = (flow.li(s + d)[0] - flow.li(s - d)[0]) / (2 * d)
+    np.testing.assert_allclose(dli, fd, rtol=1e-7)
+    assert np.all(np.diff(li) > 0.0)
+
+
+def test_finite_time_bound_values():
+    # 2 |h|^(1-kappa) / (lam mu (1-kappa)) with |h| = 1, mu = 5, kappa = 0.8.
+    flow = ftcnd.flow_map(5.0, 1.0, 30.0, 0.8)
+    assert flow.bound(1.0) == pytest.approx(2.0)
+    assert flow.bound(0.0) == 0.0
+    assert flow.bound(1.4) == pytest.approx(2.0 ** 0.2 * flow.bound(0.7))
+    assert ftcnd.flow_map(5.0, 0.5, 30.0, 0.8).bound(1.0) \
+        == pytest.approx(4.0)
+
+
+def test_scalar_ode_reaches_zero_within_bound():
+    # The exact settling time T(|h0|) of hdot = -mu Li(h) never exceeds
+    # the printed bound, lam < 1 included.
+    for gains in FLOW_GAINS:
+        flow = ftcnd.flow_map(*gains)
+        assert np.all(flow.bound(FLOW_LEVELS)
+                      >= flow.time_to_zero(FLOW_LEVELS)), gains
 
 
 def quad_time_to_zero(s, mu, lam, zeta, kappa):
@@ -106,9 +81,11 @@ def quad_time_to_zero(s, mu, lam, zeta, kappa):
     x0 = x1 - 40.0 / (1.0 - kappa)
     edges = np.linspace(x0, x1, 41)
 
+    li = ftcnd.flow_map(mu, lam, zeta, kappa).li
+
     def f(x):
         u = math.exp(x)
-        return u / (mu * float(ftcnd.li_activation(u, lam, zeta, kappa)))
+        return u / (mu * float(li(u)[0]))
     return (2.0 * math.exp((1.0 - kappa) * x0) / (mu * lam * (1.0 - kappa))
             + sum(quad(f, a, b, epsabs=0.0, epsrel=1e-13)[0]
                   for a, b in zip(edges[:-1], edges[1:])))

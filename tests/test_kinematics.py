@@ -87,11 +87,12 @@ def test_batched_chain_frames_equal_stacked_calls(builtin, complex_step):
         Q = rng.uniform(-2, 2, shape)
         if complex_step:
             Q = Q + 1e-20j * rng.normal(size=shape)
-        batched = kin.chain_frames(m, Q, start)
+        batched = kin.joint_frames(m, Q, start)
         for idx in np.ndindex(shape[:-1]):
-            for b, s in zip(batched, kin.chain_frames(m, Q[idx], start)):
-                assert b[idx].dtype == s.dtype == Q.dtype
-                np.testing.assert_allclose(b[idx], s, rtol=0, atol=1e-14)
+            single = kin.joint_frames(m, Q[idx], start)
+            assert batched[idx].dtype == single.dtype == Q.dtype
+            np.testing.assert_allclose(batched[idx], single, rtol=0,
+                                       atol=1e-14)
 
 
 def test_euler_rate_matrix_solvable_at_gimbal_lock():

@@ -346,7 +346,7 @@ def synthetic_trace(err_fn, duration=8.0, dt=0.01):
 def test_error_metrics_convergence_time():
     # err = exp(-t) crosses the 0.01 threshold at t = ln(100) = 4.605.
     trace = synthetic_trace(lambda t: math.exp(-t))
-    metrics = sim.error_metrics(trace, 1.0)
+    metrics = sim.error_metrics(trace, 1.0, builtin_planar_2link())
     assert metrics["convergence_time_pos"] == pytest.approx(
         math.log(100.0), abs=0.02)
     assert metrics["convergence_time_ori"] == 0.0
@@ -356,14 +356,14 @@ def test_error_metrics_convergence_time():
 
 def test_error_metrics_never_settling_is_inf():
     trace = synthetic_trace(lambda t: 0.02)
-    metrics = sim.error_metrics(trace, 1.0)
+    metrics = sim.error_metrics(trace, 1.0, builtin_planar_2link())
     assert metrics["convergence_time_pos"] == math.inf
 
 
 def test_error_metrics_settle_window_validation():
     trace = synthetic_trace(lambda t: 0.0, duration=1.0)
     with pytest.raises(ValueError, match="settle_window"):
-        sim.error_metrics(trace, 2.0)
+        sim.error_metrics(trace, 2.0, builtin_planar_2link())
 
 
 def per_row_pose_columns(model, script, initial_pose, time, q):
