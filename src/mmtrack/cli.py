@@ -16,10 +16,10 @@ import numpy as np
 from . import ftcnd, pomptc, qp_oracle, sim
 from .model import ConfigError, load_scenario
 
-# Exit 2; a diverging plant ends in LinAlgError once M stops factoring.
+# Exit 2: a valid input that a solver or the plant cannot carry through.
 _SOLVER_FAILURES = (sim.SimulationError, ftcnd.FtcndIntegrationError,
                     pomptc.SingularConfigurationError, np.linalg.LinAlgError,
-                    qp_oracle.InfeasibleProblem)
+                    qp_oracle.InfeasibleProblem, qp_oracle.NotConverged)
 
 _PANELS = {
     "path": (["pose_x", "pose_y", "pose_z", "ref_x", "ref_y", "ref_z"],

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -58,10 +58,6 @@ class _Loader(_Events):
                     keys.append(key)
                     stack.append((child, f"{path}{key}."))
         return super().construct_document(node)
-
-
-# What converting a malformed value raises; YAML integers are unbounded.
-_BAD_VALUE = (TypeError, ValueError, OverflowError)
 
 
 def _freeze(a, dtype=float):
@@ -391,8 +387,8 @@ class ControllerParams:
                                   f"number, got {gain!r}")
 
 
-# Defaults of the sections without a parameter dataclass; ftcnd and
-# nftsm take theirs from FtcndParams and NftsmParams.
+# Defaults of the sections without a parameter dataclass; ftcnd, nftsm
+# and scenario take their dataclass's field defaults.
 _DEFAULTS = {
     "pomptc": {"pose_weight": 50000.0, "velocity_weight": 1.0,
                "accel_weight": 20.0, "horizon": 5, "control_horizon": 5},
@@ -400,11 +396,6 @@ _DEFAULTS = {
 }
 _SECTIONS = ("robot", "pomptc", "ftcnd", "nftsm", "pd", "scenario")
 _ROBOT_KEYS = ("builtin", "limits", "actuated_by_mpc")
-
-
-def _field_defaults(cls) -> dict:
-    """The dataclass ``cls``'s field defaults, read without building one."""
-    return {f.name: f.default for f in fields(cls)}
 
 
 def _known_keys(mapping, allowed, path):
@@ -415,7 +406,41 @@ def _known_keys(mapping, allowed, path):
             raise ConfigError(f"{path}{key}: unknown key")
 
 
+def _number(value, name):
+    """``value`` as a float if it is a finite int or float, never a bool
+    (YAML's ``yes`` and ``on``) or a string; else raise naming ``name``."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(number := float(value)):
+                return number
+        except OverflowError:
+            pass
+    raise ValueError(f"{name}: expected a finite number, got {value!r}")
+
+
+def _integer(value, name):
+    """``value`` as an int: a whole number by :func:`_number`'s rule."""
+    if (number := _number(value, name)).is_integer():
+        return int(number)
+    raise ValueError(f"{name}: expected an integer, got {value!r}")
+
+
+def _checked(path, build):
+    """``build()``, whose malformed-value error becomes a
+    :class:`ConfigError` prefixed with ``path``; YAML integers are
+    unbounded, so converting one may overflow."""
+    try:
+        return build()
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
 def _section(doc, key, defaults):
+    """The ``key`` mapping of ``doc`` over ``defaults``: a dict, or a
+    dataclass whose field defaults are read."""
+    if not isinstance(defaults, dict):
+        defaults = {f.name: f.default if f.default_factory is MISSING
+                    else f.default_factory() for f in fields(defaults)}
     user = doc.get(key)
     if user is None:
         user = {}
@@ -425,7 +450,7 @@ def _section(doc, key, defaults):
     return defaults | user
 
 
-def _weight_matrix(value, size, path):
+def _weight_matrix(value, size, name):
     arr = np.asarray(value, dtype=float)
     if arr.ndim == 0:
         return float(arr) * np.eye(size)
@@ -433,19 +458,8 @@ def _weight_matrix(value, size, path):
         return np.diag(arr)
     if arr.shape == (size, size):
         return arr
-    raise ConfigError(f"{path}: expected scalar, length-{size} diagonal, "
-                      f"or {size}x{size} matrix")
-
-
-def _integer(sec, name, key):
-    try:
-        value = int(sec[key])
-        if value != float(sec[key]):
-            raise ValueError
-    except _BAD_VALUE:
-        raise ConfigError(f"{name}.{key}: expected an integer, "
-                          f"got {sec[key]!r}") from None
-    return value
+    raise ValueError(f"{name}: expected scalar, length-{size} diagonal, "
+                     f"or {size}x{size} matrix")
 
 
 def _build_robot(sec):
@@ -466,31 +480,28 @@ def _build_robot(sec):
         if not isinstance(limits, dict):
             raise ConfigError("robot.limits: expected a mapping")
         _known_keys(limits, _LIMIT_NAMES, "robot.limits.")
-        try:
-            kw = {name: np.asarray(limits.get(name, getattr(model.limits, name)),
-                                   float)
-                  for name in _LIMIT_NAMES}
-            model = replace(model, limits=JointLimits(**kw))
-        except _BAD_VALUE as exc:
-            raise ConfigError(f"robot.limits: {exc}") from None
+        model = _checked("robot.limits", lambda: replace(
+            model, limits=JointLimits(**{
+                name: np.asarray(limits.get(name, getattr(model.limits, name)),
+                                 float) for name in _LIMIT_NAMES})))
     if "actuated_by_mpc" in sec:
-        try:
-            model = replace(model, actuated_by_mpc=np.asarray(
-                sec["actuated_by_mpc"], dtype=bool))
-            if model.actuated_by_mpc[:model.base_dof_count].any():
-                raise ValueError("a base DOF is marked, but the base "
-                                 "follows scenario.base_motion")
-        except _BAD_VALUE as exc:
-            raise ConfigError(f"robot.actuated_by_mpc: {exc}") from None
+        model = _checked("robot.actuated_by_mpc", lambda: replace(
+            model, actuated_by_mpc=np.asarray(sec["actuated_by_mpc"], bool)))
+        if model.actuated_by_mpc[:model.base_dof_count].any():
+            raise ConfigError("robot.actuated_by_mpc: a base DOF is marked, "
+                              "but the base follows scenario.base_motion")
     return model
 
 
 def load_scenario(config_document: str):
     """Parse a YAML scenario document.
 
-    Returns ``(RobotModel, ControllerParams, ScenarioScript)``.  Missing
-    optional keys are filled with defaults; validation failures raise
-    :class:`ConfigError` naming the offending key path.
+    Returns ``(RobotModel, ControllerParams, ScenarioScript)``.  A
+    missing key takes its default, from ``_DEFAULTS`` or a field default
+    of FtcndParams, NftsmParams or ScenarioScript.  A scalar is a YAML
+    int or float (:func:`_number`, :func:`_integer`), never a bool or a
+    string.  Any malformed value raises :class:`ConfigError` naming its
+    section and key.
     """
     from . import ftcnd as _ftcnd
     from . import nftsm as _nftsm
@@ -516,52 +527,40 @@ def load_scenario(config_document: str):
     if "robot" not in doc:
         raise ConfigError("robot: section is required")
     model = _build_robot(doc["robot"])
-
     po = _section(doc, "pomptc", _DEFAULTS["pomptc"])
-    mprime = model.mpc_dof
-    try:
-        weights = _pomptc.PomptcWeights(
-            pose=_weight_matrix(po["pose_weight"], 6, "pomptc.pose_weight"),
-            velocity=_weight_matrix(po["velocity_weight"], mprime,
-                                    "pomptc.velocity_weight"),
-            accel=_weight_matrix(po["accel_weight"], mprime,
-                                 "pomptc.accel_weight"),
-        )
-    except _BAD_VALUE as exc:
-        raise ConfigError(f"pomptc: {exc}") from None
-    horizon = _integer(po, "pomptc", "horizon")
-    control_horizon = _integer(po, "pomptc", "control_horizon")
-    if not horizon >= control_horizon >= 1:
-        raise ConfigError("pomptc.horizon: need horizon >= control_horizon >= 1")
-
-    ft = _section(doc, "ftcnd", _field_defaults(_ftcnd.FtcndParams))
-    try:
-        ftcnd_params = _ftcnd.FtcndParams(
-            **{k: float(v) for k, v in ft.items()})
-    except _BAD_VALUE as exc:
-        raise ConfigError(f"ftcnd: {exc}") from None
-
-    nf = _section(doc, "nftsm", _field_defaults(_nftsm.NftsmParams))
-    try:
-        nftsm_params = _nftsm.NftsmParams(
-            **{k: float(v) for k, v in nf.items()})
-    except _BAD_VALUE as exc:
-        raise ConfigError(f"nftsm: {exc}") from None
-
+    ft = _section(doc, "ftcnd", _ftcnd.FtcndParams)
+    nf = _section(doc, "nftsm", _nftsm.NftsmParams)
     pd = _section(doc, "pd", _DEFAULTS["pd"])
-    try:
-        pd_kp, pd_kd = float(pd["kp"]), float(pd["kd"])
-    except _BAD_VALUE as exc:
-        raise ConfigError(f"pd: {exc}") from None
-    params = ControllerParams(
-        weights=weights, horizon=horizon, control_horizon=control_horizon,
-        ftcnd=ftcnd_params, nftsm=nftsm_params, pd_kp=pd_kp, pd_kd=pd_kd)
+    sc = _section(doc, "scenario", _sim.ScenarioScript)
 
-    # The scenario defaults are ScenarioScript's own.
-    sc = _section(doc, "scenario", _sim.ScenarioScript().to_config())
-    try:
-        script = _sim.ScenarioScript.from_config(sc, model)
-    except _BAD_VALUE as exc:
-        raise ConfigError(f"scenario: {exc}") from None
-    return model, params, script
+    def pomptc():
+        weights = _pomptc.PomptcWeights(*(
+            _weight_matrix(po[key], size, key) for key, size in (
+                ("pose_weight", 6), ("velocity_weight", model.mpc_dof),
+                ("accel_weight", model.mpc_dof))))
+        n, nu = (_integer(po[key], key)
+                 for key in ("horizon", "control_horizon"))
+        if not n >= nu >= 1:
+            raise ValueError("horizon: need horizon >= control_horizon >= 1")
+        return weights, n, nu
 
+    def numbers(sec):
+        return {key: _number(value, key) for key, value in sec.items()}
+
+    def scenario():
+        script = _sim.ScenarioScript(**sc)
+        # The model's checks: base DOFs to move, one angle and one
+        # disturbance entry per arm joint.
+        if _sim._kind(script.base_motion, "base_motion")[0] != "static" \
+                and model.base_dof_count < 6:
+            raise ValueError("base_motion: model has no base DOFs to move")
+        _sim._arm_angles(script.initial_q, model)
+        script.disturbance_torque(0.0, model.arm_joint_count)
+        return script
+
+    params = ControllerParams(   # in field order
+        *_checked("pomptc", pomptc),
+        _checked("ftcnd", lambda: _ftcnd.FtcndParams(**numbers(ft))),
+        _checked("nftsm", lambda: _nftsm.NftsmParams(**numbers(nf))),
+        *_checked("pd", lambda: [_number(pd[k], k) for k in ("kp", "kd")]))
+    return model, params, _checked("scenario", scenario)

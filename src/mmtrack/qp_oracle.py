@@ -28,6 +28,10 @@ class InfeasibleProblem(RuntimeError):
         self.certificate_row = int(certificate_row)
 
 
+class NotConverged(RuntimeError):
+    """An active-set iteration reached its iteration cap."""
+
+
 @dataclass(frozen=True)
 class KktReport:
     stationarity_residual: float
@@ -64,7 +68,6 @@ def _solve_penalized(S, G, H, w, xi):
     violated rows, so the minimizer satisfies a piecewise-linear
     equation solved by active-set iteration.
     """
-    nz = S.shape[1]
     z = np.linalg.solve(S, -G)
     active = H @ z - w > 0.0
     for _ in range(200):
@@ -76,10 +79,9 @@ def _solve_penalized(S, G, H, w, xi):
         if np.array_equal(new_active, active) and \
                 np.max(np.abs(z_new - z)) <= _FIXED_POINT_TOL:
             return z_new
-        # Damp only if the active set oscillates without settling.
         z = z_new
         active = new_active
-    raise RuntimeError("penalized active-set iteration did not settle")
+    raise NotConverged("penalized active-set iteration did not settle")
 
 
 def _solve_exact(S, G, H, w):
@@ -124,7 +126,7 @@ def _solve_exact(S, G, H, w):
         z = z + alpha * d
         if block >= 0:
             working.append(block)
-    raise RuntimeError("active-set iteration did not converge")
+    raise NotConverged("active-set iteration did not converge")
 
 
 def solve_reference(problem, penalized: bool = False, xi: float = 5.0):
@@ -137,8 +139,8 @@ def solve_reference(problem, penalized: bool = False, xi: float = 5.0):
     xi : penalty factor (penalized mode only)
 
     Raises InfeasibleProblem in exact mode when no feasible point exists,
-    and ValueError when S, G, H or w is not finite or S is not positive
-    definite.
+    NotConverged when the iteration reaches its cap, and ValueError when
+    S, G, H or w is not finite or S is not positive definite.
     """
     problem.check_finite()
     S = np.asarray(problem.S, float)

@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import dynamics, ftcnd, kinematics as kin, nftsm, pomptc
 from .kinematics import Pose
-from .model import ControllerParams, RobotModel, _known_keys
+from .model import ControllerParams, RobotModel, _known_keys, _number
 
 # The torque laws of :func:`track`.
 CONTROLLERS = ("nftsm", "pd", "nftsm-no-taub")
@@ -68,17 +68,8 @@ _KINDS = {
 
 
 class SimulationError(RuntimeError):
-    """Raised when the closed loop cannot continue (solver failures)."""
-
-
-def _number(value, name):
-    """``value`` as a finite float; the error names the key ``name``."""
-    try:
-        if math.isfinite(number := float(value)):
-            return number
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ValueError(f"{name}: expected a finite number, got {value!r}")
+    """Raised when the closed loop cannot continue (solver failures, a
+    diverging plant)."""
 
 
 def _as_vector(value, length, name):
@@ -92,14 +83,11 @@ def _as_vector(value, length, name):
 
 
 def _arm_angles(init, model):
-    """``initial_q`` as None or a tuple of the model's arm angles; any
-    other length or a non-number raises naming ``initial_q``."""
-    if init is not None:
-        init = tuple(_number(x, "initial_q") for x in (
-            init if isinstance(init, (list, tuple)) else [init]))
-        if len(init) != model.arm_joint_count:
-            raise ValueError(f"initial_q: expected the {model.arm_joint_count}"
-                             f" arm angles, got {len(init)} entries")
+    """``initial_q``, None or the model's arm angles; another length
+    raises naming ``initial_q``."""
+    if init is not None and len(init) != model.arm_joint_count:
+        raise ValueError(f"initial_q: expected the {model.arm_joint_count}"
+                         f" arm angles, got {len(init)} entries")
     return init
 
 
@@ -243,8 +231,11 @@ def _disturbance(spec: dict, duration: float):
 class ScenarioScript:
     """Validated scenario: timing, reference, base motion, disturbance.
 
-    ``reference``, ``base_motion`` and ``disturbance`` are mappings whose
-    missing keys, ``kind`` included, default to the :data:`_KINDS` entry.
+    The periods and the ``initial_q`` angles (None: the zero
+    configuration) are numbers by :func:`model._number`'s rule, stored as
+    floats.  ``reference``, ``base_motion`` and ``disturbance`` are
+    mappings whose missing keys, ``kind`` included, default to the
+    :data:`_KINDS` entry.
     Construction resolves each ``kind`` once into a time function
     (``dataclasses.replace`` resolves them again): ``base_state(times)``,
     ``reference_path(times, initial_pose)`` and
@@ -264,8 +255,13 @@ class ScenarioScript:
 
     def __post_init__(self):
         for name in ("duration", "control_period", "torque_period"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
+            object.__setattr__(self, name, _number(getattr(self, name), name))
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive")
+        if (init := self.initial_q) is not None:
+            init = init if isinstance(init, (list, tuple)) else [init]
+            object.__setattr__(self, "initial_q",
+                               tuple(_number(x, "initial_q") for x in init))
         if not self.duration / self.torque_period < MAX_TRACE_ROWS:
             raise ValueError(f"duration / torque_period exceeds the trace "
                              f"cap of {MAX_TRACE_ROWS} rows")
@@ -284,29 +280,6 @@ class ScenarioScript:
                            _base_motion(self.base_motion, self.duration))
         object.__setattr__(self, "disturbance_torque",
                            _disturbance(self.disturbance, self.duration))
-
-    @staticmethod
-    def from_config(sec: dict, model: RobotModel) -> "ScenarioScript":
-        script = ScenarioScript(
-            duration=float(sec["duration"]),
-            control_period=float(sec["control_period"]),
-            torque_period=float(sec["torque_period"]),
-            reference=sec["reference"],
-            base_motion=sec["base_motion"],
-            disturbance=sec["disturbance"],
-            initial_q=_arm_angles(sec["initial_q"], model),
-        )
-        if _kind(script.base_motion, "base_motion")[0] != "static" \
-                and model.base_dof_count < 6:
-            raise ValueError("base_motion: model has no base DOFs to move")
-        # A disturbance vector must have one entry per arm joint.
-        script.disturbance_torque(0.0, model.arm_joint_count)
-        return script
-
-    def to_config(self) -> dict:
-        out = asdict(self)
-        out["initial_q"] = list(self.initial_q) if self.initial_q else None
-        return out
 
 
 _POSE = ("x", "y", "z", "yaw", "pitch", "roll")
@@ -461,7 +434,9 @@ def track(model: RobotModel, params: ControllerParams,
     ``plan.q_md[0]``, tracking the plan under the torque law
     ``controller``: "nftsm" (with base compensation),
     "nftsm-no-taub" (compensation off), or "pd"
-    (gravity-compensated PD baseline)."""
+    (gravity-compensated PD baseline).  A torque step that overflows, or
+    whose inertia matrix stops factoring, raises :class:`SimulationError`
+    naming its time."""
     if controller not in CONTROLLERS:
         raise ValueError(f"unknown controller {controller!r}")
     n, m, b = model.arm_joint_count, model.total_dof, model.base_dof_count
@@ -489,45 +464,51 @@ def track(model: RobotModel, params: ControllerParams,
 
     compensate = controller == "nftsm"
     q_arm, qd_arm = plan.q_md[0], np.zeros(n)
-    for i in range(n_steps):
-        j, k = divmod(i, spc)
-        g_base, a_base = g_steps[i], a_steps[i]
-        qd_md = plan.qd_md[j]
-        e1 = q_arm - (plan.q_md[j] + k * tt * qd_md)
-        e2 = qd_arm - qd_md
-        terms0 = dynamics.dynamics_terms(model, q_arm, qd_arm,
-                                         gravity=g_base, a_b=a_base)
-        if controller == "pd":
-            tau = pd_baseline_torque(terms0, e1, e2, params.pd_kp,
-                                     params.pd_kd)
-            s_now = nftsm.sliding_surface(e1, e2, params.nftsm)
-        else:
-            tau, s_now = nftsm.control_torque(terms0, e1, e2, plan.qdd_md[j],
-                                              params.nftsm)
-        tau_cmd = tau + terms0.tau_b if compensate else tau
-        tau_in = tau_cmd + tr.tau_d[i + 1]
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for i in range(n_steps):
+                j, k = divmod(i, spc)
+                g_base, a_base = g_steps[i], a_steps[i]
+                qd_md = plan.qd_md[j]
+                e1 = q_arm - (plan.q_md[j] + k * tt * qd_md)
+                e2 = qd_arm - qd_md
+                terms0 = dynamics.dynamics_terms(model, q_arm, qd_arm,
+                                                 gravity=g_base, a_b=a_base)
+                if controller == "pd":
+                    tau = pd_baseline_torque(terms0, e1, e2, params.pd_kp,
+                                             params.pd_kd)
+                    s_now = nftsm.sliding_surface(e1, e2, params.nftsm)
+                else:
+                    tau, s_now = nftsm.control_torque(
+                        terms0, e1, e2, plan.qdd_md[j], params.nftsm)
+                tau_cmd = tau + terms0.tau_b if compensate else tau
+                tau_in = tau_cmd + tr.tau_d[i + 1]
 
-        def accel(qa, qda):
-            terms = dynamics.dynamics_terms(model, qa, qda,
-                                            gravity=g_base, a_b=a_base)
-            return dynamics.forward_dynamics(terms, tau_in - terms.tau_b)
+                def accel(qa, qda):
+                    terms = dynamics.dynamics_terms(model, qa, qda,
+                                                    gravity=g_base, a_b=a_base)
+                    return dynamics.forward_dynamics(terms,
+                                                     tau_in - terms.tau_b)
 
-        k1a = dynamics.forward_dynamics(terms0, tau_in - terms0.tau_b)
-        k2v = qd_arm + 0.5 * tt * k1a
-        k2a = accel(q_arm + 0.5 * tt * qd_arm, k2v)
-        k3v = qd_arm + 0.5 * tt * k2a
-        k3a = accel(q_arm + 0.5 * tt * k2v, k3v)
-        k4v = qd_arm + tt * k3a
-        k4a = accel(q_arm + tt * k3v, k4v)
-        q_arm = q_arm + tt / 6.0 * (qd_arm + 2 * k2v + 2 * k3v + k4v)
-        qd_arm = qd_arm + tt / 6.0 * (k1a + 2 * k2a + 2 * k3a + k4a)
+                k1a = dynamics.forward_dynamics(terms0, tau_in - terms0.tau_b)
+                k2v = qd_arm + 0.5 * tt * k1a
+                k2a = accel(q_arm + 0.5 * tt * qd_arm, k2v)
+                k3v = qd_arm + 0.5 * tt * k2a
+                k3a = accel(q_arm + 0.5 * tt * k2v, k3v)
+                k4v = qd_arm + tt * k3a
+                k4a = accel(q_arm + tt * k3v, k4v)
+                q_arm = q_arm + tt / 6.0 * (qd_arm + 2 * k2v + 2 * k3v + k4v)
+                qd_arm = qd_arm + tt / 6.0 * (k1a + 2 * k2a + 2 * k3a + k4a)
 
-        row = i + 1
-        tr.q[row, b:], tr.qdot[row, b:], tr.qddot[row, b:] = \
-            q_arm, qd_arm, k1a
-        tr.tau[row] = tau_cmd
-        tr.tau_b[row] = terms0.tau_b
-        tr.sliding_V[row] = 0.5 * s_now @ s_now
+                row = i + 1
+                tr.q[row, b:], tr.qdot[row, b:], tr.qddot[row, b:] = \
+                    q_arm, qd_arm, k1a
+                tr.tau[row] = tau_cmd
+                tr.tau_b[row] = terms0.tau_b
+                tr.sliding_V[row] = 0.5 * s_now @ s_now
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
+        raise SimulationError(f"plant diverged at t = {starts[i]:.3f} s: "
+                              f"{exc}") from None
 
     # V̇ is the backward difference of V between torque steps.
     tr.sliding_Vdot[2:] = np.diff(tr.sliding_V[1:]) / tt

@@ -235,6 +235,6 @@ def serialize_scenario(model, params, script) -> str:
         "ftcnd": asdict(params.ftcnd),
         "nftsm": asdict(params.nftsm),
         "pd": {"kp": params.pd_kp, "kd": params.pd_kd},
-        "scenario": script.to_config(),
+        "scenario": asdict(script),
     }
     return yaml.safe_dump(doc, sort_keys=False)

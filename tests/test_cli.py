@@ -10,7 +10,7 @@ import pytest
 
 from conftest import hand_qp
 import mmtrack
-from mmtrack import cli, ftcnd, pomptc, sim
+from mmtrack import cli, ftcnd, pomptc, qp_oracle, sim
 
 SHORT_CONFIG = """
 robot:
@@ -278,6 +278,26 @@ def test_simulate_diverging_plant_exits_2_without_traceback(tmp_path):
     assert not (tmp_path / "out" / "trace.csv").exists()
 
 
+def test_simulate_unstable_plant_names_the_time(tmp_path):
+    # RK4 at 1 ms goes unstable under these gains: the first overflow of
+    # a torque step ends the run, before M stops factoring.
+    text = (Path(__file__).resolve().parent.parent / "configs"
+            / "nominal_circle.yaml").read_text(encoding="utf-8")
+    for old, new in (("  duration: 10.0\n", "  duration: 0.3\n"),
+                     ("  c1: 20.0\n", "  c1: 3260\n"),
+                     ("    radius: 0.1\n", "    radius: 64.3\n")):
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp_path / "unstable.yaml"
+    path.write_text(text, encoding="utf-8")
+    proc = run_cli("simulate", "--config", str(path),
+                   "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("solver failure: plant diverged at t = ")
+    assert "RuntimeWarning" not in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_solve_qp_both_solvers(tmp_path, capsys):
     path = tmp_path / "problem.txt"
     path.write_text(pomptc.problem_to_text(hand_qp()), encoding="utf-8")
@@ -350,6 +370,18 @@ def test_solve_qp_unconverged_exits_2(tmp_path, capsys, monkeypatch):
     assert rc == 2
     assert "ftcnd did not converge within max_time" in captured.err
     assert "ftcnd z*" not in captured.out
+
+
+def test_solve_qp_oracle_at_its_iteration_cap_exits_2(tmp_path, capsys,
+                                                       monkeypatch):
+    def capped(*args):
+        raise qp_oracle.NotConverged("active-set iteration did not converge")
+    monkeypatch.setattr(qp_oracle, "_solve_exact", capped)
+    path = tmp_path / "problem.txt"
+    path.write_text(pomptc.problem_to_text(hand_qp()), encoding="utf-8")
+    rc = cli.main(["solve-qp", "--problem", str(path), "--solver", "oracle"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("solver failure:")
 
 
 def test_solve_qp_malformed_file(tmp_path, capsys):

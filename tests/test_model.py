@@ -95,9 +95,11 @@ def test_load_scenario_rejects_bad_kappa():
 
 
 @pytest.mark.parametrize("section, match", [
-    ("pomptc:\n  horizon: x\n", "pomptc.horizon"),
-    ("pomptc:\n  horizon: 5.9\n", "pomptc.horizon"),
-    ("pomptc:\n  control_horizon: 2.5\n", "pomptc.control_horizon"),
+    ("pomptc:\n  horizon: x\n",
+     "^pomptc: horizon: expected a finite number, got 'x'$"),
+    ("pomptc:\n  horizon: 5.9\n", "^pomptc: horizon: expected an integer"),
+    ("pomptc:\n  control_horizon: 2.5\n",
+     "^pomptc: control_horizon: expected an integer"),
     ("scenario:\n  reference:\n    kind: waypoints\n    points:\n"
      "      - pose: [0, 0, 0, 0, 0, 0]\n", "reference.points"),
     ("scenario:\n  initial_q: 3\n", "initial_q"),
@@ -149,21 +151,26 @@ def test_load_scenario_rejects_bad_kappa():
     ("pomptc: {horizn: 3}\n", "^pomptc.horizn: unknown key$"),
     ("pd: {kq: 3}\n", "^pd.kq: unknown key$"),
     ("foo: 1\n", "^foo: unknown key$"),
-    ("ftcnd: {mu: .nan}\n", "ftcnd: mu must be positive and finite"),
+    ("ftcnd: {mu: .nan}\n", "^ftcnd: mu: expected a finite number, got nan$"),
     ("ftcnd: {max_time: .inf}\n",
-     "ftcnd: max_time must be positive and finite"),
-    ("ftcnd: {kappa: .nan}\n", "ftcnd: kappa must be positive and finite"),
-    ("nftsm: {delta: .inf}\n", "nftsm: delta must be positive and finite"),
-    ("nftsm: {r2: .nan}\n", "nftsm: r2 must be positive and finite"),
-    ("nftsm: {c2: -.inf}\n", "nftsm: c2 must be positive and finite"),
-    (f"ftcnd: {{xi: {BIG_INT}}}\n", "ftcnd: int too large"),
+     "^ftcnd: max_time: expected a finite number, got inf$"),
+    ("ftcnd: {kappa: .nan}\n",
+     "^ftcnd: kappa: expected a finite number, got nan$"),
+    ("nftsm: {delta: .inf}\n",
+     "^nftsm: delta: expected a finite number, got inf$"),
+    ("nftsm: {r2: .nan}\n", "^nftsm: r2: expected a finite number, got nan$"),
+    ("nftsm: {c2: -.inf}\n",
+     "^nftsm: c2: expected a finite number, got -inf$"),
+    (f"ftcnd: {{xi: {BIG_INT}}}\n",
+     f"^ftcnd: xi: expected a finite number, got {BIG_INT}$"),
     ("pd: {kp: 0}\n", "pd.kp: expected a finite positive number"),
     ("pd: {kd: -25}\n", "pd.kd: expected a finite positive number"),
-    ("pd: {kp: .inf}\n", "pd.kp: expected a finite positive number"),
-    ("pd: {kd: .nan}\n", "pd.kd: expected a finite positive number"),
+    ("pd: {kp: .inf}\n", "^pd: kp: expected a finite number, got inf$"),
+    ("pd: {kd: .nan}\n", "^pd: kd: expected a finite number, got nan$"),
     ("nftsm: {compensate_base: true}\n",
      "^nftsm.compensate_base: unknown key$"),
-    (f"scenario: {{duration: {BIG_INT}}}\n", "scenario: int too large"),
+    (f"scenario: {{duration: {BIG_INT}}}\n",
+     f"^scenario: duration: expected a finite number, got {BIG_INT}$"),
     (f"pomptc: {{pose_weight: {BIG_INT}}}\n", "pomptc: int too large"),
     (f"scenario: {{reference: {{radius: {BIG_INT}}}}}\n",
      "reference.radius: expected a finite number"),
@@ -200,6 +207,17 @@ def test_load_scenario_rejects_bad_kappa():
      "^parse failure: .*5001 digits"),
     ("scenario: {reference: {kind: \ud800}}\n",
      "^parse failure: .*surrogates not allowed$"),
+    # A number is a YAML int or float: never a bool, never a string.
+    ("ftcnd: {xi: yes}\n", "^ftcnd: xi: expected a finite number, got True$"),
+    ("pomptc: {horizon: on}\n",
+     "^pomptc: horizon: expected a finite number, got True$"),
+    ("scenario: {duration: '2'}\n",
+     "^scenario: duration: expected a finite number, got '2'$"),
+    ("scenario: {reference: {radius: yes}}\n",
+     "^scenario: reference.radius: expected a finite number, got True$"),
+    ("pd: {kp: x}\n", "^pd: kp: expected a finite number, got 'x'$"),
+    ("scenario: {control_period: [1]}\n",
+     r"^scenario: control_period: expected a finite number, got \[1\]$"),
 ], ids=["horizon", "horizon_fraction", "control_horizon_fraction",
         "waypoint_time", "initial_q", "base_motion", "pose",
         "duration_inf", "duration_nan", "duration_huge",
@@ -222,7 +240,9 @@ def test_load_scenario_rejects_bad_kappa():
         "repeated_reference_key", "reference_misspelled_key",
         "waypoints_circle_key", "waypoint_point_key",
         "base_motion_misspelled_key", "disturbance_misspelled_key",
-        "tilt_sinusoid_key", "integer_past_digit_limit", "lone_surrogate"])
+        "tilt_sinusoid_key", "integer_past_digit_limit", "lone_surrogate",
+        "bool_gain", "bool_horizon", "string_duration", "bool_radius",
+        "word_gain", "list_period"])
 def test_load_scenario_rejects_malformed_values(section, match):
     with pytest.raises(ConfigError, match=match):
         load_scenario(MINIMAL + section)

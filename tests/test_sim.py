@@ -10,7 +10,7 @@ import yaml
 import oracles
 from mmtrack import cli, dynamics, ftcnd, kinematics as kin, nftsm, sim
 from mmtrack.kinematics import Pose
-from mmtrack.model import builtin_planar_2link, load_scenario
+from mmtrack.model import ConfigError, builtin_planar_2link, load_scenario
 from mmtrack.sim import ScenarioScript, SimTrace
 
 TWOLINK_REG = """
@@ -52,16 +52,27 @@ def test_script_validation():
         ScenarioScript(disturbance={"kind": "impulse"})
 
 
-def test_from_config_checks_model_compatibility():
-    model = builtin_planar_2link()
-    sec = ScenarioScript().to_config()
-    sec["base_motion"] = {"kind": "sinusoid", "axis": "x"}
-    with pytest.raises(ValueError, match="base DOFs"):
-        ScenarioScript.from_config(sec, model)
-    sec = ScenarioScript().to_config()
-    sec["initial_q"] = [0.1, 0.2, 0.3]
-    with pytest.raises(ValueError, match="initial_q"):
-        ScenarioScript.from_config(sec, model)
+def test_load_scenario_checks_model_compatibility():
+    # The script does not know the model: the loader checks it against
+    # the robot, naming the scenario key.
+    robot = "robot: {builtin: planar_2link}\n"
+    with pytest.raises(ConfigError, match="^scenario: base_motion: model "
+                                          "has no base DOFs to move$"):
+        load_scenario(robot + "scenario: {base_motion: {kind: sinusoid}}\n")
+    with pytest.raises(ConfigError, match="^scenario: initial_q: expected "
+                                          "the 2 arm angles, got 3 entries$"):
+        load_scenario(robot + "scenario: {initial_q: [0.1, 0.2, 0.3]}\n")
+
+
+def test_script_stores_numpy_floats_as_floats():
+    # perfbench replaces initial_q by a tuple of numpy float64 values.
+    q = np.array([0.1, -0.2])
+    built = ScenarioScript(*np.array([1.0, 0.01, 0.001]), initial_q=tuple(q))
+    plain = ScenarioScript(1.0, 0.01, 0.001, initial_q=(0.1, -0.2))
+    assert built == plain
+    numbers = (built.duration, built.control_period, built.torque_period,
+               *built.initial_q)
+    assert {type(x) for x in numbers} == {float}
 
 
 def test_base_state_sinusoid_and_tilt():
