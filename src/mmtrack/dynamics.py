@@ -1,121 +1,118 @@
 """Rigid-body terms of the arm, base-motion disturbance torque, and
 forward dynamics for simulation.
 
-Links are modelled as point masses at their COM plus a constant rotor
-inertia per joint, so the inertia matrix is
-``M(q) = sum_i m_i Jc_i^T Jc_i + diag(rotor)`` and the velocity-product
-(bias) vector is ``C(q, qdot) qdot = sum_i m_i Jc_i^T (Jcdot_i qdot)``.
-The plant and the torque laws use only that vector.  ``Jc`` and its
-time rate ``Jcdot`` along qdot come from one real pass over the dual
-frames [[F, Fdot], [0, F]] of ``kinematics.joint_frames``: a column
-``a_k x (c_i - o_k)`` and its rate are one product of the block skew
-[[K(a), 0], [K(adot), K(a)]] with [c - o; cdot - odot].  The
-Christoffel Coriolis matrix, the oracle of the bias vector, is in
-``tests/oracles.py``.
-
-Forward dynamics applies M^-1 through one LAPACK Cholesky
-factorization, whose pivots are also the singularity guard
-(``solve_inertia``): no SVD is taken.
+Links are point masses at their COM plus a rotor inertia per joint:
+``M(q) = sum_i m_i Jc_i^T Jc_i + diag(rotor)``, and the bias ``C(q,
+qdot) qdot = sum_i m_i Jc_i^T (Jcdot_i qdot)`` in its Christoffel form:
+column k of link i, ``a_k x (c_i - o_k)`` (``a_k`` if joint k slides),
+has the derivative ``rev_j K(a_j) col_h,i`` along joint l, j = min(l,
+k), h = max(l, k), K the axis skew, rev_j = 0 for a sliding joint j
+(Murray, Li & Sastry 1994, ch. 4).  So :func:`configuration_terms`
+takes configurations only, any batch in one pass over the frames of
+``kinematics.joint_frames``, and the bias at any velocity is one
+contraction ``(qdot (x) qdot) W``.  Its oracle, the Christoffel Coriolis
+matrix of dM/dq, is in ``tests/oracles.py``.  M^-1 is applied through
+one Cholesky factorization, whose pivots are the singularity guard.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .kinematics import axis_skew, joint_frames
+from .kinematics import joint_frames
 from .model import RobotModel
 
-# [a; adot] @ _SKEW is the block skew [[K(a), 0], [K(adot), K(a)]],
-# flattened row by row.
-_SKEW = np.array([np.kron(np.eye(2, k=-b), axis_skew(e)).ravel()
-                  for b in range(2) for e in np.eye(3)])
+# Inertia matrix M, bias vector C(q, qdot) qdot, gravity vector G and
+# base-motion torque tau_b of the arm.
+DynamicsTerms = namedtuple("DynamicsTerms", "M bias G tau_b")
 
 
-@dataclass(frozen=True)
-class DynamicsTerms:
-    """Inertia matrix M, bias vector C(q, qdot) qdot, gravity vector G,
-    and base-motion torque tau_b of the arm."""
+class ConfigurationTerms(namedtuple("ConfigurationTerms", "M G tau_b W")):
+    """M (B, n, n), G and tau_b (B, n) and the contracted Christoffel
+    table W (B, n * n, n) of B arm configurations."""
 
-    M: np.ndarray
-    bias: np.ndarray
-    G: np.ndarray
-    tau_b: np.ndarray
+    def at(self, s: int, qdot) -> DynamicsTerms:
+        """The terms of configuration ``s`` at joint rates ``qdot``; the
+        bias ``(qdot (x) qdot) W[s]`` is two vector-matrix products."""
+        n = len(qdot)
+        bias = qdot.dot(qdot.dot(self.W[s].reshape(n, n * n)).reshape(n, n))
+        return DynamicsTerms(self.M[s], bias, self.G[s], self.tau_b[s])
 
 
-def com_jacobians(model: RobotModel, q_m, qdot_m):
-    """[Jc; Jcdot] along axis -2, (..., n, 6, n): the translational COM
-    Jacobians Jc in the base frame and their rate Jcdot along ``qdot_m``
-    (broadcast to ``q_m``); ``q_m`` holds arm angles in its last axis
-    with any leading batch shape, and may be complex.  Column k of link
-    i, axis_k x (com_i - o_k), and its rate are one matmul of the block
-    axis skews, laid out in memory as [joint k, axis, link i]."""
-    start = model.base_dof_count
-    tab = model.fixed_transforms
-    F = joint_frames(model, q_m, start, qdot_m)
-    # [axes; coms; origins] of every frame, each [value; rate].
-    p = (tab.points @ F[..., :3, :].swapaxes(-1, -2)).reshape(
-        F.shape[:-2] + (3, 6))
-    axes, coms, origins = p[..., 0, :], p[..., 1, :], p[..., 2, :]
-    skews = (axes @ _SKEW).reshape(axes.shape + (6,))
+def _skews_and_columns(model: RobotModel, q_m):
+    """rev_k K(a_k), (..., n, 3, 3), and the COM Jacobian columns as
+    [joint k, axis, link i] of arm angles ``q_m`` (any batch, complex)."""
+    tab, arm = model.fixed_transforms, slice(model.base_dof_count, None)
+    F = joint_frames(model, q_m, model.base_dof_count)
+    p = F.reshape(F.shape[:-2] + (1, 16)) @ tab.points    # (..., k, 1, 18)
+    skews = p[..., 0, :9].reshape(F.shape[:-2] + (3, 3))
+    axes, coms, origins = p[..., 0, 9:12], p[..., 0, 12:15], p[..., 0, 15:]
     columns = skews @ (coms.swapaxes(-1, -2)[..., None, :, :]
-                       - origins[..., None])    # (..., k, 6, i)
+                       - origins[..., None])
     if tab.slides:
-        columns = np.where(tab.revolute[start:, None, None], columns,
+        columns = np.where(tab.revolute[arm, None, None], columns,
                            axes[..., None])
-    return (columns * tab.links).swapaxes(-1, -3)
+    return skews, columns * tab.links
+
+
+def com_jacobians(model: RobotModel, q_m):
+    """Translational COM Jacobians in the base frame as [link i, axis,
+    joint k] of arm angles ``q_m`` (any batch shape, may be complex)."""
+    return _skews_and_columns(model, q_m)[1].swapaxes(-1, -3)
+
+
+def configuration_terms(model: RobotModel, Q, gravity=None,
+                        a_b=None) -> ConfigurationTerms:
+    """M, G, tau_b and W of the arm at the B configurations ``Q`` (B, n).
+
+    ``gravity`` overrides the model's (a tilted base).  tau_b, the
+    torque compensating the base acceleration ``a_b`` (base frame), is
+    ``sum_i m_i a_b . d(com_i)/dq``, exactly +0 when the base coasts.
+    ``W[(k, l), j] = w_lk sum_i m_i (rev_l K(a_l) col_k,i) . col_j,i``,
+    w_lk = 2, 1, 0 for l <, =, > k, so ``C qdot = (qdot (x) qdot) W``.
+    """
+    Q = np.asarray(Q, float)
+    n = model.arm_joint_count
+    if Q.ndim != 2 or Q.shape[1] != n:
+        raise ValueError(f"expected arm configurations of shape (B, {n}), "
+                         f"got {Q.shape}")
+    g = model.gravity if gravity is None else np.asarray(gravity, float)
+    tab, B = model.fixed_transforms, len(Q)
+    skews, columns = _skews_and_columns(model, Q)
+    mJ = (columns * model.link_masses).reshape(B, n, 3 * n).swapaxes(-1, -2)
+    Jm = columns.dot(model.link_masses)          # sum_i m_i Jc_i, (B, n, 3)
+    tau_b = np.zeros((B, n))
+    if a_b is not None:
+        if (a_b := np.asarray(a_b, float)).shape != (3,):
+            raise ValueError("a_b must be a 3-vector")
+        tau_b = Jm.dot(a_b) if any(a_b.tolist()) else tau_b
+    T = skews.reshape(B, 1, 3 * n, 3) @ columns  # [k, (l, axis), i]
+    return ConfigurationTerms(
+        M=columns.reshape(B, n, 3 * n) @ mJ + tab.rotor, G=-Jm.dot(g),
+        tau_b=tau_b, W=(T.reshape(B, n * n, 3 * n) @ mJ) * tab.pair_weights)
 
 
 def dynamics_terms(model: RobotModel, q_m, qdot_m, gravity=None,
                    a_b=None) -> DynamicsTerms:
-    """M, C qdot, G and tau_b of the arm at (q_m, qdot_m), from one dual
-    pass of the COM Jacobians and their rates.
-
-    ``gravity`` overrides the model gravity vector (used when the base
-    is tilted).  ``a_b`` is the base linear acceleration in the base
-    frame; tau_b is the feed-forward torque compensating it, the
-    mass-weighted virtual-work sum ``tau_b[k] = sum_i m_i a_b .
-    d(com_i)/dq_k``, linear in a_b and exactly +0 when the base coasts.
-    M is one Gram matmul; G and tau_b use ``Jm = sum_i m_i Jc_i``.
-    """
-    q_m = np.asarray(q_m, float)
-    qdot_m = np.asarray(qdot_m, float)
-    n = model.arm_joint_count
-    if q_m.shape != (n,) or qdot_m.shape != (n,):
+    """M, C qdot, G and tau_b of the arm at (q_m, qdot_m): the
+    one-configuration :func:`configuration_terms` at ``qdot_m``."""
+    qdot_m, n = np.asarray(qdot_m, float), model.arm_joint_count
+    if np.shape(q_m) != (n,) or qdot_m.shape != (n,):
         raise ValueError(f"expected arm vectors of length {n}")
-    g = model.gravity if gravity is None else np.asarray(gravity, float)
-    masses = model.link_masses
-    # [joint, axis, link], axes 3 .. 5 being the rates.
-    columns = com_jacobians(model, q_m, qdot_m).swapaxes(0, 2)
-    Jc = columns[:, :3]
-    J = Jc.reshape(n, 3 * n)
-    mJ = (Jc * masses).reshape(n, 3 * n)
-    Jdot_qdot = (qdot_m @ columns.reshape(n, 6 * n))[3 * n:]
-    Jm = Jc @ masses                            # (n, 3)
-    tau_b = np.zeros(n)
-    if a_b is not None:
-        a_b = np.asarray(a_b, float)
-        if a_b.shape != (3,):
-            raise ValueError("a_b must be a 3-vector")
-        if a_b.any():
-            tau_b = Jm @ a_b
-    return DynamicsTerms(M=J @ mJ.T + model.fixed_transforms.rotor,
-                         bias=mJ @ Jdot_qdot, G=-(Jm @ g), tau_b=tau_b)
+    return configuration_terms(model, [q_m], gravity, a_b).at(0, qdot_m)
 
 
 def solve_inertia(M, rhs):
     """M^-1 rhs from one LAPACK Cholesky factorization M = L L^T.
 
     Raises LinAlgError when the factorization fails or when
-    (max L_ii / min L_ii)^2 > 1e12, which implies cond(M) > 1e12 since
-    cond(M) = cond(L)^2 >= (max L_ii / min L_ii)^2.  The test is
-    sufficient, not necessary: M = Q diag(geomspace(1, 1e-13, 7)) Q' with
-    a random orthogonal Q has cond(M) = 1e13, yet its pivot ratio can be
-    as low as 2e9, and it is solved.  LAPACK dpocon on the same factor
-    would catch it for about 10 us per call, some 2% of a nominal run at
-    four calls per torque step; the built-in models keep M >= 0.1 I
-    through their rotor inertia, so they cannot reach that case.
+    (max L_ii / min L_ii)^2 > 1e12, which implies cond(M) = cond(L)^2 >
+    1e12.  The test is sufficient, not necessary: cond(M) = 1e13 can pass
+    with a pivot ratio of 2e9.  LAPACK dpocon would catch that for about
+    10 us per call; the built-in models keep M >= 0.1 I through their
+    rotor inertia, so they cannot reach it.
     """
     L, info = dpotrf(M, lower=1, clean=0)
     if info == 0:

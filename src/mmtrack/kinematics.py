@@ -8,10 +8,9 @@ The transform helpers and the chain kernel accept complex inputs.
 The one chain kernel, :func:`joint_frames`, builds the local transform
 of every joint at once from one stacked table and forms the joint
 frames as their prefix products, in ceil(log2 k) batched matrix
-products for k joints; given joint rates it does so on 8 x 8 dual
-blocks [[L, Ldot], [0, L]], which carry the frames' time rates
-(forward-mode differentiation in block form).  :func:`chain_frames`
-adds the EE frame.
+products for k joints, for any batch of configurations; frames only, as
+:mod:`dynamics` derives its terms from them.  :func:`chain_frames` adds
+the EE frame.
 """
 from __future__ import annotations
 
@@ -108,42 +107,26 @@ class Pose:
         return Pose(v[..., :3], v[..., 3:6])
 
 
-def joint_frames(model: RobotModel, q, start: int = 0, qdot=None):
-    """Homogeneous 4 x 4 frames of joints ``start`` .. end, (..., k, 4, 4);
-    with ``qdot`` (broadcast to the shape of ``q``), the 8 x 8 dual blocks
-    [[F, Fdot], [0, F]], Fdot being the time rate of F along ``qdot``.
+def joint_frames(model: RobotModel, q, start: int = 0):
+    """Homogeneous 4 x 4 frames of joints ``start`` .. end, (..., k, 4, 4).
 
     Walks the chain from the frame of joint ``start``'s parent
     (``start = model.base_dof_count`` gives the arm in the base frame);
     ``q`` holds the k joint values in its last axis, with any leading
-    batch shape, and may be complex.  The local transforms
-    ``L = T0 + sin q T1 + (1 - cos q) T2 + q T3`` are one matmul of
-    their coefficients (1, sin q, cos q, q) with the ``plain`` table of
-    ``model.fixed_transforms``, and the dual blocks [[L, Ldot], [0, L]],
-    ``Ldot = qdot (cos q T1 + sin q T2 + T3)``, one of those coefficients
-    and qdot times each with its ``dual`` table.  The frames are the
-    prefix products ``F[s:] = F[:-s] @ F[s:]``, s = 1, 2, 4, ... < k; a
-    product of dual blocks, [[A B, A Bdot + Adot B], [0, A B]], is the
-    product rule, so the plain frames are the dual frames' diagonal
-    blocks.
+    batch shape, and may be complex.  The local transforms are one matmul
+    of (1, sin q, cos q, q) with ``model.fixed_transforms.plain``, the
+    frames their prefix products ``F[s:] = F[:-s] @ F[s:]``, s = 1, 2, 4,
+    ... < k.
     """
     q = np.asarray(q)
-    tab = model.fixed_transforms
     k = model.total_dof - start
     if q.ndim == 0 or q.shape[-1] != k:
         raise ValueError(f"expected {k} joint values, got shape {q.shape}")
-    d = 1 if qdot is None else 2
-    # (1, sin q, cos q, q), and with qdot, qdot times each.
-    x = np.empty(q.shape + (d, 4), np.result_type(q, float))
+    x = np.empty(q.shape + (1, 4), np.result_type(q, float))
     x[..., 0, 0], x[..., 0, 3] = 1.0, q
     np.sin(q, out=x[..., 0, 1])
     np.cos(q, out=x[..., 0, 2])
-    if qdot is not None:
-        np.multiply(x[..., 0, :], np.asarray(qdot, float)[..., None],
-                    out=x[..., 1, :])
-    T = tab.plain if qdot is None else tab.dual
-    F = (x.reshape(q.shape + (1, 4 * d)) @ T[start:]).reshape(
-        q.shape + (4 * d, 4 * d))
+    F = (x @ model.fixed_transforms.plain[start:]).reshape(q.shape + (4, 4))
     s = 1
     while s < k:
         F[..., s:, :, :] = F[..., :-s, :, :] @ F[..., s:, :, :]

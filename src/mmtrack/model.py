@@ -204,19 +204,17 @@ class RobotModel:
     @cached_property
     def fixed_transforms(self) -> "ChainTables":
         """Constant chain tables, stacked over the joints and derived on
-        first use.  Joint k's local transform is
-        ``L = T0 + sin q T1 + (1 - cos q) T2 + q T3``, T0 the origin
-        transform, T1 and T2 R0 K and R0 K @ K (origin rotation R0, axis
-        skew K) if revolute, T3 the slide R0 axis if prismatic.  ``plain``
-        (m, 4, 16) holds the rows [T0 + T2, T1, -T2, T3] that the
-        coefficients (1, sin q, cos q, q) weigh into L, and ``dual``
-        (m, 8, 64) the blocks [[L, Ldot], [0, L]], one row per coefficient
-        and qdot times each.  ``slides`` tells whether an arm joint is
-        prismatic.  Also the 4 x 4 EE offset ``ee``, ``axes``, the
-        ``revolute`` mask, the arm's ``points`` (n, 6, 8), rows picking
-        [axis; COM; origin], each [value; rate], out of the top rows of
-        [F | Fdot], ``links`` (n, 1, n), 1 at [k, 0, i] where arm link i
-        moves with joint k <= i, and ``rotor``, diag(rotor_inertia)."""
+        first use.  Joint k's local transform is ``L = T0 + sin q T1 +
+        (1 - cos q) T2 + q T3``, T0 the origin transform, T1 and T2 R0 K
+        and R0 K @ K (origin rotation R0, axis skew K) if revolute, T3 the
+        slide R0 axis if prismatic; ``plain`` (m, 4, 16) holds the rows
+        [T0 + T2, T1, -T2, T3] that (1, sin q, cos q, q) weigh into L.
+        Also ``slides`` (a prismatic arm joint?), the EE offset ``ee``,
+        ``axes``, the ``revolute`` mask, ``points`` (n, 16, 18), mapping
+        an arm frame to [rev K(a), a, COM, origin], ``links`` (n, 1, n),
+        1 where arm link i moves with joint k <= i at [k, 0, i], ``rotor``
+        and ``pair_weights`` (n * n, 1), 2, 1, 0 at row k n + l for l <,
+        =, > k."""
         from .kinematics import axis_skew, rotation_rpy
         m, n = self.total_dof, self.arm_joint_count
         R0 = np.array([rotation_rpy(j.origin_rpy) for j in self.joints])
@@ -230,27 +228,31 @@ class RobotModel:
         T[3, :, :3, 3] = (R0 @ axes[:, :, None])[..., 0] * ~revolute[:, None]
         T[0, :, 3, 3] = 1.0
         T0, T1, T2, T3 = T          # L = (T0 + T2) + sin T1 - cos T2 + q T3
-        terms = np.array([[T0 + T2, T1, -T2, T3], [T3, T2, T1, 0.0 * T3]])
-        plain = terms[0].swapaxes(0, 1).reshape(m, 4, 16)
-        dual = np.einsum("rab,rcmij->mrcaibj", [np.eye(2), np.eye(2, k=1)],
-                         terms).reshape(m, 8, 64)
+        plain = np.array([T0 + T2, T1, -T2, T3]).swapaxes(0, 1)
         ee = np.block([[rotation_rpy(self.ee_offset_rpy),
                         self.ee_offset_xyz[:, None]], [np.zeros(3), 1.0]])
-        rows = np.zeros((n, 3, 4))   # [axis, 0], [COM, 1], [0, 0, 0, 1]
-        rows[:, 0, :3] = axes[self.base_dof_count:]
-        rows[:, 1, :3] = self.link_com_offsets
-        rows[:, 1:, 3] = 1.0
-        points = np.einsum("krj,bc->krbcj", rows, np.eye(2)).reshape(n, 6, 8)
-        return ChainTables(_freeze(plain), _freeze(dual),
-                           not revolute[self.base_dof_count:].all(),
+        # a = R axis, the COM R com + o and the origin o of an arm frame
+        # F = [[R, o], [0, 1]] are linear in F.ravel(), and so is K(a).
+        arm = slice(self.base_dof_count, None)
+        lin = np.zeros((3, n, 4, 4, 3))   # [a/COM/o, k, row, column, out]
+        lin[:2, :, :3, :3] = np.eye(3)[:, None] * np.array(
+            [axes[arm], self.link_com_offsets])[:, :, None, :, None]
+        lin[1:, :, :3, 3] = np.eye(3)
+        skew = lin[0] @ np.array([axis_skew(e).ravel() for e in np.eye(3)])
+        points = np.concatenate([skew * revolute[arm, None, None, None],
+                                 *lin], axis=-1).reshape(n, 16, 18)
+        k, l = np.indices((n, n))
+        return ChainTables(_freeze(plain.reshape(m, 4, 16)),
+                           not revolute[arm].all(),
                            _freeze(ee), _freeze(axes),
                            _freeze(revolute, dtype=bool), _freeze(points),
                            _freeze(np.triu(np.ones((n, n)))[:, None]),
-                           _freeze(np.diag(self.rotor_inertia)))
+                           _freeze(np.diag(self.rotor_inertia)),
+                           _freeze(np.sign(k - l) + 1).reshape(n * n, 1))
 
 
-ChainTables = namedtuple(
-    "ChainTables", "plain dual slides ee axes revolute points links rotor")
+ChainTables = namedtuple("ChainTables", "plain slides ee axes revolute "
+                         "points links rotor pair_weights")
 
 
 def _base_joints():
@@ -418,6 +420,14 @@ def _number(value, name):
     raise ValueError(f"{name}: expected a finite number, got {value!r}")
 
 
+def _numbers(value, name):
+    """``value``, a number or nested lists of them (an array as its
+    lists), as a float array whose entries follow :func:`_number`."""
+    value = np.array(value, dtype=object)
+    return np.array([_number(x, name) for x in value.flat]).reshape(
+        value.shape)
+
+
 def _integer(value, name):
     """``value`` as an int: a whole number by :func:`_number`'s rule."""
     if (number := _number(value, name)).is_integer():
@@ -451,7 +461,7 @@ def _section(doc, key, defaults):
 
 
 def _weight_matrix(value, size, name):
-    arr = np.asarray(value, dtype=float)
+    arr = _numbers(value, name)
     if arr.ndim == 0:
         return float(arr) * np.eye(size)
     if arr.shape == (size,):
@@ -482,8 +492,8 @@ def _build_robot(sec):
         _known_keys(limits, _LIMIT_NAMES, "robot.limits.")
         model = _checked("robot.limits", lambda: replace(
             model, limits=JointLimits(**{
-                name: np.asarray(limits.get(name, getattr(model.limits, name)),
-                                 float) for name in _LIMIT_NAMES})))
+                name: _numbers(limits.get(name, getattr(model.limits, name)),
+                               name) for name in _LIMIT_NAMES})))
     if "actuated_by_mpc" in sec:
         model = _checked("robot.actuated_by_mpc", lambda: replace(
             model, actuated_by_mpc=np.asarray(sec["actuated_by_mpc"], bool)))
@@ -563,4 +573,10 @@ def load_scenario(config_document: str):
         _checked("ftcnd", lambda: _ftcnd.FtcndParams(**numbers(ft))),
         _checked("nftsm", lambda: _nftsm.NftsmParams(**numbers(nf))),
         *_checked("pd", lambda: [_number(pd[k], k) for k in ("kp", "kd")]))
-    return model, params, _checked("scenario", scenario)
+    script = _checked("scenario", scenario)
+    steps = round(script.duration / script.control_period)
+    if steps * params.horizon > _sim.MAX_TRACE_ROWS:   # the plan's refs
+        raise ConfigError(f"pomptc: horizon: {params.horizon} rows per control"
+                          f" step over {steps} steps exceed the cap of "
+                          f"{_sim.MAX_TRACE_ROWS} rows")
+    return model, params, script

@@ -60,9 +60,10 @@ def saturation(s, delta: float):
 
 def _surface(e1, e2, params: NftsmParams):
     """s with the |e1|, |e2| and sat(e2/d) it is built from."""
-    a1, a2, sat2 = np.abs(e1), np.abs(e2), saturation(e2, params.delta)
-    return (e1 + params.alpha * saturation(e1, params.delta) * a1 ** params.r1
-            + params.beta * sat2 * a2 ** params.r2), a1, a2, sat2
+    e = np.array((e1, e2), float)
+    a, sat = np.abs(e), np.minimum(np.maximum(e / params.delta, -1.0), 1.0)
+    return (e1 + params.alpha * sat[0] * a[0] ** params.r1
+            + params.beta * sat[1] * a[1] ** params.r2), a[0], a[1], sat[1]
 
 
 def sliding_surface(e1, e2, params: NftsmParams) -> np.ndarray:
@@ -89,4 +90,4 @@ def control_torque(terms: DynamicsTerms, e1, e2, qdd_md,
          - qdd_md
          + params.c1 * np.abs(s) ** params.r3 * saturation(s, params.delta)
          + params.c2 * s)
-    return terms.bias + terms.G - terms.M @ u, s
+    return terms.bias + terms.G - terms.M.dot(u), s

@@ -28,7 +28,8 @@ import numpy as np
 
 from . import dynamics, ftcnd, kinematics as kin, nftsm, pomptc
 from .kinematics import Pose
-from .model import ControllerParams, RobotModel, _known_keys, _number
+from .model import (ControllerParams, RobotModel, _known_keys, _number,
+                    _numbers)
 
 # The torque laws of :func:`track`.
 CONTROLLERS = ("nftsm", "pd", "nftsm-no-taub")
@@ -73,10 +74,9 @@ class SimulationError(RuntimeError):
 
 
 def _as_vector(value, length, name):
-    arr = np.atleast_1d(np.asarray(value, float))
-    if arr.shape == (1,):
-        arr = np.full(length, arr[0])
-    if arr.shape != (length,) or not np.isfinite(arr).all():
+    arr = np.atleast_1d(_numbers(value, name))
+    arr = np.full(length, arr[0]) if arr.shape == (1,) else arr
+    if arr.shape != (length,):
         raise ValueError(f"{name}: expected a finite scalar or "
                          f"length-{length} vector")
     return arr
@@ -158,14 +158,12 @@ def _reference(spec: dict, duration: float):
         r = _number(spec["radius"], "reference.radius")
         if r < 0:
             raise ValueError("reference.radius must be non-negative")
-        center, ori = spec["center"], spec["orientation"]
-        center = None if isinstance(center, str) else np.asarray(center, float)
-        ori = None if isinstance(ori, str) else np.asarray(ori, float)
+        center, ori = (None if isinstance(v := spec[key], str) and v == "auto"
+                       else _numbers(v, f"reference.{key}")
+                       for key in ("center", "orientation"))
         for name, value in (("center", center), ("orientation", ori)):
-            if value is not None and (value.shape != (3,)
-                                      or not np.isfinite(value).all()):
-                raise ValueError(f"reference.{name} must have 3 finite "
-                                 "entries")
+            if value is not None and value.shape != (3,):
+                raise ValueError(f"reference.{name} must have 3 entries")
         # The path stays within r of the centre; the auto one is r off.
         if not math.isfinite(2.0 * r if center is None
                              else np.abs(center).max() + r):
@@ -196,8 +194,8 @@ def _reference(spec: dict, duration: float):
                       for p in pts])
     if np.any(np.diff(times) <= 0):
         raise ValueError("reference.points times must increase")
-    poses = [np.asarray(p["pose"], float) for p in pts]
-    if any(p.shape != (6,) or not np.isfinite(p).all() for p in poses):
+    poses = [_numbers(p["pose"], "reference.points.pose") for p in pts]
+    if any(p.shape != (6,) for p in poses):
         raise ValueError("reference.points poses must have 6 finite entries")
     poses = np.array(poses)
     return lambda t, initial_pose: np.stack(
@@ -347,16 +345,13 @@ class SimTrace:
             name: np.zeros(rows if width is None else (rows, width))
             for name, _, width in SimTrace.layout(m, n)})
 
-    def column_names(self):
-        return [c for _, cols, _ in SimTrace.layout(self.q.shape[1],
-                                                     self.tau.shape[1])
-                for c in cols]
-
     def as_matrix(self) -> np.ndarray:
         return np.column_stack([getattr(self, f.name) for f in fields(self)])
 
     def to_csv(self, path):
-        write_csv(path, self.column_names(), self.as_matrix())
+        write_csv(path, [c for _, cols, _ in SimTrace.layout(
+            self.q.shape[1], self.tau.shape[1]) for c in cols],
+            self.as_matrix())
 
 
 def pd_baseline_torque(terms: dynamics.DynamicsTerms, e1, e2,
@@ -464,6 +459,10 @@ def track(model: RobotModel, params: ControllerParams,
 
     compensate = controller == "nftsm"
     q_arm, qd_arm = plan.q_md[0], np.zeros(n)
+    # RK4 stages' joint rates V and accelerations A, weights, offsets.
+    V, A = np.zeros((2, 4, n))
+    rk4_b = tt / 6.0 * np.array([1.0, 2.0, 2.0, 1.0])
+    nodes_12, nodes_34 = tt * np.array([[[0.0], [0.5]], [[0.5], [1.0]]])
     try:
         with np.errstate(over="raise", invalid="raise"):
             for i in range(n_steps):
@@ -472,8 +471,12 @@ def track(model: RobotModel, params: ControllerParams,
                 qd_md = plan.qd_md[j]
                 e1 = q_arm - (plan.q_md[j] + k * tt * qd_md)
                 e2 = qd_arm - qd_md
-                terms0 = dynamics.dynamics_terms(model, q_arm, qd_arm,
-                                                 gravity=g_base, a_b=a_base)
+                # RK4 stages 1 and 2 sit at configurations known now,
+                # stages 3 and 4 at ones known after stage 2.
+                V[0] = qd_arm
+                pair = dynamics.configuration_terms(
+                    model, q_arm + nodes_12 * qd_arm, g_base, a_base)
+                terms0 = pair.at(0, qd_arm)
                 if controller == "pd":
                     tau = pd_baseline_torque(terms0, e1, e2, params.pd_kp,
                                              params.pd_kd)
@@ -484,28 +487,28 @@ def track(model: RobotModel, params: ControllerParams,
                 tau_cmd = tau + terms0.tau_b if compensate else tau
                 tau_in = tau_cmd + tr.tau_d[i + 1]
 
-                def accel(qa, qda):
-                    terms = dynamics.dynamics_terms(model, qa, qda,
-                                                    gravity=g_base, a_b=a_base)
+                def accel(terms):
                     return dynamics.forward_dynamics(terms,
                                                      tau_in - terms.tau_b)
 
-                k1a = dynamics.forward_dynamics(terms0, tau_in - terms0.tau_b)
-                k2v = qd_arm + 0.5 * tt * k1a
-                k2a = accel(q_arm + 0.5 * tt * qd_arm, k2v)
-                k3v = qd_arm + 0.5 * tt * k2a
-                k3a = accel(q_arm + 0.5 * tt * k2v, k3v)
-                k4v = qd_arm + tt * k3a
-                k4a = accel(q_arm + tt * k3v, k4v)
-                q_arm = q_arm + tt / 6.0 * (qd_arm + 2 * k2v + 2 * k3v + k4v)
-                qd_arm = qd_arm + tt / 6.0 * (k1a + 2 * k2a + 2 * k3a + k4a)
+                A[0] = accel(terms0)
+                V[1] = qd_arm + 0.5 * tt * A[0]
+                A[1] = accel(pair.at(1, V[1]))
+                V[2] = qd_arm + 0.5 * tt * A[1]
+                pair = dynamics.configuration_terms(
+                    model, q_arm + nodes_34 * V[1:3], g_base, a_base)
+                A[2] = accel(pair.at(0, V[2]))
+                V[3] = qd_arm + tt * A[2]
+                A[3] = accel(pair.at(1, V[3]))
+                q_arm = q_arm + rk4_b.dot(V)
+                qd_arm = qd_arm + rk4_b.dot(A)
 
                 row = i + 1
                 tr.q[row, b:], tr.qdot[row, b:], tr.qddot[row, b:] = \
-                    q_arm, qd_arm, k1a
+                    q_arm, qd_arm, A[0]
                 tr.tau[row] = tau_cmd
                 tr.tau_b[row] = terms0.tau_b
-                tr.sliding_V[row] = 0.5 * s_now @ s_now
+                tr.sliding_V[row] = (0.5 * s_now).dot(s_now)
     except (FloatingPointError, np.linalg.LinAlgError) as exc:
         raise SimulationError(f"plant diverged at t = {starts[i]:.3f} s: "
                               f"{exc}") from None

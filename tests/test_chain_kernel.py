@@ -5,18 +5,21 @@ multiplies them in ceil(log2 k) batched steps, and ``chain_frames``
 applies the EE offset; ``chain_stepwise`` walks the joints one by one
 with elementary rotations.  Frames, COM Jacobians, pose and dynamics
 terms must agree to 1e-14 (the dynamics terms to 1e-14 of their own
-scale when that exceeds 1: G reaches tens of N m).  The dual frames
-[[F, Fdot], [0, F]] must carry the plain frames, bit for bit in the
-top-left block, and the COM Jacobian rates of the dual pass must match
-the complex step of the walk along qdot.  Besides the built-in robots, a
-user-built one with a prismatic arm joint covers the slide term of the
-kernel and the prismatic Jacobian column, which no built-in arm
+scale when that exceeds 1: G reaches tens of N m).  The bias
+``(qdot (x) qdot) W`` of ``dynamics.configuration_terms`` must match
+the complex step of the walk's COM Jacobians along qdot, the Lagrangian
+identity ``C qdot = Mdot qdot - grad_q (qdot' M qdot) / 2`` in central
+differences, and the Christoffel Coriolis matrix of ``oracles``.
+Besides the built-in robots, a user-built one with a prismatic arm
+joint covers the slide term of the kernel, the prismatic Jacobian
+column and the zero derivative along a slide, which no built-in arm
 reaches.
 """
 import numpy as np
 import pytest
 
 import chain_stepwise
+import oracles
 from mmtrack import dynamics as dyn
 from mmtrack import kinematics as kin
 from mmtrack.model import (JointLimits, JointSpec, RobotModel,
@@ -89,52 +92,95 @@ def test_com_jacobians_match_stepwise_walk(make_model, complex_step, shape):
     rng = np.random.default_rng(22)
     for _ in range(20):
         q_m = random_q(m, rng, shape)[..., m.arm_slice]
-        qd = rng.uniform(-2, 2, q_m.shape)
         if complex_step:
             q_m = q_m + 1e-20j * rng.normal(size=q_m.shape)
-        assert_close(dyn.com_jacobians(m, q_m, qd)[..., :3, :],
+        assert_close(dyn.com_jacobians(m, q_m),
                      chain_stepwise.com_jacobians(m, q_m))
 
 
-@pytest.mark.parametrize("make_model", MODELS)
-@pytest.mark.parametrize("shape", [(), (2, 3)], ids=["single", "batched"])
-def test_dual_frames_carry_the_plain_frames(make_model, shape):
-    # One coefficient vector (1, sin q, cos q, q) weighs the plain and
-    # the dual table: the plain sums are the top-left dual ones less
-    # exact zeros, so they agree bit for bit.
-    m = make_model()
-    rng = np.random.default_rng(25)
-    for _ in range(20):
-        q = random_q(m, rng, shape)
-        qd = rng.uniform(-2, 2, q.shape)
-        for start in (0, m.base_dof_count):
-            plain = kin.joint_frames(m, q[..., start:], start)
-            dual = kin.joint_frames(m, q[..., start:], start, qd[..., start:])
-            assert dual.shape == plain.shape[:-2] + (8, 8)
-            assert np.array_equal(dual[..., :4, :4].view(np.uint64),
-                                  plain.view(np.uint64))
-            assert_close(dual[..., 4:, 4:], plain)
-            assert not dual[..., 4:, :4].any()
+def christoffel_bias(terms, qd):
+    """(qdot (x) qdot) W of every configuration of ``terms``."""
+    return np.stack([terms.at(b, v).bias for b, v in enumerate(qd)])
 
 
 @pytest.mark.parametrize("make_model", MODELS)
-@pytest.mark.parametrize("shape", [(), (4,)], ids=["single", "batched"])
-def test_dual_com_jacobian_rates_match_complex_step_and_differences(
-        make_model, shape):
-    # Jcdot is the time rate of Jc along qdot: the complex step of the
-    # joint-by-joint walk at q + i h qdot, and a central difference.
+@pytest.mark.parametrize("batch", [1, 4], ids=["single", "batched"])
+def test_christoffel_bias_matches_complex_step_and_differences(make_model,
+                                                               batch):
+    # The bias is sum_i m_i Jc_i' (Jcdot_i qdot), Jcdot the complex step
+    # of the joint-by-joint walk at q + i h qdot; and by the Lagrangian,
+    # Mdot qdot - grad_q (qdot' M qdot) / 2, in central differences of
+    # the pass's own M.  The other rows of the pass are the walk's.
     m = make_model()
+    n = m.arm_joint_count
     rng = np.random.default_rng(26)
     h = 1e-6
     for _ in range(20):
-        q = random_q(m, rng, shape)[..., m.arm_slice]
+        q = random_q(m, rng, (batch,))[:, m.arm_slice]
         qd = rng.uniform(-2, 2, q.shape)
-        Jcdot = dyn.com_jacobians(m, q, qd)[..., 3:, :]
-        cs = chain_stepwise.com_jacobians(m, q + 1e-20j * qd).imag / 1e-20
-        assert_close(Jcdot, cs, atol=1e-12 * np.max(np.abs(cs)))
-        fd = (dyn.com_jacobians(m, q + h * qd, qd)[..., :3, :]
-              - dyn.com_jacobians(m, q - h * qd, qd)[..., :3, :]) / (2 * h)
-        np.testing.assert_allclose(Jcdot, fd, rtol=0, atol=1e-6)
+        a_b = rng.normal(size=3)
+        gravity = kin.rotation_rpy(rng.uniform(-0.3, 0.3, 3)).T @ m.gravity
+        terms = dyn.configuration_terms(m, q, gravity, a_b)
+        bias = christoffel_bias(terms, qd)
+        for b in range(batch):
+            M, cs, G, tau_b = chain_stepwise.dynamics_terms(
+                m, q[b], qd[b], gravity=gravity, a_b=a_b)
+            scale = max(1.0, np.max(np.abs(cs)))
+            assert_close(bias[b], cs, atol=1e-12 * scale)
+            for new, expected in ((terms.M[b], M), (terms.G[b], G),
+                                  (terms.tau_b[b], tau_b)):
+                assert_close(new, expected,
+                             atol=ATOL * max(1.0, np.max(np.abs(expected))))
+
+            def inertia(x):
+                return dyn.configuration_terms(m, x[None]).M[0]
+            Mdot = (inertia(q[b] + h * qd[b])
+                    - inertia(q[b] - h * qd[b])) / (2 * h)
+            grad = [qd[b] @ (inertia(q[b] + h * e) - inertia(q[b] - h * e))
+                    @ qd[b] / (2 * h) for e in np.eye(n)]
+            np.testing.assert_allclose(bias[b], Mdot @ qd[b]
+                                       - 0.5 * np.array(grad),
+                                       rtol=0, atol=1e-6 * scale)
+
+
+@pytest.mark.parametrize("make_model", MODELS)
+def test_christoffel_bias_matches_the_coriolis_oracle(make_model):
+    # C(q, qdot) from the complex-step dM/dq of the walk, by the
+    # Christoffel symbols, times qdot.
+    m = make_model()
+    rng = np.random.default_rng(27)
+    for _ in range(20):
+        q = random_q(m, rng, (3,))[:, m.arm_slice]
+        qd = rng.uniform(-2, 2, q.shape)
+        bias = christoffel_bias(dyn.configuration_terms(m, q), qd)
+        for b in range(len(q)):
+            expected = oracles.coriolis_matrix(m, q[b], qd[b]) @ qd[b]
+            assert_close(bias[b], expected,
+                         atol=1e-12 * max(1.0, np.max(np.abs(expected))))
+
+
+@pytest.mark.parametrize("make_model", MODELS)
+def test_batched_pass_rows_are_single_passes(make_model):
+    # The loop's two-configuration passes and the one-configuration pass
+    # of dynamics_terms are one kernel: row b of a batch is the pass of
+    # configuration b alone, bit for bit.
+    m = make_model()
+    rng = np.random.default_rng(28)
+    q = random_q(m, rng, (5,))[:, m.arm_slice]
+    a_b = rng.normal(size=3)
+    batch = dyn.configuration_terms(m, q, a_b=a_b)
+    for b in range(len(q)):
+        single = dyn.configuration_terms(m, q[b:b + 1], a_b=a_b)
+        for name in batch._fields:
+            assert np.array_equal(getattr(batch, name)[b],
+                                  getattr(single, name)[0]), name
+
+
+def test_configuration_terms_reject_a_wrong_shape():
+    m = builtin_planar_2link()
+    for bad in (np.zeros(2), np.zeros((2, 3)), np.zeros((1, 2, 2))):
+        with pytest.raises(ValueError, match=r"shape \(B, 2\)"):
+            dyn.configuration_terms(m, bad)
 
 
 @pytest.mark.parametrize("make_model", MODELS)

@@ -127,11 +127,10 @@ def test_com_jacobians_vs_finite_differences():
     rng = np.random.default_rng(8)
     eps = 1e-6
     for _ in range(10):
-        q, qd = rng.uniform(-1.5, 1.5, 7), rng.uniform(-2, 2, 7)
+        q = rng.uniform(-1.5, 1.5, 7)
         fd = np.stack([(coms(q + eps * e) - coms(q - eps * e)) / (2 * eps)
                        for e in np.eye(7)], axis=-1)
-        np.testing.assert_allclose(dyn.com_jacobians(m, q, qd)[:, :3], fd,
-                                   atol=1e-8)
+        np.testing.assert_allclose(dyn.com_jacobians(m, q), fd, atol=1e-8)
 
 
 def base_torque(m, q, a_b):

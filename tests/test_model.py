@@ -122,7 +122,8 @@ def test_load_scenario_rejects_bad_kappa():
     ("scenario:\n  reference:\n    angular_rate: [1]\n",
      "reference.angular_rate"),
     ("scenario:\n  reference:\n    kind: waypoints\n    points:\n"
-     "      - {time: 0, pose: [0, 0, .nan, 0, 0, 0]}\n", "poses"),
+     "      - {time: 0, pose: [0, 0, .nan, 0, 0, 0]}\n",
+     "^scenario: reference.points.pose: expected a finite number, got nan$"),
     ("scenario:\n  initial_q: [0, .nan, 0, -2.35, 0, 1.57, 0.78]\n",
      "initial_q"),
     ("scenario:\n  base_motion: {kind: sinusoid, axis: 9}\n",
@@ -171,7 +172,8 @@ def test_load_scenario_rejects_bad_kappa():
      "^nftsm.compensate_base: unknown key$"),
     (f"scenario: {{duration: {BIG_INT}}}\n",
      f"^scenario: duration: expected a finite number, got {BIG_INT}$"),
-    (f"pomptc: {{pose_weight: {BIG_INT}}}\n", "pomptc: int too large"),
+    (f"pomptc: {{pose_weight: {BIG_INT}}}\n",
+     f"^pomptc: pose_weight: expected a finite number, got {BIG_INT}$"),
     (f"scenario: {{reference: {{radius: {BIG_INT}}}}}\n",
      "reference.radius: expected a finite number"),
     (f"scenario: {{initial_q: [{BIG_INT}]}}\n",
@@ -246,6 +248,52 @@ def test_load_scenario_rejects_bad_kappa():
 def test_load_scenario_rejects_malformed_values(section, match):
     with pytest.raises(ConfigError, match=match):
         load_scenario(MINIMAL + section)
+
+
+@pytest.mark.parametrize("doc, match", [
+    (MINIMAL + "pomptc: {pose_weight: yes}\n",
+     "^pomptc: pose_weight: expected a finite number, got True$"),
+    (MINIMAL + "scenario: {disturbance: {kind: step, value: '1.5'}}\n",
+     "^scenario: disturbance.value: expected a finite number, got '1.5'$"),
+    (MINIMAL + "scenario: {base_motion: {kind: static, pose: yes}}\n",
+     "^scenario: base_motion.pose: expected a finite number, got True$"),
+    ("robot: {builtin: planar_2link, limits: {q_upper: ['60', '60']}}\n",
+     "^robot.limits: q_upper: expected a finite number, got '60'$"),
+    (MINIMAL + "scenario: {reference: {center: [0, 'x', 0]}}\n",
+     "^scenario: reference.center: expected a finite number, got 'x'$"),
+    (MINIMAL + "scenario: {reference: {orientation: here}}\n",
+     "^scenario: reference.orientation: expected a finite number, "
+     "got 'here'$"),
+    (MINIMAL + "scenario:\n  reference:\n    kind: waypoints\n"
+     "    points:\n      - {time: 0, pose: [0, 0, 0, 0, no, 0]}\n",
+     "^scenario: reference.points.pose: expected a finite number, "
+     "got False$"),
+    (MINIMAL + "pomptc: {accel_weight: [[1, 2], [3]]}\n",
+     r"^pomptc: accel_weight: expected a finite number, got \[1, 2\]$"),
+    (MINIMAL + "pomptc: {accel_weight: [[[1]]]}\n",
+     "^pomptc: accel_weight: expected scalar, length-7 diagonal, or 7x7 "
+     "matrix$"),
+], ids=["bool_pose_weight", "string_disturbance", "bool_base_pose",
+        "string_limits", "string_center", "word_orientation",
+        "bool_waypoint_pose", "ragged_weight", "deep_weight"])
+def test_vector_entries_follow_the_number_rule(doc, match):
+    # Each entry of a vector or matrix is a YAML int or float, never a
+    # bool or a string, and the error names the key.
+    with pytest.raises(ConfigError, match=match):
+        load_scenario(doc)
+
+
+def test_load_scenario_bounds_the_reference_window():
+    # The plan reads horizon reference rows per control step at once:
+    # 10 s at 0.01 s allows a horizon of 1 000 rows, not 1 001.
+    doc = "robot: {builtin: planar_2link}\npomptc: {horizon: %s}\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert load_scenario(doc % 1000)[1].horizon == 1000
+    for horizon in ("1001", "1.0e+12"):
+        with pytest.raises(ConfigError, match=r"^pomptc: horizon: .* exceed "
+                           r"the cap of 1000000 rows$"):
+            load_scenario(doc % horizon)
 
 
 @pytest.mark.parametrize("robot, match", [
@@ -335,7 +383,8 @@ robot:
   limits:
     q_lower: [-1.0, {value}]
 """
-    with pytest.raises(ConfigError, match="q_lower: expected a vector of finite"):
+    with pytest.raises(ConfigError, match="^robot.limits: q_lower: expected "
+                       "a finite number, got -?(nan|inf)$"):
         load_scenario(doc)
 
 

@@ -9,6 +9,7 @@ import yaml
 
 import oracles
 from mmtrack import cli, dynamics, ftcnd, kinematics as kin, nftsm, sim
+from test_chain_kernel import MODELS
 from mmtrack.kinematics import Pose
 from mmtrack.model import ConfigError, builtin_planar_2link, load_scenario
 from mmtrack.sim import ScenarioScript, SimTrace
@@ -233,8 +234,9 @@ def test_run_raises_once_failure_budget_is_exceeded(monkeypatch):
     # exceeds the budget of three, a budget of ten is never hit.
     # The whole plan comes first: the plant never takes a step.
     with monkeypatch.context() as mp:
-        mp.setattr(dynamics, "dynamics_terms", lambda *a, **k: pytest.fail(
-            "the plant ran before the plan failed"))
+        mp.setattr(dynamics, "configuration_terms",
+                   lambda *a, **k: pytest.fail("the plant ran before the "
+                                               "plan failed"))
         with pytest.raises(sim.SimulationError, match="4 consecutive"):
             sim.run_closed_loop(model, params, script)
     monkeypatch.setattr(sim, "FAILURE_BUDGET", 10)
@@ -521,14 +523,15 @@ PANDA_TRACE_HEADER = (
 
 def test_call_contract_of_the_closed_loop(monkeypatch, tmp_path):
     # Module attributes that tools wrap to time the layers: the loop
-    # must reach them through their modules, one torque law, four plant
-    # terms (torque step and RK4 stages 2-4) and four inertia solves
-    # (one per RK4 stage) per torque step and one solve per control step.
+    # must reach them through their modules, one torque law, two
+    # configuration passes (RK4 stages 1-2 and 3-4) and four inertia
+    # solves (one per RK4 stage) per torque step and one solve per
+    # control step.
     model, params, script = load_config("nominal_circle")
     script = dataclasses.replace(script, duration=0.05)
     calls = {}
     for module, name in ((nftsm, "control_torque"), (ftcnd, "solve"),
-                         (dynamics, "dynamics_terms"),
+                         (dynamics, "configuration_terms"),
                          (dynamics, "solve_inertia")):
         def counting(*args, _fn=getattr(module, name), _name=name,
                      **kwargs):
@@ -540,7 +543,7 @@ def test_call_contract_of_the_closed_loop(monkeypatch, tmp_path):
     torque_steps = len(trace.time) - 1
     assert calls == {"solve": control_steps,
                      "control_torque": torque_steps,
-                     "dynamics_terms": 4 * torque_steps,
+                     "configuration_terms": 2 * torque_steps,
                      "solve_inertia": 4 * torque_steps}
     # A static base leaves tau_b exactly +0, never -0 in trace.csv.
     assert not np.any(trace.tau_b) and not np.signbit(trace.tau_b).any()
@@ -550,6 +553,61 @@ def test_call_contract_of_the_closed_loop(monkeypatch, tmp_path):
         cells = [row.rstrip("\n").split(",") for row in fh]
     columns = [i for i, h in enumerate(names) if h.startswith("tau_b_")]
     assert {row[i] for row in cells for i in columns} == {"0"}
+
+
+@pytest.mark.parametrize("make_model", MODELS)
+def test_paired_torque_steps_match_four_call_rk4(make_model):
+    # Three torque steps of track, each with two configuration passes,
+    # against the RK4 step written out with one dynamics_terms call per
+    # stage; a base that moves along x (none for a fixed arm) makes
+    # tau_b non-zero.  The first step starts at rest, the later ones
+    # with joint rates.
+    model = make_model()
+    n, b = model.arm_joint_count, model.base_dof_count
+    _, params, _ = load_config("nominal_circle")
+    base = {"kind": "sinusoid", "axis": "x", "amplitude": 0.2,
+            "frequency": 2.0} if b else {}
+    script = ScenarioScript(duration=0.003, control_period=0.003,
+                            torque_period=0.001, base_motion=base)
+    rng = np.random.default_rng(28)
+    q0 = rng.uniform(-1.0, 1.0, n)
+    q_b0 = script.base_state(0.0)[0][:b]
+    plan = sim.Plan(kin.forward_kinematics(model, np.concatenate([q_b0, q0])),
+                    np.array([q0, q0]), rng.uniform(-1, 1, (1, n)),
+                    rng.uniform(-1, 1, (1, n)),
+                    np.zeros((1, len(sim.STEP_COLUMNS))))
+    trace = sim.track(model, params, script, plan)
+
+    h = script.torque_period
+    q, qd = q0, np.zeros(n)
+    for i in range(3):
+        a_b = script.base_state(i * h)[2][:3] if b else None
+        e1 = q - (plan.q_md[0] + i * h * plan.qd_md[0])
+        e2 = qd - plan.qd_md[0]
+
+        def terms_at(x, v):
+            return dynamics.dynamics_terms(model, x, v, a_b=a_b)
+        terms = terms_at(q, qd)
+        tau, _ = nftsm.control_torque(terms, e1, e2, plan.qdd_md[0],
+                                      params.nftsm)
+        tau_in = tau + terms.tau_b
+
+        def accel(t):
+            return dynamics.forward_dynamics(t, tau_in - t.tau_b)
+        k1 = accel(terms)
+        k2 = accel(terms_at(q + h / 2 * qd, qd + h / 2 * k1))
+        k3 = accel(terms_at(q + h / 2 * (qd + h / 2 * k1), qd + h / 2 * k2))
+        k4 = accel(terms_at(q + h * (qd + h / 2 * k2), qd + h * k3))
+        q, qd = (q + h / 6 * (qd + 2 * (qd + h / 2 * k1)
+                              + 2 * (qd + h / 2 * k2) + (qd + h * k3)),
+                 qd + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4))
+        for got, want in ((trace.q[i + 1, b:], q), (trace.qdot[i + 1, b:], qd),
+                          (trace.qddot[i + 1, b:], k1),
+                          (trace.tau[i + 1], tau_in),
+                          (trace.tau_b[i + 1], terms.tau_b)):
+            np.testing.assert_allclose(
+                got, want, rtol=0, atol=1e-12 * max(1.0, np.max(np.abs(want))))
+    assert np.any(trace.tau_b) == bool(b)
 
 
 def test_panda_trace_header_is_pinned(tmp_path):
