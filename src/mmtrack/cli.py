@@ -81,7 +81,7 @@ def _load_config(path: str):
 
 def _write_outputs(out_dir: Path, plan, trace, model, script):
     out_dir.mkdir(parents=True, exist_ok=True)
-    sim.write_csv(out_dir / "steps.csv", sim.STEP_COLUMNS, plan.steps)
+    sim.write_csv(out_dir / "steps.csv", sim.STEP_COLUMNS, [plan.steps])
     trace.to_csv(out_dir / "trace.csv")
     settle = min(2.0, script.duration / 2.0)
     metrics = sim.error_metrics(trace, settle, model=model) \
@@ -176,7 +176,7 @@ def cmd_compare(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     plan = sim.plan(model, params, script)
-    sim.write_csv(out_dir / "steps.csv", sim.STEP_COLUMNS, plan.steps)
+    sim.write_csv(out_dir / "steps.csv", sim.STEP_COLUMNS, [plan.steps])
     traces = {name: sim.track(model, params, script, plan, controller=name)
               for name in controllers}
 
@@ -192,7 +192,7 @@ def cmd_compare(args) -> int:
     cols = [traces[controllers[0]].time] \
         + [np.max(np.abs(traces[c].err_pos), axis=1) for c in controllers] \
         + [np.max(np.abs(traces[c].err_ori), axis=1) for c in controllers]
-    sim.write_csv(out_dir / "errors.csv", head, np.column_stack(cols))
+    sim.write_csv(out_dir / "errors.csv", head, cols)
 
     (out_dir / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n",

@@ -428,6 +428,14 @@ def _numbers(value, name):
         value.shape)
 
 
+def _flags(value):
+    """``value`` as a bool array; an entry that is not a bool raises."""
+    value = np.array(value, dtype=object)
+    if bad := [x for x in value.flat if not isinstance(x, bool)]:
+        raise ValueError(f"expected true or false, got {bad[0]!r}")
+    return value.astype(bool)
+
+
 def _integer(value, name):
     """``value`` as an int: a whole number by :func:`_number`'s rule."""
     if (number := _number(value, name)).is_integer():
@@ -496,7 +504,7 @@ def _build_robot(sec):
                                name) for name in _LIMIT_NAMES})))
     if "actuated_by_mpc" in sec:
         model = _checked("robot.actuated_by_mpc", lambda: replace(
-            model, actuated_by_mpc=np.asarray(sec["actuated_by_mpc"], bool)))
+            model, actuated_by_mpc=_flags(sec["actuated_by_mpc"])))
         if model.actuated_by_mpc[:model.base_dof_count].any():
             raise ConfigError("robot.actuated_by_mpc: a base DOF is marked, "
                               "but the base follows scenario.base_motion")
@@ -579,4 +587,12 @@ def load_scenario(config_document: str):
         raise ConfigError(f"pomptc: horizon: {params.horizon} rows per control"
                           f" step over {steps} steps exceed the cap of "
                           f"{_sim.MAX_TRACE_ROWS} rows")
+    # Each step's H has (2N + 4Nu) m' rows and Nu m' columns.
+    nu, mp = params.control_horizon, model.mpc_dof
+    entries = (2 * params.horizon + 4 * nu) * mp * nu * mp
+    cap = _sim.MAX_TRACE_ROWS * sum(len(c) for _, c, _ in _sim.SimTrace.layout(
+        model.total_dof, model.arm_joint_count))
+    if entries > cap:
+        raise ConfigError(f"pomptc: horizon: each step's H of {entries} entries"
+                          f" exceeds the {cap} of the largest trace")
     return model, params, script

@@ -7,13 +7,14 @@ relaxation (quadratic penalty with factor xi on constraint violations,
 slacks kept non-negative).  The exact mode is an active-set iteration
 on the KKT system; the penalized mode is a semismooth active-set fixed
 point.  Both are dense and intended for small instances only.
+``scipy.optimize`` loads on the first exact solve or KKT check, the only
+calls that use it, so a closed loop never holds it in memory.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog, nnls
 
 _KKT_TOL = 1e-10
 _FIXED_POINT_TOL = 1e-12
@@ -46,6 +47,7 @@ def _feasible_point(H, w):
     Returns a feasible z or raises InfeasibleProblem with the row that
     remains violated at the LP optimum.
     """
+    from scipy.optimize import linprog
     nc, nz = H.shape
     c = np.zeros(nz + 1)
     c[-1] = 1.0
@@ -179,6 +181,7 @@ def check_kkt(problem, z, tol: float = 1e-8) -> KktReport:
     active = slack >= -margin
     grad = S @ z + G
     if active.any():
+        from scipy.optimize import nnls
         lam_a, _ = nnls(H[active].T, -grad)
         resid = grad + H[active].T @ lam_a
         lam = np.zeros(H.shape[0])

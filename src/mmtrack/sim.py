@@ -290,13 +290,15 @@ def _columns(suffixes=None, stem=None):
     return field(metadata={"suffixes": suffixes, "stem": stem})
 
 
-def write_csv(path, header, matrix):
-    """np.savetxt(fmt="%.17g", delimiter=",")'s bytes, header first; 64
-    rows per write keep the formatted text's memory small."""
-    fmt = ",".join(["%.17g"] * matrix.shape[1]) + "\n"
+def write_csv(path, header, columns):
+    """np.savetxt(fmt="%.17g", delimiter=",")'s bytes of the column stack
+    of ``columns`` (1-D or 2-D, one row count), header first; only 64
+    rows at a time are ever stacked and formatted."""
+    fmt = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for block in np.split(matrix, range(64, len(matrix), 64)):
+        for start in range(0, len(columns[0]), 64):
+            block = np.column_stack([c[start:start + 64] for c in columns])
             fh.writelines([fmt % tuple(r) for r in block.tolist()])
 
 
@@ -345,13 +347,12 @@ class SimTrace:
             name: np.zeros(rows if width is None else (rows, width))
             for name, _, width in SimTrace.layout(m, n)})
 
-    def as_matrix(self) -> np.ndarray:
-        return np.column_stack([getattr(self, f.name) for f in fields(self)])
-
     def to_csv(self, path):
+        """trace.csv, by :func:`write_csv` straight from the fields: the
+        whole trace is never stacked into one matrix."""
         write_csv(path, [c for _, cols, _ in SimTrace.layout(
             self.q.shape[1], self.tau.shape[1]) for c in cols],
-            self.as_matrix())
+            [getattr(self, f.name) for f in fields(self)])
 
 
 def pd_baseline_torque(terms: dynamics.DynamicsTerms, e1, e2,
@@ -573,7 +574,8 @@ def error_metrics(trace: SimTrace, settle_window: float,
     seconds; convergence times mark the first entry into the THRESHOLD
     ball that is never left.  Constraint violation covers q, qdot, and
     the discrete acceleration of the recorded velocities against the
-    model limits.
+    model limits; max(x - u) = max(x) - u and max(l - x) = l - min(x)
+    exactly, as rounding a difference with a constant is monotone.
     """
     t = trace.time
     duration = t[-1] - t[0]
@@ -597,8 +599,9 @@ def error_metrics(trace: SimTrace, settle_window: float,
         "convergence_time_ori": conv_time(ori_norm),
         "max_abs_torque": float(np.max(np.abs(trace.tau), initial=0.0)),
         "max_constraint_violation": max(
-            float(np.max(excess, initial=0.0)) for excess in (
-                trace.q - lim.q_upper, lim.q_lower - trace.q,
-                trace.qdot - lim.qdot_upper, lim.qdot_lower - trace.qdot,
-                acc - lim.qddot_upper, lim.qddot_lower - acc)),
+            float(np.max(excess, initial=0.0)) for x, lower, upper in (
+                (trace.q, lim.q_lower, lim.q_upper),
+                (trace.qdot, lim.qdot_lower, lim.qdot_upper),
+                (acc, lim.qddot_lower, lim.qddot_upper))
+            for excess in (x.max(axis=0) - upper, lower - x.min(axis=0))),
     }

@@ -18,14 +18,15 @@ factors in reduced form; ``is_representation_singular`` reads the
 singularity test of ``kinematics.linearization``.
 
 ``reference_pose`` is the scripted reference one time at a time,
-``trace_from_csv`` reads a ``trace.csv`` back into a ``SimTrace``, and
+``trace_from_csv`` reads a ``trace.csv`` back into a ``SimTrace``,
+``trace_matrix`` stacks a trace's fields as the file's columns, and
 ``serialize_scenario`` writes a loaded scenario back as YAML: the
 library only writes a trace and only reads a scenario.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import yaml
@@ -193,6 +194,11 @@ def lift(problem, xi: float):
 def reference_pose(script, t: float, initial_pose):
     """The script's reference :class:`Pose` at the time ``t``."""
     return Pose.from_vector(script.reference_path(t, initial_pose))
+
+
+def trace_matrix(trace: SimTrace) -> np.ndarray:
+    """The fields of ``trace`` column-stacked, in trace.csv order."""
+    return np.column_stack([getattr(trace, f.name) for f in fields(trace)])
 
 
 def trace_from_csv(path) -> SimTrace:

@@ -273,12 +273,18 @@ def test_load_scenario_rejects_malformed_values(section, match):
     (MINIMAL + "pomptc: {accel_weight: [[[1]]]}\n",
      "^pomptc: accel_weight: expected scalar, length-7 diagonal, or 7x7 "
      "matrix$"),
+    ("robot: {builtin: planar_2link, actuated_by_mpc: ['no', 'yes']}\n",
+     "^robot.actuated_by_mpc: expected true or false, got 'no'$"),
+    ("robot: {builtin: planar_2link, actuated_by_mpc: [0.5, 2]}\n",
+     "^robot.actuated_by_mpc: expected true or false, got 0.5$"),
 ], ids=["bool_pose_weight", "string_disturbance", "bool_base_pose",
         "string_limits", "string_center", "word_orientation",
-        "bool_waypoint_pose", "ragged_weight", "deep_weight"])
+        "bool_waypoint_pose", "ragged_weight", "deep_weight",
+        "string_mpc_mask", "number_mpc_mask"])
 def test_vector_entries_follow_the_number_rule(doc, match):
     # Each entry of a vector or matrix is a YAML int or float, never a
-    # bool or a string, and the error names the key.
+    # bool or a string, and the error names the key; each entry of the
+    # MPC mask is a YAML bool, never a number or a string.
     with pytest.raises(ConfigError, match=match):
         load_scenario(doc)
 
@@ -294,6 +300,20 @@ def test_load_scenario_bounds_the_reference_window():
         with pytest.raises(ConfigError, match=r"^pomptc: horizon: .* exceed "
                            r"the cap of 1000000 rows$"):
             load_scenario(doc % horizon)
+    # Each step's H, (2N + 4Nu) m' x Nu m', is held to the largest trace,
+    # 10^6 rows of 84 columns on panda_on_base: N = Nu = 100 gives
+    # 4 200 x 700 entries, N = Nu = 1 000 gives 42 000 x 7 000.
+    text = (CONFIG_DIR / "nominal_circle.yaml").read_text(encoding="utf-8")
+    pair = "  horizon: 5\n  control_horizon: 5\n"
+    assert pair in text
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        params = load_scenario(text.replace(pair, pair.replace("5", "100")))[1]
+    assert (params.horizon, params.control_horizon) == (100, 100)
+    with pytest.raises(ConfigError, match=r"^pomptc: horizon: each step's H "
+                       r"of 294000000 entries exceeds the 84000000 of the "
+                       r"largest trace$"):
+        load_scenario(text.replace(pair, pair.replace("5", "1000")))
 
 
 @pytest.mark.parametrize("robot, match", [
@@ -322,6 +342,10 @@ def test_load_scenario_rejects_all_false_mpc_mask():
     with pytest.raises(ConfigError,
                        match="robot.actuated_by_mpc: .* no true entry"):
         load_scenario(text)
+    # A mask of YAML bools loads.
+    mask = load_scenario("robot: {builtin: planar_2link, "
+                         "actuated_by_mpc: [true, true]}\n")[0].actuated_by_mpc
+    assert mask.dtype == bool and mask.tolist() == [True, True]
 
 
 @pytest.mark.parametrize("base", [[True] * 6, [False] * 5 + [True]],

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -103,3 +108,41 @@ def test_check_kkt_flags_suboptimal_point():
 def test_check_kkt_tol_validated():
     with pytest.raises(ValueError):
         qp_oracle.check_kkt(hand_qp(), np.zeros(1), tol=0.0)
+
+
+LAZY_SCIPY_OPTIMIZE = """
+import sys, warnings
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from conftest import hand_qp
+from mmtrack import cli, qp_oracle, sim
+from mmtrack.model import load_scenario
+
+text = (Path(sys.argv[1]).parent / "configs" / "nominal_circle.yaml"
+        ).read_text(encoding="utf-8").replace("duration: 10.0", "duration: 0.05")
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")
+    model, params, script = load_scenario(text)
+assert len(sim.run_closed_loop(model, params, script).time) == 51
+z = qp_oracle.solve_reference(hand_qp(), penalized=True)
+assert abs(z[0] - 9 / 7) <= 1e-12
+assert "scipy.optimize" not in sys.modules
+z = qp_oracle.solve_reference(hand_qp())
+assert abs(z[0] - 1.0) <= 1e-10 and qp_oracle.check_kkt(hand_qp(), z).passed
+assert "scipy.optimize" in sys.modules
+"""
+
+
+def test_only_the_exact_solve_and_kkt_load_scipy_optimize():
+    # A closed loop and the penalized solve run on numpy and scipy.linalg;
+    # the exact mode's phase-1 LP and the KKT multipliers load
+    # scipy.optimize when first called.
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(qp_oracle.__file__).resolve().parents[1]),
+        env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", LAZY_SCIPY_OPTIMIZE,
+                           str(tests)], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr

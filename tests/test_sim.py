@@ -11,7 +11,8 @@ import oracles
 from mmtrack import cli, dynamics, ftcnd, kinematics as kin, nftsm, sim
 from test_chain_kernel import MODELS
 from mmtrack.kinematics import Pose
-from mmtrack.model import ConfigError, builtin_planar_2link, load_scenario
+from mmtrack.model import (ConfigError, builtin_panda_on_base,
+                           builtin_planar_2link, load_scenario)
 from mmtrack.sim import ScenarioScript, SimTrace
 
 TWOLINK_REG = """
@@ -270,7 +271,8 @@ def test_one_plan_tracked_by_each_controller_is_the_closed_loop(
     traces = {c: sim.track(model, params, script, plan, controller=c)
               for c in sim.CONTROLLERS}
     for c in sim.CONTROLLERS:
-        assert np.array_equal(traces[c].as_matrix(), expect[c].as_matrix())
+        assert np.array_equal(oracles.trace_matrix(traces[c]),
+                              oracles.trace_matrix(expect[c]))
     control_steps = round(script.duration / script.control_period)
     # The plan reads the base and every reference window once.
     assert calls[:planned] == (["base_state", "reference_path"]
@@ -294,7 +296,7 @@ def test_run_is_deterministic():
     model, params, script = load_quiet(TWOLINK_REG)
     t1 = sim.run_closed_loop(model, params, script)
     t2 = sim.run_closed_loop(model, params, script)
-    assert np.array_equal(t1.as_matrix(), t2.as_matrix())
+    assert np.array_equal(oracles.trace_matrix(t1), oracles.trace_matrix(t2))
 
 
 def test_zero_radius_regulation_holds_pose():
@@ -336,9 +338,80 @@ def test_trace_csv_round_trip(tmp_path):
     trace.to_csv(path)
     back = oracles.trace_from_csv(path)
     # 17 significant digits round-trips doubles exactly.
-    assert np.array_equal(trace.as_matrix(), back.as_matrix())
+    assert np.array_equal(oracles.trace_matrix(trace),
+                          oracles.trace_matrix(back))
     assert back.q.shape == trace.q.shape
     assert back.tau.shape == trace.tau.shape
+
+
+def random_trace(rng, rows, model):
+    """A trace of ``model`` with ``rows`` rows of random entries, its
+    times increasing by random steps of 5 to 15 ms."""
+    m, n = model.total_dof, model.arm_joint_count
+    trace = SimTrace(**{
+        name: rng.standard_normal(rows if width is None else (rows, width))
+        for name, _, width in SimTrace.layout(m, n)})
+    trace.time = np.cumsum(rng.uniform(0.005, 0.015, rows))
+    return trace
+
+
+def test_trace_csv_bytes_are_savetxt_of_the_stacked_fields(tmp_path):
+    # 64-row blocks of the fields give np.savetxt's bytes, here with a
+    # last block of 3 rows.
+    model = builtin_panda_on_base()
+    trace = random_trace(np.random.default_rng(7), 3 * 64 + 3, model)
+    trace.tau[5] = [0.0, -0.0, 1e300, -1e-300, 2.5, np.pi, 1.0]
+    header = ",".join(c for _, cols, _ in SimTrace.layout(
+        model.total_dof, model.arm_joint_count) for c in cols)
+    trace.to_csv(tmp_path / "trace.csv")
+    np.savetxt(tmp_path / "expect.csv", oracles.trace_matrix(trace),
+               fmt="%.17g", delimiter=",", header=header, comments="")
+    assert (tmp_path / "trace.csv").read_bytes() \
+        == (tmp_path / "expect.csv").read_bytes()
+
+
+def elementwise_violation(trace, lim):
+    """max_constraint_violation written out entry by entry."""
+    acc = np.diff(trace.qdot, axis=0) / np.diff(trace.time)[:, None]
+    return max(float(np.max(excess, initial=0.0)) for excess in (
+        trace.q - lim.q_upper, lim.q_lower - trace.q,
+        trace.qdot - lim.qdot_upper, lim.qdot_lower - trace.qdot,
+        acc - lim.qddot_upper, lim.qddot_lower - acc))
+
+
+@pytest.mark.parametrize("crossed", range(6), ids=[
+    "q_upper", "q_lower", "qdot_upper", "qdot_lower", "qddot_upper",
+    "qddot_lower"])
+def test_error_metrics_violation_is_the_elementwise_max(crossed):
+    # Inside the limits the trace reads 0; crossing one limit at one
+    # joint, the metric is that excess, bit for bit the elementwise max.
+    model = builtin_panda_on_base()
+    lim = model.limits
+    rng = np.random.default_rng(crossed)
+    trace = random_trace(rng, 300, model)
+
+    def inside(kind, scale):
+        lo, hi = getattr(lim, f"{kind}_lower"), getattr(lim, f"{kind}_upper")
+        return (lo + hi) / 2 + scale * (hi - lo) / 2 * rng.uniform(
+            -1, 1, trace.q.shape)
+    trace.q, trace.qdot = inside("q", 0.5), inside("qdot", 1e-6)
+    assert sim.error_metrics(trace, 0.5, model)["max_constraint_violation"] \
+        == elementwise_violation(trace, lim) == 0.0
+    row, joint, delta = 100, 6 + crossed, rng.uniform(0.01, 0.1)
+    sign = 1 if crossed % 2 == 0 else -1
+    bound = getattr(lim, ("q", "qdot", "qddot")[crossed // 2]
+                    + ("_upper" if sign > 0 else "_lower"))[joint]
+    if crossed < 2:
+        trace.q[row, joint] = bound + sign * delta
+    elif crossed < 4:
+        trace.qdot[:, joint] = bound + sign * delta
+    else:
+        trace.qdot[row + 1:, joint] += (bound + sign * delta) * (
+            trace.time[row + 1] - trace.time[row])
+    violation = sim.error_metrics(trace, 0.5, model)[
+        "max_constraint_violation"]
+    assert violation == elementwise_violation(trace, lim)
+    assert violation == pytest.approx(delta, abs=1e-3)
 
 
 def synthetic_trace(err_fn, duration=8.0, dt=0.01):
