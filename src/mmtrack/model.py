@@ -593,6 +593,6 @@ def load_scenario(config_document: str):
     cap = _sim.MAX_TRACE_ROWS * sum(len(c) for _, c, _ in _sim.SimTrace.layout(
         model.total_dof, model.arm_joint_count))
     if entries > cap:
-        raise ConfigError(f"pomptc: horizon: each step's H of {entries} entries"
-                          f" exceeds the {cap} of the largest trace")
+        raise ConfigError(f"pomptc: horizon: each step's H of {entries} "
+                          f"entries exceeds the {cap} of the largest trace")
     return model, params, script

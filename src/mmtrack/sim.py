@@ -20,6 +20,7 @@ per control step (steps.csv), the trace one per torque step (trace.csv).
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field, fields
@@ -328,18 +329,21 @@ class SimTrace:
     sliding_Vdot: np.ndarray = _columns()
 
     @staticmethod
+    @functools.cache
     def layout(m: int, n: int):
         """(field name, column names, width) of every field, in
         trace.csv order, for m total and n arm DOFs; width is None for a
-        one-column field, held as a 1-D array."""
+        one-column field, held as a 1-D array (cached: every load reads
+        it)."""
         out = []
         for f in fields(SimTrace):
             sfx, stem = f.metadata["suffixes"], f.metadata["stem"] or f.name
             if isinstance(sfx, str):
                 sfx = range({"m": m, "n": n}[sfx])
-            names = [stem] if sfx is None else [f"{stem}_{s}" for s in sfx]
+            names = (stem,) if sfx is None else tuple(
+                f"{stem}_{s}" for s in sfx)
             out.append((f.name, names, None if sfx is None else len(names)))
-        return out
+        return tuple(out)
 
     @staticmethod
     def zeros(rows: int, m: int, n: int) -> "SimTrace":

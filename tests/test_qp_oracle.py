@@ -118,8 +118,9 @@ from conftest import hand_qp
 from mmtrack import cli, qp_oracle, sim
 from mmtrack.model import load_scenario
 
-text = (Path(sys.argv[1]).parent / "configs" / "nominal_circle.yaml"
-        ).read_text(encoding="utf-8").replace("duration: 10.0", "duration: 0.05")
+config = Path(sys.argv[1]).parent / "configs" / "nominal_circle.yaml"
+text = config.read_text(encoding="utf-8").replace("duration: 10.0",
+                                                  "duration: 0.05")
 with warnings.catch_warnings():
     warnings.simplefilter("ignore")
     model, params, script = load_scenario(text)
