@@ -186,12 +186,6 @@ def linearization(model: RobotModel, q):
     return Pose(p_ee, euler), J, singular, det
 
 
-def geometric_jacobian(model: RobotModel, q) -> np.ndarray:
-    """Analytic (Euler-rate) Jacobian: pdot = J(q) qdot, 6 x m; see
-    :func:`linearization`."""
-    return linearization(model, q)[1]
-
-
 def prediction_matrix(t: float, N: int, Nu: int) -> np.ndarray:
     """Lower-band horizon matrix: entry (i, k) = max(0, i+1-k) * t.
 

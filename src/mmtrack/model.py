@@ -160,7 +160,6 @@ class RobotModel:
     rotor_inertia: np.ndarray
     gravity: np.ndarray  # gravity vector in the base frame, m/s^2
     limits: JointLimits
-    actuated_by_mpc: np.ndarray  # bool mask, length m
     task_rows: tuple = (0, 1, 2, 3, 4, 5)
 
     def __post_init__(self):
@@ -168,8 +167,6 @@ class RobotModel:
         for name in ("ee_offset_xyz", "ee_offset_rpy", "link_masses",
                      "link_com_offsets", "rotor_inertia", "gravity"):
             object.__setattr__(self, name, _freeze(getattr(self, name)))
-        object.__setattr__(self, "actuated_by_mpc",
-                           _freeze(self.actuated_by_mpc, dtype=bool))
         m = self.base_dof_count + self.arm_joint_count
         if len(self.joints) != m:
             raise ConfigError(f"expected {m} joints, got {len(self.joints)}")
@@ -183,11 +180,6 @@ class RobotModel:
             raise ConfigError("link masses must be positive")
         if self.link_com_offsets.shape != (n, 3):
             raise ConfigError("link_com_offsets must be (n, 3)")
-        if self.actuated_by_mpc.shape != (m,):
-            raise ConfigError("actuated_by_mpc mask length must equal total DOF")
-        if not self.actuated_by_mpc.any():
-            raise ConfigError("actuated_by_mpc mask has no true entry: the "
-                              "predictive layer needs at least one DOF")
 
     @property
     def total_dof(self) -> int:
@@ -196,10 +188,6 @@ class RobotModel:
     @property
     def arm_slice(self) -> slice:
         return slice(self.base_dof_count, self.total_dof)
-
-    @property
-    def mpc_dof(self) -> int:
-        return int(np.count_nonzero(self.actuated_by_mpc))
 
     @cached_property
     def fixed_transforms(self) -> "ChainTables":
@@ -314,8 +302,6 @@ def builtin_panda_on_base() -> RobotModel:
                                -np.asarray(ARM_QDOT_UPPER, float)])
     qdd_upper = np.concatenate([BASE_ACC_UPPER, BASE_ACC_UPPER, ARM_QDDOT_UPPER])
     qdd_lower = -qdd_upper
-    mask = np.zeros(13, dtype=bool)
-    mask[6:] = True
     return RobotModel(
         name="panda_on_base",
         base_dof_count=6,
@@ -329,7 +315,6 @@ def builtin_panda_on_base() -> RobotModel:
         gravity=(0.0, 0.0, -9.81),
         limits=JointLimits(q_lower, q_upper, qd_lower, qd_upper,
                            qdd_lower, qdd_upper),
-        actuated_by_mpc=mask,
     )
 
 
@@ -359,7 +344,6 @@ def builtin_planar_2link(l1: float = 0.5, l2: float = 0.5,
         limits=JointLimits([-big, -big], [big, big],
                            [-big, -big], [big, big],
                            [-big, -big], [big, big]),
-        actuated_by_mpc=(True, True),
         task_rows=(0, 1),
     )
 
@@ -397,7 +381,7 @@ _DEFAULTS = {
     "pd": {"kp": 60.0, "kd": 25.0},
 }
 _SECTIONS = ("robot", "pomptc", "ftcnd", "nftsm", "pd", "scenario")
-_ROBOT_KEYS = ("builtin", "limits", "actuated_by_mpc")
+_ROBOT_KEYS = ("builtin", "limits")
 
 
 def _known_keys(mapping, allowed, path):
@@ -426,14 +410,6 @@ def _numbers(value, name):
     value = np.array(value, dtype=object)
     return np.array([_number(x, name) for x in value.flat]).reshape(
         value.shape)
-
-
-def _flags(value):
-    """``value`` as a bool array; an entry that is not a bool raises."""
-    value = np.array(value, dtype=object)
-    if bad := [x for x in value.flat if not isinstance(x, bool)]:
-        raise ValueError(f"expected true or false, got {bad[0]!r}")
-    return value.astype(bool)
 
 
 def _integer(value, name):
@@ -502,12 +478,6 @@ def _build_robot(sec):
             model, limits=JointLimits(**{
                 name: _numbers(limits.get(name, getattr(model.limits, name)),
                                name) for name in _LIMIT_NAMES})))
-    if "actuated_by_mpc" in sec:
-        model = _checked("robot.actuated_by_mpc", lambda: replace(
-            model, actuated_by_mpc=_flags(sec["actuated_by_mpc"])))
-        if model.actuated_by_mpc[:model.base_dof_count].any():
-            raise ConfigError("robot.actuated_by_mpc: a base DOF is marked, "
-                              "but the base follows scenario.base_motion")
     return model
 
 
@@ -552,10 +522,11 @@ def load_scenario(config_document: str):
     sc = _section(doc, "scenario", _sim.ScenarioScript)
 
     def pomptc():
+        arm = model.arm_joint_count
         weights = _pomptc.PomptcWeights(*(
             _weight_matrix(po[key], size, key) for key, size in (
-                ("pose_weight", 6), ("velocity_weight", model.mpc_dof),
-                ("accel_weight", model.mpc_dof))))
+                ("pose_weight", 6), ("velocity_weight", arm),
+                ("accel_weight", arm))))
         n, nu = (_integer(po[key], key)
                  for key in ("horizon", "control_horizon"))
         if not n >= nu >= 1:
@@ -567,10 +538,10 @@ def load_scenario(config_document: str):
 
     def scenario():
         script = _sim.ScenarioScript(**sc)
-        # The model's checks: base DOFs to move, one angle and one
-        # disturbance entry per arm joint.
-        if _sim._kind(script.base_motion, "base_motion")[0] != "static" \
-                and model.base_dof_count < 6:
+        # The model's checks: base DOFs to move (a fixed base holds the
+        # zero base state), one angle and one disturbance entry per arm
+        # joint.
+        if not model.base_dof_count and np.any(script.base_state(0.0)):
             raise ValueError("base_motion: model has no base DOFs to move")
         _sim._arm_angles(script.initial_q, model)
         script.disturbance_torque(0.0, model.arm_joint_count)
@@ -587,11 +558,11 @@ def load_scenario(config_document: str):
         raise ConfigError(f"pomptc: horizon: {params.horizon} rows per control"
                           f" step over {steps} steps exceed the cap of "
                           f"{_sim.MAX_TRACE_ROWS} rows")
-    # Each step's H has (2N + 4Nu) m' rows and Nu m' columns.
-    nu, mp = params.control_horizon, model.mpc_dof
-    entries = (2 * params.horizon + 4 * nu) * mp * nu * mp
+    # Each step's H has (2N + 4Nu) n rows and Nu n columns.
+    nu, n = params.control_horizon, model.arm_joint_count
+    entries = (2 * params.horizon + 4 * nu) * n * nu * n
     cap = _sim.MAX_TRACE_ROWS * sum(len(c) for _, c, _ in _sim.SimTrace.layout(
-        model.total_dof, model.arm_joint_count))
+        model.total_dof, n))
     if entries > cap:
         raise ConfigError(f"pomptc: horizon: each step's H of {entries} "
                           f"entries exceeds the {cap} of the largest trace")

@@ -43,7 +43,7 @@ def _check_psd(A, name):
 
 @dataclass(frozen=True)
 class PomptcWeights:
-    """Cost weights: pose error (6x6), velocity and increment (m'xm')."""
+    """Cost weights: pose error (6x6), velocity and increment (nxn)."""
 
     pose: np.ndarray
     velocity: np.ndarray
@@ -116,14 +116,16 @@ class QpProblem:
 def assemble_qp(model: RobotModel, q, qdot_prev, pose_refs,
                 weights: PomptcWeights, t: float, N: int, Nu: int) -> QpProblem:
     """Build the dense QP at configuration ``q`` for the (N, 6) reference
-    window ``pose_refs``; ``qdot_prev`` is the commanded velocity of the
-    previous control step, which the velocity recursion starts from.
+    window ``pose_refs``; ``qdot_prev`` is the commanded arm velocity (an
+    n-vector) of the previous control step, which the velocity recursion
+    starts from.
 
     The pose over the horizon is linearized about the current
     configuration, p(j+i) ~ p(j) + J(q(j)) (q(j+i) - q(j)), with the
     Jacobian held constant.  Only the model's ``task_rows`` of the pose
-    error are weighted.  Only MPC-actuated DOFs enter the decision
-    vector; the remaining DOFs are frozen at the current state.
+    error are weighted.  The decision vector holds the arm's velocity
+    increments (m' = n); the base follows its scripted motion and is
+    frozen at the current state over the horizon.
     """
     if not (N >= Nu >= 1):
         raise ValueError("need N >= Nu >= 1")
@@ -132,16 +134,15 @@ def assemble_qp(model: RobotModel, q, qdot_prev, pose_refs,
     pose_refs = np.asarray(pose_refs, float)
     if pose_refs.shape != (N, 6):
         raise ValueError(f"expected {N} pose references, got {pose_refs.shape}")
-    mask = model.actuated_by_mpc
-    mp = int(np.count_nonzero(mask))
+    arm, n = model.arm_slice, model.arm_joint_count
     q = np.asarray(q, float)
     pose_now, J, singular, det = kin.linearization(model, q)
     if singular:
         raise SingularConfigurationError(
             f"configuration is representation-singular (det {det:.3e})")
     rows = list(model.task_rows)
-    J = J[rows][:, mask]                      # task rows x m'
-    qdp = np.asarray(qdot_prev, float)[mask]
+    J = np.asfortranarray(J[rows, arm])   # BLAS rounding follows layout
+    qdp = np.asarray(qdot_prev, float)
 
     U = kin.prediction_matrix(t, N, Nu)       # N x Nu
     I1 = kin.accumulation_matrix(Nu)          # Nu x Nu
@@ -156,7 +157,7 @@ def assemble_qp(model: RobotModel, q, qdot_prev, pose_refs,
 
     S = _kron(U.T @ U, J.T @ Wp @ J) + _kron(I1.T @ I1, Wv)
     diag = np.arange(Nu)
-    S.reshape(Nu, mp, Nu, mp)[diag, :, diag, :] += Wa    # + kron(I, Wa)
+    S.reshape(Nu, n, Nu, n)[diag, :, diag, :] += Wa    # + kron(I, Wa)
     S = S + S.T           # S is twice the quadratic form; exactly symmetric
     G = 2.0 * ((U.T @ B @ Wp @ J).ravel()
                + np.outer(I1.sum(axis=0), Wv @ qdp).ravel())
@@ -165,16 +166,16 @@ def assemble_qp(model: RobotModel, q, qdot_prev, pose_refs,
     # q(j+i) - q(j)), qdot upper/lower (kron(I1, I) maps z to
     # qdot(j+i) - qdot_prev), acceleration upper/lower (the identity).
     lim = model.limits
-    qm = q[mask]
+    qm = q[arm]
     eye = np.eye(Nu)
-    H = _kron(np.vstack([U, -U, I1, -I1, eye, -eye]), np.eye(mp))
+    H = _kron(np.vstack([U, -U, I1, -I1, eye, -eye]), np.eye(n))
     drift = np.outer(steps, qdp)
     w = np.concatenate([
-        lim.q_upper[mask] - qm - drift, qm + drift - lim.q_lower[mask],
-        np.repeat([lim.qdot_upper[mask] - qdp, qdp - lim.qdot_lower[mask],
-                   t * lim.qddot_upper[mask], -t * lim.qddot_lower[mask]],
+        lim.q_upper[arm] - qm - drift, qm + drift - lim.q_lower[arm],
+        np.repeat([lim.qdot_upper[arm] - qdp, qdp - lim.qdot_lower[arm],
+                   t * lim.qddot_upper[arm], -t * lim.qddot_lower[arm]],
                   Nu, axis=0)]).ravel()
-    return QpProblem(S=S, G=G, H=H, w=w, t=t, N=N, Nu=Nu, m_prime=mp)
+    return QpProblem(S=S, G=G, H=H, w=w, t=t, N=N, Nu=Nu, m_prime=n)
 
 
 def _kron(A, B):
@@ -182,18 +183,6 @@ def _kron(A, B):
     products, without np.kron's general-rank overhead."""
     return (A[:, None, :, None] * B[None, :, None, :]).reshape(
         A.shape[0] * B.shape[0], A.shape[1] * B.shape[1])
-
-
-def extract_first_increment(z_star, model: RobotModel) -> np.ndarray:
-    """First m'-block of the solution, scattered into an m-vector."""
-    z_star = np.asarray(z_star, float)
-    mask = model.actuated_by_mpc
-    mp = int(np.count_nonzero(mask))
-    if z_star.size % mp:
-        raise ValueError("solution length is not a multiple of m'")
-    out = np.zeros(model.total_dof)
-    out[mask] = z_star[:mp]
-    return out
 
 
 def problem_to_text(problem: QpProblem) -> str:

@@ -402,7 +402,7 @@ def plan(model: RobotModel, params: ControllerParams,
         (np.arange(n_control) * tc)[:, None]
         + np.arange(1, params.horizon + 1) * tc, initial_pose)
 
-    qdot_prev = np.zeros(model.total_dof)
+    qdot_prev = np.zeros(n)
     warm, past = None, []   # past: the last solutions, newest first
     failures = 0
     for j in range(n_control):
@@ -419,10 +419,10 @@ def plan(model: RobotModel, params: ControllerParams,
                 f"(t = {j * tc:.3f} s)")
         row = vars(diag) | {"time": j * tc, "h_inf": diag.h_inf_history[-1]}
         steps[j] = [row[name] for name in STEP_COLUMNS]
-        dq = pomptc.extract_first_increment(z, model)
+        dq = z[:n]
         qdot_prev = qdot_prev + dq
-        qd_md[j] = qdot_prev[model.arm_slice]
-        qdd_md[j] = dq[model.arm_slice] / tc
+        qd_md[j] = qdot_prev
+        qdd_md[j] = dq / tc
         q_md[j + 1] = q_md[j] + tc * qd_md[j]
     return Plan(initial_pose, q_md, qd_md, qdd_md, steps)
 

@@ -106,19 +106,18 @@ def direct_cost(model, q, qdot_prev, pose_refs, weights, t: float, N: int,
     Rolls the trajectory forward step by step and sums the terms,
     independent of the assembled matrices; oracle for assemble_qp.
     """
-    mask = model.actuated_by_mpc
-    mp = int(np.count_nonzero(mask))
+    arm, mp = model.arm_slice, model.arm_joint_count
     z = np.asarray(z, float)
     if z.shape != (mp * Nu,):
         raise ValueError(f"z must have length {mp * Nu}")
     delta = z.reshape(Nu, mp)
     q = np.asarray(q, float)
-    qm = q[mask]
-    qdp = np.asarray(qdot_prev, float)[mask]
+    qm = q[arm]
+    qdp = np.asarray(qdot_prev, float)
     q_traj, qdot_traj = predict_joint_trajectory(qm, qdp, delta, t, N)
     pose_now = kin.forward_kinematics(model, q)
     rows = list(model.task_rows)
-    J = kin.geometric_jacobian(model, q)[rows][:, mask]
+    J = kin.linearization(model, q)[1][rows, arm]
     Wp = weights.pose[np.ix_(rows, rows)]
     cost = 0.0
     for i in range(N):
@@ -229,7 +228,6 @@ def serialize_scenario(model, params, script) -> str:
             "builtin": model.name,
             "limits": {name: limit.tolist()
                        for name, limit in asdict(model.limits).items()},
-            "actuated_by_mpc": model.actuated_by_mpc.tolist(),
         },
         "pomptc": {
             "pose_weight": params.weights.pose.tolist(),

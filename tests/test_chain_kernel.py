@@ -44,8 +44,7 @@ def prismatic_arm():
         link_masses=(2.0, 1.5, 0.5),
         link_com_offsets=((0, 0.02, 0.1), (0.03, 0.1, 0), (0.05, 0, 0.02)),
         rotor_inertia=(0.1, 0.2, 0.05), gravity=(0, 0, -9.81),
-        limits=JointLimits(-big, big, -big, big, -big, big),
-        actuated_by_mpc=np.ones(9, dtype=bool))
+        limits=JointLimits(-big, big, -big, big, -big, big))
 
 
 MODELS = [builtin_panda_on_base, builtin_planar_2link, prismatic_arm]

@@ -211,7 +211,9 @@ def test_simulate_unreadable_config_exits_1_without_traceback(
     assert not (tmp_path / "out").exists()
 
 
-def test_simulate_all_false_mpc_mask_exits_1(tmp_path, capsys):
+def test_simulate_removed_mpc_mask_key_exits_1(tmp_path, capsys):
+    # The planner plans the arm, so the MPC mask key is gone: a config
+    # that still sets it is a config error naming the key.
     path = tmp_path / "bad.yaml"
     path.write_text("robot:\n  builtin: planar_2link\n"
                     "  actuated_by_mpc: [false, false]\n", encoding="utf-8")

@@ -35,7 +35,7 @@ def pendulum_model(mass=2.0, lc=0.4):
         link_masses=(mass,), link_com_offsets=((lc, 0, 0),),
         rotor_inertia=(0.0,), gravity=(0, -G_ACC, 0),
         limits=JointLimits([-9], [9], [-9], [9], [-9], [9]),
-        actuated_by_mpc=(True,), task_rows=(0, 1))
+        task_rows=(0, 1))
 
 
 def test_two_link_matches_analytic_oracle():

@@ -109,7 +109,7 @@ def test_jacobian_vs_finite_differences():
     rng = np.random.default_rng(7)
     for _ in range(25):
         q = q0 + rng.uniform(-0.3, 0.3, 13)
-        J = kin.geometric_jacobian(m, q)
+        J = kin.linearization(m, q)[1]
         Jfd = fd_jacobian(m, q)
         scale = max(1.0, np.max(np.abs(J)))
         assert np.max(np.abs(J - Jfd)) / scale < 1e-6
@@ -118,7 +118,7 @@ def test_jacobian_vs_finite_differences():
 def test_jacobian_length_check():
     m = builtin_planar_2link()
     with pytest.raises(ValueError):
-        kin.geometric_jacobian(m, np.zeros(3))
+        kin.linearization(m, np.zeros(3))
 
 
 def test_representation_singular_flags():

@@ -49,9 +49,6 @@ def test_builtin_panda_shape():
     m = builtin_panda_on_base()
     assert m.total_dof == 13
     assert m.arm_joint_count == 7
-    assert m.mpc_dof == 7
-    assert not m.actuated_by_mpc[:6].any()
-    assert m.actuated_by_mpc[6:].all()
     # Spot checks on the limit vectors.
     assert m.limits.q_upper[6 + 3] == -0.07
     assert m.limits.q_lower[6 + 5] == -0.01
@@ -273,18 +270,12 @@ def test_load_scenario_rejects_malformed_values(section, match):
     (MINIMAL + "pomptc: {accel_weight: [[[1]]]}\n",
      "^pomptc: accel_weight: expected scalar, length-7 diagonal, or 7x7 "
      "matrix$"),
-    ("robot: {builtin: planar_2link, actuated_by_mpc: ['no', 'yes']}\n",
-     "^robot.actuated_by_mpc: expected true or false, got 'no'$"),
-    ("robot: {builtin: planar_2link, actuated_by_mpc: [0.5, 2]}\n",
-     "^robot.actuated_by_mpc: expected true or false, got 0.5$"),
 ], ids=["bool_pose_weight", "string_disturbance", "bool_base_pose",
         "string_limits", "string_center", "word_orientation",
-        "bool_waypoint_pose", "ragged_weight", "deep_weight",
-        "string_mpc_mask", "number_mpc_mask"])
+        "bool_waypoint_pose", "ragged_weight", "deep_weight"])
 def test_vector_entries_follow_the_number_rule(doc, match):
     # Each entry of a vector or matrix is a YAML int or float, never a
-    # bool or a string, and the error names the key; each entry of the
-    # MPC mask is a YAML bool, never a number or a string.
+    # bool or a string, and the error names the key.
     with pytest.raises(ConfigError, match=match):
         load_scenario(doc)
 
@@ -300,7 +291,7 @@ def test_load_scenario_bounds_the_reference_window():
         with pytest.raises(ConfigError, match=r"^pomptc: horizon: .* exceed "
                            r"the cap of 1000000 rows$"):
             load_scenario(doc % horizon)
-    # Each step's H, (2N + 4Nu) m' x Nu m', is held to the largest trace,
+    # Each step's H, (2N + 4Nu) n x Nu n, is held to the largest trace,
     # 10^6 rows of 84 columns on panda_on_base: N = Nu = 100 gives
     # 4 200 x 700 entries, N = Nu = 1 000 gives 42 000 x 7 000.
     text = (CONFIG_DIR / "nominal_circle.yaml").read_text(encoding="utf-8")
@@ -320,7 +311,10 @@ def test_load_scenario_bounds_the_reference_window():
     ("{builtin: panda_on_base, limitz: {}}", "robot.limitz: unknown key"),
     ("{builtin: planar_2link, limits: {q_lowr: [-1, -1]}}",
      "robot.limits.q_lowr: unknown key"),
-], ids=["robot", "robot_limits"])
+    # The planner plans the arm; the base follows scenario.base_motion.
+    ("{builtin: planar_2link, actuated_by_mpc: [true, true]}",
+     "robot.actuated_by_mpc: unknown key"),
+], ids=["robot", "robot_limits", "mpc_mask"])
 def test_load_scenario_rejects_unknown_robot_keys(robot, match):
     with pytest.raises(ConfigError, match=f"^{match}$"):
         load_scenario(f"robot: {robot}\n")
@@ -332,32 +326,6 @@ def test_load_scenario_merges_a_mapping():
         _, params, _ = load_scenario(
             MINIMAL + "ftcnd: {<<: {mu: 3.0, xi: 2.0}, mu: 4.0}\n")
     assert (params.ftcnd.mu, params.ftcnd.xi) == (4.0, 2.0)
-
-
-def test_load_scenario_rejects_all_false_mpc_mask():
-    text = (CONFIG_DIR / "nominal_circle.yaml").read_text(encoding="utf-8")
-    text = text.replace("  builtin: panda_on_base\n",
-                        "  builtin: panda_on_base\n  actuated_by_mpc: "
-                        + str([False] * 13).lower() + "\n")
-    with pytest.raises(ConfigError,
-                       match="robot.actuated_by_mpc: .* no true entry"):
-        load_scenario(text)
-    # A mask of YAML bools loads.
-    mask = load_scenario("robot: {builtin: planar_2link, "
-                         "actuated_by_mpc: [true, true]}\n")[0].actuated_by_mpc
-    assert mask.dtype == bool and mask.tolist() == [True, True]
-
-
-@pytest.mark.parametrize("base", [[True] * 6, [False] * 5 + [True]],
-                         ids=["all", "roll"])
-def test_load_scenario_rejects_base_entries_of_the_mpc_mask(base):
-    # The base follows scenario.base_motion: a plan for it is never
-    # carried out.
-    mask = str(base + [True] * 7).lower()
-    with pytest.raises(ConfigError,
-                       match="^robot.actuated_by_mpc: a base DOF is marked"):
-        load_scenario(f"robot: {{builtin: panda_on_base, "
-                      f"actuated_by_mpc: {mask}}}\n")
 
 
 def test_load_scenario_rejects_deep_nesting():

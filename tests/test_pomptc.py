@@ -10,7 +10,7 @@ Q0 = np.concatenate([np.zeros(6), [0, -0.78, 0, -2.35, 0, 1.57, 0.78]])
 
 
 def make_weights(model, pose=100.0, vel=1.0, acc=5.0):
-    mp = model.mpc_dof
+    mp = model.arm_joint_count
     return pomptc.PomptcWeights(pose=pose * np.eye(6),
                                 velocity=vel * np.eye(mp),
                                 accel=acc * np.eye(mp))
@@ -23,17 +23,17 @@ def dense_weights(model, rng):
         A = rng.normal(size=(n, n))
         W = A @ A.T + n * np.eye(n)
         return scale * 0.5 * (W + W.T)
-    mp = model.mpc_dof
+    mp = model.arm_joint_count
     return pomptc.PomptcWeights(pose=spd(6, float(rng.uniform(10, 1000))),
                                 velocity=spd(mp, 1.0), accel=spd(mp, 5.0))
 
 
 def random_state(model, rng, scale=0.1):
-    """(q, qdot_prev) near the nominal configuration."""
+    """(q, qdot_prev) near the nominal configuration; qdot_prev is the
+    arm's commanded velocity."""
     q = Q0 + rng.uniform(-scale, scale, model.total_dof) \
         if model.total_dof == 13 else rng.uniform(-1, 1, model.total_dof)
-    qdp = rng.uniform(-0.2, 0.2, model.total_dof)
-    qdp[~model.actuated_by_mpc] = 0.0
+    qdp = rng.uniform(-0.2, 0.2, model.total_dof)[model.arm_slice]
     return q, qdp
 
 
@@ -58,7 +58,7 @@ def test_weights_validation():
 def test_qp_dimensions():
     model = builtin_panda_on_base()
     refs = np.tile(kin.forward_kinematics(model, Q0).as_vector(), (5, 1))
-    p = pomptc.assemble_qp(model, Q0, np.zeros(13), refs, make_weights(model),
+    p = pomptc.assemble_qp(model, Q0, np.zeros(7), refs, make_weights(model),
                            0.01, 5, 5)
     assert p.n_variables == 35
     assert p.n_constraints == (2 * 5 + 4 * 5) * 7
@@ -135,32 +135,32 @@ def test_constraints_sound_and_complete(builtin, N, Nu):
     # Each of the six row blocks of Hz <= w (angle, velocity and
     # acceleration, upper and lower) is violated exactly when the rolled
     # out trajectory leaves that side of its box.  Each case draws the
-    # MPC joints' angles and velocities anywhere within their limits and
+    # arm joints' angles and velocities anywhere within their limits and
     # increments from a tenth of the acceleration limit to 30 times it, so
     # that every block is met both ways.
     model = builtin()
     rng = np.random.default_rng(33)
     lim = model.limits
-    mask = model.actuated_by_mpc
+    arm = model.arm_slice
     t = 0.01
-    sizes = np.array([N, N, Nu, Nu, Nu, Nu]) * model.mpc_dof
+    sizes = np.array([N, N, Nu, Nu, Nu, Nu]) * model.arm_joint_count
     seen = [set() for _ in sizes]
     for _ in range(200):
         q, qdp = random_state(model, rng)
-        q[mask] = rng.uniform(lim.q_lower[mask], lim.q_upper[mask])
-        qdp[mask] = rng.uniform(lim.qdot_lower[mask], lim.qdot_upper[mask])
+        q[arm] = rng.uniform(lim.q_lower[arm], lim.q_upper[arm])
+        qdp = rng.uniform(lim.qdot_lower[arm], lim.qdot_upper[arm])
         prob = pomptc.assemble_qp(model, q, qdp,
                                   random_refs(model, q, rng, N),
                                   make_weights(model), t, N, Nu)
-        delta = rng.normal(size=(Nu, model.mpc_dof)) * t \
-            * lim.qddot_upper[mask] * 10 ** rng.uniform(-1, 1.5)
+        delta = rng.normal(size=(Nu, model.arm_joint_count)) * t \
+            * lim.qddot_upper[arm] * 10 ** rng.uniform(-1, 1.5)
         q_traj, qd_traj = oracles.predict_joint_trajectory(
-            q[mask], qdp[mask], delta, t, N)
+            q[arm], qdp, delta, t, N)
         acc = delta / t
-        outside = [q_traj - lim.q_upper[mask], lim.q_lower[mask] - q_traj,
-                   qd_traj - lim.qdot_upper[mask],
-                   lim.qdot_lower[mask] - qd_traj,
-                   acc - lim.qddot_upper[mask], lim.qddot_lower[mask] - acc]
+        outside = [q_traj - lim.q_upper[arm], lim.q_lower[arm] - q_traj,
+                   qd_traj - lim.qdot_upper[arm],
+                   lim.qdot_lower[arm] - qd_traj,
+                   acc - lim.qddot_upper[arm], lim.qddot_lower[arm] - acc]
         rows = np.split(prob.H @ delta.ravel() - prob.w,
                         np.cumsum(sizes)[:-1])
         for k in range(6):
@@ -189,8 +189,7 @@ def test_translation_invariance():
     np.testing.assert_allclose(p1.S, p2.S, atol=1e-9)
     np.testing.assert_allclose(p1.G, p2.G, atol=1e-9)
     np.testing.assert_allclose(p1.H, p2.H, atol=1e-12)
-    # w differs only in the base-x angle rows, which are not MPC DOFs
-    # for this model, so it is identical too.
+    # w bounds the arm alone, so the base-x shift leaves it identical too.
     np.testing.assert_allclose(p1.w, p2.w, atol=1e-9)
 
 
@@ -213,15 +212,6 @@ def test_horizon_validation():
         pomptc.assemble_qp(model, q, qdp, refs * 2, w, -0.01, 2, 1)
     with pytest.raises(ValueError, match="references"):
         pomptc.assemble_qp(model, q, qdp, refs, w, 0.01, 2, 1)
-
-
-def test_extract_first_increment_scatter():
-    model = builtin_panda_on_base()
-    z = np.arange(35, dtype=float)
-    out = pomptc.extract_first_increment(z, model)
-    assert out.shape == (13,)
-    np.testing.assert_allclose(out[:6], 0.0)
-    np.testing.assert_allclose(out[6:], z[:7])
 
 
 def test_problem_text_round_trip():

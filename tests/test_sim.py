@@ -56,11 +56,17 @@ def test_script_validation():
 
 def test_load_scenario_checks_model_compatibility():
     # The script does not know the model: the loader checks it against
-    # the robot, naming the scenario key.
+    # the robot, naming the scenario key.  A fixed base holds the zero
+    # base state, so a static tilted pose is refused like the tilt.
     robot = "robot: {builtin: planar_2link}\n"
-    with pytest.raises(ConfigError, match="^scenario: base_motion: model "
-                                          "has no base DOFs to move$"):
-        load_scenario(robot + "scenario: {base_motion: {kind: sinusoid}}\n")
+    doc = robot + "scenario: {base_motion: %s}\n"
+    for motion in ("{kind: sinusoid}", "{kind: tilt, angle: 0.21}",
+                   "{kind: static, pose: [0, 0, 0, 0, 0.21, 0]}"):
+        with pytest.raises(ConfigError, match="^scenario: base_motion: model "
+                                              "has no base DOFs to move$"):
+            load_scenario(doc % motion)
+    for motion in ("{kind: static}", "{kind: static, pose: 0}"):
+        assert not np.any(load_scenario(doc % motion)[2].base_state(0.0))
     with pytest.raises(ConfigError, match="^scenario: initial_q: expected "
                                           "the 2 arm angles, got 3 entries$"):
         load_scenario(robot + "scenario: {initial_q: [0.1, 0.2, 0.3]}\n")
