@@ -33,8 +33,12 @@ C that z violates (H z > w).  A solve from z0 starts where a segment
 from z0 would end, at z_N = (S + xi Hc'Hc)^-1 (xi Hc'wc - G): one
 penalized active-set Newton step (Nocedal & Wright 2006, sections 16.5
 and 17.1), solved with S's factor while C is empty, and the factor
-reused when z_N clamps C again.  A start with max|h| <= epsilon_h is
-final: 0 iterations, 0 factorizations, no second residual.
+reused when z_N clamps C again; a z0 that clamps nothing reuses S's
+factor without gathering rows of H or w.  The start forms H z once: the
+slacks, N v + D (:func:`residual`, given the product) and, for a start
+that settles, the violation max(H z - w, 0) all read it.  A start with
+max|h| <= epsilon_h is final: 0 iterations, 0 factorizations, no second
+residual.
 """
 from __future__ import annotations
 
@@ -105,12 +109,13 @@ class FtcndDiagnostics:
     final_state: NeuralState | None = None
 
 
-def residual(problem, v, xi: float):
+def residual(problem, v, xi: float, Hz=None):
     """N v + D of the lift, without forming N (``tests/oracles.py``'s
-    ``lift`` forms it): [S z + G + xi H'r; xi r] with r = H z + phi - w."""
+    ``lift`` forms it): [S z + G + xi H'r; xi r] with r = H z + phi - w;
+    ``Hz``, when given, is the product H z."""
     nz = problem.n_variables
     z = v[:nz]
-    r = problem.H @ z + v[nz:] - problem.w
+    r = (problem.H @ z if Hz is None else Hz) + v[nz:] - problem.w
     return np.concatenate([problem.S @ z + problem.G
                            + xi * (problem.H.T @ r), xi * r])
 
@@ -138,19 +143,23 @@ def _reduced_solve(L, Hf, B, nz: int, xi: float):
 
 def _free_part(resid, clamped):
     """The free components of N v + D: every z row, and the slack rows
-    that are not clamped."""
+    that are not clamped (all of ``resid`` when none is)."""
+    if not clamped.any():
+        return resid
     return resid[np.concatenate([np.ones(resid.size - clamped.size, bool),
                                  ~clamped])]
 
 
 def _derived_start(problem, z, xi: float):
-    """(v, h, clamped) of a start at z: the slacks max(0, w - H z) clamp
-    the rows that z violates, and h is the free part of N v + D."""
+    """(v, h, clamped, Hz) of a start at z: the slacks max(0, w - H z)
+    clamp the rows that z violates, and h is the free part of N v + D;
+    the one product H z gives both."""
     nz = problem.n_variables
-    v = np.concatenate([z, np.maximum(0.0, problem.w - problem.H @ z)])
-    resid = residual(problem, v, xi)
+    Hz = problem.H @ z
+    v = np.concatenate([z, np.maximum(0.0, problem.w - Hz)])
+    resid = residual(problem, v, xi, Hz)
     clamped = (v[nz:] <= 0.0) & (resid[nz:] > 0.0)
-    return v, _free_part(resid, clamped), clamped
+    return v, _free_part(resid, clamped), clamped, Hz
 
 
 def _first_event(V, Hc, wc, nz, tol=0.0):
@@ -206,11 +215,16 @@ def solve(problem, params: FtcndParams, warm_start=None):
     if not np.isfinite(z0).all():
         raise ValueError("warm start must be finite")
     # Start at the Newton endpoint of the rows that z0 violates.
+    # A z0 that clamps nothing takes S's factor, and 0.0 - G is the
+    # xi Hc'wc - G of no rows, signed zeros included.
     clamped = H @ z0 > w
-    Hc, wc = H[clamped], w[clamped]
-    L = _factor(S + xi * (Hc.T @ Hc)) if Hc.size else L_S
-    v, h, clamped_n = _derived_start(
-        problem, dpotrs(L, xi * (Hc.T @ wc) - problem.G, lower=1)[0], xi)
+    if clamped.any():
+        Hc, wc = H[clamped], w[clamped]
+        L, rhs = _factor(S + xi * (Hc.T @ Hc)), xi * (Hc.T @ wc) - problem.G
+    else:
+        L, rhs = L_S, 0.0 - problem.G
+    v, h, clamped_n, Hz = _derived_start(
+        problem, dpotrs(L, rhs, lower=1)[0], xi)
     if (clamped_n != clamped).any():
         clamped, L = clamped_n, None
     h_max = float(np.abs(h).max())
@@ -225,7 +239,7 @@ def solve(problem, params: FtcndParams, warm_start=None):
         # test of the settled branch below cannot fire here: the start
         # is final, and no segment is set up.
         diag.converged, diag.converge_time = True, 0.0
-        return _finish(problem, v, h, xi, diag)
+        return _finish(problem, v, h, xi, diag, Hz)
     if not math.isfinite(F):
         raise FtcndIntegrationError("non-finite neural state")
 
@@ -404,12 +418,14 @@ def solve(problem, params: FtcndParams, warm_start=None):
                    xi, diag)
 
 
-def _finish(problem, v, h, xi: float, diag):
+def _finish(problem, v, h, xi: float, diag, Hz=None):
     """(z, diag) of a solve that ends at v, with h the free part of its
-    N v + D."""
+    N v + D and ``Hz`` the product H z, formed here when not given;
+    the violation max(H z - w, 0) is ``problem.violation(z)``."""
     nz = problem.n_variables
     z = v[:nz].copy()
-    diag.constraint_violation = problem.violation(z)
+    Hz = problem.H @ z if Hz is None else Hz
+    diag.constraint_violation = float(np.max(np.append(Hz - problem.w, 0.0)))
     diag.equality_residual = float(np.abs(h[nz:]).max(initial=0.0)) / xi
     diag.final_state = NeuralState(v=v, h=h)
     return z, diag

@@ -10,12 +10,16 @@ form is, for the prediction matrix U and accumulation matrix I1,
     kron(U'U, J' Wp J) + kron(I1'I1, Wv) + kron(I, Wa).
 
 :func:`assemble_qp` builds it from these blocks after one chain pass
-(:func:`kinematics.linearization`).  ``tests/oracles.py``'s
+(:func:`kinematics.linearization`).  U, I1, U'U, I1'I1 and the
+constraint matrix H depend on (t, N, Nu, n) alone: :func:`horizon_blocks`
+builds them once per such tuple and shares them read-only, and
+:class:`QpProblem` copies the H it is given.  ``tests/oracles.py``'s
 ``direct_cost`` evaluates the same objective literally from the rolled
 trajectory and serves as the equivalence oracle for the assembly.
 """
 from __future__ import annotations
 
+import functools
 import io
 from dataclasses import dataclass
 
@@ -144,8 +148,7 @@ def assemble_qp(model: RobotModel, q, qdot_prev, pose_refs,
     J = np.asfortranarray(J[rows, arm])   # BLAS rounding follows layout
     qdp = np.asarray(qdot_prev, float)
 
-    U = kin.prediction_matrix(t, N, Nu)       # N x Nu
-    I1 = kin.accumulation_matrix(Nu)          # Nu x Nu
+    U, I1, UtU, I1tI1, H = horizon_blocks(float(t), N, Nu, n)
     Wp = weights.pose[np.ix_(rows, rows)]
     Wv, Wa = weights.velocity, weights.accel
 
@@ -155,20 +158,16 @@ def assemble_qp(model: RobotModel, q, qdot_prev, pose_refs,
     B = kin.pose_error(pose_now, Pose.from_vector(pose_refs))[:, rows] \
         + np.outer(steps, J @ qdp)
 
-    S = _kron(U.T @ U, J.T @ Wp @ J) + _kron(I1.T @ I1, Wv)
+    S = _kron(UtU, J.T @ Wp @ J) + _kron(I1tI1, Wv)
     diag = np.arange(Nu)
     S.reshape(Nu, n, Nu, n)[diag, :, diag, :] += Wa    # + kron(I, Wa)
     S = S + S.T           # S is twice the quadratic form; exactly symmetric
     G = 2.0 * ((U.T @ B @ Wp @ J).ravel()
                + np.outer(I1.sum(axis=0), Wv @ qdp).ravel())
 
-    # Constraints, six blocks: q upper/lower (kron(U, I) maps z to
-    # q(j+i) - q(j)), qdot upper/lower (kron(I1, I) maps z to
-    # qdot(j+i) - qdot_prev), acceleration upper/lower (the identity).
+    # The bounds of H's six blocks (see horizon_blocks).
     lim = model.limits
     qm = q[arm]
-    eye = np.eye(Nu)
-    H = _kron(np.vstack([U, -U, I1, -I1, eye, -eye]), np.eye(n))
     drift = np.outer(steps, qdp)
     w = np.concatenate([
         lim.q_upper[arm] - qm - drift, qm + drift - lim.q_lower[arm],
@@ -176,6 +175,27 @@ def assemble_qp(model: RobotModel, q, qdot_prev, pose_refs,
                    t * lim.qddot_upper[arm], -t * lim.qddot_lower[arm]],
                   Nu, axis=0)]).ravel()
     return QpProblem(S=S, G=G, H=H, w=w, t=t, N=N, Nu=Nu, m_prime=n)
+
+
+@functools.lru_cache(maxsize=1)
+def horizon_blocks(t: float, N: int, Nu: int, n: int):
+    """(U, I1, U'U, I1'I1, H) of a horizon, built on first use and
+    read-only: the N x Nu prediction matrix U, the Nu x Nu accumulation
+    matrix I1 and the constraint matrix H of n joints.  Only the last
+    horizon is kept: a plan uses one, and H may be large.
+
+    H has six blocks: q upper/lower (kron(U, I) maps z to q(j+i) - q(j)),
+    qdot upper/lower (kron(I1, I) maps z to qdot(j+i) - qdot_prev) and
+    acceleration upper/lower (the identity).
+    """
+    U = kin.prediction_matrix(t, N, Nu)
+    I1 = kin.accumulation_matrix(Nu)
+    eye = np.eye(Nu)
+    blocks = (U, I1, U.T @ U, I1.T @ I1,
+              _kron(np.vstack([U, -U, I1, -I1, eye, -eye]), np.eye(n)))
+    for a in blocks:
+        a.setflags(write=False)
+    return blocks
 
 
 def _kron(A, B):

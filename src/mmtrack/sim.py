@@ -118,7 +118,9 @@ def _sinusoid_bounded(om, phase, peak, duration, name):
 def _base_motion(spec: dict, duration: float):
     """Base generalized position, velocity and acceleration (q, v, a) as
     a function of times t in [0, duration] (a scalar or an array; each
-    result has shape ``np.shape(t) + (6,)``), from ``base_motion``."""
+    result has shape ``np.shape(t) + (6,)``), from ``base_motion``, and
+    whether the base moves: a static or tilted base has the same state,
+    bit for bit, at every time."""
     kind, spec = _kind(spec, "base_motion")
     if kind in ("static", "tilt"):
         pose = np.zeros(6)
@@ -127,8 +129,8 @@ def _base_motion(spec: dict, duration: float):
         else:
             pose[4] = _number(spec["angle"], "base_motion.angle")
         zero = np.zeros(6)
-        return lambda t: tuple(np.broadcast_to(x, np.shape(t) + (6,)).copy()
-                               for x in (pose, zero, zero))
+        return (lambda t: tuple(np.broadcast_to(x, np.shape(t) + (6,)).copy()
+                                for x in (pose, zero, zero))), False
     axis = spec["axis"]
     idx = _AXIS_NAMES.get(axis, axis) if isinstance(axis, str) else axis
     if isinstance(idx, bool) or idx not in range(6):
@@ -146,7 +148,7 @@ def _base_motion(spec: dict, duration: float):
         v[..., idx] = A * om * np.cos(om * t + ph)
         a[..., idx] = -A * om * om * np.sin(om * t + ph)
         return q, v, a
-    return state
+    return state, True
 
 
 def _reference(spec: dict, duration: float):
@@ -241,7 +243,9 @@ class ScenarioScript:
     ``disturbance_torque(times, n)``, built by :func:`_base_motion`,
     :func:`_reference` and :func:`_disturbance`.  Each takes a scalar
     time or an array of times, and row i of its result at ``times`` is
-    its result at ``times[i]``, bit for bit.
+    its result at ``times[i]``, bit for bit.  ``base_moves`` is False
+    when ``base_state`` returns the same row at every time (a static or
+    tilted base).
     """
 
     duration: float = 10.0
@@ -275,8 +279,10 @@ class ScenarioScript:
                              "control_period: the run has no control step")
         object.__setattr__(self, "reference_path",
                            _reference(self.reference, self.duration))
-        object.__setattr__(self, "base_state",
-                           _base_motion(self.base_motion, self.duration))
+        base_state, base_moves = _base_motion(self.base_motion,
+                                              self.duration)
+        object.__setattr__(self, "base_state", base_state)
+        object.__setattr__(self, "base_moves", base_moves)
         object.__setattr__(self, "disturbance_torque",
                            _disturbance(self.disturbance, self.duration))
 
@@ -445,22 +451,24 @@ def track(model: RobotModel, params: ControllerParams,
     n_steps = len(plan.qd_md) * spc
 
     # The script and the base frame of every torque step, before the
-    # loop; a step starts at j tc + k tt.
+    # loop; a step starts at j tc + k tt.  A base that does not move has
+    # one state and one frame, built once and broadcast.
     starts = ((np.arange(len(plan.qd_md)) * tc)[:, None]
               + np.arange(spc) * tt).ravel()
     tr = SimTrace.zeros(n_steps + 1, m, n)
     tr.time[1:] = starts + tt
-    q_b, v_b, a_b = script.base_state(tr.time)
+    moves = script.base_moves
+    q_b, v_b, a_b = script.base_state(tr.time if moves else tr.time[:1])
     tr.q[:, :b], tr.qdot[:, :b] = q_b[:, :b], v_b[:, :b]
-    tr.qddot[1:, :b] = a_b[1:, :b]
+    tr.qddot[1:, :b] = a_b[1:, :b] if moves else a_b[:, :b]
     tr.q[0, b:] = plan.q_md[0]
     tr.tau_d[1:] = script.disturbance_torque(starts, n)
     g_steps = a_steps = [None] * n_steps
     if b:
-        q_b, _, a_b = script.base_state(starts)
+        q_b, _, a_b = script.base_state(starts if moves else starts[:1])
         R_bT = np.swapaxes(kin.rotation_rpy(q_b[:, 5:2:-1]), -1, -2)
-        g_steps = R_bT @ model.gravity
-        a_steps = (R_bT @ a_b[:, :3, None])[..., 0]
+        g_steps, a_steps = (np.broadcast_to(x, (n_steps, 3)) for x in (
+            R_bT @ model.gravity, (R_bT @ a_b[:, :3, None])[..., 0]))
 
     compensate = controller == "nftsm"
     q_arm, qd_arm = plan.q_md[0], np.zeros(n)

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +10,9 @@ from scipy.integrate import quad
 import ftcnd_stepwise
 import oracles
 from conftest import hand_qp, random_qp, solver_batch_problems
-from mmtrack import ftcnd, qp_oracle
+from mmtrack import ftcnd, qp_oracle, sim
 from mmtrack.ftcnd import FtcndParams
+from mmtrack.model import load_scenario
 from mmtrack.pomptc import QpProblem
 
 
@@ -188,6 +191,41 @@ def test_final_state_matches_lift_residual():
                 np.max(np.abs(full[nz:][free_rows]), initial=0.0)
                 / params.xi, rel=0, abs=1e-12 * scale)
     assert events > 0 and settled >= 20
+
+
+def test_settled_plan_solves_read_the_start_product(monkeypatch):
+    # The QPs of 0.5 s of nominal_circle's plan, whose warm starts clamp
+    # no row: each solve settles at its start, where the violation and
+    # final_state.h come from the one product H z, bit-equal to forming
+    # them anew.
+    text = (Path(__file__).resolve().parent.parent / "configs"
+            / "nominal_circle.yaml").read_text(encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        model, params, script = load_scenario(text)
+    script = dataclasses.replace(script, duration=0.5)
+    solves = []
+    solve = ftcnd.solve
+
+    def recording(problem, p, warm_start=None):
+        solves.append((problem, warm_start))
+        return solve(problem, p, warm_start=warm_start)
+    monkeypatch.setattr(ftcnd, "solve", recording)
+    sim.plan(model, params, script)
+    xi = params.ftcnd.xi
+    assert len(solves) == 50
+    for problem, warm in solves:
+        nz = problem.n_variables
+        z0 = np.zeros(nz) if warm is None else warm
+        assert not (problem.H @ z0 > problem.w).any()
+        z, diag = solve(problem, params.ftcnd, warm_start=warm)
+        assert diag.converged and diag.iterations == 0
+        assert diag.constraint_violation == problem.violation(z)
+        v = diag.final_state.v
+        resid = ftcnd.residual(problem, v, xi)
+        clamped = (v[nz:] <= 0.0) & (resid[nz:] > 0.0)
+        assert diag.final_state.h.tobytes() \
+            == ftcnd._free_part(resid, clamped).tobytes()
 
 
 def test_solve_never_forms_the_lift(monkeypatch):

@@ -128,6 +128,53 @@ def test_assembly_walks_the_chain_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_horizon_blocks_are_built_once_and_shared_read_only(monkeypatch):
+    # U, I1, U'U, I1'I1 and H are built once per (t, N, Nu, n) and
+    # shared read-only; each problem holds its own copy of H, and an
+    # assembly from the cache is bit-equal to the one that filled it.
+    model = builtin_panda_on_base()
+    rng = np.random.default_rng(23)
+    q, qdp = random_state(model, rng)
+    refs = random_refs(model, q, rng, 5)
+    w = dense_weights(model, rng)
+    builds = []
+    prediction_matrix = kin.prediction_matrix
+
+    def counting(*args):
+        builds.append(args)
+        return prediction_matrix(*args)
+    monkeypatch.setattr(kin, "prediction_matrix", counting)
+    pomptc.horizon_blocks.cache_clear()
+    a, b = (pomptc.assemble_qp(model, q, qdp, refs, w, 0.01, 5, 5)
+            for _ in range(2))
+    assert builds == [(0.01, 5, 5)]
+    blocks = pomptc.horizon_blocks(0.01, 5, 5, 7)
+    for block in blocks:
+        with pytest.raises(ValueError, match="read-only"):
+            block[0, 0] = 1.0
+    for p in (a, b):
+        assert not np.shares_memory(p.H, blocks[-1])
+    np.testing.assert_array_equal(a.H, blocks[-1])
+    for name in ("S", "G", "H", "w"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+    # Another (t, N, Nu) gets its own blocks, and its cost still matches
+    # the literal horizon sums.
+    args = (model, q, qdp, refs[:4], w, 0.02, 4, 3)
+    c = pomptc.assemble_qp(*args)
+    assert builds[1:] == [(0.02, 4, 3)]
+    other = pomptc.horizon_blocks(0.02, 4, 3, 7)
+    assert other[-1].shape == ((2 * 4 + 4 * 3) * 7, 3 * 7)
+    np.testing.assert_array_equal(c.H, other[-1])
+    z0 = np.zeros(c.n_variables)
+    off = oracles.direct_cost(*args, z0)
+    for _ in range(5):
+        z = rng.normal(scale=0.1, size=c.n_variables)
+        rhs = oracles.direct_cost(*args, z) - off
+        assert abs(c.objective(z) - c.objective(z0) - rhs) \
+            <= 1e-9 * max(1.0, abs(rhs))
+
+
 @pytest.mark.parametrize("builtin", [builtin_panda_on_base,
                                      builtin_planar_2link])
 @pytest.mark.parametrize("N, Nu", [(3, 3), (5, 2), (4, 1)])

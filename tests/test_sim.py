@@ -140,6 +140,7 @@ def test_disturbance_torque_kinds():
      "frequency": 0.7, "phase": 0.4}])
 def test_base_state_rows_are_the_scalar_calls(spec):
     s = ScenarioScript(duration=2.0, base_motion=spec)
+    assert s.base_moves == (spec["kind"] == "sinusoid")
     times = np.arange(2001) * 1e-3
     batch = s.base_state(times)
     for got in batch:
@@ -495,6 +496,21 @@ def test_pose_columns_match_per_row_calls_on_tilt_trace(monkeypatch):
                            trace.err_ori, trace.err_rotvec])
     np.testing.assert_allclose(got, expect, rtol=0, atol=1e-14)
     assert np.abs(trace.err_rotvec).max() > 0.0
+
+
+def test_a_still_base_tracks_as_a_moving_one():
+    # A base that does not move gets one state and one frame, broadcast
+    # over the run; taking it as moving (one frame per torque step) gives
+    # the same trace, bit for bit.
+    model, params, script = load_config("base_tilt")
+    script = dataclasses.replace(script, duration=0.05)
+    assert not script.base_moves
+    plan = sim.plan(model, params, script)
+    still = sim.track(model, params, script, plan)
+    object.__setattr__(script, "base_moves", True)
+    moving = sim.track(model, params, script, plan)
+    assert oracles.trace_matrix(still).tobytes() \
+        == oracles.trace_matrix(moving).tobytes()
 
 
 def branch_rows(model, q, ref_orientations):
