@@ -18,8 +18,8 @@ from .model import ConfigError, load_scenario
 
 # Exit 2: a valid input that a solver or the plant cannot carry through.
 _SOLVER_FAILURES = (sim.SimulationError, ftcnd.FtcndIntegrationError,
-                    pomptc.SingularConfigurationError, np.linalg.LinAlgError,
-                    qp_oracle.InfeasibleProblem, qp_oracle.NotConverged)
+                    np.linalg.LinAlgError, qp_oracle.InfeasibleProblem,
+                    qp_oracle.NotConverged)
 
 _PANELS = {
     "path": (["pose_x", "pose_y", "pose_z", "ref_x", "ref_y", "ref_z"],

@@ -57,12 +57,6 @@ def _skews_and_columns(model: RobotModel, q_m):
     return skews, columns * tab.links
 
 
-def com_jacobians(model: RobotModel, q_m):
-    """Translational COM Jacobians in the base frame as [link i, axis,
-    joint k] of arm angles ``q_m`` (any batch shape, may be complex)."""
-    return _skews_and_columns(model, q_m)[1].swapaxes(-1, -3)
-
-
 def configuration_terms(model: RobotModel, Q, gravity=None,
                         a_b=None) -> ConfigurationTerms:
     """M, G, tau_b and W of the arm at the B configurations ``Q`` (B, n).
@@ -92,16 +86,6 @@ def configuration_terms(model: RobotModel, Q, gravity=None,
     return ConfigurationTerms(
         M=columns.reshape(B, n, 3 * n) @ mJ + tab.rotor, G=-Jm.dot(g),
         tau_b=tau_b, W=(T.reshape(B, n * n, 3 * n) @ mJ) * tab.pair_weights)
-
-
-def dynamics_terms(model: RobotModel, q_m, qdot_m, gravity=None,
-                   a_b=None) -> DynamicsTerms:
-    """M, C qdot, G and tau_b of the arm at (q_m, qdot_m): the
-    one-configuration :func:`configuration_terms` at ``qdot_m``."""
-    qdot_m, n = np.asarray(qdot_m, float), model.arm_joint_count
-    if np.shape(q_m) != (n,) or qdot_m.shape != (n,):
-        raise ValueError(f"expected arm vectors of length {n}")
-    return configuration_terms(model, [q_m], gravity, a_b).at(0, qdot_m)
 
 
 def solve_inertia(M, rhs):

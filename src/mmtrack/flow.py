@@ -20,6 +20,8 @@ import numpy as np
 # 1 / kappa - 1 at which they change (0.2 and 0.04 at kappa = 0.8): T
 # and Phi then agree with quadrature to about 1e-12 relative.
 _DX, _DS = 0.05, 0.2
+# Nodes per table at most: kappa = 0.05 takes 16 802 of T, 0.99 5 766 of Phi.
+_MAX_NODES = 100_000
 
 
 def _quintic_table(y, dy, d2y, lo, step):
@@ -62,10 +64,15 @@ class FlowMap:
     in both, every term of Li being a power of s, it is linear beyond
     the nodes (to 1e-16 at the ends).  Gauss-Legendre sums give T and
     T_inf - T at the nodes, both monotone, and Newton's method the nodes
-    of Phi."""
+    of Phi.  Tables that overflow, or would pass _MAX_NODES nodes (checked
+    before they are allocated), raise ValueError."""
 
+    @np.errstate(all="ignore")      # an overflow is refused, not warned of
     def __init__(self, mu: float, lam: float, zeta: float, kappa: float):
         self.mu, self.lam, self.zeta, self.kappa = mu, lam, zeta, kappa
+        refused = ValueError(f"the flow of mu={mu!r}, lam={lam!r}, zeta="
+                             f"{zeta!r}, kappa={kappa!r} cannot be tabulated: "
+                             f"it overflows or needs over {_MAX_NODES} nodes")
         q = 1.0 / kappa - 1.0
         gx, gw = np.polynomial.legendre.leggauss(12)
         gx = 0.5 + 0.5 * gx
@@ -86,9 +93,14 @@ class FlowMap:
             return (np.log(Tq / Rq), g * u,
                     g * (g1 * u + g / Rq ** 2 - g / Tq ** 2))
 
+        def nodes(lo, hi, step):    # lo + j step up to hi, within the cap
+            if not hi - lo <= _MAX_NODES * step:
+                raise refused
+            return lo + step * np.arange(math.ceil((hi - lo) / step) + 1)
+
         dx, ds = _DX / max(1.0 - kappa, q), _DS * min(1.0 - kappa, q)
         lo, hi = max(-740.0, -40.0 / (1.0 - kappa)), min(700.0, 40.0 / q)
-        x = lo + dx * np.arange(math.ceil((hi - lo) / dx) + 1)
+        x = nodes(lo, hi, dx)
         cell = integral(x[:-1], x[1:])
         # Beyond x0 dT/dx ~ exp(r x): T(lo) and T_inf - T(x[-1]).
         lo_tail, hi_tail = (
@@ -99,8 +111,7 @@ class FlowMap:
         self.t_inf = float(T[-1] + R[-1])
         sig = sigma(x, T, R)
         self._t_table = _quintic_table(*sig, lo, dx)
-        s = sig[0][0] + ds * np.arange(
-            math.ceil((sig[0][-1] - sig[0][0]) / ds) + 1)
+        s = nodes(sig[0][0], sig[0][-1], ds)
         xs = np.interp(s, sig[0], x)
         for _ in range(5):
             k = np.clip(((xs - lo) / dx).astype(np.intp), 0, x.size - 2)
@@ -109,9 +120,13 @@ class FlowMap:
             xs = xs - (sq - s) / d1
         self._phi_table = _quintic_table(xs, 1 / d1, -d2 / d1 ** 3, s[0], ds)
         # Phi's least argument: below it log Phi < -800, exp gives 0.
-        r = math.exp(s[0] - (xs[0] + 800.0) * d1[0])
+        e = s[0] - (xs[0] + 800.0) * d1[0]
+        r = math.exp(e) if e < 709.0 else math.inf     # inf: refused
         self._floor = max(self.t_inf * r / (1.0 + r), 1e-300 * self.t_inf)
         self._ceil = self.t_inf * (1.0 - 2.0 ** -52)   # T(s) of a huge s
+        if not all(np.isfinite(a).all() for a in (
+                self._t_table[0], self._phi_table[0], self._floor)):
+            raise refused
 
     def li(self, h):
         """(Li, Li') at |h|, elementwise, with |h| floored at 1e-300, where

@@ -80,6 +80,8 @@ class FtcndParams:
                 raise ValueError(f"{f.name} must be positive and finite")
         if not self.kappa < 1.0:
             raise ValueError("kappa must lie strictly inside (0, 1)")
+        # A gain set whose flow cannot be tabulated fails here.
+        flow_map(self.mu, self.lam, self.zeta, self.kappa)
 
 
 @dataclass
@@ -228,7 +230,8 @@ def solve(problem, params: FtcndParams, warm_start=None):
     if (clamped_n != clamped).any():
         clamped, L = clamped_n, None
     h_max = float(np.abs(h).max())
-    F = float(h @ h)
+    # inf, without a numpy warning, where h @ h <= n h_max^2 may overflow
+    F = float(h @ h) if h_max * h_max * h.size < 1e308 else math.inf
     eps = params.epsilon_h
     flow = flow_map(mu, params.lam, params.zeta, params.kappa)
     diag = FtcndDiagnostics(bound_t_f=flow.bound(h_max),
@@ -420,8 +423,8 @@ def solve(problem, params: FtcndParams, warm_start=None):
 
 def _finish(problem, v, h, xi: float, diag, Hz=None):
     """(z, diag) of a solve that ends at v, with h the free part of its
-    N v + D and ``Hz`` the product H z, formed here when not given;
-    the violation max(H z - w, 0) is ``problem.violation(z)``."""
+    N v + D and ``Hz`` the product H z, formed here when not given; the
+    diagnostics take the violation max(H z - w, 0) from it."""
     nz = problem.n_variables
     z = v[:nz].copy()
     Hz = problem.H @ z if Hz is None else Hz

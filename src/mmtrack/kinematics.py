@@ -150,7 +150,7 @@ def chain_frames(model: RobotModel, q):
 def forward_kinematics(model: RobotModel, q) -> Pose:
     """End-effector pose p = F(q) for the full chain (base + arm)."""
     _, _, R_ee, p_ee = chain_frames(model, np.asarray(q, float))
-    return Pose(p_ee.real, euler_zyx(R_ee))
+    return Pose(p_ee, euler_zyx(R_ee))
 
 
 def linearization(model: RobotModel, q):

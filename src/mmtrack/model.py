@@ -113,9 +113,6 @@ class JointLimits:
                 raise ConfigError(f"limits.{name}: expected a vector of "
                                   "finite numbers")
             object.__setattr__(self, name, arr)
-        self.validate()
-
-    def validate(self):
         m = len(self.q_lower)
         for name in _LIMIT_NAMES[1:]:
             if len(getattr(self, name)) != m:
@@ -318,16 +315,15 @@ def builtin_panda_on_base() -> RobotModel:
     )
 
 
-def builtin_planar_2link(l1: float = 0.5, l2: float = 0.5,
-                         m1: float = 1.0, m2: float = 1.0,
-                         gravity: float = 9.81) -> RobotModel:
-    """Fixed-base 2-link planar arm in the x-y plane (gravity along -y).
+def builtin_planar_2link() -> RobotModel:
+    """Fixed-base 2-link planar arm in the x-y plane (gravity along -y):
+    links of 0.5 m and 1 kg with their COMs at mid-length.
 
     Every closed-form oracle in the test suite runs against this model.
     """
     joints = [
         JointSpec("revolute", (0, 0, 1), (0, 0, 0), (0, 0, 0)),
-        JointSpec("revolute", (0, 0, 1), (l1, 0, 0), (0, 0, 0)),
+        JointSpec("revolute", (0, 0, 1), (0.5, 0, 0), (0, 0, 0)),
     ]
     big = 50.0
     return RobotModel(
@@ -335,12 +331,12 @@ def builtin_planar_2link(l1: float = 0.5, l2: float = 0.5,
         base_dof_count=0,
         arm_joint_count=2,
         joints=joints,
-        ee_offset_xyz=(l2, 0.0, 0.0),
+        ee_offset_xyz=(0.5, 0.0, 0.0),
         ee_offset_rpy=(0.0, 0.0, 0.0),
-        link_masses=(m1, m2),
-        link_com_offsets=((l1 / 2, 0.0, 0.0), (l2 / 2, 0.0, 0.0)),
+        link_masses=(1.0, 1.0),
+        link_com_offsets=((0.25, 0.0, 0.0), (0.25, 0.0, 0.0)),
         rotor_inertia=(0.0, 0.0),
-        gravity=(0.0, -gravity, 0.0),
+        gravity=(0.0, -9.81, 0.0),
         limits=JointLimits([-big, -big], [big, big],
                            [-big, -big], [big, big],
                            [-big, -big], [big, big]),

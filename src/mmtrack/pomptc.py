@@ -30,10 +30,6 @@ from .kinematics import Pose
 from .model import RobotModel
 
 
-class SingularConfigurationError(ValueError):
-    """Raised when the QP is assembled at a representation singularity."""
-
-
 def _check_psd(A, name):
     A = np.asarray(A, float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -113,9 +109,6 @@ class QpProblem:
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")
 
-    def violation(self, z) -> float:
-        return float(np.max(np.append(self.H @ np.asarray(z, float) - self.w, 0.0)))
-
 
 def assemble_qp(model: RobotModel, q, qdot_prev, pose_refs,
                 weights: PomptcWeights, t: float, N: int, Nu: int) -> QpProblem:
@@ -142,7 +135,7 @@ def assemble_qp(model: RobotModel, q, qdot_prev, pose_refs,
     q = np.asarray(q, float)
     pose_now, J, singular, det = kin.linearization(model, q)
     if singular:
-        raise SingularConfigurationError(
+        raise ValueError(
             f"configuration is representation-singular (det {det:.3e})")
     rows = list(model.task_rows)
     J = np.asfortranarray(J[rows, arm])   # BLAS rounding follows layout

@@ -145,10 +145,7 @@ def solve_reference(problem, penalized: bool = False, xi: float = 5.0):
     S, G, H or w is not finite or S is not positive definite.
     """
     problem.check_finite()
-    S = np.asarray(problem.S, float)
-    G = np.asarray(problem.G, float)
-    H = np.asarray(problem.H, float)
-    w = np.asarray(problem.w, float)
+    S, G, H, w = problem.S, problem.G, problem.H, problem.w
     try:
         np.linalg.cholesky(S)
     except np.linalg.LinAlgError:
@@ -170,10 +167,7 @@ def check_kkt(problem, z, tol: float = 1e-8) -> KktReport:
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    S = np.asarray(problem.S, float)
-    G = np.asarray(problem.G, float)
-    H = np.asarray(problem.H, float)
-    w = np.asarray(problem.w, float)
+    S, G, H, w = problem.S, problem.G, problem.H, problem.w
     z = np.asarray(z, float)
     slack = H @ z - w
     primal = float(np.max(np.append(slack, 0.0)))

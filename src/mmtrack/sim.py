@@ -389,8 +389,8 @@ def plan(model: RobotModel, params: ControllerParams,
          script: ScenarioScript) -> Plan:
     """The kinematic layer: one warm FTCND solve of the tracking QP per
     control step, integrated into the desired arm trajectory.  Raises
-    :class:`SimulationError` once more than ``FAILURE_BUDGET``
-    consecutive solves fail to converge."""
+    :class:`SimulationError` at a step whose QP cannot be assembled or
+    solved, or past ``FAILURE_BUDGET`` consecutive unconverged solves."""
     n, b = model.arm_joint_count, model.base_dof_count
     tc = script.control_period
     n_control = round(script.duration / tc)
@@ -412,10 +412,14 @@ def plan(model: RobotModel, params: ControllerParams,
     warm, past = None, []   # past: the last solutions, newest first
     failures = 0
     for j in range(n_control):
-        problem = pomptc.assemble_qp(
-            model, np.concatenate([base[j], q_md[j]]), qdot_prev, refs[j],
-            params.weights, tc, params.horizon, params.control_horizon)
-        z, diag = ftcnd.solve(problem, params.ftcnd, warm_start=warm)
+        try:    # a LinAlgError is a ValueError
+            problem = pomptc.assemble_qp(model, np.concatenate(
+                [base[j], q_md[j]]), qdot_prev, refs[j], params.weights, tc,
+                params.horizon, params.control_horizon)
+            z, diag = ftcnd.solve(problem, params.ftcnd, warm_start=warm)
+        except (ValueError, ftcnd.FtcndIntegrationError) as exc:
+            raise SimulationError(
+                f"control step at t = {j * tc:.3f} s: {exc}") from None
         past = [z] + past[:len(_EXTRAPOLATION) - 1]
         warm = warm_start(np.array(past))
         failures = 0 if diag.converged else failures + 1
@@ -558,8 +562,7 @@ def pose_columns(model: RobotModel, script: ScenarioScript,
     of ``R_ref' R``, where R and R_ref are rebuilt from the wrapped
     Euler angles.
     """
-    _, _, R_ee, p_ee = kin.chain_frames(model, q)
-    pose = Pose(p_ee, kin.euler_zyx(R_ee))
+    pose = kin.forward_kinematics(model, q)
     ref = Pose.from_vector(script.reference_path(time, initial_pose))
     err = kin.pose_error(pose, ref)
     R = kin.rotation_rpy(pose.orientation[..., ::-1])

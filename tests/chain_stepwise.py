@@ -95,7 +95,10 @@ def point_jacobians(model, rotations, origins, points, start: int = 0):
 
 
 def com_jacobians(model, q_m):
-    """Same contract as ``dynamics.com_jacobians``."""
+    """Translational COM Jacobians in the base frame as [link i, axis,
+    joint k] of arm angles ``q_m`` (any batch shape, may be complex):
+    ``dynamics._skews_and_columns``'s columns with joint and link
+    swapped."""
     start = model.base_dof_count
     R, o, _, _ = chain_frames(model, q_m, start)
     coms = np.einsum("...ixy,iy->...ix", R, model.link_com_offsets) + o
@@ -112,8 +115,9 @@ def forward_kinematics(model, q):
 
 
 def dynamics_terms(model, q_m, qdot_m, gravity=None, a_b=None):
-    """(M, bias, G, tau_b) as ``dynamics.dynamics_terms`` defines them,
-    from one complex-step pass of :func:`com_jacobians`."""
+    """(M, bias, G, tau_b) as ``dynamics.configuration_terms(model,
+    [q_m], gravity, a_b).at(0, qdot_m)`` defines them, from one
+    complex-step pass of :func:`com_jacobians`."""
     masses = model.link_masses
     g = model.gravity if gravity is None else np.asarray(gravity, float)
     Jz = com_jacobians(model, q_m + 1j * _CS_STEP * np.asarray(qdot_m))

@@ -212,7 +212,8 @@ def solve(problem, params, warm_start=None):
     if diag.h_inf_history[0] <= eps:
         diag.converged, diag.converge_time = True, 0.0
     z = v[:nz].copy()
-    diag.constraint_violation = problem.violation(z)
+    diag.constraint_violation = float(
+        np.max(np.append(problem.H @ z - problem.w, 0.0)))
     resid = residual(problem, v, xi)
     free = np.concatenate([np.arange(nz), nz + np.flatnonzero(~clamped)])
     diag.equality_residual = float(np.max(np.abs(resid[nz:][~clamped]))

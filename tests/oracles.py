@@ -1,7 +1,8 @@
 """Independent oracles of the library's numerical kernels.
 
-``dynamics.dynamics_terms`` forms M as one Gram matmul of the COM
-Jacobians and the bias vector ``C(q, qdot) qdot`` from one dual pass.
+``dynamics.configuration_terms`` forms M as one Gram matmul of the COM
+Jacobians and the bias vector ``C(q, qdot) qdot`` as one contraction
+with its Christoffel table.
 Here M is the mass-weighted einsum ``sum_i m_i Jc_i^T Jc_i``, dM/dq
 comes from a batched complex step (one imaginary perturbation per
 joint) of the joint-by-joint walk's COM Jacobians (``chain_stepwise``),

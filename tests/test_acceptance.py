@@ -202,7 +202,7 @@ def test_criterion_7_numerical_kernels(capsys):
     for _ in range(1000):
         q = rng.uniform(-1.5, 1.5, 7)
         qd = rng.uniform(-2.0, 2.0, 7)
-        terms = dynamics.dynamics_terms(model, q, qd)
+        terms = dynamics.configuration_terms(model, [q]).at(0, qd)
         spd_ok &= bool(np.allclose(terms.M, terms.M.T, atol=1e-12)
                        and np.linalg.eigvalsh(terms.M).min() > 0)
         Mdot = np.einsum("kij,k->ij", oracles.inertia_gradient(model, q), qd)
@@ -215,7 +215,7 @@ def test_criterion_7_numerical_kernels(capsys):
     for _ in range(200):
         q = rng.uniform(-np.pi, np.pi, 2)
         qd = rng.uniform(-3.0, 3.0, 2)
-        terms = dynamics.dynamics_terms(two, q, qd)
+        terms = dynamics.configuration_terms(two, [q]).at(0, qd)
         l1, lc, m1, m2, grav = 0.5, 0.25, 1.0, 1.0, 9.81
         c2 = np.cos(q[1])
         M = np.array([
@@ -275,7 +275,7 @@ def test_criterion_8_nftsm_finite_time_regulation(capsys):
         qd = np.zeros(2)
         err = np.zeros(steps)
         for i in range(steps):
-            terms = dynamics.dynamics_terms(model, q, qd)
+            terms = dynamics.configuration_terms(model, [q]).at(0, qd)
             tau, _ = nftsm.control_torque(terms, q - q_des, qd, np.zeros(2),
                                           params)
             qd = qd + dt * dynamics.forward_dynamics(terms, tau)

@@ -93,7 +93,7 @@ def test_com_jacobians_match_stepwise_walk(make_model, complex_step, shape):
         q_m = random_q(m, rng, shape)[..., m.arm_slice]
         if complex_step:
             q_m = q_m + 1e-20j * rng.normal(size=q_m.shape)
-        assert_close(dyn.com_jacobians(m, q_m),
+        assert_close(dyn._skews_and_columns(m, q_m)[1].swapaxes(-1, -3),
                      chain_stepwise.com_jacobians(m, q_m))
 
 
@@ -160,9 +160,9 @@ def test_christoffel_bias_matches_the_coriolis_oracle(make_model):
 
 @pytest.mark.parametrize("make_model", MODELS)
 def test_batched_pass_rows_are_single_passes(make_model):
-    # The loop's two-configuration passes and the one-configuration pass
-    # of dynamics_terms are one kernel: row b of a batch is the pass of
-    # configuration b alone, bit for bit.
+    # The loop's two-configuration passes and a one-configuration pass
+    # are one kernel: row b of a batch is the pass of configuration b
+    # alone, bit for bit.
     m = make_model()
     rng = np.random.default_rng(28)
     q = random_q(m, rng, (5,))[:, m.arm_slice]
@@ -198,8 +198,8 @@ def test_forward_kinematics_and_dynamics_terms_match_stepwise_walk(make_model):
         a_b = rng.normal(size=3)
         tilt = kin.rotation_rpy(rng.uniform(-0.3, 0.3, 3))
         gravity = tilt.T @ m.gravity
-        terms = dyn.dynamics_terms(m, q[m.arm_slice], qd, gravity=gravity,
-                                   a_b=a_b)
+        terms = dyn.configuration_terms(m, [q[m.arm_slice]], gravity,
+                                        a_b).at(0, qd)
         for new, expected in zip((terms.M, terms.bias, terms.G, terms.tau_b),
                                  chain_stepwise.dynamics_terms(
                                      m, q[m.arm_slice], qd, gravity=gravity,

@@ -280,6 +280,43 @@ def test_simulate_diverging_plant_exits_2_without_traceback(tmp_path):
     assert not (tmp_path / "out" / "trace.csv").exists()
 
 
+UNTABULATED = ("config error: ftcnd: the flow of mu={}, lam=1.0, zeta=30.0, "
+               "kappa={} cannot be tabulated: it overflows or needs over "
+               "100000 nodes")
+
+
+@pytest.mark.parametrize("line, rc, first_line", [
+    ("  kappa: 0.999999999", 1, UNTABULATED.format(5.0, 0.999999999)),
+    ("  kappa: 1.0e-300", 1, UNTABULATED.format(5.0, 1e-300)),
+    ("  mu: 1.0e+300", 1, UNTABULATED.format(1e300, 0.8)),
+    ("  pose_weight: 1.0e+300", 2, "solver failure: control step at t = "
+     "0.000 s: QP must be strictly convex (S positive definite)"),
+    ("  xi: 1.0e+300", 2, "solver failure: control step at t = 0.000 s: "
+     "non-finite neural state"),
+], ids=["kappa_edge", "kappa_tiny", "huge_mu", "huge_pose_weight",
+        "huge_xi"])
+def test_simulate_extreme_gain_exits_without_traceback_or_warning(
+        tmp_path, line, rc, first_line):
+    # nominal_circle for 0.05 s with one gain set to an extreme: a flow
+    # that cannot be tabulated is a config error, a control step that
+    # cannot be solved a solver failure naming its time.
+    lines = (Path(__file__).resolve().parent.parent / "configs"
+             / "nominal_circle.yaml").read_text(encoding="utf-8").split("\n")
+    key = line.split(":")[0] + ":"
+    assert "  duration: 10.0" in lines
+    assert sum(x.startswith(key) for x in lines) == 1
+    text = "\n".join("  duration: 0.05" if x == "  duration: 10.0"
+                     else line if x.startswith(key) else x for x in lines)
+    path = tmp_path / "extreme.yaml"
+    path.write_text(text, encoding="utf-8")
+    proc = run_cli("simulate", "--config", str(path),
+                   "--out", str(tmp_path / "out"))
+    assert proc.returncode == rc
+    assert proc.stderr.splitlines()[0] == first_line
+    assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+
+
 def test_simulate_unstable_plant_names_the_time(tmp_path):
     # RK4 at 1 ms goes unstable under these gains: the first overflow of
     # a torque step ends the run, before M stops factoring.

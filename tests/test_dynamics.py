@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -44,7 +46,7 @@ def test_two_link_matches_analytic_oracle():
     for _ in range(100):
         q = rng.uniform(-np.pi, np.pi, 2)
         qd = rng.uniform(-3, 3, 2)
-        t = dyn.dynamics_terms(m, q, qd)
+        t = dyn.configuration_terms(m, [q]).at(0, qd)
         Mo, Co, Go = two_link_oracle(q, qd)
         np.testing.assert_allclose(t.M, Mo, atol=1e-10)
         np.testing.assert_allclose(oracles.coriolis_matrix(m, q, qd), Co,
@@ -58,7 +60,7 @@ def test_inertia_symmetric_positive_definite():
     rng = np.random.default_rng(2)
     for _ in range(50):
         q = rng.uniform(-1.5, 1.5, 7)
-        M = dyn.dynamics_terms(m, q, np.zeros(7)).M
+        M = dyn.configuration_terms(m, [q]).M[0]
         np.testing.assert_allclose(M, M.T, atol=1e-12)
         assert np.linalg.eigvalsh(M).min() > 0
 
@@ -83,7 +85,7 @@ def test_bias_equals_coriolis_matrix_times_velocity(builtin):
     for _ in range(50):
         q = rng.uniform(-1.5, 1.5, n)
         qd = rng.uniform(-2, 2, n)
-        bias = dyn.dynamics_terms(m, q, qd).bias
+        bias = dyn.configuration_terms(m, [q]).at(0, qd).bias
         np.testing.assert_allclose(
             bias, oracles.coriolis_matrix(m, q, qd) @ qd, rtol=0, atol=1e-12)
 
@@ -93,12 +95,12 @@ def test_coriolis_vanishes_at_zero_velocity():
     q = np.full(7, 0.4)
     np.testing.assert_allclose(oracles.coriolis_matrix(m, q, np.zeros(7)),
                                0.0, atol=1e-15)
-    assert np.all(dyn.dynamics_terms(m, q, np.zeros(7)).bias == 0)
+    assert np.all(dyn.configuration_terms(m, [q]).at(0, np.zeros(7)).bias == 0)
 
 
 def test_gravity_zero_when_model_gravity_zero():
-    m = builtin_planar_2link(gravity=0.0)
-    t = dyn.dynamics_terms(m, [0.3, -0.7], [0.1, 0.2])
+    m = replace(builtin_planar_2link(), gravity=(0.0, 0.0, 0.0))
+    t = dyn.configuration_terms(m, [[0.3, -0.7]]).at(0, np.array([0.1, 0.2]))
     np.testing.assert_allclose(t.G, 0.0, atol=1e-15)
 
 
@@ -111,8 +113,8 @@ def test_inertia_gradient_matches_finite_differences():
         qp, qm = q.copy(), q.copy()
         qp[k] += eps
         qm[k] -= eps
-        fd = (dyn.dynamics_terms(m, qp, np.zeros(2)).M
-              - dyn.dynamics_terms(m, qm, np.zeros(2)).M) / (2 * eps)
+        fd = (dyn.configuration_terms(m, [qp]).M[0]
+              - dyn.configuration_terms(m, [qm]).M[0]) / (2 * eps)
         np.testing.assert_allclose(dM[k], fd, atol=1e-8)
 
 
@@ -128,20 +130,22 @@ def test_com_jacobians_vs_finite_differences():
     eps = 1e-6
     for _ in range(10):
         q = rng.uniform(-1.5, 1.5, 7)
-        fd = np.stack([(coms(q + eps * e) - coms(q - eps * e)) / (2 * eps)
-                       for e in np.eye(7)], axis=-1)
-        np.testing.assert_allclose(dyn.com_jacobians(m, q), fd, atol=1e-8)
+        # [joint k, axis, link i], as the kernel lays its columns out
+        fd = np.stack([(coms(q + eps * e) - coms(q - eps * e)).T / (2 * eps)
+                       for e in np.eye(7)])
+        np.testing.assert_allclose(dyn._skews_and_columns(m, q)[1], fd,
+                                   atol=1e-8)
 
 
 def base_torque(m, q, a_b):
-    return dyn.dynamics_terms(m, q, np.zeros(len(q)), a_b=a_b).tau_b
+    return dyn.configuration_terms(m, [q], a_b=a_b).tau_b[0]
 
 
 def test_base_torque_zero_and_linear():
     m = builtin_panda_on_base()
     q = np.array([0, -0.78, 0, -2.35, 0, 1.57, 0.78])
     assert np.all(base_torque(m, q, np.zeros(3)) == 0)
-    assert np.all(dyn.dynamics_terms(m, q, np.zeros(7)).tau_b == 0)
+    assert np.all(dyn.configuration_terms(m, [q]).tau_b == 0)
     a = np.array([0.3, -0.1, 0.7])
     t1 = base_torque(m, q, a)
     t2 = base_torque(m, q, 2 * a)
@@ -167,7 +171,7 @@ def test_forward_dynamics_consistency():
     q = rng.uniform(-1, 1, 2)
     qd = rng.uniform(-1, 1, 2)
     qdd = rng.uniform(-1, 1, 2)
-    t = dyn.dynamics_terms(m, q, qd)
+    t = dyn.configuration_terms(m, [q]).at(0, qd)
     tau = t.M @ qdd + t.bias + t.G
     np.testing.assert_allclose(dyn.forward_dynamics(t, tau), qdd, atol=1e-12)
 
@@ -184,7 +188,8 @@ def test_forward_dynamics_energy_conservation():
         return T + V
 
     def accel(q, qd):
-        return dyn.forward_dynamics(dyn.dynamics_terms(mdl, q, qd), [0.0])
+        terms = dyn.configuration_terms(mdl, [q]).at(0, qd)
+        return dyn.forward_dynamics(terms, [0.0])
 
     e0 = energy(q, qd)
     for _ in range(2000):

@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -11,6 +13,7 @@ import ftcnd_stepwise
 import oracles
 from conftest import hand_qp, random_qp, solver_batch_problems
 from mmtrack import ftcnd, qp_oracle, sim
+from mmtrack.flow import FlowMap
 from mmtrack.ftcnd import FtcndParams
 from mmtrack.model import load_scenario
 from mmtrack.pomptc import QpProblem
@@ -25,6 +28,10 @@ def test_params_validation():
         FtcndParams(mu=-1.0)
     with pytest.raises(ValueError, match="ode_step"):
         FtcndParams(ode_step=0.0)
+    # Gains whose flow cannot be tabulated fail at construction.
+    for gains in ({"kappa": 0.999999999}, {"mu": 1e300}):
+        with pytest.raises(ValueError, match="cannot be tabulated"):
+            FtcndParams(**gains)
 
 
 FLOW_GAINS = [(5.0, 1.0, 30.0, 0.8), (5.0, 2.5, 0.1, 0.7),
@@ -74,6 +81,38 @@ def test_scalar_ode_reaches_zero_within_bound():
         flow = ftcnd.flow_map(*gains)
         assert np.all(flow.bound(FLOW_LEVELS)
                       >= flow.time_to_zero(FLOW_LEVELS)), gains
+
+
+def test_flow_map_of_extreme_gains_is_finite_and_monotone_or_refused():
+    # Each gain set tabulates a finite, monotone flow, or raises
+    # ValueError before its tables outgrow the node cap; neither warns,
+    # and no build takes 50 MB.
+    extremes = [1e-300, 1e-3, 1e3, 1e300]
+    s = np.geomspace(1e-300, 1e300, 2001)
+    built = refused = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for gains in itertools.product(extremes, extremes, extremes,
+                                       [1e-300, 1e-3, 0.5, 1.0 - 1e-9]):
+            tracemalloc.start()
+            try:
+                flow = FlowMap(*gains)
+            except ValueError as exc:
+                flow = exc
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert peak < 50e6, gains
+            if isinstance(flow, ValueError):
+                assert str(flow).startswith("the flow of mu="), gains
+                refused += 1
+                continue
+            built += 1
+            t = flow.time_to_zero(s)
+            level = flow.level(np.linspace(0.0, flow.t_inf, 2001))
+            for y in (t, level):
+                assert np.isfinite(y).all() and np.all(np.diff(y) >= 0.0), \
+                    gains
+    assert built and refused
 
 
 def quad_time_to_zero(s, mu, lam, zeta, kappa):
@@ -174,7 +213,8 @@ def test_final_state_matches_lift_residual():
         assert diag_warm.factorizations == diag_warm.block_solves == 0
         for z, diag in ((z_cold, diag_cold), (z_warm, diag_warm)):
             settled += diag.iterations == 0
-            assert diag.constraint_violation == p.violation(z)
+            assert diag.constraint_violation == \
+                qp_oracle.check_kkt(p, z).primal_violation
             v, h = diag.final_state.v, diag.final_state.h
             np.testing.assert_array_equal(v[:nz], z)
             N, D, _ = oracles.lift(p, params.xi)
@@ -220,7 +260,8 @@ def test_settled_plan_solves_read_the_start_product(monkeypatch):
         assert not (problem.H @ z0 > problem.w).any()
         z, diag = solve(problem, params.ftcnd, warm_start=warm)
         assert diag.converged and diag.iterations == 0
-        assert diag.constraint_violation == problem.violation(z)
+        assert diag.constraint_violation == \
+            qp_oracle.check_kkt(problem, z).primal_violation
         v = diag.final_state.v
         resid = ftcnd.residual(problem, v, xi)
         clamped = (v[nz:] <= 0.0) & (resid[nz:] > 0.0)

@@ -64,7 +64,7 @@ def test_surface_values_and_oddness():
 
 def regulation_torque(model, q, qd, q_des, params):
     """The torque law regulating the arm at (q, qd) to rest at q_des."""
-    terms = dynamics.dynamics_terms(model, q, qd)
+    terms = dynamics.configuration_terms(model, [q]).at(0, qd)
     return nftsm.control_torque(terms, q - q_des, qd, np.zeros(len(q)),
                                 params)
 
@@ -84,7 +84,7 @@ def test_torque_zero_error_is_pure_compensation():
     q = np.array([0.3, 1.0])
     tau, s = regulation_torque(model, q, np.zeros(2), q, make_params())
     # s = 0, u_sw = 0, u_eq = -M^-1 G, so tau = G exactly.
-    terms = dynamics.dynamics_terms(model, q, np.zeros(2))
+    terms = dynamics.configuration_terms(model, [q]).at(0, np.zeros(2))
     np.testing.assert_allclose(tau, terms.G, atol=1e-10)
     np.testing.assert_allclose(s, 0.0, atol=1e-15)
     assert 0.5 * s @ s == 0.0
@@ -99,7 +99,7 @@ def _settle_time(params, steps=7000, dt=1e-3, tol=1e-3):
     qd = np.zeros(2)
     err = np.zeros(steps)
     for i in range(steps):
-        terms = dynamics.dynamics_terms(model, q, qd)
+        terms = dynamics.configuration_terms(model, [q]).at(0, qd)
         tau, _ = nftsm.control_torque(terms, q - q_des, qd, np.zeros(2),
                                       params)
         qdd = dynamics.forward_dynamics(terms, tau)
@@ -131,7 +131,7 @@ def test_lyapunov_rate_negative_outside_boundary_layer():
     dt = 1e-3
     V_prev = None
     for _ in range(1500):
-        terms = dynamics.dynamics_terms(model, q, qd)
+        terms = dynamics.configuration_terms(model, [q]).at(0, qd)
         tau, s = nftsm.control_torque(terms, q - q_des, qd, np.zeros(2),
                                       params)
         V = 0.5 * s @ s

@@ -243,7 +243,7 @@ def test_translation_invariance():
 def test_singular_configuration_rejected():
     model = builtin_planar_2link()
     refs = [[1.0, 0.0, 0.0, 0.0, 0.0, 0.0]]
-    with pytest.raises(pomptc.SingularConfigurationError):
+    with pytest.raises(ValueError, match="representation-singular"):
         pomptc.assemble_qp(model, np.zeros(2), np.zeros(2), refs,
                            make_weights(model), 0.01, 1, 1)
 

@@ -47,7 +47,7 @@ def test_exact_solutions_pass_kkt():
         z = qp_oracle.solve_reference(p)
         rep = qp_oracle.check_kkt(p, z)
         assert rep.passed, rep
-        assert p.violation(z) <= 1e-9
+        assert rep.primal_violation <= 1e-9
 
 
 def test_penalized_never_worse_on_lifted_objective():

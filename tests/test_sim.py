@@ -226,7 +226,7 @@ def test_pd_baseline_formula_and_validation():
     q = np.array([0.3, 1.0])
     qd = np.array([0.1, -0.2])
     q_md, qd_md = np.array([0.4, 0.9]), np.array([0.0, 0.1])
-    terms = dynamics.dynamics_terms(model, q, qd)
+    terms = dynamics.configuration_terms(model, [q]).at(0, qd)
     tau = sim.pd_baseline_torque(terms, q - q_md, qd - qd_md, 60.0, 25.0)
     expect = terms.G - 60.0 * (q - q_md) - 25.0 * (qd - qd_md)
     np.testing.assert_allclose(tau, expect, atol=1e-12)
@@ -653,7 +653,7 @@ def test_call_contract_of_the_closed_loop(monkeypatch, tmp_path):
 @pytest.mark.parametrize("make_model", MODELS)
 def test_paired_torque_steps_match_four_call_rk4(make_model):
     # Three torque steps of track, each with two configuration passes,
-    # against the RK4 step written out with one dynamics_terms call per
+    # against the RK4 step written out with one configuration pass per
     # stage; a base that moves along x (none for a fixed arm) makes
     # tau_b non-zero.  The first step starts at rest, the later ones
     # with joint rates.
@@ -681,7 +681,7 @@ def test_paired_torque_steps_match_four_call_rk4(make_model):
         e2 = qd - plan.qd_md[0]
 
         def terms_at(x, v):
-            return dynamics.dynamics_terms(model, x, v, a_b=a_b)
+            return dynamics.configuration_terms(model, [x], a_b=a_b).at(0, v)
         terms = terms_at(q, qd)
         tau, _ = nftsm.control_torque(terms, e1, e2, plan.qdd_md[0],
                                       params.nftsm)
@@ -736,15 +736,15 @@ def test_forward_kinematics_once_per_run(monkeypatch):
     fk = kin.forward_kinematics
 
     def counting(model, q):
-        calls.append(1)
+        calls.append(np.shape(q))
         return fk(model, q)
     monkeypatch.setattr(kin, "forward_kinematics", counting)
     model, params, script = load_quiet(TWOLINK_REG)
     script = dataclasses.replace(script, duration=0.1)
-    sim.run_closed_loop(model, params, script)
-    # The initial pose only: assemble_qp takes the pose from its own
-    # chain pass, and the trace's pose columns from chain_frames.
-    assert len(calls) == 1
+    trace = sim.run_closed_loop(model, params, script)
+    # The initial pose, and the trace's pose columns in one batch call:
+    # assemble_qp takes the pose from its own chain pass.
+    assert calls == [(model.total_dof,), trace.q.shape]
 
 
 def test_replace_resolves_the_time_functions_again():
