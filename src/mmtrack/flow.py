@@ -22,21 +22,25 @@ import numpy as np
 _DX, _DS = 0.05, 0.2
 # Nodes per table at most: kappa = 0.05 takes 16 802 of T, 0.99 5 766 of Phi.
 _MAX_NODES = 100_000
+_CHUNK = 4096   # cells per pass of the table builders: bounds temporaries
 
 
 def _quintic_table(y, dy, d2y, lo, step):
     """(cells, scale, offset): per cell, the coefficients of t^0 .. t^5
     (t in [0, 1] across it) of the quintic Hermite interpolant of values,
     slopes and curvatures at the nodes lo + j step, between a linear cell
-    below the nodes and one above."""
-    v, a = dy * step, d2y * step * step
-    d = y[1:] - y[:-1] - v[:-1] - 0.5 * a[:-1]
-    e, f = v[1:] - v[:-1] - a[:-1], a[1:] - a[:-1]
+    below the nodes and one above; built _CHUNK cells at a time."""
     cells = np.zeros((y.size + 1, 6))
-    cells[1:-1] = np.column_stack([
-        y[:-1], v[:-1], 0.5 * a[:-1], 10 * d - 4 * e + 0.5 * f,
-        -15 * d + 7 * e - f, 6 * d - 3 * e + 0.5 * f])
-    cells[0, :2], cells[-1, :2] = (y[0] - v[0], v[0]), (y[-1], v[-1])
+    for i in range(0, y.size - 1, _CHUNK):
+        k = slice(i, i + _CHUNK + 1)
+        yk, v, a = y[k], dy[k] * step, d2y[k] * step * step
+        d = yk[1:] - yk[:-1] - v[:-1] - 0.5 * a[:-1]
+        e, f = v[1:] - v[:-1] - a[:-1], a[1:] - a[:-1]
+        cells[1:-1][i:i + _CHUNK] = np.column_stack([
+            yk[:-1], v[:-1], 0.5 * a[:-1], 10 * d - 4 * e + 0.5 * f,
+            -15 * d + 7 * e - f, 6 * d - 3 * e + 0.5 * f])
+    v0, v1 = dy[0] * step, dy[-1] * step
+    cells[0, :2], cells[-1, :2] = (y[0] - v0, v0), (y[-1], v1)
     return cells, 1.0 / step, 1.0 - lo / step
 
 
@@ -83,9 +87,12 @@ class FlowMap:
             return (1.0 / (mu * den),
                     0.5 * lam * ((1.0 - kappa) * a - q * b) / den)
 
-        def integral(a, b):
-            return 0.5 * (b - a) * (dT(a[..., None] + (b - a)[..., None]
-                                       * gx)[0] @ gw)
+        def integral(a, b):     # over cells [a, b], _CHUNK at a time
+            out, d = np.empty(a.size), (b - a)[:, None]
+            for i in range(0, a.size, _CHUNK):
+                ak, dk = a[i:i + _CHUNK, None], d[i:i + _CHUNK]
+                out[i:i + _CHUNK] = 0.5 * dk[:, 0] * (dT(ak + dk * gx)[0] @ gw)
+            return out
 
         def sigma(xq, Tq, Rq):  # sigma and its two x-derivatives at xq
             g, g1 = dT(xq)
@@ -108,6 +115,7 @@ class FlowMap:
             for x0, r in ((lo, 1.0 - kappa), (x[-1], -q)))
         T = np.append(0.0, np.cumsum(cell)) + lo_tail
         R = np.append(np.cumsum(cell[::-1])[::-1], 0.0) + hi_tail
+        del cell                    # freed before the tables are built
         self.t_inf = float(T[-1] + R[-1])
         sig = sigma(x, T, R)
         self._t_table = _quintic_table(*sig, lo, dx)

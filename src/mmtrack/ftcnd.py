@@ -38,7 +38,9 @@ factor without gathering rows of H or w.  The start forms H z once: the
 slacks, N v + D (:func:`residual`, given the product) and, for a start
 that settles, the violation max(H z - w, 0) all read it.  A start with
 max|h| <= epsilon_h is final: 0 iterations, 0 factorizations, no second
-residual.
+residual.  Bad inputs are found through it: with numpy's invalid and
+overflow warnings off, a NaN or an infinity in S, G, H or w fails a
+factor or reaches N v + D (inf * 0 is NaN); ``check_finite`` names it.
 """
 from __future__ import annotations
 
@@ -152,18 +154,6 @@ def _free_part(resid, clamped):
                                  ~clamped])]
 
 
-def _derived_start(problem, z, xi: float):
-    """(v, h, clamped, Hz) of a start at z: the slacks max(0, w - H z)
-    clamp the rows that z violates, and h is the free part of N v + D;
-    the one product H z gives both."""
-    nz = problem.n_variables
-    Hz = problem.H @ z
-    v = np.concatenate([z, np.maximum(0.0, problem.w - Hz)])
-    resid = residual(problem, v, xi, Hz)
-    clamped = (v[nz:] <= 0.0) & (resid[nz:] > 0.0)
-    return v, _free_part(resid, clamped), clamped, Hz
-
-
 def _first_event(V, Hc, wc, nz, tol=0.0):
     """First interval of a block with an event, as (k, row, release):
     from row k to k + 1 of V (v[free] at consecutive samples), row the
@@ -202,49 +192,54 @@ def solve(problem, params: FtcndParams, warm_start=None):
     or a non-convex S raises ValueError; FtcndIntegrationError reports
     a residual that overflows.
     """
-    problem.check_finite()
-    S, H, w = problem.S, problem.H, problem.w
+    S, G, H, w = problem.S, problem.G, problem.H, problem.w
     nz, nc = problem.n_variables, problem.n_constraints
     xi, mu = params.xi, params.mu
-    # The factor of S is the segment factor while no row is clamped.
-    L_S, info = dpotrf(S, lower=1, clean=0)
-    if info:
-        raise ValueError("QP must be strictly convex (S positive definite)")
-
     z0 = np.zeros(nz) if warm_start is None else np.asarray(warm_start, float)
     if z0.shape != (nz,):
         raise ValueError(f"warm start must have length {nz}")
     if not np.isfinite(z0).all():
         raise ValueError("warm start must be finite")
-    # Start at the Newton endpoint of the rows that z0 violates.
-    # A z0 that clamps nothing takes S's factor, and 0.0 - G is the
-    # xi Hc'wc - G of no rows, signed zeros included.
-    clamped = H @ z0 > w
-    if clamped.any():
-        Hc, wc = H[clamped], w[clamped]
-        L, rhs = _factor(S + xi * (Hc.T @ Hc)), xi * (Hc.T @ wc) - problem.G
-    else:
-        L, rhs = L_S, 0.0 - problem.G
-    v, h, clamped_n, Hz = _derived_start(
-        problem, dpotrs(L, rhs, lower=1)[0], xi)
+    try:    # see "The start" in the module docstring
+        with np.errstate(invalid="ignore", over="ignore"):
+            # S's factor is the segment factor while no row is clamped.
+            L_S, info = dpotrf(S, lower=1, clean=0)
+            if info:
+                raise ValueError("QP must be strictly convex "
+                                 "(S positive definite)")
+            # Start at the Newton endpoint of the rows that z0 violates.  A
+            # z0 that clamps nothing takes S's factor, and 0.0 - G is the
+            # xi Hc'wc - G of no rows, signed zeros included.
+            clamped = H @ z0 > w
+            if clamped.any():
+                Hc, wc = H[clamped], w[clamped]
+                L, rhs = _factor(S + xi * (Hc.T @ Hc)), xi * (Hc.T @ wc) - G
+            else:
+                L, rhs = L_S, 0.0 - G
+            z = dpotrs(L, rhs, lower=1)[0]
+            Hz = H @ z
+            v = np.concatenate([z, np.maximum(0.0, w - Hz)])
+            resid = residual(problem, v, xi, Hz)
+            h_max = float(np.abs(resid).max())
+            # Fails on NaN, on inf, and where h'h <= n h_max^2 may overflow.
+            if not h_max * h_max * resid.size < 1e308:
+                raise FtcndIntegrationError("non-finite neural state")
+    except (ValueError, FtcndIntegrationError):
+        problem.check_finite()
+        raise
+    clamped_n = (v[nz:] <= 0.0) & (resid[nz:] > 0.0)
+    h = _free_part(resid, clamped_n)
+    if h is not resid:
+        h_max = float(np.abs(h).max())
     if (clamped_n != clamped).any():
         clamped, L = clamped_n, None
-    h_max = float(np.abs(h).max())
-    # inf, without a numpy warning, where h @ h <= n h_max^2 may overflow
-    F = float(h @ h) if h_max * h_max * h.size < 1e308 else math.inf
     eps = params.epsilon_h
     flow = flow_map(mu, params.lam, params.zeta, params.kappa)
-    diag = FtcndDiagnostics(bound_t_f=flow.bound(h_max),
-                            h_inf_history=[h_max],
-                            f_history=[F], time_history=[0.0])
-    if h_max <= eps:
-        # A derived start clamps only rows with r > 0, so the release
-        # test of the settled branch below cannot fire here: the start
-        # is final, and no segment is set up.
-        diag.converged, diag.converge_time = True, 0.0
+    diag = FtcndDiagnostics(h_max <= eps, 0.0 if h_max <= eps else math.inf,
+                            flow.bound(h_max), h_inf_history=[h_max],
+                            f_history=[float(h @ h)], time_history=[0.0])
+    if diag.converged:  # final: no test below releases a row with r > 0
         return _finish(problem, v, h, xi, diag, Hz)
-    if not math.isfinite(F):
-        raise FtcndIntegrationError("non-finite neural state")
 
     time, dt = 0.0, params.ode_step
     shift = max(_EVENT_TOL, eps)    # release below g = -shift
@@ -428,7 +423,9 @@ def _finish(problem, v, h, xi: float, diag, Hz=None):
     nz = problem.n_variables
     z = v[:nz].copy()
     Hz = problem.H @ z if Hz is None else Hz
-    diag.constraint_violation = float(np.max(np.append(Hz - problem.w, 0.0)))
-    diag.equality_residual = float(np.abs(h[nz:]).max(initial=0.0)) / xi
+    worst = (Hz - problem.w).max() if Hz.size else 0.0
+    diag.constraint_violation = float(worst) if worst > 0.0 else 0.0
+    diag.equality_residual = (float(np.abs(h[nz:]).max()) / xi
+                              if h.size > nz else 0.0)
     diag.final_state = NeuralState(v=v, h=h)
     return z, diag

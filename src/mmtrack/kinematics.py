@@ -162,7 +162,7 @@ def linearization(model: RobotModel, q):
     transform E.  det E = -cos(pitch), and the arcsin pitch of
     :func:`euler_zyx` has a cosine that never rounds to zero, so E is
     never exactly singular.  ``singular`` is True when |cos(base pitch)|
-    or ``det`` = det(J Jt) over the task rows is below TASK_SINGULARITY_TOL.
+    or ``det`` = det(J Jt) over task rows, arm columns < TASK_SINGULARITY_TOL.
     """
     q = np.asarray(q, float)
     rotations, origins, R_ee, p_ee = chain_frames(model, q)
@@ -178,7 +178,7 @@ def linearization(model: RobotModel, q):
     E = euler_rate_matrix(euler[0], euler[1])
     J = np.vstack([np.where(revolute, cross, axes).T,
                    np.linalg.solve(E, np.where(revolute, axes, 0.0).T)])
-    Jt = J[list(model.task_rows)]
+    Jt = J[list(model.task_rows), model.arm_slice]
     det = float(np.linalg.det(Jt @ Jt.T))
     pitch_singular = (model.base_dof_count >= 5
                       and abs(np.cos(q[4])) < TASK_SINGULARITY_TOL)

@@ -104,7 +104,7 @@ class QpProblem:
 
     def check_finite(self):
         """Raise ValueError naming the first of S, G, H, w that holds a
-        NaN or an infinity; the solvers call this before any work."""
+        NaN or an infinity: qp_oracle before any work, ftcnd on failure."""
         for name in ("S", "G", "H", "w"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")

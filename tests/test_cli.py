@@ -266,17 +266,20 @@ def test_simulate_solver_failure_exits_2_without_traceback(tmp_path):
 
 def test_simulate_diverging_plant_exits_2_without_traceback(tmp_path):
     # A finite but huge disturbance drives the plant until its inertia
-    # matrix no longer factors.
+    # matrix no longer factors.  The arm starts at the shipped initial_q,
+    # since its zero configuration is an arm singularity that the plan
+    # refuses before the plant runs.
     path = tmp_path / "huge.yaml"
     path.write_text("robot:\n  builtin: panda_on_base\nscenario:\n"
                     "  duration: 0.03\n"
+                    "  initial_q: [0.0, -0.78, 0.0, -2.35, 0.0, 1.57, 0.78]\n"
                     "  disturbance: {kind: step, value: 1.0e+300}\n",
                     encoding="utf-8")
     proc = run_cli("simulate", "--config", str(path),
                    "--out", str(tmp_path / "out"))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
-    assert "solver failure" in proc.stderr
+    assert "plant diverged" in proc.stderr
     assert not (tmp_path / "out" / "trace.csv").exists()
 
 

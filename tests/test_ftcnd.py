@@ -1,9 +1,11 @@
 import dataclasses
+import functools
 import itertools
 import math
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -113,6 +115,21 @@ def test_flow_map_of_extreme_gains_is_finite_and_monotone_or_refused():
                 assert np.isfinite(y).all() and np.all(np.diff(y) >= 0.0), \
                     gains
     assert built and refused
+
+
+def test_small_kappa_tables_build_in_bounded_memory():
+    # kappa = 0.01 takes 80 801 T nodes: the quadrature and the table
+    # builders take them _CHUNK cells at a time, so the build's peak
+    # stays near the 3.9 MB of the T table itself (56 MB at once).
+    FlowMap(5.0, 1.0, 30.0, 0.8)    # numpy's lazy imports are not counted
+    tracemalloc.start()
+    try:
+        flow = FlowMap(5.0, 1.0, 30.0, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(flow._t_table[0]) > 80_000
+    assert peak < 10e6
 
 
 def quad_time_to_zero(s, mu, lam, zeta, kappa):
@@ -426,6 +443,94 @@ def test_non_finite_problem_rejected(name, value):
         ftcnd.solve(p, FtcndParams())
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         qp_oracle.solve_reference(p)
+
+
+@functools.lru_cache(maxsize=1)
+def start_probes():
+    """{start: (problem, params, warm start)}: "warm" a QP of the first
+    0.1 s of nominal_circle's plan with its warm start, which settles at
+    its start, and "cold" the first criterion-1 QP, which integrates."""
+    text = (Path(__file__).resolve().parent.parent / "configs"
+            / "nominal_circle.yaml").read_text(encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        model, params, script = load_scenario(text)
+    solves = []
+    solve = ftcnd.solve
+
+    def recording(problem, p, warm_start=None):
+        solves.append((problem, p, warm_start))
+        return solve(problem, p, warm_start=warm_start)
+    with mock.patch.object(ftcnd, "solve", recording):
+        sim.plan(model, params, dataclasses.replace(script, duration=0.1))
+    return {"warm": solves[-1],
+            "cold": (solver_batch_problems()[0], FtcndParams(), None)}
+
+
+# (array, entry): S's lower triangle, which the factor reads, its upper
+# triangle, which only S z reads, and its diagonal; G, H and w at their
+# first, middle and last entries.
+START_PROBES = [("S", "lower"), ("S", "upper"), ("S", "diagonal"),
+                ("G", "first"), ("G", "last"), ("H", "first"),
+                ("H", "middle"), ("H", "last"), ("w", "first"),
+                ("w", "middle"), ("w", "last")]
+
+
+def with_entry(problem, name, where, value):
+    """``problem`` with one entry of S, G, H or w set to ``value``."""
+    data = np.array(getattr(problem, name))
+    n = data.shape[0]
+    index = {"lower": (n - 1, 0), "upper": (0, n - 1),
+             "diagonal": (n // 2, n // 2), "first": 0,
+             "middle": data.size // 2, "last": data.size - 1}[where]
+    if isinstance(index, tuple):
+        data[index] = value
+    else:
+        data.flat[index] = value
+    return dataclasses.replace(problem, **{name: data})
+
+
+@pytest.mark.parametrize("start", ["warm", "cold"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name,where", START_PROBES,
+                         ids=[f"{n}_{w}" for n, w in START_PROBES])
+def test_non_finite_entry_is_named_without_a_warning(name, where, value,
+                                                     start):
+    # The start runs on the unchecked problem: the bad entry fails a
+    # factor or reaches N v + D, and check_finite then names it, with no
+    # numpy warning on the way.
+    problem, params, warm = start_probes()[start]
+    bad = with_entry(problem, name, where, value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            ftcnd.solve(bad, params, warm_start=warm)
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            qp_oracle.solve_reference(bad)
+
+
+def test_check_finite_runs_only_when_the_start_fails(monkeypatch):
+    # A finite solve, settled at its start or integrated, makes no
+    # finiteness pass over S, G, H and w; a non-finite problem makes one,
+    # which names the bad array.
+    calls = []
+    check_finite = QpProblem.check_finite
+
+    def counting(problem):
+        calls.append(1)
+        return check_finite(problem)
+    monkeypatch.setattr(QpProblem, "check_finite", counting)
+    for start, (problem, params, warm) in start_probes().items():
+        calls.clear()
+        _, diag = ftcnd.solve(problem, params, warm_start=warm)
+        assert diag.converged
+        assert (diag.iterations == 0) == (start == "warm")
+        assert not calls
+        with pytest.raises(ValueError, match="^H must be finite$"):
+            ftcnd.solve(with_entry(problem, "H", "middle", np.inf), params,
+                        warm_start=warm)
+        assert len(calls) == 1
 
 
 def test_non_spd_problem_rejected():

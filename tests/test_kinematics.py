@@ -131,6 +131,10 @@ def test_representation_singular_flags():
     m = builtin_panda_on_base()
     q = np.concatenate([np.zeros(6), [0, -0.78, 0, -2.35, 0, 1.57, 0.78]])
     assert not oracles.is_representation_singular(m, q)[0]
+    # The arm's zero configuration is singular in the arm columns, which
+    # the QP plans, however far the base columns keep the full chain's.
+    flag, det = oracles.is_representation_singular(m, np.zeros(13))
+    assert flag and abs(det) <= 1e-12
     q_pitch = q.copy()
     q_pitch[4] = np.pi / 2  # base pitch at the Euler singularity
     assert oracles.is_representation_singular(m, q_pitch)[0]
