@@ -171,14 +171,19 @@ def cmd_compare(args) -> int:
         print(f"unknown controller(s): {', '.join(unknown)}; choose from "
               f"{', '.join(sim.CONTROLLERS)}", file=sys.stderr)
         return 1
+    repeated = [c for c in sim.CONTROLLERS if controllers.count(c) > 1]
+    if repeated:
+        print("repeated controller(s):", ", ".join(repeated), file=sys.stderr)
+        return 1
     model, params, script = _load_config(args.config)
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # Write only after every track has run: a failed compare writes nothing.
     plan = sim.plan(model, params, script)
-    sim.write_csv(out_dir / "steps.csv", sim.STEP_COLUMNS, [plan.steps])
     traces = {name: sim.track(model, params, script, plan, controller=name)
               for name in controllers}
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    sim.write_csv(out_dir / "steps.csv", sim.STEP_COLUMNS, [plan.steps])
 
     settle = min(2.0, script.duration / 2.0)
     summary = {}

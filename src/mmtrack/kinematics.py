@@ -1,5 +1,5 @@
-"""Forward kinematics, analytic Jacobian, Euler-rate handling, and the
-horizon discretization used by the predictive layer.
+"""Forward kinematics, the analytic Jacobian, Euler-rate handling and
+the pose error that the predictive layer linearizes.
 
 Orientation convention is Z-Y-X throughout: a pose orientation vector
 ``[yaw, pitch, roll]`` corresponds to ``R = Rz(yaw) @ Ry(pitch) @ Rx(roll)``.
@@ -184,22 +184,6 @@ def linearization(model: RobotModel, q):
                       and abs(np.cos(q[4])) < TASK_SINGULARITY_TOL)
     singular = pitch_singular or det < TASK_SINGULARITY_TOL
     return Pose(p_ee, euler), J, singular, det
-
-
-def prediction_matrix(t: float, N: int, Nu: int) -> np.ndarray:
-    """Lower-band horizon matrix: entry (i, k) = max(0, i+1-k) * t.
-
-    Maps stacked velocity increments to joint-angle offsets over the
-    prediction horizon.
-    """
-    i = np.arange(1, N + 1)[:, None]
-    k = np.arange(Nu)[None, :]
-    return np.maximum(0, i - k) * t
-
-
-def accumulation_matrix(Nu: int) -> np.ndarray:
-    """Lower-triangular ones; maps increments to velocity offsets."""
-    return np.tril(np.ones((Nu, Nu)))
 
 
 def pose_error(pose: Pose, ref: Pose) -> np.ndarray:

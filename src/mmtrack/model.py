@@ -557,9 +557,7 @@ def load_scenario(config_document: str):
     # Each step's H has (2N + 4Nu) n rows and Nu n columns.
     nu, n = params.control_horizon, model.arm_joint_count
     entries = (2 * params.horizon + 4 * nu) * n * nu * n
-    cap = _sim.MAX_TRACE_ROWS * sum(len(c) for _, c, _ in _sim.SimTrace.layout(
-        model.total_dof, n))
-    if entries > cap:
+    if entries > (cap := _pomptc.MAX_H_ENTRIES):
         raise ConfigError(f"pomptc: horizon: each step's H of {entries} "
-                          f"entries exceeds the {cap} of the largest trace")
+                          f"entries exceeds the cap of {cap} entries")
     return model, params, script

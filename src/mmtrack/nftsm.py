@@ -3,9 +3,10 @@
 The surface uses fractional exponents on both the position and velocity
 errors, which gives finite-time convergence without ever dividing by a
 vanishing error (the equivalent control multiplies by |e2|^(2-r2), so
-the classical terminal-SM singularity never appears).  The sign
-function is replaced by a boundary-layer saturation throughout to
-suppress chattering.
+the classical terminal-SM singularity never appears).  A boundary-layer
+saturation replaces the sign function throughout to suppress
+chattering; :func:`sliding_surface`, the surface's one form, also
+returns the parts that :func:`control_torque` reuses.
 
 The law tau = -M (u_eq + u_sw) takes the arm's dynamics terms as the
 loop holds them.  Its equivalent part contains -M^-1 (C qdot + G), and
@@ -51,25 +52,19 @@ class NftsmParams:
                           stacklevel=2)
 
 
-def saturation(s, delta: float):
-    """Boundary-layer saturation: s/delta clipped to [-1, 1]."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    return np.minimum(np.maximum(np.asarray(s, float) / delta, -1.0), 1.0)
+def _sat(x, delta: float):
+    """Boundary-layer saturation: x/delta clipped to [-1, 1]."""
+    return np.minimum(np.maximum(x / delta, -1.0), 1.0)
 
 
-def _surface(e1, e2, params: NftsmParams):
-    """s with the |e1|, |e2| and sat(e2/d) it is built from."""
+def sliding_surface(e1, e2, params: NftsmParams):
+    """s = e1 + alpha sat(e1/d)|e1|^r1 + beta sat(e2/d)|e2|^r2, elementwise,
+    for the joint position and velocity errors e1 and e2, with the |e1|,
+    |e2| and sat(e2/d) it is built from."""
     e = np.array((e1, e2), float)
-    a, sat = np.abs(e), np.minimum(np.maximum(e / params.delta, -1.0), 1.0)
+    a, sat = np.abs(e), _sat(e, params.delta)
     return (e1 + params.alpha * sat[0] * a[0] ** params.r1
             + params.beta * sat[1] * a[1] ** params.r2), a[0], a[1], sat[1]
-
-
-def sliding_surface(e1, e2, params: NftsmParams) -> np.ndarray:
-    """s = e1 + alpha sat(e1/d)|e1|^r1 + beta sat(e2/d)|e2|^r2, elementwise,
-    for the joint position and velocity errors e1 and e2."""
-    return _surface(e1, e2, params)[0]
 
 
 def control_torque(terms: DynamicsTerms, e1, e2, qdd_md,
@@ -84,10 +79,10 @@ def control_torque(terms: DynamicsTerms, e1, e2, qdd_md,
     tau = C qdot + G - M (u_frac - qdd_md + u_sw).  The caller adds the
     base-acceleration feed-forward on top.
     """
-    s, a1, a2, sat2 = _surface(e1, e2, params)
+    s, a1, a2, sat2 = sliding_surface(e1, e2, params)
     u = (a2 ** (2.0 - params.r2) * sat2 / (params.beta * params.r2)
          * (1.0 + params.alpha * params.r1 * a1 ** (params.r1 - 1.0))
          - qdd_md
-         + params.c1 * np.abs(s) ** params.r3 * saturation(s, params.delta)
+         + params.c1 * np.abs(s) ** params.r3 * _sat(s, params.delta)
          + params.c2 * s)
     return terms.bias + terms.G - terms.M.dot(u), s

@@ -11,11 +11,11 @@ form is, for the prediction matrix U and accumulation matrix I1,
 
 :func:`assemble_qp` builds it from these blocks after one chain pass
 (:func:`kinematics.linearization`).  U, I1, U'U, I1'I1 and the
-constraint matrix H depend on (t, N, Nu, n) alone: :func:`horizon_blocks`
-builds them once per such tuple and shares them read-only, and
-:class:`QpProblem` copies the H it is given.  ``tests/oracles.py``'s
-``direct_cost`` evaluates the same objective literally from the rolled
-trajectory and serves as the equivalence oracle for the assembly.
+constraint matrix H depend on (t, N, Nu, n) alone: their one home,
+:func:`horizon_blocks`, builds them once per such tuple and shares them
+read-only; :class:`QpProblem` copies the H it is given.  The assembly's
+oracle, ``tests/oracles.py``'s ``direct_cost``, rolls the horizon step
+by step without U or I1 and sums the objective literally.
 """
 from __future__ import annotations
 
@@ -28,6 +28,9 @@ import numpy as np
 from . import kinematics as kin
 from .kinematics import Pose
 from .model import RobotModel
+
+# The loader's cap on the entries of one step's H (0.67 GB of float64).
+MAX_H_ENTRIES = 84_000_000
 
 
 def _check_psd(A, name):
@@ -173,17 +176,16 @@ def assemble_qp(model: RobotModel, q, qdot_prev, pose_refs,
 @functools.lru_cache(maxsize=1)
 def horizon_blocks(t: float, N: int, Nu: int, n: int):
     """(U, I1, U'U, I1'I1, H) of a horizon, built on first use and
-    read-only: the N x Nu prediction matrix U, the Nu x Nu accumulation
-    matrix I1 and the constraint matrix H of n joints.  Only the last
-    horizon is kept: a plan uses one, and H may be large.
+    read-only: the N x Nu prediction matrix U, U[i, k] = max(0, i+1-k) t,
+    the Nu x Nu lower-triangular ones I1 and the constraint matrix H of
+    n joints.  Only the last is kept: a plan uses one, and H may be large.
 
     H has six blocks: q upper/lower (kron(U, I) maps z to q(j+i) - q(j)),
     qdot upper/lower (kron(I1, I) maps z to qdot(j+i) - qdot_prev) and
     acceleration upper/lower (the identity).
     """
-    U = kin.prediction_matrix(t, N, Nu)
-    I1 = kin.accumulation_matrix(Nu)
-    eye = np.eye(Nu)
+    U = np.maximum(0, np.arange(1, N + 1)[:, None] - np.arange(Nu)) * t
+    I1, eye = np.tril(np.ones((Nu, Nu))), np.eye(Nu)
     blocks = (U, I1, U.T @ U, I1.T @ I1,
               _kron(np.vstack([U, -U, I1, -I1, eye, -eye]), np.eye(n)))
     for a in blocks:

@@ -20,7 +20,6 @@ per control step (steps.csv), the trace one per torque step (trace.csv).
 """
 from __future__ import annotations
 
-import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field, fields
@@ -335,12 +334,10 @@ class SimTrace:
     sliding_Vdot: np.ndarray = _columns()
 
     @staticmethod
-    @functools.cache
     def layout(m: int, n: int):
         """(field name, column names, width) of every field, in
         trace.csv order, for m total and n arm DOFs; width is None for a
-        one-column field, held as a 1-D array (cached: every load reads
-        it)."""
+        one-column field, held as a 1-D array."""
         out = []
         for f in fields(SimTrace):
             sfx, stem = f.metadata["suffixes"], f.metadata["stem"] or f.name
@@ -363,12 +360,6 @@ class SimTrace:
         write_csv(path, [c for _, cols, _ in SimTrace.layout(
             self.q.shape[1], self.tau.shape[1]) for c in cols],
             [getattr(self, f.name) for f in fields(self)])
-
-
-def pd_baseline_torque(terms: dynamics.DynamicsTerms, e1, e2,
-                       kp: float, kd: float) -> np.ndarray:
-    """Gravity-compensated PD: tau = G - Kp e1 - Kd e2."""
-    return terms.G - kp * e1 - kd * e2
 
 
 # A run's desired arm trajectory, by control step j: ``q_md`` (J + 1, n)
@@ -495,9 +486,8 @@ def track(model: RobotModel, params: ControllerParams,
                     model, q_arm + nodes_12 * qd_arm, g_base, a_base)
                 terms0 = pair.at(0, qd_arm)
                 if controller == "pd":
-                    tau = pd_baseline_torque(terms0, e1, e2, params.pd_kp,
-                                             params.pd_kd)
-                    s_now = nftsm.sliding_surface(e1, e2, params.nftsm)
+                    tau = terms0.G - params.pd_kp * e1 - params.pd_kd * e2
+                    s_now = nftsm.sliding_surface(e1, e2, params.nftsm)[0]
                 else:
                     tau, s_now = nftsm.control_torque(
                         terms0, e1, e2, plan.qdd_md[j], params.nftsm)

@@ -10,13 +10,14 @@ and C is the Christoffel Coriolis matrix built from dM/dq, so that
 q' (Mdot - 2C) q' vanishes identically.
 
 The other oracles are the literal forms of what the library computes
-in closed form or never forms: ``direct_cost`` rolls the horizon
-(``predict_joint_trajectory``) and sums the cost of
-``pomptc.assemble_qp`` term by term; ``brute_force`` enumerates the
-active sets of a tiny QP for ``qp_oracle.solve_reference``; ``lift``
-forms the dense matrix N of the slack lift that ``ftcnd.solve`` only
-factors in reduced form; ``is_representation_singular`` reads the
-singularity test of ``kinematics.linearization``.
+in closed form or never forms: ``direct_cost`` rolls the horizon step
+by step (``predict_joint_trajectory``), sharing no U or I1 with
+``pomptc.horizon_blocks``, and sums the cost of ``pomptc.assemble_qp``
+term by term; ``brute_force`` enumerates the active sets of a tiny QP
+for ``qp_oracle.solve_reference``; ``lift`` forms the dense matrix N of
+the slack lift that ``ftcnd.solve`` only factors in reduced form;
+``is_representation_singular`` reads the singularity test of
+``kinematics.linearization``.
 
 ``reference_pose`` is the scripted reference one time at a time,
 ``trace_from_csv`` reads a ``trace.csv`` back into a ``SimTrace``,
@@ -69,7 +70,10 @@ def is_representation_singular(model, q):
 
 
 def predict_joint_trajectory(q_j, qdot_prev, delta_v, t: float, N: int):
-    """Roll the velocity-increment recursion forward over the horizon.
+    """Roll the velocity-increment recursion forward over the horizon,
+    one step at a time from qdot(j-1) = qdot_prev: qdot(j+i) =
+    qdot(j+i-1) + delta_v[i] and q(j+i+1) = q(j+i) + t qdot(j+i), with
+    no horizon matrix.
 
     Parameters
     ----------
@@ -92,11 +96,15 @@ def predict_joint_trajectory(q_j, qdot_prev, delta_v, t: float, N: int):
         raise ValueError("sampling period must be positive")
     if N < Nu:
         raise ValueError(f"prediction horizon N={N} shorter than Nu={Nu}")
-    U = kin.prediction_matrix(t, N, Nu)
-    I1 = kin.accumulation_matrix(Nu)
-    qdot_traj = qdot_prev[None, :] + I1 @ delta_v
-    steps = np.arange(1, N + 1)[:, None]
-    q_traj = q_j[None, :] + steps * t * qdot_prev[None, :] + U @ delta_v
+    q_traj = np.empty((N, len(q_j)))
+    qdot_traj = np.empty((Nu, len(q_j)))
+    q, qdot = q_j, qdot_prev
+    for i in range(N):
+        if i < Nu:
+            qdot = qdot + delta_v[i]
+            qdot_traj[i] = qdot
+        q = q + t * qdot
+        q_traj[i] = q
     return q_traj, qdot_traj
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import hand_qp
+from conftest import hand_qp, solver_batch_problems
 import mmtrack
 from mmtrack import cli, ftcnd, pomptc, qp_oracle, sim
 
@@ -38,6 +38,9 @@ ftcnd:
   max_time: 1.0e-4
   epsilon_h: 1.0e-300
 """
+
+NOMINAL_CIRCLE = (Path(__file__).resolve().parent.parent / "configs"
+                  / "nominal_circle.yaml").read_text(encoding="utf-8")
 
 BAD_LIMITS_CONFIG = """
 robot:
@@ -146,9 +149,27 @@ SHORT = "scenario: {duration: 0.02}\n"
     (ARM + SHORT + "pd: {kp: 0}", "pd", "pd.kp"),
     (ARM + SHORT + "nftsm: {compensate_base: true}", "nftsm",
      "nftsm.compensate_base: unknown key"),
+    (ARM + "ftcnd: {xi: yes}", "nftsm",
+     "ftcnd: xi: expected a finite number, got True"),
+    (ARM + "pomptc: {pose_weight: yes}", "nftsm",
+     "pomptc: pose_weight: expected a finite number, got True"),
+    # 10^12 reference rows per control step: refused before any is made.
+    (ARM + "pomptc: {horizon: 1.0e+12, control_horizon: 1}", "nftsm",
+     "pomptc: horizon: 1000000000000 rows per control step over 1000 "
+     "steps exceed the cap of 1000000 rows"),
+    # A fixed-base arm has no base to tilt.
+    (ARM + "scenario: {base_motion: {kind: static, "
+     "pose: [0, 0, 0, 0, 0.21, 0]}}", "nftsm",
+     "scenario: base_motion: model has no base DOFs to move"),
+    # nominal_circle at N = Nu = 1 000: an H of 2.35 GB per step.
+    (NOMINAL_CIRCLE.replace("  horizon: 5\n  control_horizon: 5\n",
+                            "  horizon: 1000\n  control_horizon: 1000\n"),
+     "nftsm", "pomptc: horizon: each step's H of 294000000 entries "
+     "exceeds the cap of 84000000 entries"),
 ], ids=["ftcnd_key", "nftsm_key", "scenario_key", "robot_key",
         "pomptc_key", "top_key", "ftcnd_nan", "nftsm_inf", "pd_zero",
-        "compensate_base_removed"])
+        "compensate_base_removed", "bool_gain", "bool_weight",
+        "huge_horizon", "static_pose", "huge_qp"])
 def test_simulate_config_probe_exits_1(tmp_path, capsys, doc, controller,
                                        key):
     path = tmp_path / "bad.yaml"
@@ -220,7 +241,8 @@ def test_simulate_removed_mpc_mask_key_exits_1(tmp_path, capsys):
     rc = cli.main(["simulate", "--config", str(path),
                    "--out", str(tmp_path / "out")])
     assert rc == 1
-    assert "actuated_by_mpc" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(
+        "config error: robot.actuated_by_mpc: unknown key")
 
 
 @pytest.mark.parametrize("duration", [".inf", ".nan", "1.0e+9"])
@@ -320,11 +342,11 @@ def test_simulate_extreme_gain_exits_without_traceback_or_warning(
     assert "RuntimeWarning" not in proc.stderr
 
 
-def test_simulate_unstable_plant_names_the_time(tmp_path):
-    # RK4 at 1 ms goes unstable under these gains: the first overflow of
-    # a torque step ends the run, before M stops factoring.
-    text = (Path(__file__).resolve().parent.parent / "configs"
-            / "nominal_circle.yaml").read_text(encoding="utf-8")
+def unstable_config(tmp_path):
+    """nominal_circle for 0.3 s with gains under which RK4 at 1 ms goes
+    unstable: the first overflow of an NFTSM torque step ends the run,
+    before M stops factoring."""
+    text = NOMINAL_CIRCLE
     for old, new in (("  duration: 10.0\n", "  duration: 0.3\n"),
                      ("  c1: 20.0\n", "  c1: 3260\n"),
                      ("    radius: 0.1\n", "    radius: 64.3\n")):
@@ -332,12 +354,30 @@ def test_simulate_unstable_plant_names_the_time(tmp_path):
         text = text.replace(old, new)
     path = tmp_path / "unstable.yaml"
     path.write_text(text, encoding="utf-8")
-    proc = run_cli("simulate", "--config", str(path),
+    return path
+
+
+def test_simulate_unstable_plant_names_the_time(tmp_path):
+    proc = run_cli("simulate", "--config", str(unstable_config(tmp_path)),
                    "--out", str(tmp_path / "out"))
     assert proc.returncode == 2
     assert proc.stderr.startswith("solver failure: plant diverged at t = ")
-    assert "RuntimeWarning" not in proc.stderr
-    assert "Traceback" not in proc.stderr
+    for stream in (proc.stdout, proc.stderr):
+        assert "RuntimeWarning" not in stream
+        assert "Traceback" not in stream
+    assert not (tmp_path / "out").exists()
+
+
+def test_failed_compare_leaves_no_output_directory(tmp_path, capsys):
+    # pd tracks the unstable plan to its end, then nftsm diverges: the
+    # run fails as a whole, and writes neither steps.csv nor pd's trace.
+    out = tmp_path / "out"
+    rc = cli.main(["compare", "--config", str(unstable_config(tmp_path)),
+                   "--controllers", "pd,nftsm", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        "solver failure: plant diverged at t = ")
+    assert not out.exists()
 
 
 def test_solve_qp_both_solvers(tmp_path, capsys):
@@ -387,6 +427,23 @@ def test_solve_qp_non_finite_problem_exits_1(tmp_path, capsys, solver):
     captured = capsys.readouterr()
     assert rc == 1
     assert "G must be finite" in captured.err
+
+
+def test_solve_qp_infinite_h_entry_exits_1_without_warning(tmp_path):
+    # One infinite entry of a criterion-1 QP's H: ftcnd.solve finds it
+    # through its start's residual and names it, an invalid problem with
+    # no numpy warning.
+    problem = solver_batch_problems()[0]
+    H = np.array(problem.H)
+    H.flat[H.size // 2] = np.inf
+    path = tmp_path / "problem.txt"
+    path.write_text(pomptc.problem_to_text(dataclasses.replace(problem, H=H)),
+                    encoding="utf-8")
+    proc = run_cli("solve-qp", "--problem", str(path), "--solver", "both")
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[0] == "invalid problem: H must be finite"
+    assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_solve_qp_overflowing_problem_exits_2(tmp_path, capsys):
@@ -458,11 +515,18 @@ def test_solve_qp_on_a_directory_exits_1_without_traceback(tmp_path):
 
 
 def test_compare_needs_two_controllers(short_config, tmp_path, capsys):
-    rc = cli.main(["compare", "--config", str(short_config),
-                   "--controllers", "nftsm", "--out", str(tmp_path / "o")])
-    captured = capsys.readouterr()
-    assert rc == 1
-    assert "at least two" in captured.err
+    # One controller, or one named twice, is refused before the plan.
+    for controllers, message in (
+            ("nftsm", "compare needs at least two controllers"),
+            ("nftsm,nftsm", "repeated controller(s): nftsm"),
+            ("pd,nftsm,pd,nftsm-no-taub,nftsm",
+             "repeated controller(s): nftsm, pd")):
+        rc = cli.main(["compare", "--config", str(short_config),
+                       "--controllers", controllers,
+                       "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == message + "\n"
+        assert not (tmp_path / "o").exists()
 
 
 def test_compare_rejects_unknown_controller(short_config, tmp_path, capsys):

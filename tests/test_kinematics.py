@@ -5,7 +5,7 @@ import pytest
 
 import chain_stepwise as cs
 import oracles
-from mmtrack import kinematics as kin
+from mmtrack import kinematics as kin, pomptc
 from mmtrack.model import builtin_panda_on_base, builtin_planar_2link
 
 
@@ -141,15 +141,17 @@ def test_representation_singular_flags():
 
 
 def test_prediction_matrix_values():
-    U = kin.prediction_matrix(0.1, 4, 2)
+    # pomptc.horizon_blocks is the one home of U and I1.
+    U = pomptc.horizon_blocks(0.1, 4, 2, 1)[0]
     expect = 0.1 * np.array([[1, 0], [2, 1], [3, 2], [4, 3]])
     np.testing.assert_allclose(U, expect)
-    I1 = kin.accumulation_matrix(3)
-    np.testing.assert_allclose(I1, np.tril(np.ones((3, 3))))
+    I1 = pomptc.horizon_blocks(0.1, 3, 3, 1)[1]
+    np.testing.assert_array_equal(I1, [[1, 0, 0], [1, 1, 0], [1, 1, 1]])
 
 
 def test_predict_trajectory_matches_recursion():
-    # Oracle: literal step-by-step rollout of the increment recursion.
+    # The oracle's step-by-step rollout of the increment recursion equals
+    # its closed form through the assembly's U and I1.
     rng = np.random.default_rng(5)
     m, Nu, N, t = 3, 4, 6, 0.05
     q = rng.normal(size=m)
@@ -157,14 +159,11 @@ def test_predict_trajectory_matches_recursion():
     delta = rng.normal(size=(Nu, m))
     q_traj, qdot_traj = oracles.predict_joint_trajectory(q, qdp, delta, t, N)
 
-    qd = qdp.copy()
-    qq = q.copy()
-    for i in range(N):
-        if i < Nu:
-            qd = qd + delta[i]
-            np.testing.assert_allclose(qdot_traj[i], qd, atol=1e-13)
-        qq = qq + t * qd
-        np.testing.assert_allclose(q_traj[i], qq, atol=1e-13)
+    U, I1 = pomptc.horizon_blocks(t, N, Nu, m)[:2]
+    np.testing.assert_allclose(qdot_traj, qdp + I1 @ delta, atol=1e-13)
+    np.testing.assert_allclose(
+        q_traj, q + np.arange(1, N + 1)[:, None] * t * qdp + U @ delta,
+        atol=1e-13)
 
 
 def test_predict_trajectory_rejects_bad_horizon():

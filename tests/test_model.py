@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles import serialize_scenario
+from mmtrack import pomptc
 from mmtrack.ftcnd import FtcndParams
 from mmtrack.kinematics import Pose
 from mmtrack.model import (ConfigError, JointLimits, JointSpec,
@@ -291,9 +292,9 @@ def test_load_scenario_bounds_the_reference_window():
         with pytest.raises(ConfigError, match=r"^pomptc: horizon: .* exceed "
                            r"the cap of 1000000 rows$"):
             load_scenario(doc % horizon)
-    # Each step's H, (2N + 4Nu) n x Nu n, is held to the largest trace,
-    # 10^6 rows of 84 columns on panda_on_base: N = Nu = 100 gives
-    # 4 200 x 700 entries, N = Nu = 1 000 gives 42 000 x 7 000.
+    # Each step's H, (2N + 4Nu) n x Nu n, is held to pomptc.MAX_H_ENTRIES
+    # on every robot.  On panda_on_base N = Nu = 100 gives 4 200 x 700
+    # entries, N = Nu = 1 000 gives 42 000 x 7 000.
     text = (CONFIG_DIR / "nominal_circle.yaml").read_text(encoding="utf-8")
     pair = "  horizon: 5\n  control_horizon: 5\n"
     assert pair in text
@@ -302,9 +303,21 @@ def test_load_scenario_bounds_the_reference_window():
         params = load_scenario(text.replace(pair, pair.replace("5", "100")))[1]
     assert (params.horizon, params.control_horizon) == (100, 100)
     with pytest.raises(ConfigError, match=r"^pomptc: horizon: each step's H "
-                       r"of 294000000 entries exceeds the 84000000 of the "
-                       r"largest trace$"):
+                       r"of 294000000 entries exceeds the cap of 84000000 "
+                       r"entries$"):
         load_scenario(text.replace(pair, pair.replace("5", "1000")))
+    # On planar_2link (n = 2) over 1 s, N = 4 000 and Nu = 1 500 give
+    # 28 000 x 3 000 entries, the cap itself; N = 4 001 gives 12 000 more.
+    doc = ("robot: {builtin: planar_2link}\nscenario: {duration: 1.0}\n"
+           "pomptc: {horizon: %d, control_horizon: 1500}\n")
+    assert pomptc.MAX_H_ENTRIES == 84_000_000
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert load_scenario(doc % 4000)[1].horizon == 4000
+    with pytest.raises(ConfigError, match=r"^pomptc: horizon: each step's H "
+                       r"of 84012000 entries exceeds the cap of 84000000 "
+                       r"entries$"):
+        load_scenario(doc % 4001)
 
 
 @pytest.mark.parametrize("robot, match", [

@@ -37,28 +37,36 @@ def test_r3_equal_one_warns():
 
 
 def test_saturation_branches():
-    d = 0.05
-    assert nftsm.saturation(2 * d, d) == 1.0
-    assert nftsm.saturation(0.5 * d, d) == pytest.approx(0.5)
-    assert nftsm.saturation(-3 * d, d) == -1.0
-    np.testing.assert_allclose(nftsm.saturation([0.0, d], d), [0.0, 1.0])
-    with pytest.raises(ValueError):
-        nftsm.saturation(1.0, 0.0)
+    # The boundary-layer clip, above, inside and below the layer and on
+    # its edge, as sliding_surface returns it for e2 and applies it to e1;
+    # delta itself is validated once, by NftsmParams.
+    p = make_params()
+    d = p.delta
+    e = np.array([2 * d, 0.5 * d, -3 * d, 0.0, d])
+    s, a1, a2, sat2 = nftsm.sliding_surface(np.zeros(5), e, p)
+    np.testing.assert_array_equal(sat2, [1.0, 0.5, -1.0, 0.0, 1.0])
+    np.testing.assert_array_equal(a1, 0.0)
+    np.testing.assert_array_equal(a2, np.abs(e))
+    np.testing.assert_allclose(s, p.beta * sat2 * a2 ** p.r2, rtol=1e-15)
+    s = nftsm.sliding_surface(e, np.zeros(5), p)[0]
+    np.testing.assert_allclose(
+        s, e + p.alpha * np.array([1.0, 0.5, -1.0, 0.0, 1.0])
+        * np.abs(e) ** p.r1, rtol=1e-15)
 
 
 def test_surface_values_and_oddness():
     p = make_params()
     z = np.zeros(2)
-    np.testing.assert_allclose(nftsm.sliding_surface(z, z, p), 0.0)
+    np.testing.assert_allclose(nftsm.sliding_surface(z, z, p)[0], 0.0)
     # e1 = 0, e2 = 1: s = beta * sat(1/delta) * 1^r2 = 1.
-    s = nftsm.sliding_surface(np.array([0.0]), np.array([1.0]), p)
+    s = nftsm.sliding_surface(np.array([0.0]), np.array([1.0]), p)[0]
     assert s[0] == pytest.approx(1.0)
     rng = np.random.default_rng(2)
     for _ in range(20):
         e1 = rng.normal(size=3)
         e2 = rng.normal(size=3)
-        sp = nftsm.sliding_surface(e1, e2, p)
-        sm = nftsm.sliding_surface(-e1, -e2, p)
+        sp = nftsm.sliding_surface(e1, e2, p)[0]
+        sm = nftsm.sliding_surface(-e1, -e2, p)[0]
         np.testing.assert_allclose(sm, -sp, atol=1e-14)
 
 

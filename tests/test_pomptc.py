@@ -128,7 +128,7 @@ def test_assembly_walks_the_chain_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_horizon_blocks_are_built_once_and_shared_read_only(monkeypatch):
+def test_horizon_blocks_are_built_once_and_shared_read_only():
     # U, I1, U'U, I1'I1 and H are built once per (t, N, Nu, n) and
     # shared read-only; each problem holds its own copy of H, and an
     # assembly from the cache is bit-equal to the one that filled it.
@@ -137,17 +137,11 @@ def test_horizon_blocks_are_built_once_and_shared_read_only(monkeypatch):
     q, qdp = random_state(model, rng)
     refs = random_refs(model, q, rng, 5)
     w = dense_weights(model, rng)
-    builds = []
-    prediction_matrix = kin.prediction_matrix
-
-    def counting(*args):
-        builds.append(args)
-        return prediction_matrix(*args)
-    monkeypatch.setattr(kin, "prediction_matrix", counting)
     pomptc.horizon_blocks.cache_clear()
     a, b = (pomptc.assemble_qp(model, q, qdp, refs, w, 0.01, 5, 5)
             for _ in range(2))
-    assert builds == [(0.01, 5, 5)]
+    info = pomptc.horizon_blocks.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
     blocks = pomptc.horizon_blocks(0.01, 5, 5, 7)
     for block in blocks:
         with pytest.raises(ValueError, match="read-only"):
@@ -162,7 +156,8 @@ def test_horizon_blocks_are_built_once_and_shared_read_only(monkeypatch):
     # the literal horizon sums.
     args = (model, q, qdp, refs[:4], w, 0.02, 4, 3)
     c = pomptc.assemble_qp(*args)
-    assert builds[1:] == [(0.02, 4, 3)]
+    info = pomptc.horizon_blocks.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 2, 1)
     other = pomptc.horizon_blocks(0.02, 4, 3, 7)
     assert other[-1].shape == ((2 * 4 + 4 * 3) * 7, 3 * 7)
     np.testing.assert_array_equal(c.H, other[-1])

@@ -219,19 +219,6 @@ def test_warm_start_continues_a_polynomial(degree):
                                            rtol=0, atol=atol)
 
 
-def test_pd_baseline_formula_and_validation():
-    # The gains are validated once, at load: see the pd cases of
-    # test_model.py's test_load_scenario_rejects_malformed_values.
-    model = builtin_planar_2link()
-    q = np.array([0.3, 1.0])
-    qd = np.array([0.1, -0.2])
-    q_md, qd_md = np.array([0.4, 0.9]), np.array([0.0, 0.1])
-    terms = dynamics.configuration_terms(model, [q]).at(0, qd)
-    tau = sim.pd_baseline_torque(terms, q - q_md, qd - qd_md, 60.0, 25.0)
-    expect = terms.G - 60.0 * (q - q_md) - 25.0 * (qd - qd_md)
-    np.testing.assert_allclose(tau, expect, atol=1e-12)
-
-
 def test_run_raises_once_failure_budget_is_exceeded(monkeypatch):
     doc = TWOLINK_REG.replace("radius: 0.0", "radius: 0.05\n    angular_rate: 3.0") \
         + "ftcnd:\n  max_time: 1.0e-4\n  epsilon_h: 1.0e-300\n"
@@ -650,13 +637,16 @@ def test_call_contract_of_the_closed_loop(monkeypatch, tmp_path):
     assert {row[i] for row in cells for i in columns} == {"0"}
 
 
+@pytest.mark.parametrize("controller", sim.CONTROLLERS)
 @pytest.mark.parametrize("make_model", MODELS)
-def test_paired_torque_steps_match_four_call_rk4(make_model):
+def test_paired_torque_steps_match_four_call_rk4(make_model, controller):
     # Three torque steps of track, each with two configuration passes,
     # against the RK4 step written out with one configuration pass per
-    # stage; a base that moves along x (none for a fixed arm) makes
-    # tau_b non-zero.  The first step starts at rest, the later ones
-    # with joint rates.
+    # stage, under each torque law written out: the NFTSM law with and
+    # without the tau_b feed-forward, and the gravity-compensated PD
+    # (its gains are validated once, at load).  A base that moves along
+    # x (none for a fixed arm) makes tau_b non-zero.  The first step
+    # starts at rest, the later ones with joint rates.
     model = make_model()
     n, b = model.arm_joint_count, model.base_dof_count
     _, params, _ = load_config("nominal_circle")
@@ -671,7 +661,7 @@ def test_paired_torque_steps_match_four_call_rk4(make_model):
                     np.array([q0, q0]), rng.uniform(-1, 1, (1, n)),
                     rng.uniform(-1, 1, (1, n)),
                     np.zeros((1, len(sim.STEP_COLUMNS))))
-    trace = sim.track(model, params, script, plan)
+    trace = sim.track(model, params, script, plan, controller)
 
     h = script.torque_period
     q, qd = q0, np.zeros(n)
@@ -683,9 +673,13 @@ def test_paired_torque_steps_match_four_call_rk4(make_model):
         def terms_at(x, v):
             return dynamics.configuration_terms(model, [x], a_b=a_b).at(0, v)
         terms = terms_at(q, qd)
-        tau, _ = nftsm.control_torque(terms, e1, e2, plan.qdd_md[0],
-                                      params.nftsm)
-        tau_in = tau + terms.tau_b
+        if controller == "pd":
+            tau_in = terms.G - params.pd_kp * e1 - params.pd_kd * e2
+        else:
+            tau_in, _ = nftsm.control_torque(terms, e1, e2, plan.qdd_md[0],
+                                             params.nftsm)
+        if controller == "nftsm":
+            tau_in = tau_in + terms.tau_b
 
         def accel(t):
             return dynamics.forward_dynamics(t, tau_in - t.tau_b)
