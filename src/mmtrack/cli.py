@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -69,14 +68,11 @@ def _load_config(path: str):
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file {path}: {exc}") from None
-    # Route parameter warnings (e.g. r3 = 1) to stdout: warnings on a
-    # success path must not land on the error stream.
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = load_scenario(text)
-    for item in caught:
-        print(f"warning: {item.message}")
-    return result
+    model, params, script = load_scenario(text)
+    if params.nftsm.r3 == 1.0:
+        print("warning: r3 = 1 leaves the fast-terminal range (0, 1); "
+              "the reaching law degenerates to a linear term")
+    return model, params, script
 
 
 def _write_outputs(out_dir: Path, plan, trace, model, script):
@@ -242,9 +238,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:       # argparse exits 2 on a usage error
+        return 1 if exc.code else 0
+    except OSError as exc:          # writing --out, as over a file
+        print(f"output error: {exc}", file=sys.stderr)
+        return 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

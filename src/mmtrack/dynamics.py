@@ -95,8 +95,8 @@ def solve_inertia(M, rhs):
     (max L_ii / min L_ii)^2 > 1e12, which implies cond(M) = cond(L)^2 >
     1e12.  The test is sufficient, not necessary: cond(M) = 1e13 can pass
     with a pivot ratio of 2e9.  LAPACK dpocon would catch that for about
-    10 us per call; the built-in models keep M >= 0.1 I through their
-    rotor inertia, so they cannot reach it.
+    10 us per call; the built-ins cannot reach it: cond(M) <= 119 on
+    planar_2link, and rotor inertia keeps panda_on_base's M >= 0.1 I.
     """
     L, info = dpotrf(M, lower=1, clean=0)
     if info == 0:

@@ -60,7 +60,7 @@ def euler_zyx(R):
 
 
 def euler_rate_matrix(yaw, pitch):
-    """E such that body angular velocity w = E @ [yaw', pitch', roll']."""
+    """E with world-frame angular velocity w = E @ [yaw', pitch', roll']."""
     sy, cy = np.sin(yaw), np.cos(yaw)
     sp, cp = np.sin(pitch), np.cos(pitch)
     return np.array([[0.0, -sy, cy * cp],
@@ -161,8 +161,8 @@ def linearization(model: RobotModel, q):
     joint rates to Euler-angle rates via the inverse angular-rate
     transform E.  det E = -cos(pitch), and the arcsin pitch of
     :func:`euler_zyx` has a cosine that never rounds to zero, so E is
-    never exactly singular.  ``singular`` is True when |cos(base pitch)|
-    or ``det`` = det(J Jt) over task rows, arm columns < TASK_SINGULARITY_TOL.
+    never exactly singular.  ``singular`` is True when ``det`` = det(J Jt)
+    over task rows and the planned arm columns < TASK_SINGULARITY_TOL.
     """
     q = np.asarray(q, float)
     rotations, origins, R_ee, p_ee = chain_frames(model, q)
@@ -180,10 +180,7 @@ def linearization(model: RobotModel, q):
                    np.linalg.solve(E, np.where(revolute, axes, 0.0).T)])
     Jt = J[list(model.task_rows), model.arm_slice]
     det = float(np.linalg.det(Jt @ Jt.T))
-    pitch_singular = (model.base_dof_count >= 5
-                      and abs(np.cos(q[4])) < TASK_SINGULARITY_TOL)
-    singular = pitch_singular or det < TASK_SINGULARITY_TOL
-    return Pose(p_ee, euler), J, singular, det
+    return Pose(p_ee, euler), J, det < TASK_SINGULARITY_TOL, det
 
 
 def pose_error(pose: Pose, ref: Pose) -> np.ndarray:

@@ -15,7 +15,6 @@ M M^-1 (C qdot + G) = C qdot + G, so M is never factored here.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -25,7 +24,9 @@ from .dynamics import DynamicsTerms
 
 @dataclass(frozen=True)
 class NftsmParams:
-    """Surface gains, exponents, reaching gains, boundary layer."""
+    """Surface gains, exponents, reaching gains, boundary layer.  The
+    reaching law is fast-terminal for r3 < 1; r3 = 1 is accepted as its
+    linear limit, which the command line notes."""
 
     alpha: float = 1.0
     beta: float = 1.0
@@ -46,10 +47,6 @@ class NftsmParams:
             raise ValueError("r1 must exceed r2")
         if not self.r3 <= 1.0:
             raise ValueError("r3 must lie in (0, 1]")
-        if self.r3 == 1.0:
-            warnings.warn("r3 = 1 leaves the fast-terminal range (0, 1); "
-                          "the reaching law degenerates to a linear term",
-                          stacklevel=2)
 
 
 def _sat(x, delta: float):

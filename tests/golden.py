@@ -22,7 +22,6 @@ import argparse
 import dataclasses
 import functools
 import sys
-import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -55,9 +54,7 @@ def plan_case(config):
     """The model, parameters and DURATION-second script of ``config``,
     its plan, and the plan's total FTCND iterations."""
     text = (ROOT / "configs" / f"{config}.yaml").read_text(encoding="utf-8")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")   # the shipped configs set r3 = 1
-        model, params, script = load_scenario(text)
+    model, params, script = load_scenario(text)
     script = dataclasses.replace(script, duration=DURATION)
     iterations, solve = [], ftcnd.solve
 

@@ -64,8 +64,8 @@ def coriolis_matrix(model, q_m, qdot_m):
 
 
 def is_representation_singular(model, q):
-    """Flag representation/task singularities as (flag, det); see
-    ``kinematics.linearization``."""
+    """Flag task singularities of the planned arm columns as (flag, det);
+    see ``kinematics.linearization``."""
     return kin.linearization(model, q)[2:]
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -62,9 +61,7 @@ def digest(problems, params) -> str:
 def plan_of(name):
     """``sim.plan`` of the shipped config ``name``."""
     text = (ROOT / "configs" / f"{name}.yaml").read_text(encoding="utf-8")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return sim.plan(*load_scenario(text))
+    return sim.plan(*load_scenario(text))
 
 
 def plan_digest(plan) -> str:

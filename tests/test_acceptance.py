@@ -8,7 +8,6 @@ computed once per session in module-scoped fixtures.
 """
 import math
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -36,9 +35,7 @@ def report(capsys, number, name, ok, detail):
 
 
 def load_config(name):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return load_scenario((CONFIG_DIR / name).read_text(encoding="utf-8"))
+    return load_scenario((CONFIG_DIR / name).read_text(encoding="utf-8"))
 
 
 # --- shared artifacts -----------------------------------------------------
@@ -289,10 +286,8 @@ def test_criterion_8_nftsm_finite_time_regulation(capsys):
     details = []
     ok = True
     for r3 in (0.9, 1.0):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            t_base = settle_time(nftsm.NftsmParams(r3=r3, c1=20.0))
-            t_fast = settle_time(nftsm.NftsmParams(r3=r3, c1=40.0))
+        t_base = settle_time(nftsm.NftsmParams(r3=r3, c1=20.0))
+        t_fast = settle_time(nftsm.NftsmParams(r3=r3, c1=40.0))
         ok &= math.isfinite(t_base) and math.isfinite(t_fast) \
             and t_fast < t_base
         details.append(f"r3={r3}: c1=20 settles {t_base:.2f} s, "

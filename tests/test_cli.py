@@ -65,8 +65,10 @@ def test_simulate_success(tmp_path, short_config, capsys):
     captured = capsys.readouterr()
     assert rc == 0
     assert captured.err == ""
-    # The r3 = 1 default warns; warnings on a success run go to stdout.
-    assert "warning:" in captured.out
+    # The r3 = 1 default is noted on stdout, not on the error stream.
+    assert captured.out.startswith(
+        "warning: r3 = 1 leaves the fast-terminal range (0, 1); the reaching "
+        "law degenerates to a linear term\n")
     assert "201 rows" in captured.out
     assert (out / "trace.csv").exists()
     metrics = json.loads((out / "metrics.json").read_text())
@@ -161,6 +163,8 @@ SHORT = "scenario: {duration: 0.02}\n"
     (ARM + "scenario: {base_motion: {kind: static, "
      "pose: [0, 0, 0, 0, 0.21, 0]}}", "nftsm",
      "scenario: base_motion: model has no base DOFs to move"),
+    ("", "nftsm", "robot: section is required"),
+    ("- " + ARM, "nftsm", "top level: expected a mapping"),
     # nominal_circle at N = Nu = 1 000: an H of 2.35 GB per step.
     (NOMINAL_CIRCLE.replace("  horizon: 5\n  control_horizon: 5\n",
                             "  horizon: 1000\n  control_horizon: 1000\n"),
@@ -169,7 +173,7 @@ SHORT = "scenario: {duration: 0.02}\n"
 ], ids=["ftcnd_key", "nftsm_key", "scenario_key", "robot_key",
         "pomptc_key", "top_key", "ftcnd_nan", "nftsm_inf", "pd_zero",
         "compensate_base_removed", "bool_gain", "bool_weight",
-        "huge_horizon", "static_pose", "huge_qp"])
+        "huge_horizon", "static_pose", "empty", "sequence", "huge_qp"])
 def test_simulate_config_probe_exits_1(tmp_path, capsys, doc, controller,
                                        key):
     path = tmp_path / "bad.yaml"
@@ -273,6 +277,57 @@ def test_run_without_a_control_step_exits_1_without_traceback(tmp_path,
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert "duration" in proc.stderr
+
+
+@pytest.mark.parametrize("args, rc, message", [
+    (["simulate", "--config", "{config}", "--out", "{out}",
+      "--controller", "bogus"], 1,
+     "mmtrack simulate: error: argument --controller: invalid choice: "
+     "'bogus'"),
+    (["simulate", "--out", "{out}"], 1, "mmtrack simulate: error: the "
+     "following arguments are required: --config"),
+    (["simulate", "--config", "{config}", "--out", "{file}"], 1,
+     "output error: [Errno 17] File exists: '{file}'"),
+    (["compare", "--config", "{config}", "--controllers", "nftsm,pd",
+      "--out", "{file}/sub"], 1,
+     "output error: [Errno 20] Not a directory: '{file}/sub'"),
+    (["-h"], 0, ""),
+], ids=["bad_choice", "missing_option", "out_is_file", "out_below_file",
+        "help"])
+def test_usage_and_output_errors_exit_1_without_traceback(tmp_path, args, rc,
+                                                          message):
+    # Exit 1 for any usage error, argparse's own too; an --out that
+    # cannot be a directory is one line naming the path, not a traceback.
+    config = tmp_path / "scenario.yaml"
+    config.write_text(SHORT_CONFIG, encoding="utf-8")
+    (tmp_path / "file").write_text("kept\n", encoding="utf-8")
+    names = {"config": config, "out": tmp_path / "out",
+             "file": tmp_path / "file"}
+    proc = run_cli(*(a.format(**names) for a in args))
+    assert proc.returncode == rc
+    assert "Traceback" not in proc.stderr
+    assert (proc.stderr.splitlines() or [""])[-1].startswith(
+        message.format(**names))
+    assert not (tmp_path / "out").exists()
+    assert (tmp_path / "file").read_text(encoding="utf-8") == "kept\n"
+
+
+def test_simulate_at_the_base_gimbal_lock_exits_0(tmp_path, capsys):
+    # A base pitched to pi/2 is the base's own Euler singularity, not
+    # the planner's: the plan moves the arm columns, which keep their rank.
+    text = NOMINAL_CIRCLE
+    for old, new in (("  duration: 10.0\n", "  duration: 0.05\n"),
+                     ("    kind: static\n",
+                      "    kind: tilt\n    angle: 1.5707963267948966\n")):
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp_path / "gimbal.yaml"
+    path.write_text(text, encoding="utf-8")
+    rc = cli.main(["simulate", "--config", str(path),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "out" / "trace.csv").exists()
 
 
 def test_simulate_solver_failure_exits_2_without_traceback(tmp_path):
@@ -484,12 +539,15 @@ def test_solve_qp_oracle_at_its_iteration_cap_exits_2(tmp_path, capsys,
 
 
 def test_solve_qp_malformed_file(tmp_path, capsys):
-    # A header that is not one, and a file without its last row (w).
+    # A header that is not one, a file without its last row (w), and a
+    # header whose m' Nu disagrees with the rows.
     path = tmp_path / "problem.txt"
+    hand = pomptc.problem_to_text(hand_qp())
+    assert hand.startswith("1 6 1 1 1 ")
     for text, match in (
             ("not a problem\n", "malformed header"),
-            (pomptc.problem_to_text(hand_qp()).rsplit("\n", 2)[0] + "\n",
-             "expected 9 data rows, got 8")):
+            (hand.rsplit("\n", 2)[0] + "\n", "expected 9 data rows, got 8"),
+            ("1 6 1 1 2 " + hand[10:], "S must be 2x2")):
         path.write_text(text, encoding="utf-8")
         rc = cli.main(["solve-qp", "--problem", str(path)])
         captured = capsys.readouterr()

@@ -257,9 +257,7 @@ def test_settled_plan_solves_read_the_start_product(monkeypatch):
     # them anew.
     text = (Path(__file__).resolve().parent.parent / "configs"
             / "nominal_circle.yaml").read_text(encoding="utf-8")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        model, params, script = load_scenario(text)
+    model, params, script = load_scenario(text)
     script = dataclasses.replace(script, duration=0.5)
     solves = []
     solve = ftcnd.solve
@@ -452,9 +450,7 @@ def start_probes():
     its start, and "cold" the first criterion-1 QP, which integrates."""
     text = (Path(__file__).resolve().parent.parent / "configs"
             / "nominal_circle.yaml").read_text(encoding="utf-8")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        model, params, script = load_scenario(text)
+    model, params, script = load_scenario(text)
     solves = []
     solve = ftcnd.solve
 

@@ -76,8 +76,7 @@ def test_load_scenario_defaults():
     assert script.control_period == 0.01
     # One default per parameter: the loader's are the dataclasses' own.
     assert params.ftcnd == FtcndParams()
-    with pytest.warns(UserWarning, match="r3"):
-        assert params.nftsm == NftsmParams()
+    assert params.nftsm == NftsmParams()
 
 
 def test_load_scenario_rejects_bad_horizon():
@@ -218,6 +217,10 @@ def test_load_scenario_rejects_bad_kappa():
     ("pd: {kp: x}\n", "^pd: kp: expected a finite number, got 'x'$"),
     ("scenario: {control_period: [1]}\n",
      r"^scenario: control_period: expected a finite number, got \[1\]$"),
+    ("scenario: {reference: {kind: waypoints, points: []}}\n",
+     "^scenario: reference.points must be a non-empty list$"),
+    ("pomptc: {pose_weight: [1, 1, 1, 1, 1, -1]}\n",
+     "^pomptc: pose weight must be positive semidefinite$"),
 ], ids=["horizon", "horizon_fraction", "control_horizon_fraction",
         "waypoint_time", "initial_q", "base_motion", "pose",
         "duration_inf", "duration_nan", "duration_huge",
@@ -242,7 +245,8 @@ def test_load_scenario_rejects_bad_kappa():
         "base_motion_misspelled_key", "disturbance_misspelled_key",
         "tilt_sinusoid_key", "integer_past_digit_limit", "lone_surrogate",
         "bool_gain", "bool_horizon", "string_duration", "bool_radius",
-        "word_gain", "list_period"])
+        "word_gain", "list_period", "waypoints_empty",
+        "pose_weight_not_psd"])
 def test_load_scenario_rejects_malformed_values(section, match):
     with pytest.raises(ConfigError, match=match):
         load_scenario(MINIMAL + section)
@@ -285,9 +289,7 @@ def test_load_scenario_bounds_the_reference_window():
     # The plan reads horizon reference rows per control step at once:
     # 10 s at 0.01 s allows a horizon of 1 000 rows, not 1 001.
     doc = "robot: {builtin: planar_2link}\npomptc: {horizon: %s}\n"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert load_scenario(doc % 1000)[1].horizon == 1000
+    assert load_scenario(doc % 1000)[1].horizon == 1000
     for horizon in ("1001", "1.0e+12"):
         with pytest.raises(ConfigError, match=r"^pomptc: horizon: .* exceed "
                            r"the cap of 1000000 rows$"):
@@ -298,9 +300,7 @@ def test_load_scenario_bounds_the_reference_window():
     text = (CONFIG_DIR / "nominal_circle.yaml").read_text(encoding="utf-8")
     pair = "  horizon: 5\n  control_horizon: 5\n"
     assert pair in text
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        params = load_scenario(text.replace(pair, pair.replace("5", "100")))[1]
+    params = load_scenario(text.replace(pair, pair.replace("5", "100")))[1]
     assert (params.horizon, params.control_horizon) == (100, 100)
     with pytest.raises(ConfigError, match=r"^pomptc: horizon: each step's H "
                        r"of 294000000 entries exceeds the cap of 84000000 "
@@ -311,9 +311,7 @@ def test_load_scenario_bounds_the_reference_window():
     doc = ("robot: {builtin: planar_2link}\nscenario: {duration: 1.0}\n"
            "pomptc: {horizon: %d, control_horizon: 1500}\n")
     assert pomptc.MAX_H_ENTRIES == 84_000_000
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert load_scenario(doc % 4000)[1].horizon == 4000
+    assert load_scenario(doc % 4000)[1].horizon == 4000
     with pytest.raises(ConfigError, match=r"^pomptc: horizon: each step's H "
                        r"of 84012000 entries exceeds the cap of 84000000 "
                        r"entries$"):
@@ -335,10 +333,29 @@ def test_load_scenario_rejects_unknown_robot_keys(robot, match):
 
 def test_load_scenario_merges_a_mapping():
     # A merge key supplies the keys that its mapping does not set.
-    with pytest.warns(UserWarning, match="r3"):
-        _, params, _ = load_scenario(
-            MINIMAL + "ftcnd: {<<: {mu: 3.0, xi: 2.0}, mu: 4.0}\n")
+    _, params, _ = load_scenario(
+        MINIMAL + "ftcnd: {<<: {mu: 3.0, xi: 2.0}, mu: 4.0}\n")
     assert (params.ftcnd.mu, params.ftcnd.xi) == (4.0, 2.0)
+
+
+@pytest.mark.parametrize("doc, same", [
+    ("pomptc: {velocity_weight: [2, 2, 2, 2, 2, 2, 2]}\n",
+     "pomptc: {velocity_weight: 2}\n"),
+    ("pd: {kp: &k 60.0, kd: *k}\n", "pd: {kp: 60.0, kd: 60.0}\n"),
+], ids=["diagonal_weight", "alias"])
+def test_equivalent_spellings_load_the_same_scenario(doc, same):
+    assert serialize_scenario(*load_scenario(MINIMAL + doc)) \
+        == serialize_scenario(*load_scenario(MINIMAL + same))
+
+
+def test_shipped_configs_load_without_a_warning():
+    paths = sorted(CONFIG_DIR.glob("*.yaml"))
+    assert [p.stem for p in paths] == ["base_sinusoid", "base_tilt",
+                                       "nominal_circle"]
+    for path in paths:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            load_scenario(path.read_text(encoding="utf-8"))
 
 
 def test_load_scenario_rejects_deep_nesting():
@@ -359,12 +376,24 @@ def test_load_scenario_rejects_unknown_builtin():
         load_scenario("robot:\n  builtin: ur5\n")
 
 
-@pytest.mark.parametrize("robot", [
-    "3", "[builtin]", "{builtin: [panda_on_base]}", "{builtin: {a: 1}}",
-    "{builtin: 3}", "{builtin: null}",
-], ids=["scalar", "list", "name_list", "name_dict", "name_int", "name_null"])
-def test_load_scenario_rejects_malformed_robot(robot):
-    with pytest.raises(ConfigError, match="robot"):
+@pytest.mark.parametrize("robot, match", [
+    ("3", "robot: expected a mapping"),
+    ("[builtin]", "robot: expected a mapping"),
+    ("{builtin: [panda_on_base]}",
+     r"robot.builtin: unknown model \['panda_on_base'\]"),
+    ("{builtin: {a: 1}}", "robot.builtin: unknown model {'a': 1}"),
+    ("{builtin: 3}", "robot.builtin: unknown model 3"),
+    ("{builtin: null}", "robot.builtin: unknown model None"),
+    ("{builtin: panda_on_base, limits: {q_upper: [1, 2]}}",
+     "robot.limits: limits.q_upper: expected length 13, got 2"),
+    ("{builtin: panda_on_base, limits: {q_upper: [[1, 2]]}}",
+     "robot.limits: limits.q_upper: expected a vector of finite numbers"),
+    ("{builtin: panda_on_base, limits: [1]}",
+     "robot.limits: expected a mapping"),
+], ids=["scalar", "list", "name_list", "name_dict", "name_int", "name_null",
+        "limits_length", "limits_matrix", "limits_list"])
+def test_load_scenario_rejects_malformed_robot(robot, match):
+    with pytest.raises(ConfigError, match=f"^{match}$"):
         load_scenario(f"robot: {robot}\n")
 
 
@@ -443,9 +472,7 @@ def _fuzz_seeds():
     docs = {}
     for path in sorted(CONFIG_DIR.glob("*.yaml")):
         text = path.read_text(encoding="utf-8")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")   # nominal_circle sets r3 = 1
-            full = serialize_scenario(*load_scenario(text))
+        full = serialize_scenario(*load_scenario(text))
         docs[path.stem] = yaml.safe_load(text)
         docs[path.stem + "_full"] = yaml.safe_load(full)
     return docs
@@ -520,8 +547,9 @@ def test_load_scenario_fuzz_raises_only_config_error(data):
             parent[data.draw(_WORDS)] = data.draw(_VALUES)
         else:
             parent[key] = data.draw(_VALUES)
+    # A mutated config loads or raises ConfigError, with no warning.
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("error")
         try:
             model, params, script = load_scenario(yaml.safe_dump(doc))
         except ConfigError:

@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 
@@ -29,11 +27,6 @@ def test_params_validation():
         make_params(c1=-1.0)
     with pytest.raises(ValueError, match="delta"):
         make_params(delta=0.0)
-
-
-def test_r3_equal_one_warns():
-    with pytest.warns(UserWarning, match="r3"):
-        NftsmParams(r3=1.0)
 
 
 def test_saturation_branches():
@@ -121,12 +114,8 @@ def _settle_time(params, steps=7000, dt=1e-3, tol=1e-3):
 
 @pytest.mark.parametrize("r3", [0.9, 1.0])
 def test_closed_loop_regulation(r3):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        slow = NftsmParams(r3=r3, c1=20.0)
-        fast = NftsmParams(r3=r3, c1=40.0)
-    t_slow = _settle_time(slow)
-    t_fast = _settle_time(fast)
+    t_slow = _settle_time(NftsmParams(r3=r3, c1=20.0))
+    t_fast = _settle_time(NftsmParams(r3=r3, c1=40.0))
     assert t_fast < t_slow
 
 

@@ -111,7 +111,7 @@ def test_check_kkt_tol_validated():
 
 
 LAZY_SCIPY_OPTIMIZE = """
-import sys, warnings
+import sys
 from pathlib import Path
 sys.path.insert(0, sys.argv[1])
 from conftest import hand_qp
@@ -121,9 +121,7 @@ from mmtrack.model import load_scenario
 config = Path(sys.argv[1]).parent / "configs" / "nominal_circle.yaml"
 text = config.read_text(encoding="utf-8").replace("duration: 10.0",
                                                   "duration: 0.05")
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore")
-    model, params, script = load_scenario(text)
+model, params, script = load_scenario(text)
 assert len(sim.run_closed_loop(model, params, script).time) == 51
 z = qp_oracle.solve_reference(hand_qp(), penalized=True)
 assert abs(z[0] - 9 / 7) <= 1e-12

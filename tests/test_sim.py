@@ -26,12 +26,6 @@ scenario:
 """
 
 
-def load_quiet(doc):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return load_scenario(doc)
-
-
 def test_script_validation():
     with pytest.raises(ValueError, match="duration"):
         ScenarioScript(duration=0.0)
@@ -222,7 +216,7 @@ def test_warm_start_continues_a_polynomial(degree):
 def test_run_raises_once_failure_budget_is_exceeded(monkeypatch):
     doc = TWOLINK_REG.replace("radius: 0.0", "radius: 0.05\n    angular_rate: 3.0") \
         + "ftcnd:\n  max_time: 1.0e-4\n  epsilon_h: 1.0e-300\n"
-    model, params, script = load_quiet(doc)
+    model, params, script = load_scenario(doc)
     script = dataclasses.replace(script, duration=0.1)
     # Every solve fails to converge: no start passes epsilon_h = 1e-300,
     # and max_time stops the steps.  The fourth consecutive failure
@@ -281,20 +275,20 @@ def test_one_plan_tracked_by_each_controller_is_the_closed_loop(
 
 
 def test_run_rejects_unknown_controller():
-    model, params, script = load_quiet(TWOLINK_REG)
+    model, params, script = load_scenario(TWOLINK_REG)
     with pytest.raises(ValueError, match="unknown controller"):
         sim.run_closed_loop(model, params, script, controller="lqr")
 
 
 def test_run_is_deterministic():
-    model, params, script = load_quiet(TWOLINK_REG)
+    model, params, script = load_scenario(TWOLINK_REG)
     t1 = sim.run_closed_loop(model, params, script)
     t2 = sim.run_closed_loop(model, params, script)
     assert np.array_equal(oracles.trace_matrix(t1), oracles.trace_matrix(t2))
 
 
 def test_zero_radius_regulation_holds_pose():
-    model, params, script = load_quiet(TWOLINK_REG)
+    model, params, script = load_scenario(TWOLINK_REG)
     plan = sim.plan(model, params, script)
     trace = sim.track(model, params, script, plan)
     assert len(trace.time) == round(script.duration / script.torque_period) + 1
@@ -326,7 +320,7 @@ def test_plan_metrics_count_solves_past_their_bound():
 
 
 def test_trace_csv_round_trip(tmp_path):
-    model, params, script = load_quiet(TWOLINK_REG.replace("0.5", "0.1"))
+    model, params, script = load_scenario(TWOLINK_REG.replace("0.5", "0.1"))
     trace = sim.run_closed_loop(model, params, script)
     path = tmp_path / "trace.csv"
     trace.to_csv(path)
@@ -467,7 +461,7 @@ def config_text(name):
 
 
 def load_config(name):
-    return load_quiet(config_text(name))
+    return load_scenario(config_text(name))
 
 
 def test_pose_columns_match_per_row_calls_on_tilt_trace(monkeypatch):
@@ -556,7 +550,7 @@ def test_waypoint_reference_closed_loop():
         "  reference:\n    kind: waypoints\n    points:\n" + "".join(
             f"      - {{time: {t}, pose: {p.tolist()}}}\n"
             for t, p in zip(times, poses)))
-    model, params, script = load_quiet(doc)
+    model, params, script = load_scenario(doc)
     script = dataclasses.replace(script, duration=0.3)
     trace = sim.run_closed_loop(model, params, script)
     expect = np.column_stack([np.interp(trace.time, times, poses[:, k])
@@ -581,7 +575,7 @@ def test_planar_waypoints_weight_only_task_rows():
         "  reference:\n    kind: waypoints\n    points:\n"
         f"      - {{time: 0.0, pose: {start.tolist()}}}\n"
         f"      - {{time: 0.3, pose: {end.tolist()}}}\n")
-    model, params, script = load_quiet(doc)
+    model, params, script = load_scenario(doc)
     trace = sim.run_closed_loop(model, params,
                                 dataclasses.replace(script, duration=0.3))
     assert np.abs(trace.err_pos).max() < 2e-3
@@ -733,7 +727,7 @@ def test_forward_kinematics_once_per_run(monkeypatch):
         calls.append(np.shape(q))
         return fk(model, q)
     monkeypatch.setattr(kin, "forward_kinematics", counting)
-    model, params, script = load_quiet(TWOLINK_REG)
+    model, params, script = load_scenario(TWOLINK_REG)
     script = dataclasses.replace(script, duration=0.1)
     trace = sim.run_closed_loop(model, params, script)
     # The initial pose, and the trace's pose columns in one batch call:
@@ -765,8 +759,8 @@ def test_replace_resolves_the_time_functions_again():
 def test_partial_specs_mean_the_same_to_loader_and_script(section, spec):
     # Each kind declares its defaults once: a partial spec gives the same
     # time functions through load_scenario as through ScenarioScript.
-    _, _, loaded = load_quiet("robot: {builtin: panda_on_base}\n"
-                              + yaml.safe_dump({"scenario": {section: spec}}))
+    _, _, loaded = load_scenario("robot: {builtin: panda_on_base}\n"
+                                 + yaml.safe_dump({"scenario": {section: spec}}))
     direct = ScenarioScript(**{section: spec})
     times = np.arange(1001) * 0.01
     p0 = Pose([0.5, 0.2, 0.4], [0.1, 0.0, -0.2])
@@ -797,9 +791,9 @@ def nominal_variant(edit, duration=1.0):
     ``edit(doc, model, script)`` on its parsed YAML document."""
     doc = yaml.safe_load(config_text("nominal_circle"))
     doc["scenario"]["duration"] = duration
-    model, _, script = load_quiet(yaml.safe_dump(doc))
+    model, _, script = load_scenario(yaml.safe_dump(doc))
     edit(doc, model, script)
-    return load_quiet(yaml.safe_dump(doc))
+    return load_scenario(yaml.safe_dump(doc))
 
 
 def pin_lower_limit(doc, model, script):
